@@ -11,15 +11,16 @@ not purely pseudo-Anosov).  Budget exhaustion anywhere: inconclusive, never
 a negative claim.
 
 The per-element filling check needs only the generator support of a cyclic
-reduction, so it runs on a compact integer kernel with the verdict memoized
-per support set.
+reduction: each enumerated element is piled once by the word kernel in
+``words.py`` and reduced in place, and the verdict is memoized per support
+set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .complexes import (
     BUDGET_EXCEEDED,
@@ -37,6 +38,7 @@ from .words import (
     NormalWord,
     Word,
     concat,
+    cyclic_core_support,
     invert,
     normal_word_from_pairs,
     normalize,
@@ -99,80 +101,6 @@ class Certificate:
         }
 
 
-# -- integer kernel for cyclic-reduction supports ---------------------------
-
-
-def _int_insert(syls: list[list[int]], g: int, e: int, comm: Sequence[int]) -> None:
-    j = len(syls) - 1
-    while j >= 0:
-        h = syls[j][0]
-        if h == g:
-            syls[j][1] += e
-            if syls[j][1] == 0:
-                tail = syls[j + 1:]
-                del syls[j:]
-                for h2, e2 in tail:
-                    _int_insert(syls, h2, e2, comm)
-            return
-        if not (comm[g] >> h) & 1:
-            break
-        j -= 1
-    syls.append([g, e])
-
-
-def _cyclic_support(pairs: Iterable[tuple[int, int]], comm: Sequence[int]) -> frozenset[int]:
-    """Generator-index support of a cyclic reduction of a normal word.
-
-    Rotates while some generator owns both a minimal and a distinct maximal
-    syllable; each rotation lowers the syllable count.  A syllable is
-    minimal (maximal) exactly when no equal or non-commuting generator
-    occurs before (after) it, checked here with one bitmask sweep per side.
-    """
-    work = [list(p) for p in pairs]
-    nbits = len(comm)
-    full = (1 << nbits) - 1
-    blockers = [full ^ m for m in comm]  # equal or non-commuting generators
-    while len(work) > 1:
-        k = len(work)
-        max_by_gen: dict[int, int] = {}
-        right = 0
-        for i in range(k - 1, -1, -1):
-            g = work[i][0]
-            if not right & blockers[g]:
-                max_by_gen[g] = i
-            right |= 1 << g
-        pick = -1
-        left = 0
-        for i in range(k):
-            g = work[i][0]
-            if not left & blockers[g]:
-                q = max_by_gen.get(g, i)
-                if q != i:
-                    pick = i
-                    break
-            left |= 1 << g
-        if pick < 0:
-            break
-        g, e = work[pick]
-        out: list[list[int]] = [[g, -e]]
-        for h2, e2 in work:
-            _int_insert(out, h2, e2, comm)
-        _int_insert(out, g, e, comm)
-        work = out
-    return frozenset(g for g, _ in work)
-
-
-def _comm_masks(graph: DefiningGraph) -> list[int]:
-    masks = []
-    for g in graph.vertices:
-        mask = 0
-        for j, h in enumerate(graph.vertices):
-            if g != h and graph.commutes(g, h):
-                mask |= 1 << j
-        masks.append(mask)
-    return masks
-
-
 def _find_nonfilling_loop(core: SubgroupCore, model: SurfaceModel,
                           max_len: int, node_budget: int
                           ) -> tuple[tuple[tuple[int, int], ...], frozenset[int]] | None:
@@ -183,7 +111,6 @@ def _find_nonfilling_loop(core: SubgroupCore, model: SurfaceModel,
     that already hold, so basepoint loops always represent subgroup members.
     """
     graph = core.graph
-    comm = _comm_masks(graph)
     labels = graph.vertices
     memo: dict[frozenset[int], bool] = {}
     try:
@@ -191,7 +118,7 @@ def _find_nonfilling_loop(core: SubgroupCore, model: SurfaceModel,
             if length == 0:
                 continue
             for syls in loops:
-                support = _cyclic_support(syls, comm)
+                support = cyclic_core_support(syls, graph)
                 verdict = memo.get(support)
                 if verdict is None:
                     verdict = model.fills_subset(labels[g] for g in support)
@@ -268,7 +195,6 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                            reason=f"core construction exceeded cell budget {cell_budget}",
                            **base)
     ell = 3 * (len(core.complex.vertices) + 1)
-    comm = _comm_masks(graph)
     fills_memo: dict[frozenset[int], bool] = {}
     count = 0
     try:
@@ -277,7 +203,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                 count += 1
                 if length == 0:
                     continue  # the identity never fills and is exempt
-                support = _cyclic_support(syls, comm)
+                support = cyclic_core_support(syls, graph)
                 verdict = fills_memo.get(support)
                 if verdict is None:
                     verdict = model.fills_subset(labels[g] for g in support)

@@ -6,7 +6,7 @@ Subcommands: ``normalize``, ``minclass``, ``order``, ``core
 for identical inputs: JSON is emitted with sorted keys and no timestamps.
 
 Exit codes: 0 success/certified, 1 refuted, 2 inconclusive or budget
-exhausted, 3 malformed input.
+exhausted, 3 malformed input or usage.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,8 +64,6 @@ class RunConfig:
     command: tuple[str, ...]
     options: dict = field(default_factory=dict)
     fmt: str = "text"
-    seed: int | None = None
-    threads: int = 1
 
 
 def _read_json(path: str) -> dict:
@@ -366,10 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv", "dot"), default="text",
                         help="report format (default: text)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized sweeps (reports are deterministic per seed)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker hint for parallel sweeps (RAAG_THREADS overrides)")
     common.add_argument("--out", default=None, help="write the report to a file")
 
     parser = argparse.ArgumentParser(
@@ -433,23 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    threads = args.threads
-    env_threads = os.environ.get("RAAG_THREADS")
-    if env_threads is not None:
-        try:
-            threads = int(env_threads)
-        except ValueError as exc:
-            raise InputError(f"RAAG_THREADS must be an integer, got {env_threads!r}") from exc
-    if threads is not None and threads < 1:
-        raise InputError("threads must be positive")
     options = {k: v for k, v in vars(args).items()
-               if k not in ("format", "seed", "threads", "command", "core_command", "s8_command")}
+               if k not in ("format", "command", "core_command", "s8_command")}
     command = tuple(x for x in (args.command, getattr(args, "core_command", None),
                                 getattr(args, "s8_command", None)) if x)
     if "bigN" in options:
         options["N"] = options.pop("bigN")
-    return RunConfig(command=command, options=options, fmt=args.format,
-                     seed=args.seed, threads=threads or 1)
+    return RunConfig(command=command, options=options, fmt=args.format)
 
 
 _DISPATCH = {
@@ -481,8 +464,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return run(config)
+    except SystemExit as exc:  # argparse has printed help (code 0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    try:
+        return run(_config_from_args(args))
     except (InputError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

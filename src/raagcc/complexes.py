@@ -355,9 +355,8 @@ class SubgroupCore:
 class _Builder:
     """Mutable fold/fill state with union-find over vertices and edges."""
 
-    def __init__(self, graph: DefiningGraph, budget: int, rng: Random | None):
+    def __init__(self, graph: DefiningGraph, rng: Random | None):
         self.graph = graph
-        self.budget = budget
         self.rng = rng
         self.vparent: dict[int, int] = {}
         self.eparent: dict[int, int] = {}
@@ -638,7 +637,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
         raise InputError("build_core requires at least one generator word")
     if budget <= 0:
         raise InputError("budget must be positive")
-    builder = _Builder(graph, budget, rng)
+    builder = _Builder(graph, rng)
     if extend is not None:
         vmap = {v: builder.new_vertex() for v in extend.vertices}
         emap = {}
@@ -721,7 +720,7 @@ def membership(core: SubgroupCore, w: Word | NormalWord) -> bool:
     return v == complex_.basepoint
 
 
-def _letter_options(complex_: LabeledCubeComplex) -> tuple[list[list[tuple[int, int, int]]], list[int], int]:
+def _letter_options(complex_: LabeledCubeComplex) -> tuple[list[list[tuple[int, int, int]]], Sequence[int], int]:
     """Per-vertex extension letters as (generator index, sign, next vertex)."""
     graph = complex_.graph
     out, into = complex_.trace_maps
@@ -735,14 +734,7 @@ def _letter_options(complex_: LabeledCubeComplex) -> tuple[list[list[tuple[int, 
     # letter order used for lexicographic comparisons).
     for opts in options:
         opts.sort(key=lambda t: (t[0], -t[1]))
-    comm_sets: list[int] = []
-    for g in graph.vertices:
-        mask = 0
-        for j, h in enumerate(graph.vertices):
-            if g != h and graph.commutes(g, h):
-                mask |= 1 << j
-        comm_sets.append(mask)
-    return options, comm_sets, index[complex_.basepoint]
+    return options, graph.comm_masks, index[complex_.basepoint]
 
 
 def iter_loops_by_length(complex_: LabeledCubeComplex, max_len: int,

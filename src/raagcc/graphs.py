@@ -57,6 +57,19 @@ class DefiningGraph:
             adj[w].add(u)
         return {v: frozenset(nbrs) for v, nbrs in adj.items()}
 
+    @cached_property
+    def comm_masks(self) -> tuple[int, ...]:
+        """Per vertex index, the bitmask of the other vertices it commutes with."""
+        index = self._index
+        return tuple(sum(1 << index[w] for w in self._adjacency[v]) for v in self.vertices)
+
+    @cached_property
+    def non_commuting(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex index, the indices of the other vertices it fails to commute with."""
+        return tuple(
+            tuple(j for j, w in enumerate(self.vertices) if w != v and w not in self._adjacency[v])
+            for v in self.vertices)
+
     def has_vertex(self, label: str) -> bool:
         return label in self._index
 

@@ -15,14 +15,27 @@ commute with it.  All normal representatives of one element differ by move
 and carry a canonical bijection between their syllable sets.
 
 ``normalize`` returns the lexicographically least normal representative
-under the defining graph's declared vertex order, computed greedily: scan
-the remaining syllables and emit an available one with the least label.
-That choice is an artifact convention; the math only pins down the class.
+under the defining graph's declared vertex order.  That choice is an
+artifact convention; the math only pins down the class.
+
+The kernel works on a *piling* (Crisp, Godelle & Wiest, "The conjugacy
+problem in subgroups of right-angled Artin groups", J. Topology 2009): one
+stack per generator, holding that generator's syllable exponents and a 0
+marker for each syllable of a non-commuting generator.  Two words pile to
+the same stacks exactly when they represent the same element.  Pushing a
+syllable merges into the top of its own stack when that top is a syllable,
+and otherwise appends it with one marker per non-commuting stack, so piling
+a word of n letters costs O(n |V|) with no rescans.  A syllable is minimal
+in the order below exactly when it is the bottom entry of its stack, and
+maximal exactly when it is the top one.  The canonical form repeatedly
+reads out the least-index bottom syllable; cyclic reduction moves bottom
+syllables to the top of their own stacks in place.
 
 The syllable partial order puts p before q when p appears to the left of q
-in every normal representative.  It is computed as the transitive closure
-of direct dependence (earlier occurrence with equal or non-commuting
-generator), which coincides with the representative-quantified order.
+in every normal representative.  It is the transitive closure of direct
+dependence (earlier occurrence with equal or non-commuting generator),
+which coincides with the representative-quantified order, and is kept as
+one predecessor bitset per syllable.
 """
 
 from __future__ import annotations
@@ -179,107 +192,124 @@ def _as_pairs(w: Word | NormalWord) -> list[tuple[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting kernel.  Internally a word in progress is a list of [gen, exp]
-# pairs; the prefix is kept normal throughout.
+# Piling kernel.  Words in progress are sequences of (generator index,
+# exponent) syllables, piled with one stack per generator.
+
+Piling = list[deque]
 
 
-def _insert(syls: list[list], gen: str, exp: int, graph: DefiningGraph) -> None:
-    """Insert one syllable into a normal prefix, keeping it normal.
+def _indexed(w: Word | NormalWord, graph: DefiningGraph) -> list[tuple[int, int]]:
+    pairs = _as_pairs(w)
+    for gen, _ in pairs:
+        graph.require_vertex(gen)
+    index = graph._index
+    return [(index[gen], exp) for gen, exp in pairs if exp]
 
-    Scans right-to-left: the first same-generator syllable reachable across
-    commuting generators absorbs the exponent (moves (3) then (2)); a
-    non-commuting generator blocks, so a new syllable is appended.  When an
-    absorption cancels to zero the tail is re-inserted, since the deleted
-    syllable may have been the only separator for an outer pair.
+
+def _push(piles: Piling, g: int, e: int, noncomm: Sequence[Sequence[int]]) -> None:
+    """Multiply a piling on the right by the syllable g^e.
+
+    A syllable on top of its own stack has nothing non-commuting after it,
+    so the new one merges into it (and pops the markers when they cancel);
+    otherwise the syllable goes on top with a marker on each non-commuting
+    stack.  Markers are interchangeable, so popping any one from the run of
+    markers above a stack's last syllable is the same as popping its own.
     """
-    commutes = graph.commutes
-    j = len(syls) - 1
-    while j >= 0:
-        g = syls[j][0]
-        if g == gen:
-            syls[j][1] += exp
-            if syls[j][1] == 0:
-                tail = syls[j + 1:]
-                del syls[j:]
-                for g2, e2 in tail:
-                    _insert(syls, g2, e2, graph)
-            return
-        if not commutes(g, gen):
-            break
-        j -= 1
-    syls.append([gen, exp])
+    pile = piles[g]
+    if pile and pile[-1]:
+        e += pile[-1]
+        if e:
+            pile[-1] = e
+        else:
+            pile.pop()
+            for h in noncomm[g]:
+                piles[h].pop()
+        return
+    pile.append(e)
+    for h in noncomm[g]:
+        piles[h].append(0)
 
 
-def _reduce(pairs: Iterable[tuple[str, int]], graph: DefiningGraph) -> list[list]:
-    syls: list[list] = []
-    for gen, exp in pairs:
-        if exp != 0:
-            _insert(syls, gen, exp, graph)
-    return syls
+def _pile(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> Piling:
+    noncomm = graph.non_commuting
+    piles: Piling = [deque() for _ in noncomm]
+    for g, e in syllables:
+        _push(piles, g, e, noncomm)
+    return piles
 
 
-def _direct_dependence(gens: Sequence[str], graph: DefiningGraph) -> list[list[int]]:
-    """succs[i] lists j > i with equal or non-commuting generator."""
-    commutes = graph.commutes
-    n = len(gens)
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        gi = gens[i]
-        for j in range(i + 1, n):
-            gj = gens[j]
-            if gi == gj or not commutes(gi, gj):
-                succs[i].append(j)
-    return succs
+def _pop_bottom(piles: Piling, g: int, noncomm: Sequence[Sequence[int]]) -> int:
+    """Remove a minimal syllable of g; under its markers lie only markers."""
+    for h in noncomm[g]:
+        piles[h].popleft()
+    return piles[g].popleft()
 
 
-def _canonical(syls: list[list], graph: DefiningGraph) -> list[tuple[str, int]]:
-    """Greedy least-label linear extension of the dependence order."""
-    import heapq
-
-    n = len(syls)
-    gens = [s[0] for s in syls]
-    succs = _direct_dependence(gens, graph)
-    pred_count = [0] * n
-    for i in range(n):
-        for j in succs[i]:
-            pred_count[j] += 1
-    heap = [(graph.index(gens[i]), i) for i in range(n) if pred_count[i] == 0]
-    heapq.heapify(heap)
+def _read_out(piles: Piling, graph: DefiningGraph) -> list[tuple[str, int]]:
+    """Empty the piling into its canonical normal form: repeatedly emit the
+    least-index generator whose bottom entry is a syllable."""
+    noncomm = graph.non_commuting
+    labels = graph.vertices
     out: list[tuple[str, int]] = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        out.append((syls[i][0], syls[i][1]))
-        for j in succs[i]:
-            pred_count[j] -= 1
-            if pred_count[j] == 0:
-                heapq.heappush(heap, (graph.index(gens[j]), j))
-    return out
+    while True:
+        for g, pile in enumerate(piles):
+            if pile and pile[0]:
+                break
+        else:
+            return out
+        out.append((labels[g], _pop_bottom(piles, g, noncomm)))
+
+
+def _reduce_cyclically(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:
+    """Conjugate a piling in place down to a cyclic reduction.
+
+    While some generator's stack starts and ends with distinct syllables
+    (a minimal and a distinct maximal one), the least such bottom syllable
+    is moved to the top, where it merges; each move lowers the syllable
+    count.  Returns the conjugator's syllables in order.
+    """
+    noncomm = graph.non_commuting
+    conjugator: list[tuple[int, int]] = []
+    while True:
+        for g, pile in enumerate(piles):
+            if len(pile) > 1 and pile[0] and pile[-1]:
+                break
+        else:
+            return conjugator
+        e = _pop_bottom(piles, g, noncomm)
+        conjugator.append((g, e))
+        _push(piles, g, e, noncomm)
+
+
+def cyclic_core_support(syllables: Iterable[tuple[int, int]],
+                        graph: DefiningGraph) -> frozenset[int]:
+    """Generator-index support of a cyclic reduction of an indexed word."""
+    piles = _pile(syllables, graph)
+    _reduce_cyclically(piles, graph)
+    return frozenset(g for g, pile in enumerate(piles) if any(pile))
 
 
 def normalize(w: Word | NormalWord, graph: DefiningGraph) -> NormalWord:
     """The canonical normal representative of the element ``w`` spells."""
-    pairs = _as_pairs(w)
-    for gen, _ in pairs:
-        graph.require_vertex(gen)
-    reduced = _reduce(pairs, graph)
-    return normal_word_from_pairs(_canonical(reduced, graph))
+    return normal_word_from_pairs(_read_out(_pile(_indexed(w, graph), graph), graph))
 
 
 def is_normal(w: Word | NormalWord, graph: DefiningGraph) -> bool:
     """No zero exponents, and no same-generator pair separated only by
     commuting generators (which would let moves reach a merge)."""
     pairs = _group_letters(w.letters) if isinstance(w, Word) else list(w.pairs())
-    commutes = graph.commutes
-    for i, (g, e) in enumerate(pairs):
-        graph.require_vertex(g)
-        if e == 0:
+    for gen, _ in pairs:
+        graph.require_vertex(gen)
+    index = graph._index
+    noncomm = graph.non_commuting
+    on_top = [False] * len(noncomm)  # a syllable with nothing non-commuting after it
+    for gen, exp in pairs:
+        g = index[gen]
+        if exp == 0 or on_top[g]:
             return False
-        for j in range(i + 1, len(pairs)):
-            h = pairs[j][0]
-            if h == g:
-                return False
-            if not commutes(h, g):
-                break
+        on_top[g] = True
+        for h in noncomm[g]:
+            on_top[h] = False
     return True
 
 
@@ -326,6 +356,10 @@ def min_class(w: Word | NormalWord, graph: DefiningGraph,
     return tuple(normal_word_from_pairs(p) for p in ordered)
 
 
+def _position(s: Syllable | int) -> int:
+    return s.position if isinstance(s, Syllable) else int(s)
+
+
 @dataclass(frozen=True)
 class SyllableOrder:
     """The strict partial order on the syllables of a normal word.
@@ -337,11 +371,8 @@ class SyllableOrder:
     word: NormalWord
     pairs: frozenset[tuple[int, int]]
 
-    def _pos(self, s: Syllable | int) -> int:
-        return s.position if isinstance(s, Syllable) else int(s)
-
     def precedes(self, p: Syllable | int, q: Syllable | int) -> bool:
-        return (self._pos(p), self._pos(q)) in self.pairs
+        return (_position(p), _position(q)) in self.pairs
 
     def comparable(self, p: Syllable | int, q: Syllable | int) -> bool:
         return self.precedes(p, q) or self.precedes(q, p)
@@ -352,37 +383,25 @@ class SyllableOrder:
 
 
 def syllable_order(w: NormalWord, graph: DefiningGraph) -> SyllableOrder:
-    """Transitive closure of direct occurrence dependence on a normal word."""
+    """Transitive closure of direct occurrence dependence on a normal word.
+
+    Each syllable's predecessors form a bitset: the union, over its own and
+    each non-commuting generator, of the closure of that generator's latest
+    earlier occurrence (earlier occurrences already lie below the latest).
+    """
     _require_normal(w, graph)
-    gens = [s.generator for s in w.syllables]
-    succs = _direct_dependence(gens, graph)
-    n = len(gens)
-    reach: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for j in succs[i]:
-            reach[i].add(j)
-            reach[i] |= reach[j]
-    pairs = frozenset((i, j) for i in range(n) for j in reach[i])
-    return SyllableOrder(word=w, pairs=pairs)
-
-
-def _minimal_positions(gens: Sequence[str], graph: DefiningGraph) -> list[int]:
-    commutes = graph.commutes
-    out = []
-    for i, g in enumerate(gens):
-        if all(gens[k] != g and commutes(gens[k], g) for k in range(i)):
-            out.append(i)
-    return out
-
-
-def _maximal_positions(gens: Sequence[str], graph: DefiningGraph) -> list[int]:
-    commutes = graph.commutes
-    n = len(gens)
-    out = []
-    for i, g in enumerate(gens):
-        if all(gens[k] != g and commutes(gens[k], g) for k in range(i + 1, n)):
-            out.append(i)
-    return out
+    index = graph._index
+    noncomm = graph.non_commuting
+    latest = [0] * len(noncomm)  # closure (predecessors plus itself) of the latest occurrence
+    pairs: list[tuple[int, int]] = []
+    for j, s in enumerate(w.syllables):
+        g = index[s.generator]
+        below = latest[g]
+        for h in noncomm[g]:
+            below |= latest[h]
+        latest[g] = below | (1 << j)
+        pairs.extend((i, j) for i, bit in enumerate(bin(below)[:1:-1]) if bit == "1")
+    return SyllableOrder(word=w, pairs=frozenset(pairs))
 
 
 def cyclically_reduce(w: Word | NormalWord, graph: DefiningGraph) -> tuple[NormalWord, NormalWord]:
@@ -391,62 +410,41 @@ def cyclically_reduce(w: Word | NormalWord, graph: DefiningGraph) -> tuple[Norma
 
     A normal word fails to be cyclically reduced exactly when some generator
     owns both a minimal and a distinct maximal syllable: rotating the minimal
-    one to the other end merges the pair and drops the syllable count.
+    one to the other end merges the pair and drops the syllable count.  The
+    least such generator is rotated first.
     """
-    current = list(normalize(w, graph).pairs())
-    conjugator: list[tuple[str, int]] = []
-    while True:
-        gens = [g for g, _ in current]
-        mins = _minimal_positions(gens, graph)
-        maxs = _maximal_positions(gens, graph)
-        max_by_gen = {gens[q]: q for q in maxs}
-        candidate: tuple[int, int, int] | None = None
-        for p in mins:
-            q = max_by_gen.get(gens[p])
-            if q is not None and q != p:
-                rank = graph.index(gens[p])
-                if candidate is None or rank < candidate[0]:
-                    candidate = (rank, p, q)
-        if candidate is None:
-            break
-        _, p, _ = candidate
-        gen, exp = current[p]
-        conjugator.append((gen, exp))
-        conjugated = [(gen, -exp)] + current + [(gen, exp)]
-        current = _canonical(_reduce(conjugated, graph), graph)
-    conj_word = normalize(word_from_pairs(conjugator), graph)
-    return conj_word, normal_word_from_pairs(current)
+    piles = _pile(_indexed(w, graph), graph)
+    conjugator = _pile(_reduce_cyclically(piles, graph), graph)
+    return (normal_word_from_pairs(_read_out(conjugator, graph)),
+            normal_word_from_pairs(_read_out(piles, graph)))
 
 
-def _ordered_from_left(lead_gen: str, mid_gens: Sequence[str], graph: DefiningGraph) -> list[bool]:
+def _ordered_from_left(lead: int, mid: Sequence[int], comm: Sequence[int]) -> list[bool]:
     """For each syllable of ``mid``, whether the leading syllable precedes it.
 
     Dependence chains from the leading syllable stay inside the window, so
-    reachability over direct dependence within ``lead . mid`` is exact.
+    reachability over direct dependence within ``lead . mid`` is exact: a
+    syllable is reached when its generator fails to commute with (or equals)
+    the generator of an already reached syllable.
     """
-    commutes = graph.commutes
-    n = len(mid_gens)
-    ordered = [False] * n
-    for t in range(n):
-        g = mid_gens[t]
-        if lead_gen == g or not commutes(lead_gen, g):
-            ordered[t] = True
-            continue
-        for u in range(t):
-            if ordered[u] and (mid_gens[u] == g or not commutes(mid_gens[u], g)):
-                ordered[t] = True
-                break
+    reached = 1 << lead
+    ordered = []
+    for g in mid:
+        hit = bool(reached & ~comm[g])
+        if hit:
+            reached |= 1 << g
+        ordered.append(hit)
     return ordered
 
 
-def _decompose(p_gen: str, mid: list[tuple[str, int]], q_gen: str,
-               graph: DefiningGraph) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+def _decompose(p_gen: int, mid: list[tuple[int, int]], q_gen: int,
+               comm: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Constructive induction splitting the word between two unordered
     syllables into a part commuting with the left one followed by a part
     commuting with the right one."""
     if not mid:
         return [], []
-    ordered = _ordered_from_left(p_gen, [g for g, _ in mid], graph)
+    ordered = _ordered_from_left(p_gen, [g for g, _ in mid], comm)
     try:
         t = ordered.index(True)
     except ValueError:
@@ -454,8 +452,8 @@ def _decompose(p_gen: str, mid: list[tuple[str, int]], q_gen: str,
     s = mid[t]
     left_prefix = mid[:t]
     rest = mid[t + 1:]
-    l2, r2 = _decompose(s[0], rest, q_gen, graph)
-    l3, r3 = _decompose(p_gen, l2, q_gen, graph)
+    l2, r2 = _decompose(s[0], rest, q_gen, comm)
+    l3, r3 = _decompose(p_gen, l2, q_gen, comm)
     return left_prefix + l3, r3 + [s] + r2
 
 
@@ -464,19 +462,21 @@ def subword_decompose(w: NormalWord, p: Syllable | int, q: Syllable | int,
     """Split the subword strictly between two unordered syllables p, q of a
     normal word as L*R with L commuting with p's generator and R with q's."""
     _require_normal(w, graph)
-    order = syllable_order(w, graph)
-    i = order._pos(p)
-    j = order._pos(q)
+    i = _position(p)
+    j = _position(q)
     if i == j:
         raise ContractError("p and q must be distinct syllables")
     if not (0 <= i < len(w.syllables) and 0 <= j < len(w.syllables)):
         raise ContractError("p and q must be syllables of w")
     if i > j:
         i, j = j, i
-    if order.comparable(i, j):
+    index = graph._index
+    comm = graph.comm_masks
+    window = [(index[s.generator], s.exponent) for s in w.syllables[i:j + 1]]
+    (p_gen, _), mid, (q_gen, _) = window[0], window[1:-1], window[-1]
+    if _ordered_from_left(p_gen, [g for g, _ in window[1:]], comm)[-1]:
         raise ContractError("p and q must be unordered syllables")
-    p_gen = w.syllables[i].generator
-    q_gen = w.syllables[j].generator
-    mid = [(s.generator, s.exponent) for s in w.syllables[i + 1:j]]
-    left, right = _decompose(p_gen, mid, q_gen, graph)
-    return normal_word_from_pairs(left), normal_word_from_pairs(right)
+    left, right = _decompose(p_gen, mid, q_gen, comm)
+    labels = graph.vertices
+    return (normal_word_from_pairs((labels[g], e) for g, e in left),
+            normal_word_from_pairs((labels[g], e) for g, e in right))

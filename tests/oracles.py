@@ -117,6 +117,24 @@ def oracle_order_pairs(normal_word: Pairs, graph: DefiningGraph) -> set[tuple[in
     return pairs
 
 
+def oracle_cyclic_core(word: Pairs, graph: DefiningGraph) -> Pairs:
+    """A cyclic reduction of ``word`` by literal moves.
+
+    Reduce to a minimal-syllable word, then rotate the first syllable of every
+    representative of its move-(3) class to the end and reduce again; stop
+    when no rotation lowers the syllable count.
+    """
+    current = min(oracle_min_class(word, graph))
+    while True:
+        for rep in sorted(swap_class(current, graph)):
+            rotated = min(oracle_min_class(rep[1:] + rep[:1], graph))
+            if len(rotated) < len(current):
+                current = rotated
+                break
+        else:
+            return current
+
+
 def _identity_pos(member: tuple, identity: int) -> int:
     for pos, (_, _, ident) in enumerate(member):
         if ident == identity:

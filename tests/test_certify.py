@@ -171,24 +171,26 @@ def test_displacement_lower_bound_values(abc_graph, ex2_cert):
     assert displacement_lower_bound(ex2_cert, word) == Fraction(0)
 
 
-def test_support_kernel_matches_cyclic_reduction(abc_graph):
-    """The certifier's integer support kernel agrees with the full cyclic
-    reduction; the two sides of the filling check stay independent."""
+def test_support_kernel_matches_rotation_oracle():
+    """The certifier's per-element support (piled once, reduced in place) and
+    ``cyclically_reduce`` agree with a cyclic reduction by literal moves."""
     import random
-    from raagcc.certify import _comm_masks, _cyclic_support
-    from raagcc.surfaces import supports
-    from raagcc.words import cyclically_reduce, normalize, word_from_pairs
-    comm = _comm_masks(abc_graph)
-    labels = abc_graph.vertices
+    from raagcc.words import cyclic_core_support, cyclically_reduce, word_from_pairs
+    import oracles
+    from conftest import GRAPH_ZOO
     rng = random.Random(67)
-    for _ in range(400):
-        pairs = [(rng.choice(labels), rng.choice((1, -1)))
-                 for _ in range(rng.randrange(0, 10))]
-        word = normalize(word_from_pairs(pairs), abc_graph)
-        int_pairs = tuple((abc_graph.index(g), e) for g, e in word.pairs())
-        got = frozenset(labels[g] for g in _cyclic_support(int_pairs, comm))
-        _, core = cyclically_reduce(word, abc_graph)
-        assert got == supports(core)
+    for graph in GRAPH_ZOO:
+        labels = graph.vertices
+        for _ in range(100):
+            pairs = tuple((rng.choice(labels), rng.choice((1, -1)))
+                          for _ in range(rng.randrange(0, 10)))
+            expected = oracles.oracle_cyclic_core(pairs, graph)
+            indexed = [(graph.index(g), e) for g, e in pairs]
+            support = cyclic_core_support(indexed, graph)
+            assert frozenset(labels[g] for g in support) == {g for g, _ in expected}, pairs
+            _, core = cyclically_reduce(word_from_pairs(pairs), graph)
+            assert core.syllable_length == len(expected), pairs
+            assert core.letter_length == sum(abs(e) for _, e in expected), pairs
 
 
 def test_displacement_bound_monotone_in_length(abc_graph, ex2_cert):

@@ -157,8 +157,11 @@ def test_graph_and_model_files_round_trip(files):
     assert SurfaceModel.from_json_dict(model.to_json_dict()) == model
 
 
-def test_threads_env_override(files, capsys, monkeypatch):
-    monkeypatch.setenv("RAAG_THREADS", "not-a-number")
-    assert main(["normalize", "--graph", files["graph"], "--word", "a"]) == 3
-    monkeypatch.setenv("RAAG_THREADS", "2")
-    assert main(["normalize", "--graph", files["graph"], "--word", "a"]) == 0
+def test_usage_errors_exit_as_input_errors(files, capsys):
+    # argparse would exit 2, which the CLI reserves for "inconclusive".
+    assert main(["normalize", "--graph", files["graph"], "--word", "a", "--bogus"]) == 3
+    assert main(["normalize", "--graph", files["graph"]]) == 3
+    assert main(["normalize", "--graph", files["graph"], "--word", "a", "--seed", "1"]) == 3
+    assert "usage:" in capsys.readouterr().err
+    assert main(["normalize", "--help"]) == 0
+    assert "--word" in capsys.readouterr().out

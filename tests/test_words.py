@@ -168,10 +168,11 @@ def test_syllable_order_requires_normal(abc_graph):
 
 
 def test_order_matches_every_representative_exhaustively(abc_graph):
-    for pairs in oracles.normal_words_upto(abc_graph, 6):
-        got = syllable_order(nw(pairs), abc_graph).pairs
-        expected = oracles.oracle_order_pairs(pairs, abc_graph)
-        assert got == expected, pairs
+    for graph, max_letters in [(abc_graph, 6)] + [(g, 4) for g in GRAPH_ZOO]:
+        for pairs in oracles.normal_words_upto(graph, max_letters):
+            got = syllable_order(nw(pairs), graph).pairs
+            expected = oracles.oracle_order_pairs(pairs, graph)
+            assert got == expected, (graph.vertices, pairs)
 
 
 def test_subwords_of_normal_words_are_normal(abc_graph):
@@ -210,6 +211,26 @@ def test_cyclic_reduction_contract_and_minimality(abc_graph):
             cw = word_from_pairs(cpairs)
             conjugated = normalize(concat(concat(cw, w), invert(cw)), abc_graph)
             assert core.syllable_length <= conjugated.syllable_length
+
+
+def test_long_words_stay_within_budget(abc_graph):
+    """Piling keeps long words linear: a conjugate of length 2001 reduces to
+    its one-letter core, and a 64k-letter word times its inverse normalizes
+    to the identity, each well inside its time budget."""
+    import time
+    ba = word_from_pairs([("b", 1), ("a", 1)] * 500)
+    start = time.perf_counter()
+    conj, core = cyclically_reduce(concat(concat(ba, parse_word("c", abc_graph)), invert(ba)),
+                                   abc_graph)
+    assert time.perf_counter() - start < 2.0
+    assert core.to_text() == "c"
+    assert conj == normalize(ba, abc_graph)
+    rng = random.Random(64)
+    labels = abc_graph.vertices
+    w = word_from_pairs((rng.choice(labels), rng.choice((1, -1))) for _ in range(1 << 16))
+    start = time.perf_counter()
+    assert normalize(concat(w, invert(w)), abc_graph) == EPSILON
+    assert time.perf_counter() - start < 10.0
 
 
 # -- subword decomposition -------------------------------------------------------
