@@ -39,7 +39,7 @@ def main() -> None:
     probe = parse_word("b^2 c^2 a^2", graph)
     print(f"membership('b^2 c^2 a^2') = {membership(core, probe)}")
     cert = certify(graph, model, gens, cell_budget=args.cell_budget)
-    print(f"certify: {cert.verdict} (ell={cert.ell}, elements checked={cert.element_count})")
+    print(f"certify: {cert.verdict} (ell={cert.ell}, elements counted={cert.element_count})")
     if cert.verdict == "certified":
         h = parse_word("b c a b a b c", graph)
         print(f"displacement bound for a length-7 member: >= {displacement_lower_bound(cert, h)}")

@@ -18,6 +18,7 @@ from .complexes import (
     SubgroupCore,
     build_core,
     check_local_isometry,
+    count_elements,
     enumerate_elements,
     membership,
     salvetti,

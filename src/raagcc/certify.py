@@ -1,45 +1,57 @@
 """The convex-cocompactness certifier.
 
-``certify`` builds a core for the subgroup, sets the window length from the
-core's vertex count (three times one more than it, the concrete stand-in
-for the abstract ball-counting constant), enumerates every nontrivial
-subgroup element up to that length in increasing length order, and checks
-that each one fills.  All fill: certified, with the displacement lower
-bound d >= |h|/(6*ell) - 2 attached.  Any failure: refuted, with the first
-non-filling element as witness (its image fixes a curve, so the subgroup is
-not purely pseudo-Anosov).  Budget exhaustion anywhere: inconclusive, never
-a negative claim.
+``certify`` builds a core for the subgroup and sets the window length from
+the core's vertex count (three times one more than it, the concrete
+stand-in for the abstract ball-counting constant).  The subgroup is
+convex cocompact exactly when no nontrivial member has a cyclic reduction
+whose support fails to fill, and on a verified core that is a finite
+check: for each maximal non-filling label set S, every chord of a spanning
+forest of the core's S-labelled edges closes a loop, and some member fails
+to fill exactly when one of those chord words is nontrivial.  (A member
+p*u*p^-1 with u cyclically reduced traces u as a closed S-path at the
+vertex p reaches, and that path is a product of chord loops; conversely a
+nontrivial chord loop c gives the member p*c*p^-1, of letter length at
+most 2V - 1, inside the window.)
 
-The per-element filling check needs only the generator support of a cyclic
-reduction: each enumerated element is piled once by the word kernel in
-``words.py`` and reduced in place, and the verdict is memoized per support
-set.
+No chord word survives: certified, with the displacement lower bound
+d >= |h|/(6*ell) - 2 attached and the number of members up to length ell
+counted by ``count_elements``.  Some chord word survives: refuted, with the
+first non-filling member in increasing length order as witness (its image
+fixes a curve, so the subgroup is not purely pseudo-Anosov); the
+enumeration that finds it is bounded by the enumeration budget.  Budget
+exhaustion anywhere: inconclusive, never a negative claim.
+
+Each enumerated element's filling check needs only the generator support
+of a cyclic reduction: it is piled once by the word kernel in ``words.py``
+and reduced in place, and the verdict is memoized per support set.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .complexes import (
     BUDGET_EXCEEDED,
     VERIFIED,
+    LabeledCubeComplex,
     SubgroupCore,
     build_core,
+    count_elements,
     iter_elements_by_length,
     iter_loops_by_length,
     membership,
 )
-from .errors import BudgetExceededError, ContractError, InputError
+from .errors import BudgetExceededError, ContractError, InputError, InternalError
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel
 from .words import (
+    _pile,
     NormalWord,
     Word,
-    concat,
     cyclic_core_support,
-    invert,
     normal_word_from_pairs,
     normalize,
     word_from_pairs,
@@ -101,33 +113,81 @@ class Certificate:
         }
 
 
-def _find_nonfilling_loop(core: SubgroupCore, model: SurfaceModel,
-                          max_len: int, node_budget: int
-                          ) -> tuple[tuple[tuple[int, int], ...], frozenset[int]] | None:
-    """Bounded search for a basepoint loop whose cyclic reduction fails to fill.
+def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ...]]]],
+                      graph: DefiningGraph, model: SurfaceModel
+                      ) -> tuple[NormalWord, frozenset[str], int] | None:
+    """The first nontrivial loop of a per-length loop stream whose cyclic
+    reduction fails to fill, as (witness, its support, loops read including
+    the identity and the witness); None when the stream ends first.
 
-    Sound on any link-injective stage of the construction: folding identifies
-    paths without changing their images, and attached squares are relations
-    that already hold, so basepoint loops always represent subgroup members.
+    Sound on any link-injective stage of the construction: folding
+    identifies paths without changing their images, and attached squares
+    are relations that already hold, so basepoint loops always represent
+    subgroup members.
     """
-    graph = core.graph
     labels = graph.vertices
     memo: dict[frozenset[int], bool] = {}
-    try:
-        for length, loops in iter_loops_by_length(core.complex, max_len, node_budget=node_budget):
+    count = 0
+    for length, loops in layers:
+        for syls in loops:
+            count += 1
             if length == 0:
-                continue
-            for syls in loops:
-                support = cyclic_core_support(syls, graph)
-                verdict = memo.get(support)
-                if verdict is None:
-                    verdict = model.fills_subset(labels[g] for g in support)
-                    memo[support] = verdict
-                if not verdict:
-                    return syls, support
-    except BudgetExceededError:
-        pass
+                continue  # the identity never fills and is exempt
+            support = cyclic_core_support(syls, graph)
+            verdict = memo.get(support)
+            if verdict is None:
+                verdict = model.fills_subset(labels[g] for g in support)
+                memo[support] = verdict
+            if not verdict:
+                witness = normal_word_from_pairs((labels[g], e) for g, e in syls)
+                return witness, frozenset(labels[g] for g in support), count
     return None
+
+
+def _chord_words(complex_: LabeledCubeComplex, allowed: frozenset[str] | None = None
+                 ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The loop word path(src)*label*path(dst)^-1 of every chord of a
+    spanning forest of the edges labelled in ``allowed`` (all edges when
+    None), as index syllables; path(v) is the forest path to v from its
+    component's root.
+
+    Roots are the basepoint, then the other vertices in order; each tree
+    grows breadth first, taking a vertex's edge-ends by label index,
+    orientation and edge id.  The chord loops at the roots generate the
+    fundamental group of each component.
+    """
+    index = complex_.graph._index
+    path: dict[int, tuple[tuple[int, int], ...]] = {}
+    tree: set[int] = set()
+    for root in (complex_.basepoint, *complex_.vertices):
+        if root in path:
+            continue
+        path[root] = ()
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for end in sorted(complex_.ends_at[v],
+                              key=lambda end: (index[complex_.end_label(end)], end[1], end[0])):
+                label = complex_.end_label(end)
+                if allowed is not None and label not in allowed:
+                    continue
+                far = complex_.far_vertex(end)
+                if far not in path:
+                    path[far] = path[v] + ((index[label], 1 if end[1] == 0 else -1),)
+                    tree.add(end[0])
+                    queue.append(far)
+    for eid, src, dst, label in complex_.edges:
+        if eid not in tree and (allowed is None or label in allowed):
+            yield path[src] + ((index[label], 1),) + tuple((g, -e) for g, e in reversed(path[dst]))
+
+
+def _has_nonfilling_member(core: SubgroupCore, model: SurfaceModel) -> bool:
+    """Whether a verified core's subgroup has a nontrivial member whose
+    cyclic reduction fails to fill: some chord word of the edges labelled
+    in a maximal non-filling set is nontrivial."""
+    return any(any(_pile(chord, core.graph))
+               for allowed in model.maximal_non_filling_sets
+               for chord in _chord_words(core.complex, allowed))
 
 
 _STAGE_START = 256
@@ -142,7 +202,9 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     stage fails to stabilize, its partial complex is searched for a
     non-filling basepoint loop, which refutes immediately; otherwise the
     budget escalates.  A construction that never stabilizes within the cell
-    budget and never exposes a witness is reported inconclusive.
+    budget and never exposes a witness is reported inconclusive.  A
+    verified core is decided by the exact chord-word check; ``enum_budget``
+    bounds only the search for a refutation's witness.
     """
     if model.graph != graph:
         raise InputError("the model's coincidence graph must equal the defining graph")
@@ -152,7 +214,6 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         raise InputError("certify requires at least one generator")
     normal_gens = tuple(normalize(g, graph) for g in generators)
     gen_words = [g.as_word() for g in normal_gens]
-    labels = graph.vertices
 
     stages = []
     b = _STAGE_START
@@ -166,13 +227,15 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         core = build_core(graph, gen_words, budget=stage)
         if core.status == VERIFIED:
             break
-        found = _find_nonfilling_loop(
-            core, model,
-            max_len=3 * (len(core.complex.vertices) + 1),
-            node_budget=_WITNESS_SEARCH_NODES)
+        try:
+            found = _first_nonfilling(
+                iter_loops_by_length(core.complex, 3 * (len(core.complex.vertices) + 1),
+                                     node_budget=_WITNESS_SEARCH_NODES),
+                graph, model)
+        except BudgetExceededError:
+            found = None
         if found is not None:
-            syls, support = found
-            witness = normal_word_from_pairs((labels[g], e) for g, e in syls)
+            witness, support, _ = found
             stats = dict(core.diagnostics)
             stats["refuted_from_partial_core"] = True
             return Certificate(
@@ -180,8 +243,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                 core_vertex_count=len(core.complex.vertices),
                 core_square_count=len(core.complex.squares),
                 core_status=core.status, core=core, diagnostics=stats,
-                verdict=REFUTED, ell=None, witness=witness,
-                witness_support=frozenset(labels[g] for g in support))
+                verdict=REFUTED, ell=None, witness=witness, witness_support=support)
     assert core is not None
     stats = dict(core.diagnostics)
     base = dict(
@@ -195,30 +257,24 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                            reason=f"core construction exceeded cell budget {cell_budget}",
                            **base)
     ell = 3 * (len(core.complex.vertices) + 1)
-    fills_memo: dict[frozenset[int], bool] = {}
-    count = 0
+    if not _has_nonfilling_member(core, model):
+        return Certificate(verdict=CERTIFIED, ell=ell,
+                           element_count=count_elements(core, ell), **base)
+    # Refuted.  The witness is the first non-filling member in increasing
+    # length order; one of length at most 2V - 1 < ell exists.
     try:
-        for length, loops in iter_elements_by_length(core, ell, node_budget=enum_budget):
-            for syls in loops:
-                count += 1
-                if length == 0:
-                    continue  # the identity never fills and is exempt
-                support = cyclic_core_support(syls, graph)
-                verdict = fills_memo.get(support)
-                if verdict is None:
-                    verdict = model.fills_subset(labels[g] for g in support)
-                    fills_memo[support] = verdict
-                if not verdict:
-                    witness = normal_word_from_pairs((labels[g], e) for g, e in syls)
-                    return Certificate(
-                        verdict=REFUTED, ell=ell, witness=witness,
-                        witness_support=frozenset(labels[g] for g in support),
-                        element_count=count, **base)
+        found = _first_nonfilling(
+            iter_elements_by_length(core, ell, node_budget=enum_budget), graph, model)
     except BudgetExceededError as exc:
         return Certificate(
             verdict=INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
             reason=f"enumeration exceeded budget {enum_budget}", **base)
-    return Certificate(verdict=CERTIFIED, ell=ell, element_count=count, **base)
+    if found is None:
+        raise InternalError(f"no non-filling member up to length {ell}, "
+                            "though a chord word of a non-filling set is nontrivial")
+    witness, support, count = found
+    return Certificate(verdict=REFUTED, ell=ell, witness=witness, witness_support=support,
+                       element_count=count, **base)
 
 
 def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
@@ -229,39 +285,11 @@ def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
     """
     if not core.verified:
         raise ContractError(f"core status is {core.status!r}; a verified core is required")
-    complex_ = core.complex
-    base = complex_.basepoint
-    parent: dict[int, tuple[int, str, int] | None] = {base: None}  # vertex -> (prev, label, sign)
-    tree_edges: set[int] = set()
-    order_queue = [base]
-    label_idx = complex_.graph.index
-    while order_queue:
-        v = order_queue.pop(0)
-        incident = sorted(
-            complex_.ends_at[v],
-            key=lambda end: (label_idx(complex_.end_label(end)), end[1], end[0]),
-        )
-        for end in incident:
-            far = complex_.far_vertex(end)
-            if far not in parent:
-                parent[far] = (v, complex_.end_label(end), 1 if end[1] == 0 else -1)
-                tree_edges.add(end[0])
-                order_queue.append(far)
-    def path_word(v: int) -> Word:
-        pairs = []
-        while parent[v] is not None:
-            prev, label, sign = parent[v]
-            pairs.append((label, sign))
-            v = prev
-        return word_from_pairs(reversed(pairs))
+    labels = core.graph.vertices
     out: list[NormalWord] = []
     seen: set[tuple] = set()
-    for eid, src, dst, label in complex_.edges:
-        if eid in tree_edges:
-            continue
-        loop = concat(concat(path_word(src), word_from_pairs([(label, 1)])),
-                      invert(path_word(dst)))
-        nw = normalize(loop, complex_.graph)
+    for chord in _chord_words(core.complex):
+        nw = normalize(word_from_pairs((labels[g], e) for g, e in chord), core.graph)
         key = nw.pairs()
         if nw.syllables and key not in seen:
             seen.add(key)

@@ -5,8 +5,9 @@ Subcommands: ``normalize``, ``minclass``, ``order``, ``core
 {gen,constants,verify-star,bound}``, ``export``.  Reports are deterministic
 for identical inputs: JSON is emitted with sorted keys and no timestamps.
 
-Exit codes: 0 success/certified, 1 refuted, 2 inconclusive or budget
-exhausted, 3 malformed input or usage.
+Exit codes: 0 success/certified, 1 refuted or a failed check, 2
+inconclusive or budget exhausted, 3 malformed input or usage, 4 internal
+error (a broken invariant, runaway recursion or exhausted memory).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from pathlib import Path
 from .certify import CERTIFIED, INCONCLUSIVE, REFUTED, certify
 from .complexes import (
     BUDGET_EXCEEDED,
+    UNVERIFIED,
+    VERIFIED,
     LabeledCubeComplex,
     SubgroupCore,
     build_core,
@@ -29,7 +32,7 @@ from .complexes import (
     enumerate_elements,
     membership,
 )
-from .errors import BudgetExceededError, ContractError, InputError
+from .errors import BudgetExceededError, ContractError, InputError, InternalError
 from .family import (
     Section8Family,
     constants as family_constants,
@@ -55,6 +58,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -92,10 +96,11 @@ def _load_generators(path: str, graph: DefiningGraph):
 
 
 def _load_core(path: str) -> SubgroupCore:
-    data = _read_json(path)
-    complex_ = LabeledCubeComplex.from_json_dict(data)
-    status = data.get("status", "unknown")
-    return SubgroupCore(complex=complex_, status=status)
+    """A stored core, with its status recomputed rather than read: verified
+    only when it is connected and passes the link check."""
+    complex_ = LabeledCubeComplex.from_json_dict(_read_json(path))
+    verified = complex_.is_connected() and check_local_isometry(complex_).ok
+    return SubgroupCore(complex=complex_, status=VERIFIED if verified else UNVERIFIED)
 
 
 def _emit(report: dict, config: RunConfig, text_lines: list[str],
@@ -211,7 +216,7 @@ def _cmd_core_check(config: RunConfig) -> int:
              f"foldable pairs: {len(report_obj.foldable)}",
              f"unfilled corners: {len(report_obj.unfilled)}"]
     _write_out(_emit(report, config, lines), config.options.get("out"))
-    return EXIT_OK
+    return EXIT_OK if report_obj.ok else EXIT_REFUTED
 
 
 def _cmd_core_member(config: RunConfig) -> int:
@@ -405,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--cell-budget", type=int, default=20_000)
-    p.add_argument("--enum-budget", type=int, default=5_000_000)
+    p.add_argument("--enum-budget", type=int, default=5_000_000,
+                   help="enumeration nodes allowed when searching for a refutation's "
+                        "witness; a certified verdict does not depend on it")
 
     s8 = sub.add_parser("section8", help="the explicit ring family").add_subparsers(
         dest="s8_command", required=True)
@@ -471,6 +478,11 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except (InternalError, RecursionError, MemoryError) as exc:
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}"
+                         f"{': ' + detail if detail else ''}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from .words import (
 
 VERIFIED = "verified-local-isometry"
 BUDGET_EXCEEDED = "budget-exceeded"
+UNVERIFIED = "unverified"  # a stored complex that fails the link or connectivity check
 
 # An edge-end is (edge_id, endpoint) with endpoint 0 at the source, 1 at the
 # target.  A corner is (vertex, (end, end)) with the ends sorted.
@@ -243,30 +244,41 @@ class LabeledCubeComplex:
 
     @classmethod
     def from_dot(cls, text: str) -> "LabeledCubeComplex":
+        """Parse the output of ``to_dot``; any other non-blank line is an error."""
         graph = None
         basepoint = None
         squares_raw = []
         vertices: set[int] = set()
         edges = []
-        edge_re = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*\[label=\"([^\"]+)\"\s+eid=(\d+)\];")
-        node_re = re.compile(r"^\s*(\d+)\s*\[")
-        for line in text.splitlines():
+        edge_re = re.compile(r"(\d+)\s*->\s*(\d+)\s*\[label=\"([^\"]+)\"\s+eid=(\d+)\];")
+        node_re = re.compile(r"(\d+)\s*\[shape=(?:circle|doublecircle)\];")
+        meta_re = re.compile(r"//\s*(schema|graph|basepoint|square):(.*)")
+        for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
-            if stripped.startswith("// graph:"):
-                graph = DefiningGraph.from_json(stripped[len("// graph:"):].strip())
-            elif stripped.startswith("// basepoint:"):
-                basepoint = int(stripped.split(":", 1)[1])
-            elif stripped.startswith("// square:"):
-                squares_raw.append(json.loads(stripped.split(":", 1)[1]))
-            else:
-                m = edge_re.match(line)
-                if m:
-                    src, dst, label, eid = m.groups()
+            if not stripped or stripped in ("digraph core {", "}"):
+                continue
+            meta = meta_re.fullmatch(stripped)
+            edge = edge_re.fullmatch(stripped)
+            node = node_re.fullmatch(stripped)
+            try:
+                if meta and meta.group(1) == "schema":
+                    if meta.group(2).strip() != "raagcc-dot-v1":
+                        raise InputError(f"unsupported DOT schema {meta.group(2).strip()!r}")
+                elif meta and meta.group(1) == "graph":
+                    graph = DefiningGraph.from_json(meta.group(2).strip())
+                elif meta and meta.group(1) == "basepoint":
+                    basepoint = int(meta.group(2))
+                elif meta:
+                    squares_raw.append(json.loads(meta.group(2)))
+                elif edge:
+                    src, dst, label, eid = edge.groups()
                     edges.append((int(eid), int(src), int(dst), label))
-                    continue
-                m = node_re.match(line)
-                if m:
-                    vertices.add(int(m.group(1)))
+                elif node:
+                    vertices.add(int(node.group(1)))
+                else:
+                    raise InputError(f"unrecognised line {stripped!r}")
+            except (ValueError, json.JSONDecodeError) as exc:
+                raise InputError(f"DOT line {lineno}: {exc}") from exc
         if graph is None or basepoint is None:
             raise InputError("DOT input is missing // graph or // basepoint metadata")
         return cls.from_json_dict({
@@ -805,6 +817,46 @@ def iter_elements_by_length(core: SubgroupCore, max_len: int,
     over generator indices."""
     _require_verified(core)
     return iter_loops_by_length(core.complex, max_len, node_budget=node_budget)
+
+
+def count_elements(core: SubgroupCore, max_len: int) -> int:
+    """The number of subgroup elements of letter length at most ``max_len``
+    (the identity included), counted without listing them.
+
+    Counts the walks of ``iter_loops_by_length`` by dynamic programming
+    over (vertex, last syllable, forbidden set).  The forbidden set holds
+    the generators a new syllable may not use: the spelling test there
+    rejects g when scanning back over commuting syllables meets g itself or
+    a larger generator.  Appending a new syllable g makes it
+    ``comm[g] & (below(g) | F)``; extending the last syllable leaves it
+    unchanged.  (g itself needs no bit: a later syllable commuting with g
+    is larger than g, so its below-set already holds g.)
+    """
+    _require_verified(core)
+    if max_len < 0:
+        raise InputError("max_len must be >= 0")
+    options, comm, base = _letter_options(core.complex)
+    # state: (vertex, last generator or -1, last sign, forbidden mask)
+    states: dict[tuple[int, int, int, int], int] = {(base, -1, 0, 0): 1}
+    total = 1
+    for _ in range(max_len):
+        nxt: dict[tuple[int, int, int, int], int] = {}
+        for (v, last, last_sign, forbidden), n in states.items():
+            for g, sign, far in options[v]:
+                if g == last:
+                    if sign != last_sign:
+                        continue
+                    key = (far, g, sign, forbidden)
+                elif (forbidden >> g) & 1:
+                    continue
+                else:
+                    key = (far, g, sign, comm[g] & (((1 << g) - 1) | forbidden))
+                nxt[key] = nxt.get(key, 0) + n
+        states = nxt
+        if not states:
+            break
+        total += sum(n for (v, *_), n in states.items() if v == base)
+    return total
 
 
 def enumerate_elements(core: SubgroupCore, max_len: int,

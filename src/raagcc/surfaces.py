@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ContractError, InputError
@@ -58,6 +59,25 @@ class SurfaceModel:
     def fills_subset(self, labels: Iterable[str]) -> bool:
         label_set = frozenset(labels)
         return any(f <= label_set for f in self.minimal_filling_sets)
+
+    @cached_property
+    def maximal_non_filling_sets(self) -> tuple[frozenset[str], ...]:
+        """The inclusion-maximal generator subsets that do not fill.
+
+        A subset fails to fill exactly when its complement meets every
+        minimal filling set, so these are the complements of the minimal
+        transversals of the filling family (for the one-set model, the
+        vertex set minus one vertex).  Transversals are grown one filling
+        set at a time and pruned to the minimal ones after each step.
+        """
+        transversals = {frozenset()}
+        for f in sorted(self.minimal_filling_sets, key=sorted):
+            grown = {t if t & f else t | {x} for t in transversals for x in f}
+            transversals = {t for t in grown if not any(u < t for u in grown)}
+        index = self.graph.index
+        everything = frozenset(self.graph.vertices)
+        return tuple(sorted((everything - t for t in transversals),
+                            key=lambda s: sorted(map(index, s))))
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,7 +4,10 @@ Everything here must stay independent of the package's normal-form
 implementation: closures apply the three rewriting moves literally,
 geodesic distances in the three-generator one-edge group come from a
 direct free-product-of-(Z, Z^2) arithmetic, and class sizes come from
-linear-extension enumeration.
+linear-extension enumeration.  The one exception is
+``oracle_certify_by_enumeration``, the ell-ball sweep that ``certify`` used
+before its exact check: it is the slow path kept as a differential oracle
+for the verdict, witness and element count.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from raagcc.complexes import SubgroupCore, iter_elements_by_length
+from raagcc.errors import BudgetExceededError
 from raagcc.graphs import DefiningGraph
+from raagcc.surfaces import SurfaceModel
+from raagcc.words import cyclic_core_support
 
 Pairs = tuple[tuple[str, int], ...]
 
@@ -340,3 +347,29 @@ def randomized_reduce(word: Pairs, graph: DefiningGraph, rng: random.Random,
             for t in range(j, i + 1, -1):
                 current[t - 1], current[t] = current[t], current[t - 1]
             idle = 0
+
+
+def oracle_certify_by_enumeration(core: SubgroupCore, model: SurfaceModel, max_len: int,
+                                  budget: int) -> tuple[str, Pairs | None, int] | None:
+    """The ell-ball sweep over a verified core: check every member up to
+    ``max_len`` in increasing length order.
+
+    Returns ``("refuted", witness, count)`` at the first nontrivial member
+    whose cyclic reduction fails to fill (count includes the identity and
+    the witness), ``("certified", None, count)`` when all fill, and None
+    when the enumeration budget runs out first.
+    """
+    labels = core.graph.vertices
+    count = 0
+    try:
+        for length, loops in iter_elements_by_length(core, max_len, node_budget=budget):
+            for syls in loops:
+                count += 1
+                if length == 0:
+                    continue
+                support = cyclic_core_support(syls, core.graph)
+                if not model.fills_subset(labels[g] for g in support):
+                    return "refuted", tuple((labels[g], e) for g, e in syls), count
+    except BudgetExceededError:
+        return None
+    return "certified", None, count

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,14 +17,19 @@ from raagcc.complexes import (
     VERIFIED,
     SubgroupCore,
     build_core,
+    count_elements,
     enumerate_elements,
     membership,
     salvetti,
 )
 from raagcc.errors import ContractError, InputError
+from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel, max_exponent
-from raagcc.words import concat, invert, normalize, parse_word
+from raagcc.words import concat, invert, normalize, parse_word, word_from_pairs
+
+import oracles
+from conftest import GRAPH_ZOO
 
 
 @pytest.fixture(scope="module")
@@ -174,10 +180,7 @@ def test_displacement_lower_bound_values(abc_graph, ex2_cert):
 def test_support_kernel_matches_rotation_oracle():
     """The certifier's per-element support (piled once, reduced in place) and
     ``cyclically_reduce`` agree with a cyclic reduction by literal moves."""
-    import random
     from raagcc.words import cyclic_core_support, cyclically_reduce, word_from_pairs
-    import oracles
-    from conftest import GRAPH_ZOO
     rng = random.Random(67)
     for graph in GRAPH_ZOO:
         labels = graph.vertices
@@ -206,3 +209,98 @@ def test_displacement_requires_certified(abc_graph, abc_model):
     cert = certify(abc_graph, abc_model, [parse_word("a", abc_graph)])
     with pytest.raises(ContractError):
         displacement_lower_bound(cert, parse_word("a", abc_graph))
+
+
+# -- the exact check against the ell-ball sweep --------------------------------------
+
+ORACLE_BUDGET = 60_000
+WORKED_EXAMPLES = (("b c a", "b a b c"), ("b c a", "b a b c", "b^2 c^2 a^2"),
+                   ("a b c", "c a b", "a^2 b c"))
+
+
+def _random_model(graph: DefiningGraph, rng) -> SurfaceModel:
+    """A random antichain of filling sets of size at least two."""
+    chosen = {frozenset(rng.sample(graph.vertices, rng.randint(2, len(graph.vertices))))
+              for _ in range(rng.randint(1, 3))}
+    return SurfaceModel.build(graph, [s for s in chosen if not any(t < s for t in chosen)])
+
+
+def _random_generator(graph: DefiningGraph, rng) -> list[tuple[str, int]]:
+    """A short random word, or (more often) every generator once plus up to
+    two more, shuffled, which tends to fill."""
+    if rng.random() < 0.3:
+        letters = [rng.choice(graph.vertices) for _ in range(rng.randint(1, 4))]
+    else:
+        letters = list(graph.vertices) + rng.choices(graph.vertices, k=rng.randint(0, 2))
+        rng.shuffle(letters)
+    return [(g, rng.choice((1, -1))) for g in letters]
+
+
+def _differential_problems():
+    rng = random.Random(20261018)
+    for graph in GRAPH_ZOO:
+        models = (SurfaceModel.build(graph, [graph.vertices]), _random_model(graph, rng))
+        for _ in range(20):
+            gens = [word_from_pairs(_random_generator(graph, rng))
+                    for _ in range(rng.randint(2, 3))]
+            for model in models:
+                yield graph, model, gens
+    abc = GRAPH_ZOO[1]
+    for texts in WORKED_EXAMPLES:
+        yield abc, SurfaceModel.build(abc, [abc.vertices]), [parse_word(t, abc) for t in texts]
+    fam = family(3, 1)
+    yield fam.graph, fam.model, [w.as_word() for w in fam.generators]
+
+
+@pytest.fixture(scope="module")
+def differential_certificates():
+    return [(model, certify(graph, model, gens, cell_budget=2_000, enum_budget=ORACLE_BUDGET))
+            for graph, model, gens in _differential_problems()]
+
+
+def test_exact_check_matches_enumeration_oracle(differential_certificates):
+    """Wherever the ell-ball sweep decides, ``certify`` gives its verdict,
+    witness and element count; where it runs out of budget, ``certify``
+    never refutes."""
+    decided = {CERTIFIED: 0, REFUTED: 0}
+    for model, cert in differential_certificates:
+        if cert.core_status != VERIFIED:
+            continue
+        oracle = oracles.oracle_certify_by_enumeration(cert.core, model, cert.ell, ORACLE_BUDGET)
+        if oracle is None:
+            assert cert.verdict in (CERTIFIED, INCONCLUSIVE), cert.generators
+            continue
+        verdict, witness, count = oracle
+        got = (cert.verdict, cert.witness and cert.witness.pairs(), cert.element_count)
+        assert got == (verdict, witness, count), cert.generators
+        decided[verdict] += 1
+    assert decided[CERTIFIED] >= 10 and decided[REFUTED] >= 10, decided
+
+
+def test_count_elements_matches_enumeration(differential_certificates):
+    """The counting DP agrees with listing the elements, up to ell where the
+    listing is small and up to a shorter length elsewhere."""
+    cores = {cert.generators: cert.core for _, cert in differential_certificates
+             if cert.core_status == VERIFIED}
+    assert len(cores) >= 20
+    for core in cores.values():
+        length = 3 * (len(core.complex.vertices) + 1)
+        while length > 0 and count_elements(core, length) > 2_000:
+            length -= 1
+        assert count_elements(core, length) == len(enumerate_elements(core, length))
+
+
+def test_certified_verdict_does_not_depend_on_enum_budget(abc_graph, abc_model, ex2_cert):
+    cert = certify(abc_graph, abc_model,
+                   [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)],
+                   enum_budget=1)
+    assert cert.to_json_dict() == ex2_cert.to_json_dict()
+    assert cert.element_count == 53_745
+
+
+def test_refutation_witness_search_respects_enum_budget(abc_graph, abc_model):
+    """A refutation still needs its witness; without one it is inconclusive."""
+    gens = [parse_word("a", abc_graph)]
+    cert = certify(abc_graph, abc_model, gens, enum_budget=1)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.reason == "enumeration exceeded budget 1"

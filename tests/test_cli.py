@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from raagcc.cli import main
+from raagcc import cli
+from raagcc.cli import EXIT_INTERNAL, main
 from raagcc.complexes import LabeledCubeComplex
+from raagcc.errors import InternalError
 
 
 GRAPH = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
@@ -165,3 +167,35 @@ def test_usage_errors_exit_as_input_errors(files, capsys):
     assert "usage:" in capsys.readouterr().err
     assert main(["normalize", "--help"]) == 0
     assert "--word" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exc", [InternalError("broken\ninvariant"),
+                                 RecursionError("maximum recursion depth exceeded"),
+                                 MemoryError()])
+def test_crashes_exit_as_internal_errors(files, capsys, monkeypatch, exc):
+    """A crash gets its own exit code, never the one for "refuted"."""
+    def crash(config):
+        raise exc
+    monkeypatch.setitem(cli._DISPATCH, ("normalize",), crash)
+    assert main(["normalize", "--graph", files["graph"], "--word", "a"]) == EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert type(exc).__name__ in err
+
+
+def test_stored_core_status_is_recomputed(files, capsys):
+    """A verified core with one square deleted is no longer believed."""
+    core_path = files["tmp"] / "core.json"
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--out", str(core_path)]) == 0
+    data = json.loads(core_path.read_text())
+    assert data["status"] == "verified-local-isometry"
+    data["squares"] = data["squares"][1:]
+    forged = files["tmp"] / "forged.json"
+    forged.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["core", "member", "--core", str(forged), "--word", "b c a"]) == 3
+    assert "verified core is required" in capsys.readouterr().err
+    assert main(["core", "check", "--core", str(forged)]) == 1
+    assert "local isometry: NO" in capsys.readouterr().out
+    assert main(["core", "member", "--core", str(core_path), "--word", "b c a"]) == 0

@@ -327,6 +327,15 @@ def test_core_dot_round_trip(ex2_core):
     assert again.canonical_form() == ex2_core.complex
 
 
+def test_dot_rejects_unrecognised_lines(ex2_core):
+    lines = ex2_core.complex.to_dot().splitlines()
+    for stray in ("  stray;", "  // comment: x", "  0 -> 1 [label=a];", "  7 [color=red];"):
+        with pytest.raises(InputError, match="unrecognised line"):
+            LabeledCubeComplex.from_dot("\n".join(lines[:-1] + [stray, lines[-1]]) + "\n")
+    with pytest.raises(InputError, match="schema"):
+        LabeledCubeComplex.from_dot("\n".join(lines).replace("raagcc-dot-v1", "raagcc-dot-v9"))
+
+
 def test_dot_of_edgeless_salvetti():
     graph = DefiningGraph.build("pq", [])
     text = salvetti(graph).to_dot()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -62,6 +63,27 @@ def test_fills_subset_is_monotone(abc_model):
     assert abc_model.fills_subset({"a", "b", "c"})
     assert not abc_model.fills_subset({"a", "b"})
     assert not abc_model.fills_subset(set())
+
+
+def test_maximal_non_filling_sets_of_one_set_model(abc_model):
+    assert set(abc_model.maximal_non_filling_sets) == {
+        frozenset("bc"), frozenset("ac"), frozenset("ab")}
+
+
+def test_maximal_non_filling_sets_match_brute_force():
+    """Against the inclusion-maximal subsets that fill_subset rejects, for
+    random antichains over six generators."""
+    graph = DefiningGraph.build("abcdef", [])
+    subsets = [frozenset(c) for k in range(7) for c in combinations(graph.vertices, k)]
+    rng = random.Random(71)
+    for _ in range(40):
+        chosen = {frozenset(rng.sample(graph.vertices, rng.randint(2, 4)))
+                  for _ in range(rng.randint(0, 5))}
+        model = SurfaceModel.build(graph, [s for s in chosen if not any(t < s for t in chosen)])
+        non_filling = [s for s in subsets if not model.fills_subset(s)]
+        expected = {s for s in non_filling if not any(s < t for t in non_filling)}
+        assert len(model.maximal_non_filling_sets) == len(expected)
+        assert set(model.maximal_non_filling_sets) == expected
 
 
 # -- supports -------------------------------------------------------------------
