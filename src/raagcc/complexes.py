@@ -22,8 +22,14 @@ of budget yields an inconclusive status, never a negative claim.
 On a verified core, tracing a normal word from the basepoint is
 deterministic, and a word lies in the core's subgroup exactly when its
 trace closes up at the basepoint.  Element enumeration walks canonical
-normal words letter by letter through the complex, so each subgroup
-element is produced exactly once, in order of word length.
+spellings (normal as written, least in their commutation class) letter by
+letter through the complex, so each subgroup element is produced exactly
+once, in order of word length and then letter order.  Whether a letter may
+extend a canonical spelling depends only on a finite state (the vertex
+reached, the last letter, and the generators a new syllable may not use),
+so the walk steps through a memoised spelling automaton, and
+``count_elements`` counts the same walks by dynamic programming over its
+states.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, count, islice, repeat
 from random import Random
 from typing import Iterator, Sequence
 
@@ -749,63 +756,154 @@ def _letter_options(complex_: LabeledCubeComplex) -> tuple[list[list[tuple[int, 
     return options, graph.comm_masks, index[complex_.basepoint]
 
 
+class _SpellingAutomaton:
+    """The canonical-spelling automaton of a link-injective complex.
+
+    A canonical spelling is a word that is normal as written and the least
+    spelling of its commutation class in letter order.  Whether a letter
+    may extend one depends only on a finite state: (vertex reached, last
+    generator or -1, last sign, forbidden mask F).  F holds the generators
+    a new syllable may not use, those for which a scan back over the
+    trailing syllables that commute with g would meet g itself or a larger
+    generator.  From a state, the letter (g, sign):
+
+    - extends the last syllable when g is the last generator and the sign
+      is the same, leaving F unchanged (the other sign would cancel, so it
+      is rejected);
+    - is rejected when g is in F;
+    - otherwise starts a new syllable, and F becomes
+      ``comm[g] & (below(g) | F)``.  (g itself needs no bit: a later
+      syllable commuting with g is larger than g, so its below-set already
+      holds g.)
+
+    Normal forms of graph products form a regular language (Hermiller &
+    Meier 1995); this is its automaton read through the complex.  States
+    are numbered as they are reached, and each state's successors are
+    computed once, in letter order, and kept in ``table``.
+    """
+
+    def __init__(self, complex_: LabeledCubeComplex):
+        self.options, self.comm, self.base = _letter_options(complex_)
+        self._ids: dict[tuple[int, int, int, int], int] = {}
+        self.keys: list[tuple[int, int, int, int]] = []
+        # The letter that reaches each state, whole and as generator and sign.
+        self.letter: list[tuple[int, int]] = []
+        self.gen: list[int] = []
+        self.sign: list[int] = []
+        self.closes: list[bool] = []  # the state's vertex is the basepoint
+        self.table: list[list[int]] = []  # successors of the expanded states
+        self._expanded = 0
+        self.start = self._state((self.base, -1, 0, 0))
+
+    def _state(self, key: tuple[int, int, int, int]) -> int:
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.letter.append((key[1], key[2]))
+            self.gen.append(key[1])
+            self.sign.append(key[2])
+            self.closes.append(key[0] == self.base)
+        return sid
+
+    def expand(self) -> None:
+        """Compute the successors of every state reached so far (states it
+        reaches are numbered, but not expanded until the next call)."""
+        comm, options = self.comm, self.options
+        reached = len(self.keys)
+        for sid in range(self._expanded, reached):
+            v, last, last_sign, forbidden = self.keys[sid]
+            succ = []
+            for g, sign, far in options[v]:
+                if g == last:
+                    if sign != last_sign:
+                        continue
+                    key = (far, g, sign, forbidden)
+                elif (forbidden >> g) & 1:
+                    continue
+                else:
+                    key = (far, g, sign, comm[g] & (((1 << g) - 1) | forbidden))
+                succ.append(self._state(key))
+            self.table.append(succ)
+        self._expanded = reached
+
+
+def _spell_back(auto: _SpellingAutomaton, backwards: list[tuple[list[int], list[int]]],
+                j: int) -> tuple[tuple[int, int], ...]:
+    """The syllables of node ``j`` of the last level, read by following the
+    parents back through ``backwards`` (the levels, last first).
+
+    Adjacent letters with the same generator form one syllable: a
+    canonical spelling never has two such syllables side by side.  A
+    one-letter syllable is the automaton's shared letter tuple.
+    """
+    gen_of, sign_of, letter = auto.gen, auto.sign, auto.letter
+    syls: list[tuple[int, int]] = []
+    first = -1  # the state of the current syllable's last letter
+    g = -1
+    e = 0
+    for states, parents in backwards:
+        s = states[j]
+        if gen_of[s] == g:
+            e += sign_of[s]
+        else:
+            if e:
+                syls.append(letter[first] if e == sign_of[first] else (g, e))
+            first = s
+            g = gen_of[s]
+            e = sign_of[s]
+        j = parents[j]
+    syls.append(letter[first] if e == sign_of[first] else (g, e))
+    syls.reverse()
+    return tuple(syls)
+
+
 def iter_loops_by_length(complex_: LabeledCubeComplex, max_len: int,
                          node_budget: int | None = None
                          ) -> Iterator[tuple[int, list[tuple[tuple[int, int], ...]]]]:
     """Yield, per letter length, the basepoint loops spelled by canonical
     normal words, as syllable tuples over generator indices.
 
-    The walk extends canonical spellings letter by letter: an extension is
-    kept only when the grown word is still normal as written and still the
-    least spelling in its commutation class, so each element is produced at
-    most once.  On a complex verified as a local isometry this produces
-    exactly the subgroup elements up to the length cap; on an unverified
-    (but link-injective) complex the loops are still genuine subgroup
-    members, merely not exhaustive.
+    The walk follows ``_SpellingAutomaton`` level by level, so each element
+    is produced at most once, and each level comes in letter order (parent
+    order, then letter order).  A node is two ints: its state and its
+    parent's index in the level before.  Syllables are spelled out only
+    for nodes that close at the basepoint, by following the parents back.
+    Every node counts against ``node_budget``.  On a complex verified as a
+    local isometry this produces exactly the subgroup elements up to the
+    length cap; on an unverified (but link-injective) complex the loops
+    are still genuine subgroup members, merely not exhaustive.
     """
-    options, comm, base = _letter_options(complex_)
-    states: list[tuple[tuple[tuple[int, int], ...], int]] = [((), base)]
+    auto = _SpellingAutomaton(complex_)
+    table, closes = auto.table, auto.closes
     yield 0, [()]
+    levels: list[tuple[list[int], list[int]]] = []  # (states, parents) per length
+    level = [auto.start]
     nodes = 1
     emitted = 1
     for length in range(1, max_len + 1):
-        next_states: list[tuple[tuple[tuple[int, int], ...], int]] = []
-        loops: list[tuple[tuple[int, int], ...]] = []
-        for syls, v in states:
-            k = len(syls)
-            last = syls[-1] if k else None
-            for g, sign, far in options[v]:
-                if last is not None and last[0] == g:
-                    if (last[1] > 0) != (sign > 0):
-                        continue
-                    new_syls = syls[:-1] + ((g, last[1] + sign),)
-                else:
-                    ok = True
-                    mask = comm[g]
-                    for j in range(k - 1, -1, -1):
-                        h = syls[j][0]
-                        if h == g:
-                            ok = False
-                            break
-                        if not (mask >> h) & 1:
-                            break
-                        if h > g:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    new_syls = syls + ((g, sign),)
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise BudgetExceededError(
-                        f"enumeration exceeded budget {node_budget}",
-                        partial_count=emitted)
-                next_states.append((new_syls, far))
-                if far == base:
-                    loops.append(new_syls)
-                    emitted += 1
+        auto.expand()
+        succs = list(map(table.__getitem__, level))
+        sizes = list(map(len, succs))
+        size = sum(sizes)
+        # The budget is checked as each node is added: a level with no
+        # nodes never raises, and the partial count takes in the loops
+        # closed by the nodes that still fit.
+        if node_budget is not None and size and nodes + size > node_budget:
+            within = islice(chain.from_iterable(succs), max(node_budget - nodes, 0))
+            raise BudgetExceededError(
+                f"enumeration exceeded budget {node_budget}",
+                partial_count=emitted + sum(map(closes.__getitem__, within)))
+        states = list(chain.from_iterable(succs))
+        parents = list(chain.from_iterable(map(repeat, range(len(level)), sizes)))
+        nodes += len(states)
+        levels.append((states, parents))
+        backwards = levels[::-1]
+        loops = [_spell_back(auto, backwards, j)
+                 for j in compress(count(), map(closes.__getitem__, states))]
+        emitted += len(loops)
         yield length, loops
-        states = next_states
+        level = states
         if not states:
             break
 
@@ -824,54 +922,37 @@ def count_elements(core: SubgroupCore, max_len: int) -> int:
     (the identity included), counted without listing them.
 
     Counts the walks of ``iter_loops_by_length`` by dynamic programming
-    over (vertex, last syllable, forbidden set).  The forbidden set holds
-    the generators a new syllable may not use: the spelling test there
-    rejects g when scanning back over commuting syllables meets g itself or
-    a larger generator.  Appending a new syllable g makes it
-    ``comm[g] & (below(g) | F)``; extending the last syllable leaves it
-    unchanged.  (g itself needs no bit: a later syllable commuting with g
-    is larger than g, so its below-set already holds g.)
+    over the states of the same ``_SpellingAutomaton``: per length, the
+    number of walks that reach each state.
     """
     _require_verified(core)
     if max_len < 0:
         raise InputError("max_len must be >= 0")
-    options, comm, base = _letter_options(core.complex)
-    # state: (vertex, last generator or -1, last sign, forbidden mask)
-    states: dict[tuple[int, int, int, int], int] = {(base, -1, 0, 0): 1}
+    auto = _SpellingAutomaton(core.complex)
+    table, closes = auto.table, auto.closes
+    counts = {auto.start: 1}
     total = 1
     for _ in range(max_len):
-        nxt: dict[tuple[int, int, int, int], int] = {}
-        for (v, last, last_sign, forbidden), n in states.items():
-            for g, sign, far in options[v]:
-                if g == last:
-                    if sign != last_sign:
-                        continue
-                    key = (far, g, sign, forbidden)
-                elif (forbidden >> g) & 1:
-                    continue
-                else:
-                    key = (far, g, sign, comm[g] & (((1 << g) - 1) | forbidden))
-                nxt[key] = nxt.get(key, 0) + n
-        states = nxt
-        if not states:
+        auto.expand()
+        nxt: dict[int, int] = {}
+        for s, n in counts.items():
+            for t in table[s]:
+                nxt[t] = nxt.get(t, 0) + n
+        counts = nxt
+        if not counts:
             break
-        total += sum(n for (v, *_), n in states.items() if v == base)
+        total += sum(n for t, n in counts.items() if closes[t])
     return total
 
 
 def enumerate_elements(core: SubgroupCore, max_len: int,
                        budget: int | None = None) -> tuple[NormalWord, ...]:
     """All subgroup elements of letter length at most ``max_len``, each as its
-    canonical normal word, sorted by length then spelling."""
+    canonical normal word, sorted by length then spelling (the walk's own
+    order: letter order is generator index, positive sign first)."""
     if max_len < 0:
         raise InputError("max_len must be >= 0")
     labels = core.graph.vertices
-    out: list[tuple[tuple, NormalWord]] = []
-    for length, loops in iter_elements_by_length(core, max_len, node_budget=budget):
-        for syls in loops:
-            word = normal_word_from_pairs((labels[g], e) for g, e in syls)
-            key = tuple(item for g, e in syls
-                        for item in [(g, 0 if e > 0 else 1)] * abs(e))
-            out.append(((length, key), word))
-    out.sort(key=lambda t: t[0])
-    return tuple(word for _, word in out)
+    return tuple(normal_word_from_pairs((labels[g], e) for g, e in syls)
+                 for _, loops in iter_elements_by_length(core, max_len, node_budget=budget)
+                 for syls in loops)

@@ -4,10 +4,13 @@ Everything here must stay independent of the package's normal-form
 implementation: closures apply the three rewriting moves literally,
 geodesic distances in the three-generator one-edge group come from a
 direct free-product-of-(Z, Z^2) arithmetic, and class sizes come from
-linear-extension enumeration.  The one exception is
-``oracle_certify_by_enumeration``, the ell-ball sweep that ``certify`` used
-before its exact check: it is the slow path kept as a differential oracle
-for the verdict, witness and element count.
+linear-extension enumeration.  Two slow paths the package has replaced
+are kept as differential oracles: ``oracle_loops_by_length``, the
+back-scanning walk of canonical spellings that the spelling automaton
+replaced, and ``oracle_certify_by_enumeration``, the ell-ball sweep that
+``certify`` used before its exact check, run on that walk.  Of the
+package's enumeration they share only ``_letter_options``, the table of
+letters leaving each vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from raagcc.complexes import SubgroupCore, iter_elements_by_length
+from raagcc.complexes import LabeledCubeComplex, SubgroupCore, _letter_options
 from raagcc.errors import BudgetExceededError
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel
@@ -349,6 +352,66 @@ def randomized_reduce(word: Pairs, graph: DefiningGraph, rng: random.Random,
             idle = 0
 
 
+def oracle_loops_by_length(complex_: LabeledCubeComplex, max_len: int,
+                           node_budget: int | None = None
+                           ) -> Iterator[tuple[int, list[tuple[tuple[int, int], ...]]]]:
+    """The scan walk that ``iter_loops_by_length`` ran before its spelling
+    automaton: per letter length, the basepoint loops spelled by canonical
+    normal words, as syllable tuples over generator indices.
+
+    Each node carries its syllable tuple, and an extension by a new
+    syllable g is kept only when scanning back over the trailing syllables
+    that commute with g meets neither g nor a larger generator.  The node
+    count, the budget check and its ``partial_count`` are those of the
+    production walk.
+    """
+    options, comm, base = _letter_options(complex_)
+    states: list[tuple[tuple[tuple[int, int], ...], int]] = [((), base)]
+    yield 0, [()]
+    nodes = 1
+    emitted = 1
+    for length in range(1, max_len + 1):
+        next_states: list[tuple[tuple[tuple[int, int], ...], int]] = []
+        loops: list[tuple[tuple[int, int], ...]] = []
+        for syls, v in states:
+            k = len(syls)
+            last = syls[-1] if k else None
+            for g, sign, far in options[v]:
+                if last is not None and last[0] == g:
+                    if (last[1] > 0) != (sign > 0):
+                        continue
+                    new_syls = syls[:-1] + ((g, last[1] + sign),)
+                else:
+                    ok = True
+                    mask = comm[g]
+                    for j in range(k - 1, -1, -1):
+                        h = syls[j][0]
+                        if h == g:
+                            ok = False
+                            break
+                        if not (mask >> h) & 1:
+                            break
+                        if h > g:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                    new_syls = syls + ((g, sign),)
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    raise BudgetExceededError(
+                        f"enumeration exceeded budget {node_budget}",
+                        partial_count=emitted)
+                next_states.append((new_syls, far))
+                if far == base:
+                    loops.append(new_syls)
+                    emitted += 1
+        yield length, loops
+        states = next_states
+        if not states:
+            break
+
+
 def oracle_certify_by_enumeration(core: SubgroupCore, model: SurfaceModel, max_len: int,
                                   budget: int) -> tuple[str, Pairs | None, int] | None:
     """The ell-ball sweep over a verified core: check every member up to
@@ -362,7 +425,7 @@ def oracle_certify_by_enumeration(core: SubgroupCore, model: SurfaceModel, max_l
     labels = core.graph.vertices
     count = 0
     try:
-        for length, loops in iter_elements_by_length(core, max_len, node_budget=budget):
+        for length, loops in oracle_loops_by_length(core.complex, max_len, node_budget=budget):
             for syls in loops:
                 count += 1
                 if length == 0:

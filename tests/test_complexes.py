@@ -12,9 +12,11 @@ from raagcc.complexes import (
     VERIFIED,
     LabeledCubeComplex,
     SubgroupCore,
+    _SpellingAutomaton,
     build_core,
     check_local_isometry,
     enumerate_elements,
+    iter_loops_by_length,
     membership,
     salvetti,
 )
@@ -29,6 +31,7 @@ from raagcc.words import (
 )
 
 import oracles
+from conftest import GRAPH_ZOO
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +201,6 @@ def test_fold_fill_confluence(abc_graph):
 
 def test_confluence_on_random_small_inputs():
     rng = random.Random(99)
-    from conftest import GRAPH_ZOO
     for trial in range(15):
         graph = GRAPH_ZOO[rng.randrange(len(GRAPH_ZOO))]
         labels = graph.vertices
@@ -262,6 +264,24 @@ def test_enumerate_is_length_then_lex_sorted(abc_graph, ex2_core):
     assert keys == sorted(keys)
 
 
+def test_enumerate_needs_no_sort_on_worked_cores(abc_graph):
+    """The walk already yields each length in letter order (generator
+    index, positive sign first), so the unsorted output equals the output
+    sorted by the per-letter key."""
+    def key(w):
+        return (w.letter_length,
+                tuple(item for s in w.syllables
+                      for item in [(abc_graph.index(s.generator),
+                                    0 if s.exponent > 0 else 1)] * abs(s.exponent)))
+
+    for texts in (("b c a", "b a b c"), ("b c a", "b a b c", "b^2 c^2 a^2")):
+        core = build_core(abc_graph, [parse_word(t, abc_graph) for t in texts])
+        assert core.verified
+        words = enumerate_elements(core, 14)
+        assert list(words) == sorted(words, key=key)
+        assert len(words) > 150
+
+
 def test_enumerate_members_pass_membership(ex2_core):
     for w in enumerate_elements(ex2_core, 6):
         assert membership(ex2_core, w)
@@ -311,6 +331,119 @@ def test_new_generator_strictly_enlarges_language(abc_graph, ex2_core):
         assert base_language < enlarged, candidate.to_text()
         enlarged_count += 1
     assert enlarged_count >= 10
+
+
+# -- the loop walk against the scan walk it replaced -----------------------------
+
+def _walk(walk, complex_: LabeledCubeComplex, max_len: int, budget: int | None):
+    """Every level a walk yields, and the partial count if it ran out of budget."""
+    levels = []
+    try:
+        for length, loops in walk(complex_, max_len, node_budget=budget):
+            levels.append((length, loops))
+    except BudgetExceededError as exc:
+        return levels, exc.partial_count
+    return levels, None
+
+
+def _nodes_through_levels(complex_: LabeledCubeComplex, max_len: int) -> list[int]:
+    """Walk nodes (the root included) through each length, counted over the
+    spelling automaton; the callers confirm every level end on the oracle."""
+    auto = _SpellingAutomaton(complex_)
+    counts = {auto.start: 1}
+    through = [1]
+    for _ in range(max_len):
+        auto.expand()
+        nxt: dict[int, int] = {}
+        for state, n in counts.items():
+            for succ in auto.table[state]:
+                nxt[succ] = nxt.get(succ, 0) + n
+        counts = nxt
+        through.append(through[-1] + sum(nxt.values()))
+    return through
+
+
+NON_STABILISING = ("b d c^-1 a", "d a c^-1 b")  # over the 4-cycle graph
+
+
+def _walk_cores():
+    """Partial and verified cores of seeded subgroups of every zoo graph, and
+    of the non-stabilising 4-cycle subgroup, at the stage budgets ``certify``
+    uses."""
+    rng = random.Random(4)
+    problems = []
+    for graph in GRAPH_ZOO:
+        labels = graph.vertices
+        for _ in range(4):
+            problems.append((graph, [
+                word_from_pairs([(rng.choice(labels), rng.choice((1, -1)))
+                                 for _ in range(rng.randint(3, 6))])
+                for _ in range(2)]))
+    cycle4 = GRAPH_ZOO[4]
+    problems.append((cycle4, [parse_word(t, cycle4) for t in NON_STABILISING]))
+    for graph, gens in problems:
+        for budget in (256, 1_024, 2_000):
+            core = build_core(graph, gens, budget=budget)
+            yield core
+            if core.verified:
+                break
+
+
+def test_loop_walk_matches_scan_oracle():
+    """Level by level, the automaton walk yields what the scan walk yields,
+    and runs out of budget at the same node with the same partial count,
+    for budgets that end mid-level and budgets that end at a level's end."""
+    statuses = {VERIFIED: 0, BUDGET_EXCEEDED: 0}
+    level_ends = mid_levels = 0
+    for core in _walk_cores():
+        statuses[core.status] += 1
+        complex_ = core.complex
+        max_len = 3 * (len(complex_.vertices) + 1)
+        through = _nodes_through_levels(complex_, min(max_len, 40))
+        budgets = [None] if through[-1] <= 3_000 else []
+        grown = [n for n in range(1, len(through) - 1)
+                 if 20 <= through[n] <= 3_000 and through[n + 1] > through[n]]
+        if grown:
+            n = grown[-1]
+            end, mid = through[n], (through[n] + through[n + 1]) // 2
+            # The oracle confirms the level end: it yields level n, then
+            # runs out in level n + 1.
+            levels, partial_count = _walk(oracles.oracle_loops_by_length, complex_, max_len, end)
+            assert len(levels) == n + 1 and partial_count is not None
+            budgets += [end, end - 1, mid]
+            level_ends += 1
+            mid_levels += mid > end
+        for budget in budgets:
+            expected = _walk(oracles.oracle_loops_by_length, complex_, max_len, budget)
+            assert _walk(iter_loops_by_length, complex_, max_len, budget) == expected, \
+                (complex_.graph, budget)
+    assert statuses[VERIFIED] >= 10 and statuses[BUDGET_EXCEEDED] >= 10, statuses
+    assert level_ends >= 20 and mid_levels >= 20, (level_ends, mid_levels)
+
+
+def test_node_budget_boundary_at_level_ends(abc_graph, ex2_core):
+    """A budget equal to the node count through level n yields level n and
+    raises in level n + 1; one node less raises in level n.  The partial
+    count matches the scan walk's each time."""
+    cycle4 = GRAPH_ZOO[4]
+    partial = build_core(cycle4, [parse_word(t, cycle4) for t in NON_STABILISING], budget=256)
+    assert partial.status == BUDGET_EXCEEDED
+    for complex_ in (ex2_core.complex, partial.complex):
+        through = _nodes_through_levels(complex_, 12)
+        for n in range(2, 11):
+            assert through[n + 1] > through[n]
+            for budget, last_level in ((through[n], n), (through[n] - 1, n - 1)):
+                got, partial_count = _walk(iter_loops_by_length, complex_, 12, budget)
+                assert [length for length, _ in got] == list(range(last_level + 1))
+                assert partial_count is not None
+                assert (got, partial_count) == _walk(oracles.oracle_loops_by_length,
+                                                     complex_, 12, budget)
+    # Budgets below the root's own node, with and without a first level.
+    bare = LabeledCubeComplex(graph=abc_graph, vertices=(0,), edges=(),
+                              squares=frozenset(), basepoint=0)
+    for complex_, budget in itertools.product((ex2_core.complex, bare), (-1, 0, 1)):
+        assert _walk(iter_loops_by_length, complex_, 3, budget) == \
+            _walk(oracles.oracle_loops_by_length, complex_, 3, budget)
 
 
 # -- serialization --------------------------------------------------------------------
