@@ -8,6 +8,7 @@ import argparse
 import csv
 import sys
 
+from raagcc.errors import ContractError, InputError
 from raagcc.family import (
     _h_words_upto,
     alpha_state,
@@ -20,7 +21,7 @@ from raagcc.family import (
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=6, help="ring size (genus is n+1)")
     parser.add_argument("--N", type=int, default=2, dest="big_n",
@@ -29,14 +30,17 @@ def main() -> None:
                         help="sweep depth (default: n // 2)")
     args = parser.parse_args()
 
-    fam = family(args.n, args.big_n)
-    kmax = args.kmax if args.kmax is not None else fam.n // 2
+    try:
+        fam = family(args.n, args.big_n)
+        kmax = args.kmax if args.kmax is not None else fam.n // 2
+        report = verify_star(fam, kmax)
+    except (InputError, ContractError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     c = constants(fam)
     print(f"# ring family n={fam.n} (genus {fam.n + 1}), N={fam.N}", file=sys.stderr)
     print(f"# constants: b={c.b} d={c.d} L={c.L} ell'={c.ell_prime} ell={c.ell}",
           file=sys.stderr)
-
-    report = verify_star(fam, kmax)
     print(f"# span sweep k<={kmax}: tested={report.tested} "
           f"violations={len(report.violations)} all_proper={report.all_proper}",
           file=sys.stderr)
@@ -49,7 +53,8 @@ def main() -> None:
         m, bound = displacement_upper(h, fam)
         state = span_apply_h(alpha_state(fam), h, fam)
         writer.writerow([h_word_text(h), len(h), m, str(bound), state.is_proper(fam.n)])
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

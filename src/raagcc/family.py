@@ -22,6 +22,13 @@ letter's support meets it; while the span set stays proper, the curve moves
 at most distance 2 in the curve complex.  This reproduces the family's
 upper bounds: d(alpha, h alpha) <= |h| * 4/(g-1) + 2 and stable translation
 length at most 4/(g-1) for each generator.
+
+Each signed generator's letter supports, in the order they act, are
+computed once per family.  An h-word is applied generator by generator
+through a transition memo from (state, signed generator) to state; one
+memo serves one call (a whole star sweep, or every block of one
+displacement bound), so each distinct transition is folded letter by
+letter only once per call and nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -29,12 +36,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError, InputError, InternalError
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel, check_window_property
-from .words import NormalWord, Letter, is_normal, normal_word_from_pairs, syllable_order
+from .words import NormalWord, Letter, is_normal, normal_word_from_pairs, predecessor_masks
 
 # An h-word over the subgroup generators: ((i, +1) | (i, -1), ...), 1 <= i <= N.
 HWord = tuple[tuple[int, int], ...]
@@ -57,6 +65,21 @@ class Section8Family:
         if not 1 <= i <= self.N:
             raise InputError(f"generator index {i} out of range 1..{self.N}")
         return self.generators[i - 1]
+
+    @cached_property
+    def _window_constants(self) -> FamilyConstants:
+        b = 3 * self.N * self.n + 4 * self.N
+        d = self.graph.complement_diameter()
+        L = d * b
+        ell_prime = b + 4 * L * self.N + 1
+        return FamilyConstants(b=b, d=d, L=L, ell_prime=ell_prime, ell=ell_prime + 2 * self.N)
+
+    @cached_property
+    def _letter_supports(self) -> dict[tuple[int, int], tuple[Support, ...]]:
+        """Each signed generator's letter supports, in the order they act
+        (rightmost letter first)."""
+        return {(i, sign): _generator_supports((i, sign), self)
+                for i in range(1, self.N + 1) for sign in (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -231,12 +254,9 @@ def naive_expansion(h: HWord, fam: Section8Family) -> list[tuple[str, int]]:
 
 
 def constants(fam: Section8Family) -> FamilyConstants:
-    """Exact window constants; the complement diameter comes from BFS."""
-    b = 3 * fam.N * fam.n + 4 * fam.N
-    d = fam.graph.complement_diameter()
-    L = d * b
-    ell_prime = b + 4 * L * fam.N + 1
-    return FamilyConstants(b=b, d=d, L=L, ell_prime=ell_prime, ell=ell_prime + 2 * fam.N)
+    """Exact window constants; the complement diameter comes from BFS, run
+    once per family."""
+    return fam._window_constants
 
 
 # -- span tracking -----------------------------------------------------------
@@ -291,10 +311,14 @@ def span_apply(state: SpanState, generator: str | Letter, fam: Section8Family) -
     is cleared: only containment is known afterward.
     """
     label = generator.generator if isinstance(generator, Letter) else str(generator)
-    z = support_of(label, fam.n)
+    return _span_step(state, support_of(label, fam.n), fam.n)
+
+
+def _span_step(state: SpanState, z: Support, n: int) -> SpanState:
+    """The one-letter rule of ``span_apply``, on the letter's support."""
     if z in state.misses:
         return state
-    if all(supports_disjoint(z, w, fam.n) for w in state.contained_in):
+    if all(supports_disjoint(z, w, n) for w in state.contained_in):
         return state
     return SpanState(contained_in=state.contained_in | {z}, misses=frozenset())
 
@@ -307,15 +331,41 @@ def span_apply_pairs(state: SpanState, pairs: Sequence[tuple[str, int]],
     return state
 
 
+def _generator_supports(gen: tuple[int, int], fam: Section8Family) -> tuple[Support, ...]:
+    """The letter supports of one signed generator, in the order they act."""
+    return tuple(support_of(label, fam.n)
+                 for label, _ in reversed(naive_expansion((gen,), fam)))
+
+
+Transitions = dict[tuple[SpanState, tuple[int, int]], SpanState]
+
+
+def _fold_h(state: SpanState, h: HWord, fam: Section8Family,
+            memo: Transitions) -> SpanState:
+    """Apply an h-word through a transition memo, rightmost generator first."""
+    steps = fam._letter_supports
+    n = fam.n
+    for gen in reversed(h):
+        key = (state, gen)
+        nxt = memo.get(key)
+        if nxt is None:
+            nxt = state
+            # Entries outside the table (an index out of range raises
+            # InputError) take the same spelling through naive_expansion.
+            for z in steps.get(gen) or _generator_supports(gen, fam):
+                nxt = _span_step(nxt, z, n)
+            memo[key] = nxt
+        state = nxt
+    return state
+
+
 def span_apply_h(state: SpanState, h: HWord, fam: Section8Family) -> SpanState:
     """Apply an h-word generator by generator, rightmost generator first.
 
     Each generator acts through its own B/M/E spelling (no merging across
     generator boundaries), matching the inductive displacement argument.
     """
-    for idx, sign in reversed(h):
-        state = span_apply_pairs(state, naive_expansion(((idx, sign),), fam), fam)
-    return state
+    return _fold_h(state, h, fam, {})
 
 
 def xbar_labels(k: int, n: int) -> frozenset[Support]:
@@ -370,18 +420,21 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
     if k_max < 0:
         raise InputError("k_max must be >= 0")
     alpha = alpha_state(fam)
+    n = fam.n
+    containers = {k: (xbar_labels(k, n), ybar_labels(k, n)) for k in range(2, max(2, k_max) + 1)}
+    memo: Transitions = {}
     tested = 0
     violations: list[tuple[str, str]] = []
     all_proper = True
     for h in _h_words_upto(fam.N, k_max):
-        state = span_apply_h(alpha, h, fam)
+        state = _fold_h(alpha, h, fam, memo)
         k = max(2, len(h))
         tested += 1
-        contained = (state.contained_in <= xbar_labels(k, fam.n)
-                     or state.contained_in <= ybar_labels(k, fam.n))
+        xbar, ybar = containers[k]
+        contained = state.contained_in <= xbar or state.contained_in <= ybar
         if not contained:
             violations.append((h_word_text(h), f"span escapes both step-{k} containers"))
-        if not state.is_proper(fam.n):
+        if not state.is_proper(n):
             all_proper = False
             violations.append((h_word_text(h), "span is the whole surface"))
     return StarReport(tested=tested, violations=tuple(violations), all_proper=all_proper)
@@ -390,10 +443,16 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
 def displacement_upper(h: HWord | str, fam: Section8Family) -> tuple[int, Fraction]:
     """Certified curve-complex displacement upper bound for an h-word.
 
-    Splits h into m blocks of generator length at most n/2 (m is the largest
-    integer below |h|*2/n + 1), verifies each block keeps the tracked curve
-    in a proper span (so each block moves it at most 2), and returns
-    (m, 2m); 2m never exceeds |h| * 4/(g-1) + 2 with g = n + 1.
+    Splits h into m blocks (m is the largest integer below |h|*2/n + 1),
+    verifies each block keeps the tracked curve in a proper span (so each
+    block moves it at most 2), and returns (m, 2m); 2m never exceeds
+    |h| * 4/(g-1) + 2 with g = n + 1.
+
+    The blocks have generator length at most n/2 only for even n.  For odd
+    n a block can be one generator longer than n//2, and a span it leaves
+    improper raises ``ContractError``; an improper span from a block of at
+    most n//2 generators would break the star sweep and raises
+    ``InternalError``.
     """
     if isinstance(h, str):
         h = parse_h_word(h, fam.N)
@@ -411,9 +470,14 @@ def displacement_upper(h: HWord | str, fam: Section8Family) -> tuple[int, Fracti
             blocks.append(h[pos:pos + size])
             pos += size
         alpha = alpha_state(fam)
+        memo: Transitions = {}
         for block in blocks:
-            state = span_apply_h(alpha, block, fam)
+            state = _fold_h(alpha, block, fam, memo)
             if not state.is_proper(n):
+                if len(block) > n // 2:
+                    raise ContractError(
+                        f"block {h_word_text(block)!r} of {len(block)} generators is longer "
+                        f"than n//2 = {n // 2} for n = {n} and leaves the span improper")
                 raise InternalError(
                     f"block {h_word_text(block)!r} produced an improper span")
     bound = Fraction(2 * m)
@@ -426,8 +490,9 @@ def displacement_upper(h: HWord | str, fam: Section8Family) -> tuple[int, Fracti
 def translation_length_bound(fam: Section8Family, i: int = 1) -> Fraction:
     """Stable translation length bound 4/(g-1) for one generator, certified by
     span properness of its powers up to n/2."""
+    state = alpha_state(fam)
     for p in range(1, fam.n // 2 + 1):
-        state = span_apply_h(alpha_state(fam), ((i, 1),) * p, fam)
+        state = span_apply_h(state, ((i, 1),), fam)
         if not state.is_proper(fam.n):
             raise InternalError(f"span of w{i}^{p} alpha is improper")
     return Fraction(4, fam.n)
@@ -454,11 +519,15 @@ def verify_order_window(fam: Section8Family, hs: Iterable[HWord | str]) -> Order
             h = parse_h_word(h, fam.N)
         word = bme_normal_form(h, fam)
         tested += 1
-        order = syllable_order(word, fam.graph)
-        k = len(word.syllables)
+        below = predecessor_masks(word, fam.graph)
+        k = len(below)
+        # Syllable i precedes j exactly when bit i of below[j] is set; the
+        # window holds when below[j] covers every position up to j - L - 1.
+        if all(not ~below[j] & ((1 << (j - L)) - 1) for j in range(L + 1, k)):
+            continue
         for i in range(k):
             for j in range(i + L + 1, k):
-                if not order.comparable(i, j):
+                if not below[j] >> i & 1:
                     violations.append((h_word_text(h), i, j))
     return OrderWindowReport(tested=tested, violations=tuple(violations))
 

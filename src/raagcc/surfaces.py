@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import ContractError, InputError
@@ -177,41 +178,59 @@ class FillingBlock:
 
 
 def find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBlock, ...]:
-    """All inclusion-minimal consecutive syllable ranges whose supports fill."""
+    """All inclusion-minimal consecutive syllable ranges whose supports fill.
+
+    Filling is monotone, so the end of the shortest filling range starting
+    at i never decreases as i grows: one sweep with two pointers finds every
+    such end, and a range is minimal exactly when the next start's shortest
+    range ends later.
+    """
     if not is_normal(w, model.graph):
         raise ContractError(f"find_filling_blocks requires a normal word, got {w.to_text()!r}")
     n = len(w.syllables)
     gens = [s.generator for s in w.syllables]
+    counts: dict[str, int] = {}  # generator multiplicities in gens[i:j]
+    j = 0
+    filled = False
     candidates: list[tuple[int, int]] = []
     for i in range(n):
-        seen: set[str] = set()
-        for j in range(i, n):
-            seen.add(gens[j])
-            if model.fills_subset(seen):
-                candidates.append((i, j))
-                break
-    minimal: list[tuple[int, int]] = []
-    best_end = None
-    for i, j in sorted(candidates, reverse=True):
-        if best_end is None or j < best_end:
-            minimal.append((i, j))
-            best_end = j
-    minimal.reverse()
-    return tuple(FillingBlock(word=w, start=i, end=j) for i, j in minimal)
+        while not filled and j < n:
+            counts[gens[j]] = counts.get(gens[j], 0) + 1
+            j += 1
+            filled = model.fills_subset(counts)
+        if not filled:
+            break
+        candidates.append((i, j - 1))
+        counts[gens[i]] -= 1
+        if not counts[gens[i]]:
+            del counts[gens[i]]
+            filled = model.fills_subset(counts)
+    minimal = [(i, e) for t, (i, e) in enumerate(candidates)
+               if t + 1 == len(candidates) or candidates[t + 1][1] > e]
+    return tuple(FillingBlock(word=w, start=i, end=e) for i, e in minimal)
 
 
 def check_window_property(w: NormalWord, window: int, model: SurfaceModel) -> bool:
     """Every contiguous letter window of the given length contains a complete
-    filling block.  Vacuously true when the word is shorter than the window."""
+    filling block.  Vacuously true when the word is shorter than the window.
+
+    The minimal blocks' starts and ends both strictly increase, so the block
+    to test for the window at letter p is the first one starting at or after
+    p; a second pointer follows it, and the sweep is linear in the letter
+    and block counts.
+    """
     if window < 1:
         raise InputError(f"window length must be >= 1, got {window}")
     total = w.letter_length
     if total < window:
         return True
-    spans = [b.letter_span() for b in find_filling_blocks(w, model)]
+    offsets = [0, *accumulate(abs(s.exponent) for s in w.syllables)]
+    spans = [(offsets[b.start], offsets[b.end + 1]) for b in find_filling_blocks(w, model)]
+    t = 0
     for p in range(0, total - window + 1):
-        hi = p + window
-        if not any(p <= a and b <= hi for a, b in spans):
+        while t < len(spans) and spans[t][0] < p:
+            t += 1
+        if t == len(spans) or spans[t][1] > p + window:
             return False
     return True
 

@@ -382,25 +382,38 @@ class SyllableOrder:
         return frozenset((syls[i].generator, syls[j].generator) for i, j in self.pairs)
 
 
-def syllable_order(w: NormalWord, graph: DefiningGraph) -> SyllableOrder:
-    """Transitive closure of direct occurrence dependence on a normal word.
+def predecessor_masks(w: NormalWord, graph: DefiningGraph) -> list[int]:
+    """Bit i of entry j is set when syllable i precedes syllable j.
 
-    Each syllable's predecessors form a bitset: the union, over its own and
-    each non-commuting generator, of the closure of that generator's latest
-    earlier occurrence (earlier occurrences already lie below the latest).
+    The transitive closure of direct occurrence dependence, one bitset per
+    syllable: the union, over its own and each non-commuting generator, of
+    the closure of that generator's latest earlier occurrence (earlier
+    occurrences already lie below the latest).  Costs O(k |V|) big-int ORs
+    on a word of k syllables.  The word must be normal.
     """
-    _require_normal(w, graph)
     index = graph._index
     noncomm = graph.non_commuting
     latest = [0] * len(noncomm)  # closure (predecessors plus itself) of the latest occurrence
-    pairs: list[tuple[int, int]] = []
+    masks: list[int] = []
     for j, s in enumerate(w.syllables):
         g = index[s.generator]
         below = latest[g]
         for h in noncomm[g]:
             below |= latest[h]
         latest[g] = below | (1 << j)
-        pairs.extend((i, j) for i, bit in enumerate(bin(below)[:1:-1]) if bit == "1")
+        masks.append(below)
+    return masks
+
+
+def syllable_order(w: NormalWord, graph: DefiningGraph) -> SyllableOrder:
+    """Transitive closure of direct occurrence dependence on a normal word.
+
+    Built from ``predecessor_masks``; spelling the closure out as position
+    pairs costs O(k^2) on a word of k syllables.
+    """
+    _require_normal(w, graph)
+    pairs = [(i, j) for j, below in enumerate(predecessor_masks(w, graph))
+             for i, bit in enumerate(bin(below)[:1:-1]) if bit == "1"]
     return SyllableOrder(word=w, pairs=frozenset(pairs))
 
 

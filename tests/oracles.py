@@ -15,16 +15,22 @@ letters leaving each vertex.
 
 from __future__ import annotations
 
+import importlib
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from raagcc.complexes import LabeledCubeComplex, SubgroupCore, _letter_options
-from raagcc.errors import BudgetExceededError
+from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.graphs import DefiningGraph
-from raagcc.surfaces import SurfaceModel
-from raagcc.words import cyclic_core_support
+from raagcc.surfaces import FillingBlock, SurfaceModel
+from raagcc.words import NormalWord, cyclic_core_support, is_normal, syllable_order
+
+# The module itself: ``raagcc.family`` is also the name of the family()
+# constructor that the package re-exports.
+ring = importlib.import_module("raagcc.family")
 
 Pairs = tuple[tuple[str, int], ...]
 
@@ -436,3 +442,129 @@ def oracle_certify_by_enumeration(core: SubgroupCore, model: SurfaceModel, max_l
     except BudgetExceededError:
         return None
     return "certified", None, count
+
+
+# -- ring-family checks: the slow paths the package replaced -----------------
+
+
+def oracle_find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBlock, ...]:
+    """All inclusion-minimal consecutive syllable ranges whose supports fill."""
+    if not is_normal(w, model.graph):
+        raise ContractError(f"find_filling_blocks requires a normal word, got {w.to_text()!r}")
+    n = len(w.syllables)
+    gens = [s.generator for s in w.syllables]
+    candidates: list[tuple[int, int]] = []
+    for i in range(n):
+        seen: set[str] = set()
+        for j in range(i, n):
+            seen.add(gens[j])
+            if model.fills_subset(seen):
+                candidates.append((i, j))
+                break
+    minimal: list[tuple[int, int]] = []
+    best_end = None
+    for i, j in sorted(candidates, reverse=True):
+        if best_end is None or j < best_end:
+            minimal.append((i, j))
+            best_end = j
+    minimal.reverse()
+    return tuple(FillingBlock(word=w, start=i, end=j) for i, j in minimal)
+
+
+def oracle_check_window_property(w: NormalWord, window: int, model: SurfaceModel) -> bool:
+    """Every contiguous letter window of the given length contains a complete
+    filling block.  Vacuously true when the word is shorter than the window."""
+    if window < 1:
+        raise InputError(f"window length must be >= 1, got {window}")
+    total = w.letter_length
+    if total < window:
+        return True
+    spans = [b.letter_span() for b in oracle_find_filling_blocks(w, model)]
+    for p in range(0, total - window + 1):
+        hi = p + window
+        if not any(p <= a and b <= hi for a, b in spans):
+            return False
+    return True
+
+
+def oracle_span_apply_h(state, h, fam):
+    """Apply an h-word generator by generator, rightmost generator first,
+    re-spelling every generator and applying it letter by letter."""
+    for idx, sign in reversed(h):
+        state = ring.span_apply_pairs(state, ring.naive_expansion(((idx, sign),), fam), fam)
+    return state
+
+
+def oracle_verify_star(fam, k_max: int):
+    """The star sweep on ``oracle_span_apply_h``, containers rebuilt per word."""
+    if k_max > fam.n / 2:
+        raise ContractError(
+            f"k_max={k_max} exceeds n/2={fam.n / 2}; containers stop being proper")
+    if k_max < 0:
+        raise InputError("k_max must be >= 0")
+    alpha = ring.alpha_state(fam)
+    tested = 0
+    violations: list[tuple[str, str]] = []
+    all_proper = True
+    for h in ring._h_words_upto(fam.N, k_max):
+        state = oracle_span_apply_h(alpha, h, fam)
+        k = max(2, len(h))
+        tested += 1
+        contained = (state.contained_in <= ring.xbar_labels(k, fam.n)
+                     or state.contained_in <= ring.ybar_labels(k, fam.n))
+        if not contained:
+            violations.append((ring.h_word_text(h), f"span escapes both step-{k} containers"))
+        if not state.is_proper(fam.n):
+            all_proper = False
+            violations.append((ring.h_word_text(h), "span is the whole surface"))
+    return ring.StarReport(tested=tested, violations=tuple(violations), all_proper=all_proper)
+
+
+def oracle_displacement_upper(h, fam) -> tuple[int, Fraction]:
+    """The block displacement bound on ``oracle_span_apply_h``.  Any improper
+    block span raises ``InternalError``, whatever the block's length."""
+    if isinstance(h, str):
+        h = ring.parse_h_word(h, fam.N)
+    h = tuple(h)
+    ring._require_reduced(h)
+    n = fam.n
+    length = len(h)
+    m = (2 * length + n - 1) // n  # largest integer < |h|*2/n + 1
+    if m > 0:
+        base_size, extra = divmod(length, m)
+        blocks = []
+        pos = 0
+        for t in range(m):
+            size = base_size + (1 if t < extra else 0)
+            blocks.append(h[pos:pos + size])
+            pos += size
+        alpha = ring.alpha_state(fam)
+        for block in blocks:
+            state = oracle_span_apply_h(alpha, block, fam)
+            if not state.is_proper(n):
+                raise InternalError(
+                    f"block {ring.h_word_text(block)!r} produced an improper span")
+    bound = Fraction(2 * m)
+    formula_cap = Fraction(4 * length, n) + 2
+    if bound > formula_cap:
+        raise InternalError("block bound exceeded the displacement formula")
+    return m, bound
+
+
+def oracle_verify_order_window(fam, hs):
+    """Every syllable pair at least L + 1 apart, tested with ``comparable``."""
+    L = ring.constants(fam).L
+    tested = 0
+    violations: list[tuple[str, int, int]] = []
+    for h in hs:
+        if isinstance(h, str):
+            h = ring.parse_h_word(h, fam.N)
+        word = ring.bme_normal_form(h, fam)
+        tested += 1
+        order = syllable_order(word, fam.graph)
+        k = len(word.syllables)
+        for i in range(k):
+            for j in range(i + L + 1, k):
+                if not order.comparable(i, j):
+                    violations.append((ring.h_word_text(h), i, j))
+    return ring.OrderWindowReport(tested=tested, violations=tuple(violations))

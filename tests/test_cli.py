@@ -150,6 +150,12 @@ def test_section8_commands(files, capsys):
     assert rows[1] == "w1 w2^-1 w1,3,1,2,True"
 
 
+def test_section8_bound_long_block_is_contract_error(capsys):
+    assert main(["section8", "bound", "--n", "3", "--N", "2", "--word", "w1 w2 w1"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: block 'w1 w2'")
+
+
 def test_graph_and_model_files_round_trip(files):
     from raagcc.graphs import DefiningGraph
     from raagcc.surfaces import SurfaceModel

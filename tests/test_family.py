@@ -250,6 +250,14 @@ def test_displacement_upper_respects_formula():
             assert bound <= Fraction(4 * length, fam.n) + 2
 
 
+def test_displacement_upper_rejects_long_blocks_for_odd_n():
+    # m = ceil(2|h|/n) leaves a block of n//2 + 1 generators when n is odd.
+    with pytest.raises(ContractError, match="longer than n//2 = 1 for n = 3"):
+        displacement_upper("w1 w2 w1", family(3, 2))
+    assert displacement_upper("w1 w2^-1 w1", family(3, 2)) == (2, Fraction(4))
+    assert displacement_upper("w1 w2 w1", family(4, 2)) == (2, Fraction(4))
+
+
 def test_translation_length_bound():
     fam = family(6, 1)
     assert translation_length_bound(fam, 1) == Fraction(2, 3)

@@ -1,0 +1,208 @@
+"""The ring-family checks and the filling-block sweeps against the slow
+paths they replaced (kept in ``oracles.py``)."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from raagcc.errors import ContractError, InputError, InternalError
+from raagcc.family import (
+    FamilyConstants,
+    SpanState,
+    displacement_upper,
+    family,
+    span_apply_h,
+    verify_order_window,
+    verify_star,
+    window_constant_check,
+)
+from raagcc.surfaces import SurfaceModel, check_window_property, find_filling_blocks
+from raagcc.words import normalize, word_from_pairs
+
+from conftest import GRAPH_ZOO
+from oracles import (
+    oracle_check_window_property,
+    oracle_displacement_upper,
+    oracle_find_filling_blocks,
+    oracle_span_apply_h,
+    oracle_verify_order_window,
+    oracle_verify_star,
+    ring,
+)
+
+
+def _random_h(rng: random.Random, N: int, length: int) -> tuple[tuple[int, int], ...]:
+    h: list[tuple[int, int]] = []
+    while len(h) < length:
+        cand = (rng.randrange(1, N + 1), rng.choice((1, -1)))
+        if h and h[-1][0] == cand[0] and h[-1][1] == -cand[1]:
+            continue
+        h.append(cand)
+    return tuple(h)
+
+
+def _random_antichain_model(graph, rng: random.Random) -> SurfaceModel:
+    vertices = list(graph.vertices)
+    sets = {frozenset(rng.sample(vertices, rng.randint(2, len(vertices))))
+            for _ in range(rng.randint(1, 4))}
+    return SurfaceModel.build(graph, [s for s in sets if not any(t < s for t in sets)])
+
+
+def _random_normal_word(graph, rng: random.Random):
+    pairs = [(rng.choice(graph.vertices), rng.choice((-3, -2, -1, 1, 2, 3)))
+             for _ in range(rng.randint(0, 24))]
+    return normalize(word_from_pairs(pairs), graph)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ContractError, InputError, InternalError) as exc:
+        return type(exc), str(exc)
+
+
+# -- filling blocks and the letter window ------------------------------------------
+
+
+def test_blocks_and_windows_match_quadratic_sweep():
+    rng = random.Random(5)
+    outcomes = set()
+    for graph in GRAPH_ZOO:
+        for _ in range(30):
+            model = _random_antichain_model(graph, rng)
+            w = _random_normal_word(graph, rng)
+            blocks = [(b.start, b.end) for b in find_filling_blocks(w, model)]
+            assert blocks == [(b.start, b.end) for b in oracle_find_filling_blocks(w, model)]
+            for window in range(1, 41):
+                got = check_window_property(w, window, model)
+                assert got == oracle_check_window_property(w, window, model), (
+                    w, model.minimal_filling_sets, window)
+                if w.letter_length >= window:
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_ring_windows_match_quadratic_sweep():
+    rng = random.Random(9)
+    outcomes = set()
+    for n, N in ((3, 1), (4, 2), (5, 3)):
+        fam = family(n, N)
+        for _ in range(8):
+            w = ring.bme_normal_form(_random_h(rng, N, rng.randint(1, 6)), fam)
+            assert find_filling_blocks(w, fam.model) == oracle_find_filling_blocks(w, fam.model)
+            for window in range(1, 3 * n * N + 4 * N + 1):
+                got = check_window_property(w, window, fam.model)
+                assert got == oracle_check_window_property(w, window, fam.model)
+                if w.letter_length >= window:
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_window_constant_check_matches_quadratic_sweep():
+    rng = random.Random(13)
+    for n, N in ((4, 1), (6, 2)):
+        fam = family(n, N)
+        hs = [_random_h(rng, N, rng.randint(1, 8)) for _ in range(10)]
+        b = ring.constants(fam).b
+        for window in (None, 1, 2 * n, 3 * n, b):
+            expected = all(oracle_check_window_property(
+                ring.bme_normal_form(h, fam), window or b, fam.model) for h in hs)
+            assert window_constant_check(fam, hs, window) is expected
+
+
+# -- span fold: star sweep, displacement bound -------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_verify_star_matches_letter_fold(n):
+    for N in range(1, 5):
+        fam = family(n, N)
+        for k in range(0, n // 2 + 1):
+            assert verify_star(fam, k) == oracle_verify_star(fam, k), (n, N, k)
+
+
+def test_verify_star_violations_match_letter_fold(monkeypatch):
+    # Starting from wider curves makes spans escape the containers and fill
+    # the surface, so both kinds of violation and their order are compared.
+    starts = [
+        SpanState(contained_in=frozenset({("Y", 0), ("X", 0)}), misses=frozenset()),
+        SpanState(contained_in=frozenset({("X", 2), ("Y", 3)}), misses=frozenset({("X", 0)})),
+        SpanState(contained_in=frozenset({("Y", 0), ("Y", 2)}), misses=frozenset()),
+    ]
+    kinds = set()
+    for n, N in ((4, 2), (5, 1), (6, 2), (2, 3)):
+        fam = family(n, N)
+        for start in starts:
+            monkeypatch.setattr(ring, "alpha_state", lambda fam, start=start: start)
+            for k in range(0, n // 2 + 1):
+                report = verify_star(fam, k)
+                assert report == oracle_verify_star(fam, k), (n, N, start, k)
+                kinds.update(v[1] for v in report.violations)
+    assert "span is the whole surface" in kinds
+    assert any(kind.startswith("span escapes") for kind in kinds)
+
+
+def test_span_apply_h_matches_letter_fold():
+    rng = random.Random(17)
+    for n, N in ((3, 2), (5, 2), (8, 3)):
+        fam = family(n, N)
+        labels = [("X", i) for i in range(n)] + [("Y", i) for i in range(n)]
+        for _ in range(40):
+            state = SpanState(contained_in=frozenset(rng.sample(labels, rng.randint(1, 3))),
+                              misses=frozenset(rng.sample(labels, rng.randint(0, 3))))
+            h = _random_h(rng, N, rng.randint(0, 2 * n))
+            assert span_apply_h(state, h, fam) == oracle_span_apply_h(state, h, fam)
+
+
+def test_displacement_upper_matches_letter_fold():
+    rng = random.Random(19)
+    outcomes = {"bound": 0, "too long": 0}
+    for n in range(2, 11):
+        for N in (1, 2, 3):
+            fam = family(n, N)
+            for length in range(0, 2 * n + 3):
+                for _ in range(3):
+                    h = _random_h(rng, N, length)
+                    got = _outcome(displacement_upper, h, fam)
+                    expected = _outcome(oracle_displacement_upper, h, fam)
+                    if expected[0] is InternalError:
+                        # Only blocks longer than n//2 (odd n) leave the span
+                        # improper; those now raise a contract error.
+                        assert n % 2 == 1
+                        assert got[0] is ContractError and "longer than n//2" in got[1]
+                        outcomes["too long"] += 1
+                    else:
+                        assert got == expected
+                        outcomes["bound"] += 1
+    assert all(outcomes.values())
+
+
+def test_displacement_upper_input_errors_match_letter_fold():
+    fam = family(4, 2)
+    for h in (((1, 1), (1, -1)), ((3, 1),), ((1, 1), (5, -1), (2, 1)), "w1 w3", "w1^0"):
+        got = _outcome(displacement_upper, h, fam)
+        assert got == _outcome(oracle_displacement_upper, h, fam)
+        assert got[0] in (ContractError, InputError)
+
+
+# -- order window ------------------------------------------------------------------
+
+
+def test_order_window_violations_match_pair_scan(monkeypatch):
+    rng = random.Random(23)
+    found = 0
+    for n, N in ((2, 1), (3, 2), (4, 2), (6, 3)):
+        fam = family(n, N)
+        hs = [_random_h(rng, N, rng.randint(0, 6)) for _ in range(6)] + ["w1 w1", "w1^-3"]
+        assert verify_order_window(fam, hs) == oracle_verify_order_window(fam, hs)
+        c = ring.constants(fam)
+        for L in (0, 1, 2, 3, 5, 8, 13):
+            small = FamilyConstants(b=c.b, d=c.d, L=L, ell_prime=c.ell_prime, ell=c.ell)
+            monkeypatch.setattr(ring, "constants", lambda fam, small=small: small)
+            report = verify_order_window(fam, hs)
+            assert report == oracle_verify_order_window(fam, hs), (n, N, L)
+            found += len(report.violations)
+            monkeypatch.undo()
+    assert found

@@ -1,0 +1,44 @@
+"""Smoke tests: the scripts under ``scripts/`` run end to end."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_ring_family_report():
+    done = _run("ring_family_report.py", "--n", "4", "--N", "1")
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()
+    assert rows[0] == "h,h_length,m,bound,span_proper"
+    assert rows[1] == "w1,1,1,2,True"
+    assert "violations=0 all_proper=True" in done.stderr
+
+
+def test_ring_family_report_rejects_deep_sweep():
+    done = _run("ring_family_report.py", "--n", "4", "--N", "1", "--kmax", "3")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: k_max=3 exceeds n/2=2.0; containers stop being proper"]
+
+
+def test_reproduce_examples():
+    done = _run("reproduce_examples.py")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "== two-generator subgroup <bca, babc> =="
+    assert "certify: certified (ell=30, elements counted=53745)" in lines
+    assert "certify: refuted" in lines
