@@ -23,7 +23,7 @@ exhaustion anywhere: inconclusive, never a negative claim.
 
 Each enumerated element's filling check needs only the generator support
 of a cyclic reduction: it is piled once by the word kernel in ``words.py``
-and reduced in place, and the verdict is memoized per support set.
+and reduced in place, and the verdict is memoized per support bitmask.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
     subgroup members.
     """
     labels = graph.vertices
-    memo: dict[frozenset[int], bool] = {}
+    memo: dict[int, bool] = {}
     count = 0
     for length, loops in layers:
         for syls in loops:
@@ -136,20 +136,19 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
             support = cyclic_core_support(syls, graph)
             verdict = memo.get(support)
             if verdict is None:
-                verdict = model.fills_subset(labels[g] for g in support)
-                memo[support] = verdict
+                verdict = memo[support] = model.fills_mask(support)
             if not verdict:
                 witness = normal_word_from_pairs((labels[g], e) for g, e in syls)
-                return witness, frozenset(labels[g] for g in support), count
+                return (witness, frozenset(v for g, v in enumerate(labels) if support >> g & 1),
+                        count)
     return None
 
 
-def _chord_words(complex_: LabeledCubeComplex, allowed: frozenset[str] | None = None
+def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1
                  ) -> Iterator[tuple[tuple[int, int], ...]]:
     """The loop word path(src)*label*path(dst)^-1 of every chord of a
-    spanning forest of the edges labelled in ``allowed`` (all edges when
-    None), as index syllables; path(v) is the forest path to v from its
-    component's root.
+    spanning forest of the edges whose label index is a bit of ``allowed``
+    (all by default), as index syllables; path(v) is the forest path from its root to v.
 
     Roots are the basepoint, then the other vertices in order; each tree
     grows breadth first, taking a vertex's edge-ends by label index,
@@ -169,7 +168,7 @@ def _chord_words(complex_: LabeledCubeComplex, allowed: frozenset[str] | None = 
             for end in sorted(complex_.ends_at[v],
                               key=lambda end: (index[complex_.end_label(end)], end[1], end[0])):
                 label = complex_.end_label(end)
-                if allowed is not None and label not in allowed:
+                if not allowed >> index[label] & 1:
                     continue
                 far = complex_.far_vertex(end)
                 if far not in path:
@@ -177,7 +176,7 @@ def _chord_words(complex_: LabeledCubeComplex, allowed: frozenset[str] | None = 
                     tree.add(end[0])
                     queue.append(far)
     for eid, src, dst, label in complex_.edges:
-        if eid not in tree and (allowed is None or label in allowed):
+        if eid not in tree and allowed >> index[label] & 1:
             yield path[src] + ((index[label], 1),) + tuple((g, -e) for g, e in reversed(path[dst]))
 
 

@@ -7,7 +7,8 @@ for identical inputs: JSON is emitted with sorted keys and no timestamps.
 
 Exit codes: 0 success/certified, 1 refuted or a failed check, 2
 inconclusive or budget exhausted, 3 malformed input or usage, 4 internal
-error (a broken invariant, runaway recursion or exhausted memory).
+error (any uncaught exception: a broken invariant, runaway recursion,
+exhausted memory or a bug).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .complexes import (
     enumerate_elements,
     membership,
 )
-from .errors import BudgetExceededError, ContractError, InputError, InternalError
+from .errors import BudgetExceededError, ContractError, InputError
 from .family import (
     Section8Family,
     constants as family_constants,
@@ -42,7 +43,7 @@ from .family import (
     parse_h_word,
     verify_star,
 )
-from .graphs import DefiningGraph
+from .graphs import DefiningGraph, is_string_list
 from .surfaces import SurfaceModel
 from .words import (
     _group_letters,
@@ -90,8 +91,8 @@ def _load_model(path: str) -> SurfaceModel:
 
 def _load_generators(path: str, graph: DefiningGraph):
     data = _read_json(path)
-    if not isinstance(data, dict) or "generators" not in data or not isinstance(data["generators"], list):
-        raise InputError(f"{path}: expected an object with a 'generators' list")
+    if not isinstance(data, dict) or not is_string_list(data.get("generators")):
+        raise InputError(f"{path}: expected an object with a 'generators' list of strings")
     return [parse_word(text, graph) for text in data["generators"]]
 
 
@@ -478,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (InternalError, RecursionError, MemoryError) as exc:
+    except Exception as exc:  # a crash must never exit with the code for "refuted"
         detail = " ".join(str(exc).split())
         sys.stderr.write(f"internal error: {type(exc).__name__}"
                          f"{': ' + detail if detail else ''}\n")

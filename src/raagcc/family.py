@@ -15,13 +15,16 @@ Products of the ``w_i`` rewrite into a B/M/E normal form by merging the
 all-commuting B- and E-blocks across generator boundaries; the result is in
 normal form with respect to the standard generators.
 
-Displacement tracking: a curve state records a set of supports whose span
-contains the curve, plus supports the curve is known to miss.  Applying a
-generator letter (rightmost letter acts first) grows the span only when the
-letter's support meets it; while the span set stays proper, the curve moves
-at most distance 2 in the curve complex.  This reproduces the family's
-upper bounds: d(alpha, h alpha) <= |h| * 4/(g-1) + 2 and stable translation
-length at most 4/(g-1) for each generator.
+Displacement tracking: a curve state records, as two bitmasks over the
+graph's vertex indices, the supports whose span contains the curve and the
+supports the curve is known to miss.  Two supports meet exactly when their
+generators fail to commute, so the graph's commutation masks are the only
+disjointness rule.  Applying a generator letter (rightmost letter acts
+first) grows the span only when the letter's support meets it; while the
+span stays proper, the curve moves at most distance 2 in the curve
+complex.  This reproduces the family's upper bounds: d(alpha, h alpha) <=
+|h| * 4/(g-1) + 2 and stable translation length at most 4/(g-1) for each
+generator.
 
 Each signed generator's letter supports, in the order they act, are
 computed once per family.  An h-word is applied generator by generator
@@ -46,9 +49,6 @@ from .words import NormalWord, Letter, is_normal, normal_word_from_pairs, predec
 
 # An h-word over the subgroup generators: ((i, +1) | (i, -1), ...), 1 <= i <= N.
 HWord = tuple[tuple[int, int], ...]
-
-# A support label: ("X", i) or ("Y", i) with i mod n.
-Support = tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,18 @@ class Section8Family:
         return FamilyConstants(b=b, d=d, L=L, ell_prime=ell_prime, ell=ell_prime + 2 * self.N)
 
     @cached_property
-    def _letter_supports(self) -> dict[tuple[int, int], tuple[Support, ...]]:
-        """Each signed generator's letter supports, in the order they act
-        (rightmost letter first)."""
+    def _letter_supports(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each signed generator's letter supports, as vertex indices in the
+        order they act (rightmost letter first)."""
         return {(i, sign): _generator_supports((i, sign), self)
                 for i in range(1, self.N + 1) for sign in (1, -1)}
+
+    @cached_property
+    def _meets(self) -> tuple[int, ...]:
+        """Per vertex index, the supports its support meets: itself and every
+        generator it fails to commute with, i.e. the complement of its
+        commutation mask (a negative int, so only its low bits are read)."""
+        return tuple(~m for m in self.graph.comm_masks)
 
 
 @dataclass(frozen=True)
@@ -264,41 +271,22 @@ def constants(fam: Section8Family) -> FamilyConstants:
 
 @dataclass(frozen=True)
 class SpanState:
-    """A span container for a curve: supports whose span contains it, plus
-    supports it is known to miss."""
+    """A span container for a curve, as bitmasks over the family graph's
+    vertex indices (``g_t`` at ``t - 1``, ``f_t`` at ``n + t - 1``): the
+    supports whose span contains it, and the supports it is known to miss."""
 
-    contained_in: frozenset[Support]
-    misses: frozenset[Support]
+    contained_in: int
+    misses: int
 
     def is_proper(self, n: int) -> bool:
-        return len(self.contained_in) < 2 * n
-
-
-def support_of(label: str, n: int) -> Support:
-    m = re.match(r"^([fg])(\d+)$", label)
-    if m is None:
-        raise InputError(f"label {label!r} is not a ring generator")
-    kind = "X" if m.group(1) == "f" else "Y"
-    return (kind, int(m.group(2)) % n)
-
-
-def supports_disjoint(a: Support, b: Support, n: int) -> bool:
-    """Ring disjointness: like kinds are disjoint when distinct; an X_i meets
-    exactly Y_{i-1} and Y_i."""
-    if a == b:
-        return False
-    if a[0] == b[0]:
-        return True
-    (_, i), (_, j) = (a, b) if a[0] == "X" else (b, a)
-    return j % n not in ((i - 1) % n, i % n)
+        return self.contained_in.bit_count() < 2 * n
 
 
 def alpha_state(fam: Section8Family) -> SpanState:
     """The tracked curve: the separating curve inside Y_0 missing X_0 and X_1."""
-    return SpanState(
-        contained_in=frozenset({("Y", 0)}),
-        misses=frozenset({("X", 0), ("X", 1 % fam.n)}),
-    )
+    n = fam.n
+    return SpanState(contained_in=fam.graph.mask([_g(0, n)]),
+                     misses=fam.graph.mask([_f(0, n), _f(1, n)]))
 
 
 def span_apply(state: SpanState, generator: str | Letter, fam: Section8Family) -> SpanState:
@@ -311,16 +299,14 @@ def span_apply(state: SpanState, generator: str | Letter, fam: Section8Family) -
     is cleared: only containment is known afterward.
     """
     label = generator.generator if isinstance(generator, Letter) else str(generator)
-    return _span_step(state, support_of(label, fam.n), fam.n)
+    return _span_step(state, fam.graph.index(label), fam._meets)
 
 
-def _span_step(state: SpanState, z: Support, n: int) -> SpanState:
-    """The one-letter rule of ``span_apply``, on the letter's support."""
-    if z in state.misses:
+def _span_step(state: SpanState, z: int, meets: Sequence[int]) -> SpanState:
+    """The one-letter rule of ``span_apply``, on the letter's vertex index."""
+    if state.misses >> z & 1 or not state.contained_in & meets[z]:
         return state
-    if all(supports_disjoint(z, w, n) for w in state.contained_in):
-        return state
-    return SpanState(contained_in=state.contained_in | {z}, misses=frozenset())
+    return SpanState(contained_in=state.contained_in | 1 << z, misses=0)
 
 
 def span_apply_pairs(state: SpanState, pairs: Sequence[tuple[str, int]],
@@ -331,10 +317,9 @@ def span_apply_pairs(state: SpanState, pairs: Sequence[tuple[str, int]],
     return state
 
 
-def _generator_supports(gen: tuple[int, int], fam: Section8Family) -> tuple[Support, ...]:
+def _generator_supports(gen: tuple[int, int], fam: Section8Family) -> tuple[int, ...]:
     """The letter supports of one signed generator, in the order they act."""
-    return tuple(support_of(label, fam.n)
-                 for label, _ in reversed(naive_expansion((gen,), fam)))
+    return tuple(fam.graph.index(label) for label, _ in reversed(naive_expansion((gen,), fam)))
 
 
 Transitions = dict[tuple[SpanState, tuple[int, int]], SpanState]
@@ -344,7 +329,7 @@ def _fold_h(state: SpanState, h: HWord, fam: Section8Family,
             memo: Transitions) -> SpanState:
     """Apply an h-word through a transition memo, rightmost generator first."""
     steps = fam._letter_supports
-    n = fam.n
+    meets = fam._meets
     for gen in reversed(h):
         key = (state, gen)
         nxt = memo.get(key)
@@ -353,7 +338,7 @@ def _fold_h(state: SpanState, h: HWord, fam: Section8Family,
             # Entries outside the table (an index out of range raises
             # InputError) take the same spelling through naive_expansion.
             for z in steps.get(gen) or _generator_supports(gen, fam):
-                nxt = _span_step(nxt, z, n)
+                nxt = _span_step(nxt, z, meets)
             memo[key] = nxt
         state = nxt
     return state
@@ -368,17 +353,12 @@ def span_apply_h(state: SpanState, h: HWord, fam: Section8Family) -> SpanState:
     return _fold_h(state, h, fam, {})
 
 
-def xbar_labels(k: int, n: int) -> frozenset[Support]:
-    """Span container reached from the X-side after k steps."""
-    xs = {("X", i % n) for i in range(-k + 1, k)}
-    ys = {("Y", j % n) for j in range(-k + 1, k - 1)}
-    return frozenset(xs | ys)
-
-
-def ybar_labels(k: int, n: int) -> frozenset[Support]:
-    ys = {("Y", i % n) for i in range(-k + 1, k + 1)}
-    xs = {("X", j % n) for j in range(-k + 2, k + 1)}
-    return frozenset(ys | xs)
+def _containers(k: int, fam: Section8Family) -> tuple[int, int]:
+    """The step-k span containers reached from the X-side and the Y-side:
+    X_{1-k}..X_{k-1} with Y_{1-k}..Y_{k-2}, and Y_{1-k}..Y_k with X_{2-k}..X_k."""
+    n, mask = fam.n, fam.graph.mask
+    return (mask([_f(i, n) for i in range(1 - k, k)] + [_g(j, n) for j in range(1 - k, k - 1)]),
+            mask([_g(i, n) for i in range(1 - k, k + 1)] + [_f(j, n) for j in range(2 - k, k + 1)]))
 
 
 def _h_words_upto(N: int, max_len: int) -> Iterator[HWord]:
@@ -421,7 +401,7 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
         raise InputError("k_max must be >= 0")
     alpha = alpha_state(fam)
     n = fam.n
-    containers = {k: (xbar_labels(k, n), ybar_labels(k, n)) for k in range(2, max(2, k_max) + 1)}
+    containers = {k: _containers(k, fam) for k in range(2, max(2, k_max) + 1)}
     memo: Transitions = {}
     tested = 0
     violations: list[tuple[str, str]] = []
@@ -431,7 +411,7 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
         k = max(2, len(h))
         tested += 1
         xbar, ybar = containers[k]
-        contained = state.contained_in <= xbar or state.contained_in <= ybar
+        contained = not state.contained_in & ~xbar or not state.contained_in & ~ybar
         if not contained:
             violations.append((h_word_text(h), f"span escapes both step-{k} containers"))
         if not state.is_proper(n):

@@ -82,6 +82,10 @@ class DefiningGraph:
         self.require_vertex(label)
         return self._index[label]
 
+    def mask(self, labels: Iterable[str]) -> int:
+        """The bitmask over vertex indices of a set of labels."""
+        return sum(1 << i for i in {self.index(label) for label in labels})
+
     def commutes(self, u: str, w: str) -> bool:
         """True when the generators commute; a generator commutes with itself."""
         if u == w:
@@ -139,7 +143,12 @@ class DefiningGraph:
     def from_json_dict(cls, data: dict) -> "DefiningGraph":
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise InputError("graph JSON must be an object with 'vertices' and 'edges'")
-        return cls.build(data["vertices"], [tuple(e) for e in data["edges"]])
+        vertices, edges = data["vertices"], data["edges"]
+        if not (is_string_list(vertices) and isinstance(edges, list)
+                and all(map(is_string_list, edges))):
+            raise InputError("graph JSON 'vertices' must be a list of strings and "
+                             "'edges' a list of string lists")
+        return cls.build(vertices, [tuple(e) for e in edges])
 
     @classmethod
     def from_json(cls, text: str) -> "DefiningGraph":
@@ -148,3 +157,8 @@ class DefiningGraph:
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid graph JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def is_string_list(data: object) -> bool:
+    """Whether decoded JSON is a list of strings."""
+    return isinstance(data, list) and all(isinstance(v, str) for v in data)

@@ -7,6 +7,10 @@ cyclic reduction, so no curve combinatorics is needed.  The model's graph is
 the coincidence graph of the subsurface collection: an edge means disjoint
 supports, i.e. commuting generators.
 
+Inside the package every support is an ``int`` bitmask over the graph's
+vertex indices (bit i for the i-th declared vertex); label sets appear only
+at the boundary: JSON, ``fills_subset``, ``supports``, ``FillingBlock.support``.
+
 Admissibility of the underlying embedding is a declared flag, never
 computed; certification downstream is conditional on it.
 """
@@ -20,12 +24,13 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import ContractError, InputError
-from .graphs import DefiningGraph
+from .graphs import DefiningGraph, is_string_list
 from .words import (
     NormalWord,
     Word,
+    _indexed,
     concat,
-    cyclically_reduce,
+    cyclic_core_support,
     invert,
     is_normal,
     normalize,
@@ -57,13 +62,22 @@ class SurfaceModel:
                     raise InputError("minimal filling sets must form an antichain")
         return cls(graph=graph, minimal_filling_sets=sets, admissible=bool(admissible))
 
+    @cached_property
+    def filling_masks(self) -> tuple[int, ...]:
+        """The minimal filling sets as vertex-index bitmasks."""
+        return tuple(sorted(map(self.graph.mask, self.minimal_filling_sets)))
+
+    def fills_mask(self, mask: int) -> bool:
+        """Whether the generator subset with this vertex-index bitmask fills."""
+        return any(not f & ~mask for f in self.filling_masks)
+
     def fills_subset(self, labels: Iterable[str]) -> bool:
-        label_set = frozenset(labels)
-        return any(f <= label_set for f in self.minimal_filling_sets)
+        return self.fills_mask(self.graph.mask(labels))
 
     @cached_property
-    def maximal_non_filling_sets(self) -> tuple[frozenset[str], ...]:
-        """The inclusion-maximal generator subsets that do not fill.
+    def maximal_non_filling_sets(self) -> tuple[int, ...]:
+        """The inclusion-maximal generator subsets that do not fill, as
+        vertex-index bitmasks in increasing order.
 
         A subset fails to fill exactly when its complement meets every
         minimal filling set, so these are the complements of the minimal
@@ -71,14 +85,13 @@ class SurfaceModel:
         vertex set minus one vertex).  Transversals are grown one filling
         set at a time and pruned to the minimal ones after each step.
         """
-        transversals = {frozenset()}
-        for f in sorted(self.minimal_filling_sets, key=sorted):
-            grown = {t if t & f else t | {x} for t in transversals for x in f}
-            transversals = {t for t in grown if not any(u < t for u in grown)}
-        index = self.graph.index
-        everything = frozenset(self.graph.vertices)
-        return tuple(sorted((everything - t for t in transversals),
-                            key=lambda s: sorted(map(index, s))))
+        transversals = {0}
+        for f in self.filling_masks:
+            bits = [1 << i for i in range(f.bit_length()) if f >> i & 1]
+            grown = {t if t & f else t | bit for t in transversals for bit in bits}
+            transversals = {t for t in grown if not any(u != t and u | t == t for u in grown)}
+        everything = (1 << len(self.graph.vertices)) - 1
+        return tuple(sorted(everything & ~t for t in transversals))
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,7 +106,12 @@ class SurfaceModel:
             raise InputError(
                 "model JSON must be an object with 'graph', 'minimal_filling_sets', 'admissible'")
         graph = DefiningGraph.from_json_dict(data["graph"])
-        return cls.build(graph, data["minimal_filling_sets"], data.get("admissible", True))
+        sets, admissible = data["minimal_filling_sets"], data.get("admissible", True)
+        if not isinstance(sets, list) or not all(map(is_string_list, sets)):
+            raise InputError("model JSON 'minimal_filling_sets' must be a list of string lists")
+        if not isinstance(admissible, bool):
+            raise InputError(f"model JSON 'admissible' must be true or false, got {admissible!r}")
+        return cls.build(graph, sets, admissible)
 
     @classmethod
     def from_json(cls, text: str) -> "SurfaceModel":
@@ -112,8 +130,7 @@ def supports(w: NormalWord) -> frozenset[str]:
 def fills(w: Word | NormalWord, model: SurfaceModel) -> bool:
     """Whether the element fills: the support of its cyclic reduction hits a
     minimal filling set."""
-    _, core = cyclically_reduce(w, model.graph)
-    return model.fills_subset(supports(core))
+    return model.fills_mask(cyclic_core_support(_indexed(w, model.graph), model.graph))
 
 
 @dataclass(frozen=True)
@@ -183,28 +200,32 @@ def find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBloc
     Filling is monotone, so the end of the shortest filling range starting
     at i never decreases as i grows: one sweep with two pointers finds every
     such end, and a range is minimal exactly when the next start's shortest
-    range ends later.
+    range ends later.  The window's support mask, kept with a count per
+    generator, is rechecked only when a generator enters or leaves it.
     """
     if not is_normal(w, model.graph):
         raise ContractError(f"find_filling_blocks requires a normal word, got {w.to_text()!r}")
     n = len(w.syllables)
-    gens = [s.generator for s in w.syllables]
-    counts: dict[str, int] = {}  # generator multiplicities in gens[i:j]
+    gens = [model.graph._index[s.generator] for s in w.syllables]
+    counts = [0] * len(model.graph.vertices)  # generator multiplicities in gens[i:j]
+    present = 0  # the generators with a nonzero count
     j = 0
     filled = False
     candidates: list[tuple[int, int]] = []
     for i in range(n):
         while not filled and j < n:
-            counts[gens[j]] = counts.get(gens[j], 0) + 1
+            if not counts[gens[j]]:
+                present |= 1 << gens[j]
+                filled = model.fills_mask(present)
+            counts[gens[j]] += 1
             j += 1
-            filled = model.fills_subset(counts)
         if not filled:
             break
         candidates.append((i, j - 1))
         counts[gens[i]] -= 1
         if not counts[gens[i]]:
-            del counts[gens[i]]
-            filled = model.fills_subset(counts)
+            present &= ~(1 << gens[i])
+            filled = model.fills_mask(present)
     minimal = [(i, e) for t, (i, e) in enumerate(candidates)
                if t + 1 == len(candidates) or candidates[t + 1][1] > e]
     return tuple(FillingBlock(word=w, start=i, end=e) for i, e in minimal)

@@ -281,12 +281,12 @@ def _reduce_cyclically(piles: Piling, graph: DefiningGraph) -> list[tuple[int, i
         _push(piles, g, e, noncomm)
 
 
-def cyclic_core_support(syllables: Iterable[tuple[int, int]],
-                        graph: DefiningGraph) -> frozenset[int]:
-    """Generator-index support of a cyclic reduction of an indexed word."""
+def cyclic_core_support(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> int:
+    """Support of a cyclic reduction of an indexed word, as a bitmask over
+    generator indices."""
     piles = _pile(syllables, graph)
     _reduce_cyclically(piles, graph)
-    return frozenset(g for g, pile in enumerate(piles) if any(pile))
+    return sum(1 << g for g, pile in enumerate(piles) if any(pile))
 
 
 def normalize(w: Word | NormalWord, graph: DefiningGraph) -> NormalWord:

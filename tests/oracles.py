@@ -11,22 +11,35 @@ replaced, and ``oracle_certify_by_enumeration``, the ell-ball sweep that
 ``certify`` used before its exact check, run on that walk.  Of the
 package's enumeration they share only ``_letter_options``, the table of
 letters leaving each vertex.
+
+Filling is decided here on label sets against the model's minimal filling
+sets, never on the package's bitmasks, and the ring family's span tracking
+runs on the ring's own disjointness rule for ``("X", i)``/``("Y", i)``
+supports, never on the graph's commutation masks.
 """
 
 from __future__ import annotations
 
 import importlib
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from raagcc.complexes import LabeledCubeComplex, SubgroupCore, _letter_options
 from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import FillingBlock, SurfaceModel
-from raagcc.words import NormalWord, cyclic_core_support, is_normal, syllable_order
+from raagcc.words import (
+    NormalWord,
+    Word,
+    cyclic_core_support,
+    cyclically_reduce,
+    is_normal,
+    syllable_order,
+)
 
 # The module itself: ``raagcc.family`` is also the name of the family()
 # constructor that the package re-exports.
@@ -437,11 +450,27 @@ def oracle_certify_by_enumeration(core: SubgroupCore, model: SurfaceModel, max_l
                 if length == 0:
                     continue
                 support = cyclic_core_support(syls, core.graph)
-                if not model.fills_subset(labels[g] for g in support):
+                if not oracle_fills_subset({v for g, v in enumerate(labels) if support >> g & 1},
+                                           model):
                     return "refuted", tuple((labels[g], e) for g, e in syls), count
     except BudgetExceededError:
         return None
     return "certified", None, count
+
+
+# -- filling on label sets --------------------------------------------------
+
+
+def oracle_fills_subset(labels: Iterable[str], model: SurfaceModel) -> bool:
+    """A label set fills when it contains a minimal filling set."""
+    label_set = set(labels)
+    return any(f <= label_set for f in model.minimal_filling_sets)
+
+
+def oracle_fills(w: Word | NormalWord, model: SurfaceModel) -> bool:
+    """Filling of an element, on the label support of its cyclic reduction."""
+    _, core = cyclically_reduce(w, model.graph)
+    return oracle_fills_subset((s.generator for s in core.syllables), model)
 
 
 # -- ring-family checks: the slow paths the package replaced -----------------
@@ -458,7 +487,7 @@ def oracle_find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[Fill
         seen: set[str] = set()
         for j in range(i, n):
             seen.add(gens[j])
-            if model.fills_subset(seen):
+            if oracle_fills_subset(seen, model):
                 candidates.append((i, j))
                 break
     minimal: list[tuple[int, int]] = []
@@ -487,22 +516,108 @@ def oracle_check_window_property(w: NormalWord, window: int, model: SurfaceModel
     return True
 
 
-def oracle_span_apply_h(state, h, fam):
+# -- the ring's tuple support rule ---------------------------------------------
+# A support is ("X", i) for the torus X_i or ("Y", i) for the sphere Y_i,
+# i mod n; disjointness comes from the ring geometry, not from the graph.
+
+Support = tuple[str, int]
+
+
+class TupleSpanState(NamedTuple):
+    """A span state on tuple supports: supports whose span contains the
+    curve, plus supports it is known to miss."""
+
+    contained_in: frozenset[Support]
+    misses: frozenset[Support]
+
+    def is_proper(self, n: int) -> bool:
+        return len(self.contained_in) < 2 * n
+
+
+def support_of(label: str, n: int) -> Support:
+    m = re.match(r"^([fg])(\d+)$", label)
+    if m is None:
+        raise InputError(f"label {label!r} is not a ring generator")
+    kind = "X" if m.group(1) == "f" else "Y"
+    return (kind, int(m.group(2)) % n)
+
+
+def supports_disjoint(a: Support, b: Support, n: int) -> bool:
+    """Ring disjointness: like kinds are disjoint when distinct; an X_i meets
+    exactly Y_{i-1} and Y_i."""
+    if a == b:
+        return False
+    if a[0] == b[0]:
+        return True
+    (_, i), (_, j) = (a, b) if a[0] == "X" else (b, a)
+    return j % n not in ((i - 1) % n, i % n)
+
+
+def oracle_span_step(state: TupleSpanState, z: Support, n: int) -> TupleSpanState:
+    """The one-letter span rule on the letter's tuple support."""
+    if z in state.misses:
+        return state
+    if all(supports_disjoint(z, w, n) for w in state.contained_in):
+        return state
+    return TupleSpanState(contained_in=state.contained_in | {z}, misses=frozenset())
+
+
+def xbar_labels(k: int, n: int) -> frozenset[Support]:
+    """Span container reached from the X-side after k steps."""
+    xs = {("X", i % n) for i in range(-k + 1, k)}
+    ys = {("Y", j % n) for j in range(-k + 1, k - 1)}
+    return frozenset(xs | ys)
+
+
+def ybar_labels(k: int, n: int) -> frozenset[Support]:
+    ys = {("Y", i % n) for i in range(-k + 1, k + 1)}
+    xs = {("X", j % n) for j in range(-k + 2, k + 1)}
+    return frozenset(ys | xs)
+
+
+def oracle_alpha_state(n: int) -> TupleSpanState:
+    """The tracked curve: inside Y_0, missing X_0 and X_1."""
+    return TupleSpanState(contained_in=frozenset({("Y", 0)}),
+                          misses=frozenset({("X", 0), ("X", 1 % n)}))
+
+
+def support_mask(supports: Iterable[Support], fam) -> int:
+    """The package's vertex-index bitmask of a set of tuple supports."""
+    index = {support_of(v, fam.n): i for i, v in enumerate(fam.graph.vertices)}
+    return sum(1 << index[z] for z in set(supports))
+
+
+def mask_supports(mask: int, fam) -> frozenset[Support]:
+    """The tuple supports of the package's vertex-index bitmask."""
+    return frozenset(support_of(v, fam.n) for i, v in enumerate(fam.graph.vertices)
+                     if mask >> i & 1)
+
+
+def mask_state(state: TupleSpanState, fam) -> "ring.SpanState":
+    """The package's span state for a tuple-support state."""
+    return ring.SpanState(contained_in=support_mask(state.contained_in, fam),
+                          misses=support_mask(state.misses, fam))
+
+
+def oracle_span_apply_h(state: TupleSpanState, h, fam) -> TupleSpanState:
     """Apply an h-word generator by generator, rightmost generator first,
-    re-spelling every generator and applying it letter by letter."""
-    for idx, sign in reversed(h):
-        state = ring.span_apply_pairs(state, ring.naive_expansion(((idx, sign),), fam), fam)
+    re-spelling every generator and applying the tuple rule letter by
+    letter."""
+    for gen in reversed(h):
+        for label, _ in reversed(ring.naive_expansion((gen,), fam)):
+            state = oracle_span_step(state, support_of(label, fam.n), fam.n)
     return state
 
 
-def oracle_verify_star(fam, k_max: int):
-    """The star sweep on ``oracle_span_apply_h``, containers rebuilt per word."""
+def oracle_verify_star(fam, k_max: int, start: TupleSpanState | None = None):
+    """The star sweep on ``oracle_span_apply_h``, containers rebuilt per
+    word, from ``start`` (the tracked curve by default)."""
     if k_max > fam.n / 2:
         raise ContractError(
             f"k_max={k_max} exceeds n/2={fam.n / 2}; containers stop being proper")
     if k_max < 0:
         raise InputError("k_max must be >= 0")
-    alpha = ring.alpha_state(fam)
+    alpha = start or oracle_alpha_state(fam.n)
     tested = 0
     violations: list[tuple[str, str]] = []
     all_proper = True
@@ -510,8 +625,8 @@ def oracle_verify_star(fam, k_max: int):
         state = oracle_span_apply_h(alpha, h, fam)
         k = max(2, len(h))
         tested += 1
-        contained = (state.contained_in <= ring.xbar_labels(k, fam.n)
-                     or state.contained_in <= ring.ybar_labels(k, fam.n))
+        contained = (state.contained_in <= xbar_labels(k, fam.n)
+                     or state.contained_in <= ybar_labels(k, fam.n))
         if not contained:
             violations.append((ring.h_word_text(h), f"span escapes both step-{k} containers"))
         if not state.is_proper(fam.n):
@@ -538,7 +653,7 @@ def oracle_displacement_upper(h, fam) -> tuple[int, Fraction]:
             size = base_size + (1 if t < extra else 0)
             blocks.append(h[pos:pos + size])
             pos += size
-        alpha = ring.alpha_state(fam)
+        alpha = oracle_alpha_state(n)
         for block in blocks:
             state = oracle_span_apply_h(alpha, block, fam)
             if not state.is_proper(n):

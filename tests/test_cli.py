@@ -92,6 +92,45 @@ def test_malformed_graph_is_input_error(files, capsys):
     assert main(["normalize", "--graph", str(bad), "--word", "a"]) == 3
     err = capsys.readouterr().err
     assert "line" in err
+    # Well-formed JSON of the wrong types is malformed input too, never a
+    # crash that exits 1 (the code for "refuted").
+    for graph in ({**GRAPH, "edges": 7}, {**GRAPH, "vertices": 5}, {**GRAPH, "edges": [7]},
+                  {**GRAPH, "edges": [["b", 3]]}, {**GRAPH, "vertices": ["a", ["b"]]}, []):
+        bad.write_text(json.dumps(graph), encoding="utf-8")
+        assert main(["normalize", "--graph", str(bad), "--word", "a"]) == 3, graph
+        model = files["tmp"] / "model_bad.json"
+        model.write_text(json.dumps({**MODEL, "graph": graph}), encoding="utf-8")
+        assert main(["certify", "--graph", files["graph"], "--model", str(model),
+                     "--gens", files["gens"]]) == 3, graph
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 2, err
+    for sets in (5, [5], "abc", ["abc"], [["a", "b", 3]], None):
+        model = files["tmp"] / "model_bad.json"
+        model.write_text(json.dumps({**MODEL, "minimal_filling_sets": sets}), encoding="utf-8")
+        assert main(["certify", "--graph", files["graph"], "--model", str(model),
+                     "--gens", files["gens"]]) == 3, sets
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    for gens in ({"generators": [5]}, {"generators": "a b"}, {"generators": None}, ["a"]):
+        bad.write_text(json.dumps(gens), encoding="utf-8")
+        assert main(["certify", "--graph", files["graph"], "--model", files["model"],
+                     "--gens", str(bad)]) == 3, gens
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_admissible_flag_must_be_a_json_boolean(files, capsys):
+    # The string "false" once read as admissible and gave a verdict.
+    model = files["tmp"] / "model_flag.json"
+    argv = ["certify", "--graph", files["graph"], "--model", str(model),
+            "--gens", files["gens_bad"]]
+    for flag in ("false", "true", 0, 1, None, []):
+        model.write_text(json.dumps({**MODEL, "admissible": flag}), encoding="utf-8")
+        assert main(argv) == 3, flag
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: model JSON 'admissible' must be true or false, got {flag!r}"]
+    model.write_text(json.dumps({**MODEL, "admissible": False}), encoding="utf-8")
+    assert main(argv) == 3
+    assert "admissibility flag" in capsys.readouterr().err
 
 
 def test_core_pipeline_round_trip(files, capsys):
@@ -177,7 +216,10 @@ def test_usage_errors_exit_as_input_errors(files, capsys):
 
 @pytest.mark.parametrize("exc", [InternalError("broken\ninvariant"),
                                  RecursionError("maximum recursion depth exceeded"),
-                                 MemoryError()])
+                                 MemoryError(),
+                                 TypeError("'int' object is not iterable"),
+                                 KeyError("vertices"),
+                                 ValueError("bad\nvalue")])
 def test_crashes_exit_as_internal_errors(files, capsys, monkeypatch, exc):
     """A crash gets its own exit code, never the one for "refuted"."""
     def crash(config):

@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raagcc.errors import BudgetExceededError, ContractError, InputError
+from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.complexes import (
     BUDGET_EXCEEDED,
@@ -13,6 +15,7 @@ from raagcc.complexes import (
     LabeledCubeComplex,
     SubgroupCore,
     _SpellingAutomaton,
+    _corner,
     build_core,
     check_local_isometry,
     enumerate_elements,
@@ -475,3 +478,68 @@ def test_dot_of_edgeless_salvetti():
     arrows = [line for line in text.splitlines() if "->" in line]
     assert len(arrows) == 2
     assert all("0 -> 0" in line for line in arrows)
+
+
+# -- canonical form under renumbering ----------------------------------------------
+
+
+def _verified_cores() -> list[LabeledCubeComplex]:
+    """Verified cores of seeded random subgroups over the graph zoo, the
+    worked cores, and the ring family's core for n = 3."""
+    rng = random.Random(131)
+    cores = []
+    for graph in GRAPH_ZOO:
+        for _ in range(6):
+            gens = [word_from_pairs([(rng.choice(graph.vertices), rng.choice((1, -1)))
+                                     for _ in range(rng.randrange(2, 7))])
+                    for _ in range(rng.randrange(1, 4))]
+            cores.append(build_core(graph, gens, budget=400))
+    abc = DefiningGraph.build("abc", [("b", "c")])
+    worked = [parse_word(t, abc) for t in ("b c a", "b a b c")]
+    cores.append(build_core(abc, worked, budget=10_000))
+    cores.append(build_core(abc, worked + [parse_word("b^2 c^2 a^2", abc)], budget=10_000))
+    fam = family(3, 1)
+    cores.append(build_core(fam.graph, [w.as_word() for w in fam.generators], budget=3_000))
+    return [core.complex for core in cores if core.status == VERIFIED]
+
+
+VERIFIED_CORES = _verified_cores()
+
+
+@st.composite
+def renumbered_core(draw):
+    """A verified core and a copy with fresh vertex and edge ids, listed in
+    a shuffled order."""
+    complex_ = draw(st.sampled_from(VERIFIED_CORES))
+    ids = st.integers(0, 10 ** 6)
+    vmap = dict(zip(complex_.vertices, draw(st.lists(
+        ids, min_size=len(complex_.vertices), max_size=len(complex_.vertices), unique=True))))
+    emap = dict(zip((e[0] for e in complex_.edges), draw(st.lists(
+        ids, min_size=len(complex_.edges), max_size=len(complex_.edges), unique=True))))
+    edges = [(emap[eid], vmap[src], vmap[dst], label)
+             for eid, src, dst, label in complex_.edges]
+    squares = frozenset(
+        frozenset(_corner(vmap[v], (emap[a[0]], a[1]), (emap[b[0]], b[1])) for v, (a, b) in sq)
+        for sq in complex_.squares)
+    renumbered = LabeledCubeComplex(
+        graph=complex_.graph, vertices=tuple(draw(st.permutations(list(vmap.values())))),
+        edges=tuple(draw(st.permutations(edges))), squares=squares,
+        basepoint=vmap[complex_.basepoint])
+    return complex_, renumbered
+
+
+def test_verified_core_sample_is_varied():
+    assert len(VERIFIED_CORES) >= 20
+    assert max(len(c.vertices) for c in VERIFIED_CORES) >= 15
+    assert sum(1 for c in VERIFIED_CORES if c.squares) >= 5
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(renumbered_core())
+def test_canonical_form_ignores_numbering(pair):
+    """Verified-core reports are byte-identical because the canonical form
+    does not depend on how the cells were numbered."""
+    complex_, renumbered = pair
+    canonical = renumbered.canonical_form()
+    assert canonical == complex_.canonical_form() == complex_
+    assert canonical.to_json_dict() == complex_.to_json_dict()

@@ -25,12 +25,20 @@ from raagcc.family import (
     verify_order_window,
     verify_star,
     window_constant_check,
-    xbar_labels,
-    ybar_labels,
+    _containers,
     _h_words_upto,
 )
 from raagcc.surfaces import fills, find_filling_blocks, max_exponent
 from raagcc.words import is_normal, normalize, word_from_pairs
+
+from oracles import (
+    TupleSpanState,
+    mask_state,
+    mask_supports,
+    support_mask,
+    xbar_labels,
+    ybar_labels,
+)
 
 
 # -- family construction -----------------------------------------------------------
@@ -147,12 +155,14 @@ def test_complement_diameter_equals_ring_size():
 
 
 # -- span states ----------------------------------------------------------------------
+# Span states are bitmasks over the family graph; the helpers from oracles.py
+# read and write them as the paper's X_i / Y_i supports.
 
 def test_alpha_state(abc_graph):
     fam = family(6, 1)
     state = alpha_state(fam)
-    assert state.contained_in == {("Y", 0)}
-    assert state.misses == {("X", 0), ("X", 1)}
+    assert mask_supports(state.contained_in, fam) == {("Y", 0)}
+    assert mask_supports(state.misses, fam) == {("X", 0), ("X", 1)}
 
 
 def test_span_apply_is_noop_for_contained_support():
@@ -164,21 +174,21 @@ def test_span_apply_is_noop_for_contained_support():
 def test_first_generator_span():
     fam = family(6, 2)
     state = span_apply_h(alpha_state(fam), ((1, 1),), fam)
-    assert state.contained_in <= {("Y", 0), ("X", 1), ("Y", 1)}
+    assert mask_supports(state.contained_in, fam) <= {("Y", 0), ("X", 1), ("Y", 1)}
 
 
 def test_b_block_growth_from_x_container():
     # Applying the level-1 g-block to a curve spanned by the step-2 X-side
     # container adds exactly the two fringe Y-supports.
     fam = family(6, 1)
-    state = _force_state(xbar_labels(2, 6))
+    state = _force_state(xbar_labels(2, 6), fam)
     grown = span_apply_pairs(state, [("g" + str(t), 1) for t in range(1, 6)], fam)
-    assert grown.contained_in - state.contained_in == {("Y", 4), ("Y", 1)}  # Y_-2 and Y_1
+    added = mask_supports(grown.contained_in & ~state.contained_in, fam)
+    assert added == {("Y", 4), ("Y", 1)}  # Y_-2 and Y_1
 
 
-def _force_state(labels):
-    from raagcc.family import SpanState
-    return SpanState(contained_in=frozenset(labels), misses=frozenset())
+def _force_state(labels, fam):
+    return mask_state(TupleSpanState(contained_in=frozenset(labels), misses=frozenset()), fam)
 
 
 def test_six_base_case_containments():
@@ -196,18 +206,24 @@ def test_six_base_case_containments():
     ]
     for h, container in cases:
         state = span_apply_h(alpha, h, fam)
-        assert state.contained_in <= container, h
+        assert mask_supports(state.contained_in, fam) <= container, h
         assert state.is_proper(fam.n)
 
 
 def test_container_label_sets():
-    # Proper up to half the ring, full at the whole ring.
+    # Proper up to half the ring, full at the whole ring; the package's
+    # container masks are the same supports.
     for n in (6, 8):
         for k in range(2, n // 2 + 1):
             assert len(xbar_labels(k, n)) == 4 * k - 3 < 2 * n
             assert len(ybar_labels(k, n)) == 4 * k - 1 < 2 * n
     assert len(xbar_labels(6, 6)) == 12
     assert len(ybar_labels(6, 6)) == 12
+    for n in range(2, 11):
+        fam = family(n, 1)
+        for k in range(2, n + 1):
+            assert _containers(k, fam) == (support_mask(xbar_labels(k, n), fam),
+                                           support_mask(ybar_labels(k, n), fam)), (n, k)
 
 
 def test_verify_star_exhaustive():
@@ -315,6 +331,6 @@ def test_span_monotone_and_misses_conservative():
     state = alpha_state(fam)
     for _ in range(200):
         nxt = span_apply(state, rng.choice(labels), fam)
-        assert state.contained_in <= nxt.contained_in
-        assert nxt.misses <= state.misses
+        assert mask_supports(state.contained_in, fam) <= mask_supports(nxt.contained_in, fam)
+        assert mask_supports(nxt.misses, fam) <= mask_supports(state.misses, fam)
         state = nxt

@@ -1,5 +1,6 @@
 """The ring-family checks and the filling-block sweeps against the slow
-paths they replaced (kept in ``oracles.py``)."""
+paths they replaced (kept in ``oracles.py``): the package's bitmask paths
+against label sets and the ring's tuple support rule."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import pytest
 from raagcc.errors import ContractError, InputError, InternalError
 from raagcc.family import (
     FamilyConstants,
-    SpanState,
     displacement_upper,
     family,
     span_apply_h,
@@ -18,18 +18,24 @@ from raagcc.family import (
     verify_star,
     window_constant_check,
 )
-from raagcc.surfaces import SurfaceModel, check_window_property, find_filling_blocks
+from raagcc.surfaces import SurfaceModel, check_window_property, fills, find_filling_blocks
 from raagcc.words import normalize, word_from_pairs
 
 from conftest import GRAPH_ZOO
 from oracles import (
+    TupleSpanState,
+    mask_state,
     oracle_check_window_property,
     oracle_displacement_upper,
     oracle_find_filling_blocks,
+    oracle_fills,
+    oracle_fills_subset,
     oracle_span_apply_h,
     oracle_verify_order_window,
     oracle_verify_star,
     ring,
+    support_of,
+    supports_disjoint,
 )
 
 
@@ -84,6 +90,32 @@ def test_blocks_and_windows_match_quadratic_sweep():
     assert outcomes == {True, False}
 
 
+def test_fills_and_filling_sets_match_label_sets():
+    """``fills``, ``fills_mask`` and the maximal non-filling masks against
+    the minimal filling sets taken as label sets."""
+    rng = random.Random(7)
+    outcomes = set()
+    for graph in GRAPH_ZOO:
+        for _ in range(30):
+            model = _random_antichain_model(graph, rng)
+            w = _random_normal_word(graph, rng)
+            got = fills(w, model)
+            assert got == oracle_fills(w, model), (w, model.minimal_filling_sets)
+            outcomes.add(got)
+            labels = {v: 1 << i for i, v in enumerate(graph.vertices)}
+            for _ in range(8):
+                subset = set(rng.sample(graph.vertices, rng.randint(0, len(labels))))
+                expected = oracle_fills_subset(subset, model)
+                assert model.fills_mask(sum(labels[v] for v in subset)) == expected
+                assert model.fills_subset(subset) == expected
+            for mask in model.maximal_non_filling_sets:
+                chosen = {v for v, bit in labels.items() if mask & bit}
+                assert not oracle_fills_subset(chosen, model)
+                assert all(oracle_fills_subset(chosen | {v}, model) for v in labels
+                           if v not in chosen)
+    assert outcomes == {True, False}
+
+
 def test_ring_windows_match_quadratic_sweep():
     rng = random.Random(9)
     outcomes = set()
@@ -115,6 +147,18 @@ def test_window_constant_check_matches_quadratic_sweep():
 # -- span fold: star sweep, displacement bound -------------------------------------
 
 
+def test_commutation_is_ring_disjointness():
+    """Distinct ring generators commute exactly when their supports are
+    disjoint by the ring geometry."""
+    for n in range(2, 13):
+        fam = family(n, 1)
+        for u in fam.graph.vertices:
+            for v in fam.graph.vertices:
+                if u != v:
+                    assert fam.graph.commutes(u, v) == supports_disjoint(
+                        support_of(u, n), support_of(v, n), n), (n, u, v)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_verify_star_matches_letter_fold(n):
     for N in range(1, 5):
@@ -127,18 +171,22 @@ def test_verify_star_violations_match_letter_fold(monkeypatch):
     # Starting from wider curves makes spans escape the containers and fill
     # the surface, so both kinds of violation and their order are compared.
     starts = [
-        SpanState(contained_in=frozenset({("Y", 0), ("X", 0)}), misses=frozenset()),
-        SpanState(contained_in=frozenset({("X", 2), ("Y", 3)}), misses=frozenset({("X", 0)})),
-        SpanState(contained_in=frozenset({("Y", 0), ("Y", 2)}), misses=frozenset()),
+        TupleSpanState(contained_in=frozenset({("Y", 0), ("X", 0)}), misses=frozenset()),
+        TupleSpanState(contained_in=frozenset({("X", 2), ("Y", 3)}),
+                       misses=frozenset({("X", 0)})),
+        TupleSpanState(contained_in=frozenset({("Y", 0), ("Y", 2)}), misses=frozenset()),
     ]
     kinds = set()
-    for n, N in ((4, 2), (5, 1), (6, 2), (2, 3)):
+    for n, N in [(n, 2) for n in range(2, 11)] + [(5, 1), (2, 3)]:
         fam = family(n, N)
         for start in starts:
-            monkeypatch.setattr(ring, "alpha_state", lambda fam, start=start: start)
-            for k in range(0, n // 2 + 1):
+            start = TupleSpanState(*(frozenset((kind, i % n) for kind, i in part)
+                                     for part in start))
+            monkeypatch.setattr(ring, "alpha_state",
+                                lambda fam, start=start: mask_state(start, fam))
+            for k in range(0, min(n // 2, 3) + 1):
                 report = verify_star(fam, k)
-                assert report == oracle_verify_star(fam, k), (n, N, start, k)
+                assert report == oracle_verify_star(fam, k, start), (n, N, start, k)
                 kinds.update(v[1] for v in report.violations)
     assert "span is the whole surface" in kinds
     assert any(kind.startswith("span escapes") for kind in kinds)
@@ -150,10 +198,12 @@ def test_span_apply_h_matches_letter_fold():
         fam = family(n, N)
         labels = [("X", i) for i in range(n)] + [("Y", i) for i in range(n)]
         for _ in range(40):
-            state = SpanState(contained_in=frozenset(rng.sample(labels, rng.randint(1, 3))),
-                              misses=frozenset(rng.sample(labels, rng.randint(0, 3))))
+            state = TupleSpanState(
+                contained_in=frozenset(rng.sample(labels, rng.randint(1, 3))),
+                misses=frozenset(rng.sample(labels, rng.randint(0, 3))))
             h = _random_h(rng, N, rng.randint(0, 2 * n))
-            assert span_apply_h(state, h, fam) == oracle_span_apply_h(state, h, fam)
+            assert span_apply_h(mask_state(state, fam), h, fam) == mask_state(
+                oracle_span_apply_h(state, h, fam), fam)
 
 
 def test_displacement_upper_matches_letter_fold():

@@ -1,4 +1,5 @@
-"""Smoke tests: the scripts under ``scripts/`` run end to end."""
+"""Smoke tests: the scripts under ``scripts/`` and the benchmark's own smoke
+check run end to end."""
 
 from __future__ import annotations
 
@@ -42,3 +43,12 @@ def test_reproduce_examples():
     assert lines[0] == "== two-generator subgroup <bca, babc> =="
     assert "certify: certified (ell=30, elements counted=53745)" in lines
     assert "certify: refuted" in lines
+
+
+def test_perfbench_smoke():
+    """Every benchmark workload runs at a tiny size, untraced and traced,
+    passes its output checks and emits exactly its declared metrics; a change
+    to the API the benchmark uses fails here."""
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")],
+                          capture_output=True, text=True, cwd=ROOT, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -66,8 +66,8 @@ def test_fills_subset_is_monotone(abc_model):
 
 
 def test_maximal_non_filling_sets_of_one_set_model(abc_model):
-    assert set(abc_model.maximal_non_filling_sets) == {
-        frozenset("bc"), frozenset("ac"), frozenset("ab")}
+    # Bitmasks over the vertex order a, b, c: {b, c}, {a, c}, {a, b}.
+    assert abc_model.maximal_non_filling_sets == (0b011, 0b101, 0b110)
 
 
 def test_maximal_non_filling_sets_match_brute_force():
@@ -83,7 +83,8 @@ def test_maximal_non_filling_sets_match_brute_force():
         non_filling = [s for s in subsets if not model.fills_subset(s)]
         expected = {s for s in non_filling if not any(s < t for t in non_filling)}
         assert len(model.maximal_non_filling_sets) == len(expected)
-        assert set(model.maximal_non_filling_sets) == expected
+        assert {frozenset(v for i, v in enumerate(graph.vertices) if mask >> i & 1)
+                for mask in model.maximal_non_filling_sets} == expected
 
 
 # -- supports -------------------------------------------------------------------
