@@ -200,7 +200,8 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     The core is built under a geometrically escalating cell budget.  When a
     stage fails to stabilize, its partial complex is searched for a
     non-filling basepoint loop, which refutes immediately; otherwise the
-    budget escalates.  A construction that never stabilizes within the cell
+    budget escalates, and the next stage resumes the construction where
+    this one stopped.  A construction that never stabilizes within the cell
     budget and never exposes a witness is reported inconclusive.  A
     verified core is decided by the exact chord-word check; ``enum_budget``
     bounds only the search for a refutation's witness.
@@ -223,7 +224,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
 
     core = None
     for stage in stages:
-        core = build_core(graph, gen_words, budget=stage)
+        core = build_core(graph, gen_words, budget=stage, extend=core)
         if core.status == VERIFIED:
             break
         try:

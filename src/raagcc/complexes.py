@@ -16,8 +16,11 @@ full (every corner with distinct commuting labels bounds a square).
 alternates two moves until stable: fold edge pairs violating link
 injectivity, and attach a square at every unfilled commuting corner (with a
 fresh opposite vertex and two fresh edges unless the completing edges are
-already present).  Termination is budget-bounded, not proven: running out
-of budget yields an inconclusive status, never a negative claim.
+already present).  Folds are found as collisions in per-vertex end tables
+on label indices and done by union-find (Touikan, IJAC 16, 2006).
+Termination is budget-bounded, not proven: running out of budget yields an
+inconclusive status, never a negative claim, and a core that keeps its
+builder, so that a larger budget resumes it instead of starting over.
 
 On a verified core, tracing a normal word from the basepoint is
 deterministic, and a word lies in the core's subgroup exactly when its
@@ -101,6 +104,40 @@ class LabeledCubeComplex:
 
     def end_label(self, end: End) -> str:
         return self.edge_map[end[0]][2]
+
+    def square_ends(self, square: Square) -> tuple[End, End, End, End]:
+        """The boundary of a square read from its least corner (v, a, b):
+        the ends a and b at v, gamma across a parallel to b, and delta
+        across b parallel to a.
+
+        Raises ``InputError`` unless the square is four corners, each with
+        two ends at its vertex carrying distinct commuting labels, that
+        close up around such a boundary.
+        """
+        try:
+            if len(square) != 4:
+                raise InputError("invalid core: a square must have four corners")
+            for v, (a, b) in square:
+                la, lb = self.end_label(a), self.end_label(b)
+                if self.end_vertex(a) != v or self.end_vertex(b) != v:
+                    raise InputError(f"invalid core: a square corner at {v} has an "
+                                     "edge-end at another vertex")
+                if la == lb or not self.graph.commutes(la, lb):
+                    raise InputError(f"invalid core: a square corner at {v} pairs {la} "
+                                     f"with {lb}, not two distinct commuting labels")
+            v, (a, b) = min(square)
+            la, lb = self.end_label(a), self.end_label(b)
+            ends = {end for _, pair in square for end in pair}
+            for gamma in [e for e in ends if e[1] == b[1] and self.end_label(e) == lb]:
+                for delta in [e for e in ends if e[1] == a[1] and self.end_label(e) == la]:
+                    back = [(e, 1 - p) for e, p in (a, b, gamma, delta)]
+                    if square == {_corner(v, a, b), _corner(self.end_vertex(back[0]), back[0], gamma),
+                                  _corner(self.end_vertex(back[1]), back[1], delta),
+                                  _corner(self.end_vertex(back[2]), back[2], back[3])}:
+                        return a, b, gamma, delta
+        except KeyError as exc:
+            raise InputError(f"invalid core: a square references the unknown edge {exc}") from exc
+        raise InputError(f"invalid core: the square at corner {v} does not close up")
 
     @cached_property
     def corner_index(self) -> frozenset[Corner]:
@@ -226,13 +263,15 @@ class LabeledCubeComplex:
                 raise InputError(f"invalid core JSON: edge {eid} has undeclared endpoints")
         if basepoint not in vertex_set:
             raise InputError("invalid core JSON: basepoint is not a vertex")
+        complex_ = cls(graph=graph, vertices=vertices, edges=edges,
+                       squares=squares, basepoint=basepoint)
         for sq in squares:
             for v, (a, b) in sq:
                 if v not in vertex_set or a[0] not in edge_ids or b[0] not in edge_ids \
                         or a[1] not in (0, 1) or b[1] not in (0, 1):
                     raise InputError("invalid core JSON: square corner references unknown cells")
-        return cls(graph=graph, vertices=vertices, edges=edges,
-                   squares=squares, basepoint=basepoint)
+            complex_.square_ends(sq)
+        return complex_
 
     def to_dot(self) -> str:
         lines = ["digraph core {"]
@@ -361,6 +400,8 @@ class SubgroupCore:
     complex: LabeledCubeComplex
     status: str
     diagnostics: dict = field(default_factory=dict, compare=False)
+    # A budget-exceeded core keeps its builder, so that build_core can resume it.
+    _builder: "_Builder | None" = field(default=None, compare=False, repr=False)
 
     @property
     def graph(self) -> DefiningGraph:
@@ -371,270 +412,223 @@ class SubgroupCore:
         return self.status == VERIFIED
 
 
-class _Builder:
-    """Mutable fold/fill state with union-find over vertices and edges."""
+def _square_corners(a: int, b: int, gamma: int, delta: int, ka: int, kb: int
+                    ) -> tuple[tuple[int, int, int, int], ...]:
+    """A builder square's four corners as (edge, key, edge, key): at the
+    vertex of a and b, across a, across b, and opposite."""
+    return ((a, ka, b, kb), (a, ka ^ 1, gamma, kb), (b, kb ^ 1, delta, ka),
+            (gamma, kb ^ 1, delta, ka ^ 1))
 
-    def __init__(self, graph: DefiningGraph, rng: Random | None):
+
+class _Builder:
+    """Fold/fill state on label indices, with union-find over raw ids.
+
+    Each canonical vertex has an end table from ``label_index*2 + endpoint``
+    (endpoint 0 where the vertex is the edge's source) to an edge id.  An
+    insertion into an occupied slot queues the two edges as a fold, which
+    keeps the lower edge id and unions both pairs of endpoints; a vertex
+    union merges the smaller table into the larger.  Filled corners are
+    pairs of table keys per vertex, which folding never changes.  A square
+    is its raw edges (a, b, gamma, delta) and the keys of a and b at one
+    corner; gamma lies across a parallel to b, delta across b parallel to a.
+    """
+
+    def __init__(self, graph: DefiningGraph, words: tuple[tuple[Letter, ...], ...],
+                 rng: Random | None, seed: LabeledCubeComplex | None):
         self.graph = graph
+        self.words = words
         self.rng = rng
-        self.vparent: dict[int, int] = {}
-        self.eparent: dict[int, int] = {}
-        self.edges: dict[int, tuple[int, int, str]] = {}
-        self.incident: dict[int, set[int]] = {}
-        self.squares: list[Square] = []
-        self.filled: set[Corner] = set()
-        self.next_vertex = 0
-        self.next_edge = 0
-        self.n_vertices = 0
-        self.n_edges = 0
-        self.folds = 0
-        self.squares_added = 0
-        self.dirty: deque[int] = deque()
-        self.corner_dirty: set[int] = set()
+        self.vparent: list[int] = []
+        self.eparent: list[int] = []
+        self.edges: list[tuple[int, int, int]] = []  # raw (source, target, label index)
+        self.ends: dict[int, dict[int, int]] = {}
+        self.filled: dict[int, set[tuple[int, int]]] = {}
+        self.squares: list[tuple[int, int, int, int, int, int]] = []
+        self.collisions: list[tuple[int, int]] = []
+        self.dirty: set[int] = set()
+        self.folds = self.squares_added = 0
+        # The basepoint, or the seed complex, with a loop wedged on per word, folded.
+        index = graph._index
+        if seed is None:
+            self.basepoint = self.new_vertex()
+        else:
+            vmap = {v: self.new_vertex() for v in seed.vertices}
+            emap = {eid: self.new_edge(vmap[src], vmap[dst], index[label])
+                    for eid, src, dst, label in seed.edges}
+            for sq in seed.squares:
+                a, b, gamma, delta = seed.square_ends(sq)
+                self.add_square(emap[a[0]], emap[b[0]], emap[gamma[0]], emap[delta[0]],
+                                2 * index[seed.end_label(a)] + a[1],
+                                2 * index[seed.end_label(b)] + b[1])
+            self.basepoint = vmap[seed.basepoint]
+        for letters in self.words:
+            current = self.basepoint
+            for i, (gen, sign) in enumerate(letters):
+                nxt = self.basepoint if i == len(letters) - 1 else self.new_vertex()
+                if sign > 0:
+                    self.new_edge(current, nxt, index[gen])
+                else:
+                    self.new_edge(nxt, current, index[gen])
+                current = nxt
+        self.fold_all()
 
     # -- union-find ---------------------------------------------------------
 
     def vfind(self, v: int) -> int:
-        root = v
-        while self.vparent[root] != root:
-            root = self.vparent[root]
-        while self.vparent[v] != root:
-            self.vparent[v], v = root, self.vparent[v]
-        return root
-
-    def efind(self, e: int) -> int:
-        root = e
-        while self.eparent[root] != root:
-            root = self.eparent[root]
-        while self.eparent[e] != root:
-            self.eparent[e], e = root, self.eparent[e]
-        return root
-
-    def new_vertex(self) -> int:
-        v = self.next_vertex
-        self.next_vertex += 1
-        self.vparent[v] = v
-        self.incident[v] = set()
-        self.n_vertices += 1
-        self.corner_dirty.add(v)
+        parent = self.vparent
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
         return v
 
-    def new_edge(self, src: int, dst: int, label: str) -> int:
-        e = self.next_edge
-        self.next_edge += 1
-        self.eparent[e] = e
-        self.edges[e] = (src, dst, label)
-        self.incident[self.vfind(src)].add(e)
-        self.incident[self.vfind(dst)].add(e)
-        self.n_edges += 1
-        self.corner_dirty.add(self.vfind(src))
-        self.corner_dirty.add(self.vfind(dst))
+    def efind(self, e: int) -> int:
+        parent = self.eparent
+        while parent[e] != e:
+            parent[e] = e = parent[parent[e]]
         return e
 
-    def union_vertices(self, a: int, b: int) -> int:
+    def new_vertex(self) -> int:
+        v = len(self.vparent)
+        self.vparent.append(v)
+        self.ends[v] = {}
+        self.filled[v] = set()
+        return v
+
+    def new_edge(self, src: int, dst: int, label: int) -> int:
+        e = len(self.eparent)
+        self.eparent.append(e)
+        self.edges.append((src, dst, label))
+        self._insert(self.vfind(src), 2 * label, e)
+        self._insert(self.vfind(dst), 2 * label + 1, e)
+        return e
+
+    def _insert(self, v: int, key: int, e: int) -> None:
+        other = self.ends[v].setdefault(key, e)
+        if other != e:
+            self.collisions.append((other, e))
+        self.dirty.add(v)
+
+    def end_vertex(self, e: int, endpoint: int) -> int:
+        return self.vfind(self.edges[e][endpoint])
+
+    def union_vertices(self, a: int, b: int) -> None:
         a, b = self.vfind(a), self.vfind(b)
         if a == b:
-            return a
-        if len(self.incident[a]) < len(self.incident[b]):
+            return
+        if len(self.ends[a]) < len(self.ends[b]):
             a, b = b, a
         self.vparent[b] = a
-        self.incident[a] |= self.incident.pop(b)
-        self.n_vertices -= 1
-        self.dirty.append(a)
-        self.corner_dirty.add(a)
-        return a
-
-    def union_edges(self, keep: int, drop: int) -> None:
-        keep, drop = self.efind(keep), self.efind(drop)
-        if keep == drop:
-            return
-        self.eparent[drop] = keep
-        self.n_edges -= 1
-
-    def live_ends(self, v: int) -> list[End]:
-        """Canonical edge-ends currently incident to a canonical vertex."""
-        v = self.vfind(v)
-        seen: set[int] = set()
-        out: list[End] = []
-        stale: list[int] = []
-        for raw in self.incident[v]:
-            ce = self.efind(raw)
-            if ce in seen:
-                continue
-            seen.add(ce)
-            src, dst, _ = self.edges[ce]
-            here = False
-            if self.vfind(src) == v:
-                out.append((ce, 0))
-                here = True
-            if self.vfind(dst) == v:
-                out.append((ce, 1))
-                here = True
-            if not here:
-                stale.append(raw)
-        for raw in stale:
-            self.incident[v].discard(raw)
-        return sorted(out)
-
-    def end_far(self, end: End) -> int:
-        src, dst, _ = self.edges[self.efind(end[0])]
-        return self.vfind(dst if end[1] == 0 else src)
-
-    def end_label(self, end: End) -> str:
-        return self.edges[self.efind(end[0])][2]
+        for key, e in self.ends.pop(b).items():
+            self._insert(a, key, e)
+        filled = self.filled
+        if len(filled[a]) < len(filled[b]):
+            filled[a], filled[b] = filled[b], filled[a]
+        filled[a] |= filled.pop(b)
 
     # -- folding ------------------------------------------------------------
 
     def fold_all(self) -> None:
-        folded = False
-        while self.dirty:
-            if self.rng is not None and len(self.dirty) > 1:
-                idx = self.rng.randrange(len(self.dirty))
-                self.dirty[0], self.dirty[idx] = self.dirty[idx], self.dirty[0]
-            v = self.vfind(self.dirty.popleft())
-            slots: dict[tuple[str, int], End] = {}
-            refold = False
-            for end in self.live_ends(v):
-                key = (self.end_label(end), end[1])
-                if key in slots:
-                    self._fold_pair(slots[key], end)
-                    refold = folded = True
-                    break
-                slots[key] = end
-            if refold:
-                self.dirty.append(v)
-        if folded:
-            # Folding changes canonical ids, so refresh the filled-corner set.
-            self.filled = {self.canonical_corner(c) for c in self.filled}
-
-    def _fold_pair(self, e1: End, e2: End) -> None:
-        keep, drop = self.efind(e1[0]), self.efind(e2[0])
-        if keep == drop:
-            return
-        far1 = self.end_far(e1)
-        far2 = self.end_far(e2)
-        self.union_edges(keep, drop)
-        self.folds += 1
-        self.corner_dirty.add(self.vfind(far1))
-        self.corner_dirty.add(self.vfind(far2))
-        if far1 != far2:
-            root = self.union_vertices(far1, far2)
-            self.dirty.append(root)
-        else:
-            self.dirty.append(far1)
+        """Fold queued edge pairs until no end table has a collision."""
+        collisions = self.collisions
+        while collisions:
+            if self.rng is not None:
+                i = self.rng.randrange(len(collisions))
+                collisions[i], collisions[-1] = collisions[-1], collisions[i]
+            keep, drop = collisions.pop()
+            keep, drop = self.efind(keep), self.efind(drop)
+            if keep == drop:
+                continue
+            if drop < keep:
+                keep, drop = drop, keep
+            self.eparent[drop] = keep
+            self.folds += 1
+            (src, dst, _), (src2, dst2, _) = self.edges[keep], self.edges[drop]
+            self.union_vertices(src, src2)
+            self.union_vertices(dst, dst2)
 
     # -- square filling -----------------------------------------------------
 
-    def canonical_corner(self, corner: Corner) -> Corner:
-        v, (a, b) = corner
-        return _corner(self.vfind(v), (self.efind(a[0]), a[1]), (self.efind(b[0]), b[1]))
-
     def fill_pass(self) -> bool:
         """Attach a square at every unfilled commuting corner of a dirty vertex."""
-        commutes = self.graph.commutes
-        targets: list[tuple[int, End, End]] = []
-        vertex_list = sorted({self.vfind(v) for v in self.corner_dirty if self.vfind(v) in self.incident})
-        self.corner_dirty.clear()
+        comm = self.graph.comm_masks
+        vertices = sorted({self.vfind(v) for v in self.dirty})
+        self.dirty.clear()
         if self.rng is not None:
-            self.rng.shuffle(vertex_list)
-        for v in vertex_list:
-            ends = self.live_ends(v)
-            for i in range(len(ends)):
-                for j in range(i + 1, len(ends)):
-                    u = self.end_label(ends[i])
-                    w = self.end_label(ends[j])
-                    if u != w and commutes(u, w):
-                        corner = _corner(v, ends[i], ends[j])
-                        if corner not in self.filled:
-                            targets.append((v, ends[i], ends[j]))
-                            self.filled.add(corner)
-        for v, a, b in targets:
-            self._attach_square(v, a, b)
+            self.rng.shuffle(vertices)
+        targets: list[tuple[int, int, int]] = []
+        for v in vertices:
+            keys = sorted(self.ends[v])
+            filled = self.filled[v]
+            for i, ka in enumerate(keys):
+                commuting = comm[ka >> 1]
+                if not commuting:
+                    continue
+                for kb in keys[i + 1:]:
+                    if commuting >> (kb >> 1) & 1 and (ka, kb) not in filled:
+                        filled.add((ka, kb))
+                        targets.append((v, ka, kb))
+        for v, ka, kb in targets:
+            self._attach_square(v, ka, kb)
         return bool(targets)
 
-    def _attach_square(self, v: int, a: End, b: End) -> None:
-        """Close the corner (v, a, b) with a square.
+    def _attach_square(self, v: int, ka: int, kb: int) -> None:
+        """Close the corner of v's ends at keys ka and kb with a square.
 
-        The completing edges carry the other label with the same orientation
-        relative to their vertex as the corner's edge-ends have at v.  A fresh
-        opposite vertex (and both completing edges) is created unless both
-        already exist and agree on the opposite vertex; any duplicates this
-        creates are removed by the next fold pass.
+        The completing edges sit in the same table slots across the square
+        as a and b at v.  A fresh opposite vertex and both completing edges
+        are made unless both exist and agree on the opposite vertex; the
+        next fold pass removes any duplicates this creates.
         """
-        a = (self.efind(a[0]), a[1])
-        b = (self.efind(b[0]), b[1])
-        label_a = self.end_label(a)
-        label_b = self.end_label(b)
-        far_a = self.end_far(a)  # corner of the square across edge a
-        far_b = self.end_far(b)
-        gamma = self._find_end(far_a, label_b, b[1])
-        delta = self._find_end(far_b, label_a, a[1])
-        if gamma is not None and delta is not None and self.end_far(gamma) == self.end_far(delta):
-            opposite = self.end_far(gamma)
-        else:
+        a, b = self.ends[v][ka], self.ends[v][kb]
+        pa, pb = ka & 1, kb & 1
+        far_a = self.end_vertex(a, 1 - pa)  # corner of the square across edge a
+        far_b = self.end_vertex(b, 1 - pb)
+        gamma = self.ends[far_a].get(kb)
+        delta = self.ends[far_b].get(ka)
+        if gamma is None or delta is None or \
+                self.end_vertex(gamma, 1 - pb) != self.end_vertex(delta, 1 - pa):
             opposite = self.new_vertex()
-            eg = self.new_edge(far_a if b[1] == 0 else opposite,
-                               opposite if b[1] == 0 else far_a, label_b)
-            ed = self.new_edge(far_b if a[1] == 0 else opposite,
-                               opposite if a[1] == 0 else far_b, label_a)
-            gamma = (eg, b[1])
-            delta = (ed, a[1])
-            self.dirty.append(far_a)
-            self.dirty.append(far_b)
-        corners = frozenset({
-            _corner(v, a, b),
-            _corner(far_a, (a[0], 1 - a[1]), gamma),
-            _corner(far_b, (b[0], 1 - b[1]), delta),
-            _corner(opposite, (gamma[0], 1 - gamma[1]), (delta[0], 1 - delta[1])),
-        })
-        self.squares.append(corners)
+            gamma = self.new_edge(far_a if pb == 0 else opposite,
+                                  opposite if pb == 0 else far_a, kb >> 1)
+            delta = self.new_edge(far_b if pa == 0 else opposite,
+                                  opposite if pa == 0 else far_b, ka >> 1)
+        self.add_square(a, b, gamma, delta, ka, kb)
         self.squares_added += 1
-        for corner in corners:
-            self.filled.add(self.canonical_corner(corner))
-            self.corner_dirty.add(self.vfind(corner[0]))
 
-    def _find_end(self, v: int, label: str, orientation: int) -> End | None:
-        for end in self.live_ends(v):
-            if end[1] == orientation and self.end_label(end) == label:
-                return end
-        return None
+    def add_square(self, *square: int) -> None:
+        """Record a square (a, b, gamma, delta, ka, kb) and mark its corners filled."""
+        self.squares.append(square)
+        for e, k1, _, k2 in _square_corners(*square):
+            self.filled[self.end_vertex(e, k1 & 1)].add((k1, k2) if k1 < k2 else (k2, k1))
 
     # -- assembly -----------------------------------------------------------
 
     @property
     def cell_count(self) -> int:
-        return self.n_vertices + self.n_edges + len(self.squares)
+        return len(self.ends) + len(self.edges) - self.folds + len(self.squares)
 
-    def freeze(self, basepoint: int, status: str) -> LabeledCubeComplex:
-        vmap = {}
-        for raw in list(self.vparent):
-            root = self.vfind(raw)
-            if root not in vmap:
-                vmap[root] = len(vmap)
-        emap = {}
-        edges = []
-        for raw in list(self.eparent):
-            root = self.efind(raw)
-            if root in emap:
-                continue
-            emap[root] = len(emap)
-            src, dst, label = self.edges[root]
-            edges.append((emap[root], vmap[self.vfind(src)], vmap[self.vfind(dst)], label))
-        squares = frozenset(
-            frozenset(
-                _corner(vmap[self.vfind(cv)],
-                        (emap[self.efind(ca[0])], ca[1]),
-                        (emap[self.efind(cb[0])], cb[1]))
-                for cv, (ca, cb) in sq
-            )
-            for sq in self.squares
-        )
+    def freeze(self, status: str) -> LabeledCubeComplex:
+        """The complex, numbered by least raw id per class (canonical when
+        verified), with string labels."""
+        vfind, efind = self.vfind, self.efind
+        vmap = {v: i for i, v in enumerate(dict.fromkeys(map(vfind, range(len(self.vparent)))))}
+        # A fold keeps the lower edge id, so each root is its class's least id.
+        emap = {e: i for i, e in enumerate(e for e in range(len(self.eparent)) if efind(e) == e)}
+        labels = self.graph.vertices
+        edges = tuple((i, vmap[vfind(self.edges[e][0])], vmap[vfind(self.edges[e][1])],
+                       labels[self.edges[e][2]]) for e, i in emap.items())
+
+        def corner(e1: int, k1: int, e2: int, k2: int) -> Corner:
+            return _corner(vmap[self.end_vertex(e1, k1 & 1)],
+                           (emap[efind(e1)], k1 & 1), (emap[efind(e2)], k2 & 1))
+
+        squares = frozenset(frozenset(corner(*c) for c in _square_corners(*sq))
+                            for sq in self.squares)
         complex_ = LabeledCubeComplex(
             graph=self.graph,
             vertices=tuple(range(len(vmap))),
-            edges=tuple(sorted(edges)),
+            edges=edges,
             squares=squares,
-            basepoint=vmap[self.vfind(basepoint)],
+            basepoint=vmap[vfind(self.basepoint)],
         )
         if status == VERIFIED:
             complex_ = complex_.canonical_form()
@@ -642,52 +636,49 @@ class _Builder:
 
 
 def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 100_000,
-               extend: LabeledCubeComplex | None = None,
+               extend: LabeledCubeComplex | SubgroupCore | None = None,
                rng: Random | None = None) -> SubgroupCore:
     """Fold-and-fill construction of a core for the subgroup the generators span.
 
-    Stabilization within budget yields a verified local isometry; exhausting
-    the budget yields an inconclusive core carrying partial diagnostics.
-    ``extend`` seeds the construction with an existing complex instead of a
-    bare basepoint.  ``rng`` randomizes processing order (the result is
-    independent of it; used by confluence tests).
+    A round fills every unfilled commuting corner, then folds until no end
+    table collides.  The cell budget is checked between rounds, so a stage
+    can overshoot it by one round (the certify catalog's stage builds reach
+    663 cells at budget 256 and 5847 at budget 2000).  Stabilization within
+    budget yields a verified local isometry; exhausting the budget yields an
+    inconclusive core carrying partial diagnostics.
+
+    ``extend`` is either a complex over the same graph, which seeds the
+    construction instead of a bare basepoint, or a budget-exceeded core that
+    an earlier call built from the same graph and generators.  Such a core
+    keeps its builder, and the construction resumes where that call stopped:
+    the same rounds, cells and cumulative counters as a fresh build at the
+    new budget.  A core whose builder has moved on since, or a smaller
+    budget, is rebuilt afresh.  ``rng`` randomizes processing order
+    (the result is independent of it; used by confluence tests).
     """
     if not generators:
         raise InputError("build_core requires at least one generator word")
     if budget <= 0:
         raise InputError("budget must be positive")
-    builder = _Builder(graph, rng)
-    if extend is not None:
-        vmap = {v: builder.new_vertex() for v in extend.vertices}
-        emap = {}
-        for eid, src, dst, label in extend.edges:
-            emap[eid] = builder.new_edge(vmap[src], vmap[dst], label)
-        for sq in extend.squares:
-            imported = frozenset(
-                _corner(vmap[cv], (emap[ca[0]], ca[1]), (emap[cb[0]], cb[1]))
-                for cv, (ca, cb) in sq
-            )
-            builder.squares.append(imported)
-            builder.filled.update(imported)
-        basepoint = vmap[extend.basepoint]
-    else:
-        basepoint = builder.new_vertex()
-    for word in generators:
-        letters = word.letters if isinstance(word, Word) else tuple(word)
+    words = tuple(word.letters if isinstance(word, Word) else tuple(word) for word in generators)
+    for letters in words:
         for gen, _ in letters:
             graph.require_vertex(gen)
-        if not letters:
-            continue
-        current = basepoint
-        for i, (gen, sign) in enumerate(letters):
-            nxt = basepoint if i == len(letters) - 1 else builder.new_vertex()
-            if sign > 0:
-                builder.new_edge(current, nxt, gen)
-            else:
-                builder.new_edge(nxt, current, gen)
-            current = nxt
-    builder.dirty.extend(list(builder.incident.keys()))
-    builder.fold_all()
+    builder = None
+    if isinstance(extend, SubgroupCore):
+        builder, stopped = extend._builder, extend.diagnostics
+        if builder is None or (builder.graph, builder.words) != (graph, words):
+            raise InputError("only a budget-exceeded core built from the same graph and "
+                             "generators can be resumed")
+        if builder.squares_added != stopped["squares_added"] or budget < stopped["budget"]:
+            builder = None
+        extend = None
+    elif extend is not None and extend.graph != graph:
+        raise InputError("the complex to extend must be over the same defining graph")
+    if builder is None:
+        builder = _Builder(graph, words, rng, extend)
+    else:
+        builder.rng = rng
     status = VERIFIED
     while True:
         if builder.cell_count > budget:
@@ -696,7 +687,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
         if not builder.fill_pass():
             break
         builder.fold_all()
-    complex_ = builder.freeze(basepoint, status)
+    complex_ = builder.freeze(status)
     diagnostics = {
         "folds": builder.folds,
         "squares_added": builder.squares_added,
@@ -710,7 +701,8 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
         report = check_local_isometry(complex_)
         if not report.ok:
             raise InternalError(f"stabilized complex failed the link check: {report}")
-    return SubgroupCore(complex=complex_, status=status, diagnostics=diagnostics)
+    return SubgroupCore(complex=complex_, status=status, diagnostics=diagnostics,
+                        _builder=None if status == VERIFIED else builder)
 
 
 def _require_verified(core: SubgroupCore) -> None:

@@ -4,13 +4,17 @@ Everything here must stay independent of the package's normal-form
 implementation: closures apply the three rewriting moves literally,
 geodesic distances in the three-generator one-edge group come from a
 direct free-product-of-(Z, Z^2) arithmetic, and class sizes come from
-linear-extension enumeration.  Two slow paths the package has replaced
-are kept as differential oracles: ``oracle_loops_by_length``, the
+linear-extension enumeration.  Slow paths the package has replaced are
+kept as differential oracles: ``oracle_loops_by_length``, the
 back-scanning walk of canonical spellings that the spelling automaton
 replaced, and ``oracle_certify_by_enumeration``, the ell-ball sweep that
 ``certify`` used before its exact check, run on that walk.  Of the
 package's enumeration they share only ``_letter_options``, the table of
-letters leaving each vertex.
+letters leaving each vertex.  ``oracle_build_core`` is the fold/fill
+builder that the end tables replaced: string labels, incidence sets
+rescanned and sorted on every look-up, and a filled-corner set rebuilt
+after every fold round.  It shares only ``LabeledCubeComplex`` and the
+link check with the package's builder.
 
 Filling is decided here on label sets against the model's minimal filling
 sets, never on the package's bitmasks, and the ring family's span tracking
@@ -26,9 +30,21 @@ import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from random import Random
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from raagcc.complexes import LabeledCubeComplex, SubgroupCore, _letter_options
+from raagcc.complexes import (
+    BUDGET_EXCEEDED,
+    VERIFIED,
+    Corner,
+    End,
+    LabeledCubeComplex,
+    Square,
+    SubgroupCore,
+    _corner,
+    _letter_options,
+    check_local_isometry,
+)
 from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import FillingBlock, SurfaceModel
@@ -683,3 +699,347 @@ def oracle_verify_order_window(fam, hs):
                 if not order.comparable(i, j):
                     violations.append((ring.h_word_text(h), i, j))
     return ring.OrderWindowReport(tested=tested, violations=tuple(violations))
+
+
+class _OracleBuilder:
+    """Mutable fold/fill state with union-find over vertices and edges."""
+
+    def __init__(self, graph: DefiningGraph, rng: Random | None):
+        self.graph = graph
+        self.rng = rng
+        self.vparent: dict[int, int] = {}
+        self.eparent: dict[int, int] = {}
+        self.edges: dict[int, tuple[int, int, str]] = {}
+        self.incident: dict[int, set[int]] = {}
+        self.squares: list[Square] = []
+        self.filled: set[Corner] = set()
+        self.next_vertex = 0
+        self.next_edge = 0
+        self.n_vertices = 0
+        self.n_edges = 0
+        self.folds = 0
+        self.squares_added = 0
+        self.dirty: deque[int] = deque()
+        self.corner_dirty: set[int] = set()
+
+    # -- union-find ---------------------------------------------------------
+
+    def vfind(self, v: int) -> int:
+        root = v
+        while self.vparent[root] != root:
+            root = self.vparent[root]
+        while self.vparent[v] != root:
+            self.vparent[v], v = root, self.vparent[v]
+        return root
+
+    def efind(self, e: int) -> int:
+        root = e
+        while self.eparent[root] != root:
+            root = self.eparent[root]
+        while self.eparent[e] != root:
+            self.eparent[e], e = root, self.eparent[e]
+        return root
+
+    def new_vertex(self) -> int:
+        v = self.next_vertex
+        self.next_vertex += 1
+        self.vparent[v] = v
+        self.incident[v] = set()
+        self.n_vertices += 1
+        self.corner_dirty.add(v)
+        return v
+
+    def new_edge(self, src: int, dst: int, label: str) -> int:
+        e = self.next_edge
+        self.next_edge += 1
+        self.eparent[e] = e
+        self.edges[e] = (src, dst, label)
+        self.incident[self.vfind(src)].add(e)
+        self.incident[self.vfind(dst)].add(e)
+        self.n_edges += 1
+        self.corner_dirty.add(self.vfind(src))
+        self.corner_dirty.add(self.vfind(dst))
+        return e
+
+    def union_vertices(self, a: int, b: int) -> int:
+        a, b = self.vfind(a), self.vfind(b)
+        if a == b:
+            return a
+        if len(self.incident[a]) < len(self.incident[b]):
+            a, b = b, a
+        self.vparent[b] = a
+        self.incident[a] |= self.incident.pop(b)
+        self.n_vertices -= 1
+        self.dirty.append(a)
+        self.corner_dirty.add(a)
+        return a
+
+    def union_edges(self, keep: int, drop: int) -> None:
+        keep, drop = self.efind(keep), self.efind(drop)
+        if keep == drop:
+            return
+        self.eparent[drop] = keep
+        self.n_edges -= 1
+
+    def live_ends(self, v: int) -> list[End]:
+        """Canonical edge-ends currently incident to a canonical vertex."""
+        v = self.vfind(v)
+        seen: set[int] = set()
+        out: list[End] = []
+        stale: list[int] = []
+        for raw in self.incident[v]:
+            ce = self.efind(raw)
+            if ce in seen:
+                continue
+            seen.add(ce)
+            src, dst, _ = self.edges[ce]
+            here = False
+            if self.vfind(src) == v:
+                out.append((ce, 0))
+                here = True
+            if self.vfind(dst) == v:
+                out.append((ce, 1))
+                here = True
+            if not here:
+                stale.append(raw)
+        for raw in stale:
+            self.incident[v].discard(raw)
+        return sorted(out)
+
+    def end_far(self, end: End) -> int:
+        src, dst, _ = self.edges[self.efind(end[0])]
+        return self.vfind(dst if end[1] == 0 else src)
+
+    def end_label(self, end: End) -> str:
+        return self.edges[self.efind(end[0])][2]
+
+    # -- folding ------------------------------------------------------------
+
+    def fold_all(self) -> None:
+        folded = False
+        while self.dirty:
+            if self.rng is not None and len(self.dirty) > 1:
+                idx = self.rng.randrange(len(self.dirty))
+                self.dirty[0], self.dirty[idx] = self.dirty[idx], self.dirty[0]
+            v = self.vfind(self.dirty.popleft())
+            slots: dict[tuple[str, int], End] = {}
+            refold = False
+            for end in self.live_ends(v):
+                key = (self.end_label(end), end[1])
+                if key in slots:
+                    self._fold_pair(slots[key], end)
+                    refold = folded = True
+                    break
+                slots[key] = end
+            if refold:
+                self.dirty.append(v)
+        if folded:
+            # Folding changes canonical ids, so refresh the filled-corner set.
+            self.filled = {self.canonical_corner(c) for c in self.filled}
+
+    def _fold_pair(self, e1: End, e2: End) -> None:
+        keep, drop = self.efind(e1[0]), self.efind(e2[0])
+        if keep == drop:
+            return
+        far1 = self.end_far(e1)
+        far2 = self.end_far(e2)
+        self.union_edges(keep, drop)
+        self.folds += 1
+        self.corner_dirty.add(self.vfind(far1))
+        self.corner_dirty.add(self.vfind(far2))
+        if far1 != far2:
+            root = self.union_vertices(far1, far2)
+            self.dirty.append(root)
+        else:
+            self.dirty.append(far1)
+
+    # -- square filling -----------------------------------------------------
+
+    def canonical_corner(self, corner: Corner) -> Corner:
+        v, (a, b) = corner
+        return _corner(self.vfind(v), (self.efind(a[0]), a[1]), (self.efind(b[0]), b[1]))
+
+    def fill_pass(self) -> bool:
+        """Attach a square at every unfilled commuting corner of a dirty vertex."""
+        commutes = self.graph.commutes
+        targets: list[tuple[int, End, End]] = []
+        vertex_list = sorted({self.vfind(v) for v in self.corner_dirty if self.vfind(v) in self.incident})
+        self.corner_dirty.clear()
+        if self.rng is not None:
+            self.rng.shuffle(vertex_list)
+        for v in vertex_list:
+            ends = self.live_ends(v)
+            for i in range(len(ends)):
+                for j in range(i + 1, len(ends)):
+                    u = self.end_label(ends[i])
+                    w = self.end_label(ends[j])
+                    if u != w and commutes(u, w):
+                        corner = _corner(v, ends[i], ends[j])
+                        if corner not in self.filled:
+                            targets.append((v, ends[i], ends[j]))
+                            self.filled.add(corner)
+        for v, a, b in targets:
+            self._attach_square(v, a, b)
+        return bool(targets)
+
+    def _attach_square(self, v: int, a: End, b: End) -> None:
+        """Close the corner (v, a, b) with a square.
+
+        The completing edges carry the other label with the same orientation
+        relative to their vertex as the corner's edge-ends have at v.  A fresh
+        opposite vertex (and both completing edges) is created unless both
+        already exist and agree on the opposite vertex; any duplicates this
+        creates are removed by the next fold pass.
+        """
+        a = (self.efind(a[0]), a[1])
+        b = (self.efind(b[0]), b[1])
+        label_a = self.end_label(a)
+        label_b = self.end_label(b)
+        far_a = self.end_far(a)  # corner of the square across edge a
+        far_b = self.end_far(b)
+        gamma = self._find_end(far_a, label_b, b[1])
+        delta = self._find_end(far_b, label_a, a[1])
+        if gamma is not None and delta is not None and self.end_far(gamma) == self.end_far(delta):
+            opposite = self.end_far(gamma)
+        else:
+            opposite = self.new_vertex()
+            eg = self.new_edge(far_a if b[1] == 0 else opposite,
+                               opposite if b[1] == 0 else far_a, label_b)
+            ed = self.new_edge(far_b if a[1] == 0 else opposite,
+                               opposite if a[1] == 0 else far_b, label_a)
+            gamma = (eg, b[1])
+            delta = (ed, a[1])
+            self.dirty.append(far_a)
+            self.dirty.append(far_b)
+        corners = frozenset({
+            _corner(v, a, b),
+            _corner(far_a, (a[0], 1 - a[1]), gamma),
+            _corner(far_b, (b[0], 1 - b[1]), delta),
+            _corner(opposite, (gamma[0], 1 - gamma[1]), (delta[0], 1 - delta[1])),
+        })
+        self.squares.append(corners)
+        self.squares_added += 1
+        for corner in corners:
+            self.filled.add(self.canonical_corner(corner))
+            self.corner_dirty.add(self.vfind(corner[0]))
+
+    def _find_end(self, v: int, label: str, orientation: int) -> End | None:
+        for end in self.live_ends(v):
+            if end[1] == orientation and self.end_label(end) == label:
+                return end
+        return None
+
+    # -- assembly -----------------------------------------------------------
+
+    @property
+    def cell_count(self) -> int:
+        return self.n_vertices + self.n_edges + len(self.squares)
+
+    def freeze(self, basepoint: int, status: str) -> LabeledCubeComplex:
+        vmap = {}
+        for raw in list(self.vparent):
+            root = self.vfind(raw)
+            if root not in vmap:
+                vmap[root] = len(vmap)
+        emap = {}
+        edges = []
+        for raw in list(self.eparent):
+            root = self.efind(raw)
+            if root in emap:
+                continue
+            emap[root] = len(emap)
+            src, dst, label = self.edges[root]
+            edges.append((emap[root], vmap[self.vfind(src)], vmap[self.vfind(dst)], label))
+        squares = frozenset(
+            frozenset(
+                _corner(vmap[self.vfind(cv)],
+                        (emap[self.efind(ca[0])], ca[1]),
+                        (emap[self.efind(cb[0])], cb[1]))
+                for cv, (ca, cb) in sq
+            )
+            for sq in self.squares
+        )
+        complex_ = LabeledCubeComplex(
+            graph=self.graph,
+            vertices=tuple(range(len(vmap))),
+            edges=tuple(sorted(edges)),
+            squares=squares,
+            basepoint=vmap[self.vfind(basepoint)],
+        )
+        if status == VERIFIED:
+            complex_ = complex_.canonical_form()
+        return complex_
+
+
+def oracle_build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 100_000,
+               extend: LabeledCubeComplex | None = None,
+               rng: Random | None = None) -> SubgroupCore:
+    """The fold-and-fill construction that ``build_core`` ran before its end
+    tables: string labels, rescanned and sorted incidence sets, and a filled
+    set recanonicalised after every fold round.
+
+    Stabilization within budget yields a verified local isometry; exhausting
+    the budget yields an inconclusive core carrying partial diagnostics.
+    ``extend`` seeds the construction with an existing complex instead of a
+    bare basepoint.  ``rng`` randomizes processing order (the result is
+    independent of it; used by confluence tests).
+    """
+    if not generators:
+        raise InputError("build_core requires at least one generator word")
+    if budget <= 0:
+        raise InputError("budget must be positive")
+    builder = _OracleBuilder(graph, rng)
+    if extend is not None:
+        vmap = {v: builder.new_vertex() for v in extend.vertices}
+        emap = {}
+        for eid, src, dst, label in extend.edges:
+            emap[eid] = builder.new_edge(vmap[src], vmap[dst], label)
+        for sq in extend.squares:
+            imported = frozenset(
+                _corner(vmap[cv], (emap[ca[0]], ca[1]), (emap[cb[0]], cb[1]))
+                for cv, (ca, cb) in sq
+            )
+            builder.squares.append(imported)
+            builder.filled.update(imported)
+        basepoint = vmap[extend.basepoint]
+    else:
+        basepoint = builder.new_vertex()
+    for word in generators:
+        letters = word.letters if isinstance(word, Word) else tuple(word)
+        for gen, _ in letters:
+            graph.require_vertex(gen)
+        if not letters:
+            continue
+        current = basepoint
+        for i, (gen, sign) in enumerate(letters):
+            nxt = basepoint if i == len(letters) - 1 else builder.new_vertex()
+            if sign > 0:
+                builder.new_edge(current, nxt, gen)
+            else:
+                builder.new_edge(nxt, current, gen)
+            current = nxt
+    builder.dirty.extend(list(builder.incident.keys()))
+    builder.fold_all()
+    status = VERIFIED
+    while True:
+        if builder.cell_count > budget:
+            status = BUDGET_EXCEEDED
+            break
+        if not builder.fill_pass():
+            break
+        builder.fold_all()
+    complex_ = builder.freeze(basepoint, status)
+    diagnostics = {
+        "folds": builder.folds,
+        "squares_added": builder.squares_added,
+        "cells": complex_.cell_count,
+        "vertex_count": len(complex_.vertices),
+        "edge_count": len(complex_.edges),
+        "square_count": len(complex_.squares),
+        "budget": budget,
+    }
+    if status == VERIFIED:
+        report = check_local_isometry(complex_)
+        if not report.ok:
+            raise InternalError(f"stabilized complex failed the link check: {report}")
+    return SubgroupCore(complex=complex_, status=status, diagnostics=diagnostics)

@@ -7,7 +7,7 @@ import pytest
 from raagcc import cli
 from raagcc.cli import EXIT_INTERNAL, main
 from raagcc.complexes import LabeledCubeComplex
-from raagcc.errors import InternalError
+from raagcc.errors import InputError, InternalError
 
 
 GRAPH = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
@@ -247,3 +247,49 @@ def test_stored_core_status_is_recomputed(files, capsys):
     assert main(["core", "check", "--core", str(forged)]) == 1
     assert "local isometry: NO" in capsys.readouterr().out
     assert main(["core", "member", "--core", str(core_path), "--word", "b c a"]) == 0
+
+
+def test_stored_core_with_a_malformed_square_is_input_error(files, capsys):
+    """A stored square must be four corners, each with two ends at its
+    vertex carrying distinct commuting labels, that close up.  Otherwise
+    the core is malformed input (exit 3).  Unchecked, a one-corner "square"
+    over the only unfilled corner of the worked subgroup's budget-12 stage
+    makes the stage pass as a local isometry, and a member of the subgroup
+    is then reported a non-member."""
+    core_path = files["tmp"] / "partial.json"
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--budget", "12", "--out", str(core_path)]) == 2
+    data = json.loads(core_path.read_text())
+    capsys.readouterr()
+    assert main(["core", "check", "--core", str(core_path), "--format", "json"]) == 1
+    (unfilled,) = json.loads(capsys.readouterr().out)["unfilled_corners"]
+    squares = data["squares"]
+    labels = {eid: label for eid, _, _, label in data["edges"]}
+    ends_at_base = [[eid, 0] for eid, src, _, _ in data["edges"] if src == data["basepoint"]] \
+        + [[eid, 1] for eid, _, dst, _ in data["edges"] if dst == data["basepoint"]]
+    a_end = next(end for end in ends_at_base if labels[end[0]] == "a")
+    b_end = next(end for end in ends_at_base if labels[end[0]] == "b")
+    moved = [[c[0] + 1, c[1], c[2]] if i == 0 else c for i, c in enumerate(squares[0])]
+    forgeries = {
+        "four corners": [unfilled],
+        "another vertex": moved,
+        "not two distinct commuting labels": [[data["basepoint"], a_end, b_end]] + squares[0][1:],
+        "does not close up": squares[0][:2] + squares[1][2:],
+    }
+    forged = files["tmp"] / "forged.json"
+    dot = LabeledCubeComplex.from_json_dict(data).to_dot()
+    for message, square in forgeries.items():
+        forged.write_text(json.dumps({**data, "squares": squares + [square]}), encoding="utf-8")
+        assert main(["core", "check", "--core", str(forged)]) == 3, message
+        assert main(["core", "member", "--core", str(forged),
+                     "--word", "a^-1 b^-2 c^-2 a^-1 b^-1"]) == 3, message
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid core") and message in err, (message, err)
+        with pytest.raises(InputError, match=message):
+            LabeledCubeComplex.from_dot(dot + f"// square: {json.dumps(square)}\n")
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--out", str(core_path)]) == 0
+    capsys.readouterr()
+    assert main(["core", "member", "--core", str(core_path),
+                 "--word", "a^-1 b^-2 c^-2 a^-1 b^-1"]) == 0
+    assert capsys.readouterr().out.strip() == "member"

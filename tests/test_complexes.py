@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -543,3 +546,172 @@ def test_canonical_form_ignores_numbering(pair):
     canonical = renumbered.canonical_form()
     assert canonical == complex_.canonical_form() == complex_
     assert canonical.to_json_dict() == complex_.to_json_dict()
+
+
+# -- the incremental builder against the rebuilding oracle --------------------------
+
+CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "zoo_catalog.json"
+CATALOG_GRAPHS = {"abc": GRAPH_ZOO[1], "path4": GRAPH_ZOO[3], "cycle4": GRAPH_ZOO[4],
+                  "sparse4": GRAPH_ZOO[5]}
+
+
+def _differential_problems() -> list[tuple[DefiningGraph, list, tuple[int, ...]]]:
+    """Problems and their stage budgets: seeded subgroups over the graph zoo
+    and the ring family's generators for (3,1), (3,2) and (4,1), at small
+    stages, and a seeded sample of the certify catalog, three problems per
+    graph and stored verdict, normalized as ``certify`` builds them, at the
+    stages ``certify`` uses."""
+    rng = random.Random(17)
+    problems = []
+    for graph in GRAPH_ZOO:
+        labels = graph.vertices
+        for _ in range(5):
+            problems.append((graph, [
+                word_from_pairs([(rng.choice(labels), rng.choice((1, -1)))
+                                 for _ in range(rng.randint(2, 7))])
+                for _ in range(rng.randint(1, 3))], (32, 256)))
+    for n, N in ((3, 1), (3, 2), (4, 1)):
+        fam = family(n, N)
+        problems.append((fam.graph, [w.as_word() for w in fam.generators], (32, 256, 2_000)))
+    catalog = json.loads(CATALOG.read_text())
+    for name, strata in catalog["graphs"].items():
+        graph = CATALOG_GRAPHS[name]
+        for verdict in sorted(strata):
+            for texts in rng.sample(strata[verdict], min(3, len(strata[verdict]))):
+                problems.append((graph, [normalize(parse_word(t, graph), graph).as_word()
+                                         for t in texts], (256, 1_024, 2_000)))
+    return problems
+
+
+def test_builder_matches_rebuilding_oracle():
+    """Every stage, resumed from the stage before as ``certify`` does, is
+    the same core as a fresh build at its budget, cell for cell and counter
+    for counter; it matches the oracle builder in status, every diagnostic
+    and canonical form; and on partial stages a randomized processing order
+    changes neither.  (Past the first fill round, the two builders number
+    a partial stage's cells differently: they create cells in different
+    orders.)"""
+    partial = 0
+    for graph, gens, stages in _differential_problems():
+        # Before any fill round the cells are numbered in order of their
+        # least raw id, by both builders alike.
+        assert build_core(graph, gens, budget=1).complex \
+            == oracles.oracle_build_core(graph, gens, budget=1).complex
+        core = None
+        for budget in stages:
+            core = build_core(graph, gens, budget=budget, extend=core)
+            fresh = build_core(graph, gens, budget=budget)
+            assert core == fresh and core.diagnostics == fresh.diagnostics, (graph, gens, budget)
+            expected = oracles.oracle_build_core(graph, gens, budget=budget)
+            assert (core.status, core.diagnostics) == (expected.status, expected.diagnostics), \
+                (graph, gens, budget)
+            assert core.complex.canonical_form() == expected.complex.canonical_form()
+            if core.verified:
+                break
+            partial += 1
+            shuffled = build_core(graph, gens, budget=budget, rng=random.Random(budget))
+            assert shuffled.diagnostics == core.diagnostics
+            assert shuffled.complex.canonical_form() == core.complex.canonical_form()
+    assert partial >= 40
+
+
+def test_resuming_rules(abc_graph):
+    """A partial core resumes only while its builder stands where the core
+    was frozen, and only towards a budget no smaller; otherwise the build
+    starts afresh, with the same result.  Other generators, another graph,
+    or a verified core cannot be resumed."""
+    gens = [parse_word(t, abc_graph) for t in ("a b c", "c a b", "a^2 b c")]
+    partial = build_core(abc_graph, gens, budget=60)
+    assert partial.status == BUDGET_EXCEEDED
+    for budget in (200, 120, 30, 60):
+        resumed = build_core(abc_graph, gens, budget=budget, extend=partial)
+        fresh = build_core(abc_graph, gens, budget=budget)
+        assert resumed == fresh and resumed.diagnostics == fresh.diagnostics
+    xyz = DefiningGraph.build("abc", [("a", "b")])
+    verified = build_core(abc_graph, gens[:1], budget=1_000)
+    for graph, words, core in ((abc_graph, gens[:2], partial), (xyz, gens, partial),
+                               (abc_graph, gens[:1], verified)):
+        with pytest.raises(InputError, match="can be resumed"):
+            build_core(graph, words, budget=1_000, extend=core)
+
+
+def test_extend_requires_the_same_graph_and_sound_squares(abc_graph):
+    """Extending a core over another graph is an input error, and so is a
+    malformed square.  Unchecked, extending over xyz crashes on the label b,
+    and over abc with only a-b commuting the core keeps a b-c square and
+    verifies."""
+    core = build_core(abc_graph, [parse_word("b c a", abc_graph)], budget=1_000).complex
+    assert core.squares
+    for graph in (DefiningGraph.build("xyz", [("y", "z")]),
+                  DefiningGraph.build("abc", [("a", "b")])):
+        with pytest.raises(InputError, match="same defining graph"):
+            build_core(graph, [parse_word(graph.vertices[0], graph)], extend=core)
+    corner = min(next(iter(core.squares)))
+    forged = dataclasses.replace(core, squares=core.squares | {frozenset({corner})})
+    with pytest.raises(InputError, match="four corners"):
+        build_core(abc_graph, [parse_word("a", abc_graph)], extend=forged)
+
+
+# -- JSON and DOT round-trips ------------------------------------------------------
+
+
+def _partial_stages() -> list[LabeledCubeComplex]:
+    """Link-injective partial stages: seeded subgroups over the graph zoo at
+    budgets they overrun, the worked subgroups' early stages, and the
+    non-stabilising 4-cycle subgroup at the first ``certify`` stage."""
+    rng = random.Random(313)
+    cores = []
+    for graph in GRAPH_ZOO:
+        for _ in range(4):
+            gens = [word_from_pairs([(rng.choice(graph.vertices), rng.choice((1, -1)))
+                                     for _ in range(rng.randrange(2, 7))])
+                    for _ in range(rng.randrange(1, 4))]
+            cores += [build_core(graph, gens, budget=budget) for budget in (12, 40)]
+    abc = GRAPH_ZOO[1]
+    for texts in (("b c a", "b a b c"), ("a b c", "c a b", "a^2 b c")):
+        cores += [build_core(abc, [parse_word(t, abc) for t in texts], budget=budget)
+                  for budget in (12, 30)]
+    cycle4 = GRAPH_ZOO[4]
+    cores.append(build_core(cycle4, [parse_word(t, cycle4) for t in NON_STABILISING], budget=256))
+    return [core.complex for core in cores if core.status == BUDGET_EXCEEDED]
+
+
+STORED_CORES = VERIFIED_CORES + _partial_stages()
+
+
+def test_stored_core_sample_is_varied():
+    reports = [check_local_isometry(c) for c in STORED_CORES]
+    assert not any(report.foldable for report in reports)
+    partial = [c for c, report in zip(STORED_CORES, reports) if report.unfilled]
+    assert len(partial) >= 20
+    assert sum(1 for c in partial if c.squares) >= 10
+
+
+@st.composite
+def stored_core(draw):
+    """A stored core with fresh vertex and edge ids, listed in id order as
+    the DOT reader lists them."""
+    complex_ = draw(st.sampled_from(STORED_CORES))
+    ids = st.integers(0, 10 ** 6)
+    vmap = dict(zip(complex_.vertices, draw(st.lists(
+        ids, min_size=len(complex_.vertices), max_size=len(complex_.vertices), unique=True))))
+    emap = dict(zip((e[0] for e in complex_.edges), draw(st.lists(
+        ids, min_size=len(complex_.edges), max_size=len(complex_.edges), unique=True))))
+    squares = frozenset(
+        frozenset(_corner(vmap[v], (emap[a[0]], a[1]), (emap[b[0]], b[1])) for v, (a, b) in sq)
+        for sq in complex_.squares)
+    return LabeledCubeComplex(
+        graph=complex_.graph, vertices=tuple(sorted(vmap.values())),
+        edges=tuple(sorted((emap[eid], vmap[src], vmap[dst], label)
+                           for eid, src, dst, label in complex_.edges)),
+        squares=squares, basepoint=vmap[complex_.basepoint])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(stored_core())
+def test_json_and_dot_round_trips(complex_):
+    """Every genuine core and partial stage survives both file formats
+    unchanged, so the square check rejects none of them."""
+    text = json.dumps(complex_.to_json_dict())
+    assert LabeledCubeComplex.from_json_dict(json.loads(text)) == complex_
+    assert LabeledCubeComplex.from_dot(complex_.to_dot()) == complex_
