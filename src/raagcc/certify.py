@@ -11,15 +11,28 @@ to fill exactly when one of those chord words is nontrivial.  (A member
 p*u*p^-1 with u cyclically reduced traces u as a closed S-path at the
 vertex p reaches, and that path is a product of chord loops; conversely a
 nontrivial chord loop c gives the member p*c*p^-1, of letter length at
-most 2V - 1, inside the window.)
+most 2V - 1, inside the window.)  A verified core is exact because local
+isometries of nonpositively curved cube complexes are pi_1-injective
+(Haglund & Wise, "Special cube complexes", GAFA 2008).
 
-No chord word survives: certified, with the displacement lower bound
-d >= |h|/(6*ell) - 2 attached and the number of members up to length ell
-counted by ``count_elements``.  Some chord word survives: refuted, with the
-first non-filling member in increasing length order as witness (its image
-fixes a curve, so the subgroup is not purely pseudo-Anosov); the
-enumeration that finds it is bounded by the enumeration budget.  Budget
-exhaustion anywhere: inconclusive, never a negative claim.
+The same check decides every stage of the construction, partial or
+verified.  On a budget-exceeded stage a "yes" is still sound.  The stage
+is connected and link-injective, and every loop at its basepoint reads a
+member of the subgroup: folding identifies paths without changing their
+images, and attached squares are relations that already hold.  So a
+nontrivial chord loop w of the S-labelled edges at a root r gives the
+member p*w*p^-1, where p is any path from the basepoint to r.  The cyclic
+core of that member has its support inside S, so the member does not
+fill.  A "no" on a partial stage proves nothing, since a later stage may
+add loops, and the construction goes on to the next stage.
+
+No chord word survives on a verified core: certified, with the
+displacement lower bound d >= |h|/(6*ell) - 2 attached and the number of
+members up to length ell counted by ``count_elements``.  Some chord word
+survives: refuted, with the first non-filling loop in increasing length
+order as witness (its image fixes a curve, so the subgroup is not purely
+pseudo-Anosov); the walk that finds it is bounded by the enumeration
+budget.  Budget exhaustion anywhere: inconclusive, never a negative claim.
 
 Each enumerated element's filling check needs only the generator support
 of a cyclic reduction: it is piled once by the word kernel in ``words.py``
@@ -28,7 +41,6 @@ and reduced in place, and the verdict is memoized per support bitmask.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -98,7 +110,8 @@ class Certificate:
                 "square_count": self.core_square_count,
                 "status": self.core_status,
                 **{k: v for k, v in self.diagnostics.items()
-                   if k in ("folds", "squares_added", "refuted_from_partial_core")},
+                   if k in ("folds", "squares_added", "refuted_from_partial_core",
+                            "stages", "chord_set")},
             },
             "ell": self.ell,
             "element_count": self.element_count,
@@ -144,67 +157,113 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
     return None
 
 
-def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1
-                 ) -> Iterator[tuple[tuple[int, int], ...]]:
+def _sorted_ends(complex_: LabeledCubeComplex) -> dict[int, list[tuple[int, int, int]]]:
+    """Each vertex's edge-ends as (2*label index + endpoint, edge id, far
+    vertex), sorted: by label index, orientation and edge id."""
+    index = complex_.graph._index
+    ends: dict[int, list[tuple[int, int, int]]] = {v: [] for v in complex_.vertices}
+    for eid, src, dst, label in complex_.edges:
+        key = 2 * index[label]
+        ends[src].append((key, eid, dst))
+        ends[dst].append((key + 1, eid, src))
+    for incident in ends.values():
+        incident.sort()
+    return ends
+
+
+def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1,
+                 ends: dict[int, list[tuple[int, int, int]]] | None = None
+                 ) -> Iterator[list[tuple[int, int]]]:
     """The loop word path(src)*label*path(dst)^-1 of every chord of a
     spanning forest of the edges whose label index is a bit of ``allowed``
-    (all by default), as index syllables; path(v) is the forest path from its root to v.
+    (all by default), as index syllables; path(v) is the forest path from
+    its root to v.  ``ends`` is ``_sorted_ends(complex_)``, when the caller
+    already has it.
 
     Roots are the basepoint, then the other vertices in order; each tree
     grows breadth first, taking a vertex's edge-ends by label index,
     orientation and edge id.  The chord loops at the roots generate the
-    fundamental group of each component.
+    fundamental group of each component.  The forest keeps one parent
+    pointer per vertex, and a chord's word is read off the two parent
+    chains when the chord is reached.
     """
+    if ends is None:
+        ends = _sorted_ends(complex_)
     index = complex_.graph._index
-    path: dict[int, tuple[tuple[int, int], ...]] = {}
+    parent: dict[int, tuple[int, int, int] | None] = {}  # v -> (u, g, e): u*(g, e) reaches v
     tree: set[int] = set()
     for root in (complex_.basepoint, *complex_.vertices):
-        if root in path:
+        if root in parent:
             continue
-        path[root] = ()
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for end in sorted(complex_.ends_at[v],
-                              key=lambda end: (index[complex_.end_label(end)], end[1], end[0])):
-                label = complex_.end_label(end)
-                if not allowed >> index[label] & 1:
-                    continue
-                far = complex_.far_vertex(end)
-                if far not in path:
-                    path[far] = path[v] + ((index[label], 1 if end[1] == 0 else -1),)
-                    tree.add(end[0])
+        parent[root] = None
+        queue = [root]
+        for v in queue:
+            for key, eid, far in ends[v]:
+                if allowed >> (key >> 1) & 1 and far not in parent:
+                    parent[far] = (v, key >> 1, -1 if key & 1 else 1)
+                    tree.add(eid)
                     queue.append(far)
     for eid, src, dst, label in complex_.edges:
-        if eid not in tree and allowed >> index[label] & 1:
-            yield path[src] + ((index[label], 1),) + tuple((g, -e) for g, e in reversed(path[dst]))
+        g = index[label]
+        if eid in tree or not allowed >> g & 1:
+            continue
+        word: list[tuple[int, int]] = []
+        step = parent[src]
+        while step is not None:  # path(src), read backwards
+            word.append(step[1:])
+            step = parent[step[0]]
+        word.reverse()
+        word.append((g, 1))
+        step = parent[dst]
+        while step is not None:  # path(dst)^-1
+            word.append((step[1], -step[2]))
+            step = parent[step[0]]
+        yield word
 
 
-def _has_nonfilling_member(core: SubgroupCore, model: SurfaceModel) -> bool:
-    """Whether a verified core's subgroup has a nontrivial member whose
-    cyclic reduction fails to fill: some chord word of the edges labelled
-    in a maximal non-filling set is nontrivial."""
-    return any(any(_pile(chord, core.graph))
-               for allowed in model.maximal_non_filling_sets
-               for chord in _chord_words(core.complex, allowed))
+def _nonfilling_chord_set(complex_: LabeledCubeComplex, model: SurfaceModel) -> int | None:
+    """The first maximal non-filling set, as a vertex-index bitmask, whose
+    labelled edges have a nontrivial chord word; None when there is none.
+
+    On a verified core, None means that no nontrivial member fails to
+    fill.  On any connected link-injective stage, a set returned here
+    bounds the support of a non-filling member (see the module docstring).
+    """
+    graph = complex_.graph
+    ends = _sorted_ends(complex_)
+    for allowed in model.maximal_non_filling_sets:
+        for chord in _chord_words(complex_, allowed, ends):
+            if any(_pile(chord, graph)):
+                return allowed
+    return None
 
 
 _STAGE_START = 256
-_WITNESS_SEARCH_NODES = 100_000
 
 
 def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word],
             cell_budget: int = 20_000, enum_budget: int = 5_000_000) -> Certificate:
     """Run the full certification pipeline for the subgroup the generators span.
 
-    The core is built under a geometrically escalating cell budget.  When a
-    stage fails to stabilize, its partial complex is searched for a
-    non-filling basepoint loop, which refutes immediately; otherwise the
-    budget escalates, and the next stage resumes the construction where
-    this one stopped.  A construction that never stabilizes within the cell
-    budget and never exposes a witness is reported inconclusive.  A
-    verified core is decided by the exact chord-word check; ``enum_budget``
-    bounds only the search for a refutation's witness.
+    The core is built under a geometrically escalating cell budget, each
+    stage resuming the construction where the one before stopped.  Every
+    stage, partial or verified, is decided by the same chord-word check
+    (see the module docstring):
+
+    - no nontrivial chord word: a verified core is certified; a partial
+      stage gives way to the next stage;
+    - some nontrivial chord word: the length-ordered walk of the stage's
+      basepoint loops (the core's members, when it is verified) picks the
+      first non-filling one as the refutation's witness.  The walk is
+      bounded by ``enum_budget`` and by the window 3(V+1).  When a partial
+      stage's walk finds no witness, the next stage follows; when a
+      verified core's walk runs out of budget, the verdict is
+      inconclusive.
+
+    A construction that never stabilizes within the cell budget and never
+    exposes a witness is inconclusive.  ``diagnostics`` records the stages
+    tried as [budget, cells] pairs and, for a refutation, the labels of the
+    first non-filling set with a nontrivial chord word.
     """
     if model.graph != graph:
         raise InputError("the model's coincidence graph must equal the defining graph")
@@ -221,60 +280,64 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         stages.append(b)
         b *= 4
     stages.append(cell_budget)
+    tried: list[list[int]] = []
+
+    def certificate(core: SubgroupCore, verdict: str, chord_set: int = 0,
+                    **fields) -> Certificate:
+        stats = dict(core.diagnostics)
+        if verdict == REFUTED and not core.verified:
+            stats["refuted_from_partial_core"] = True
+        stats["stages"] = tried
+        if verdict == REFUTED:
+            stats["chord_set"] = [v for g, v in enumerate(graph.vertices) if chord_set >> g & 1]
+        return Certificate(graph=graph, model=model, generators=normal_gens,
+                           core_vertex_count=len(core.complex.vertices),
+                           core_square_count=len(core.complex.squares),
+                           core_status=core.status, core=core, diagnostics=stats,
+                           verdict=verdict, **fields)
 
     core = None
     for stage in stages:
         core = build_core(graph, gen_words, budget=stage, extend=core)
+        tried.append([stage, core.diagnostics["cells"]])
         if core.status == VERIFIED:
             break
+        chord_set = _nonfilling_chord_set(core.complex, model)
+        if chord_set is None:
+            continue
         try:
             found = _first_nonfilling(
                 iter_loops_by_length(core.complex, 3 * (len(core.complex.vertices) + 1),
-                                     node_budget=_WITNESS_SEARCH_NODES),
+                                     node_budget=enum_budget),
                 graph, model)
         except BudgetExceededError:
             found = None
         if found is not None:
             witness, support, _ = found
-            stats = dict(core.diagnostics)
-            stats["refuted_from_partial_core"] = True
-            return Certificate(
-                graph=graph, model=model, generators=normal_gens,
-                core_vertex_count=len(core.complex.vertices),
-                core_square_count=len(core.complex.squares),
-                core_status=core.status, core=core, diagnostics=stats,
-                verdict=REFUTED, ell=None, witness=witness, witness_support=support)
+            return certificate(core, REFUTED, chord_set, ell=None,
+                               witness=witness, witness_support=support)
     assert core is not None
-    stats = dict(core.diagnostics)
-    base = dict(
-        graph=graph, model=model, generators=normal_gens,
-        core_vertex_count=len(core.complex.vertices),
-        core_square_count=len(core.complex.squares),
-        core_status=core.status, core=core, diagnostics=stats,
-    )
     if core.status == BUDGET_EXCEEDED:
-        return Certificate(verdict=INCONCLUSIVE, ell=None,
-                           reason=f"core construction exceeded cell budget {cell_budget}",
-                           **base)
+        return certificate(core, INCONCLUSIVE, ell=None,
+                           reason=f"core construction exceeded cell budget {cell_budget}")
     ell = 3 * (len(core.complex.vertices) + 1)
-    if not _has_nonfilling_member(core, model):
-        return Certificate(verdict=CERTIFIED, ell=ell,
-                           element_count=count_elements(core, ell), **base)
+    chord_set = _nonfilling_chord_set(core.complex, model)
+    if chord_set is None:
+        return certificate(core, CERTIFIED, ell=ell, element_count=count_elements(core, ell))
     # Refuted.  The witness is the first non-filling member in increasing
     # length order; one of length at most 2V - 1 < ell exists.
     try:
         found = _first_nonfilling(
             iter_elements_by_length(core, ell, node_budget=enum_budget), graph, model)
     except BudgetExceededError as exc:
-        return Certificate(
-            verdict=INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
-            reason=f"enumeration exceeded budget {enum_budget}", **base)
+        return certificate(core, INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
+                           reason=f"enumeration exceeded budget {enum_budget}")
     if found is None:
         raise InternalError(f"no non-filling member up to length {ell}, "
                             "though a chord word of a non-filling set is nontrivial")
     witness, support, count = found
-    return Certificate(verdict=REFUTED, ell=ell, witness=witness, witness_support=support,
-                       element_count=count, **base)
+    return certificate(core, REFUTED, chord_set, ell=ell, witness=witness,
+                       witness_support=support, element_count=count)
 
 
 def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:

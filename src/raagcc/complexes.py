@@ -68,8 +68,7 @@ Square = frozenset
 
 
 def _corner(v: int, a: End, b: End) -> Corner:
-    lo, hi = sorted((a, b))
-    return (v, (lo, hi))
+    return (v, (a, b) if a < b else (b, a))
 
 
 @dataclass(frozen=True)
@@ -114,29 +113,43 @@ class LabeledCubeComplex:
         two ends at its vertex carrying distinct commuting labels, that
         close up around such a boundary.
         """
+        # edge_map[eid] is (source, target, label): the end (eid, p) lies at
+        # edge_map[eid][p], and its far end (eid, 1 - p) at edge_map[eid][1 - p].
+        edge_map, commutes = self.edge_map, self.graph.commutes
         try:
             if len(square) != 4:
                 raise InputError("invalid core: a square must have four corners")
             for v, (a, b) in square:
-                la, lb = self.end_label(a), self.end_label(b)
-                if self.end_vertex(a) != v or self.end_vertex(b) != v:
+                ea, eb = edge_map[a[0]], edge_map[b[0]]
+                if ea[a[1]] != v or eb[b[1]] != v:
                     raise InputError(f"invalid core: a square corner at {v} has an "
                                      "edge-end at another vertex")
-                if la == lb or not self.graph.commutes(la, lb):
-                    raise InputError(f"invalid core: a square corner at {v} pairs {la} "
-                                     f"with {lb}, not two distinct commuting labels")
-            v, (a, b) = min(square)
-            la, lb = self.end_label(a), self.end_label(b)
-            ends = {end for _, pair in square for end in pair}
-            for gamma in [e for e in ends if e[1] == b[1] and self.end_label(e) == lb]:
-                for delta in [e for e in ends if e[1] == a[1] and self.end_label(e) == la]:
-                    back = [(e, 1 - p) for e, p in (a, b, gamma, delta)]
-                    if square == {_corner(v, a, b), _corner(self.end_vertex(back[0]), back[0], gamma),
-                                  _corner(self.end_vertex(back[1]), back[1], delta),
-                                  _corner(self.end_vertex(back[2]), back[2], back[3])}:
+                if ea[2] == eb[2] or not commutes(ea[2], eb[2]):
+                    raise InputError(f"invalid core: a square corner at {v} pairs {ea[2]} "
+                                     f"with {eb[2]}, not two distinct commuting labels")
+            v, (a, b) = corner = min(square)
+            ea, eb = edge_map[a[0]], edge_map[b[0]]
+            a_back, b_back = (a[0], 1 - a[1]), (b[0], 1 - b[1])
+            # gamma shares a corner with a's far end, delta with b's.
+            for _, (p, q) in square:
+                gamma = q if p == a_back else p if q == a_back else None
+                if gamma is None or gamma[1] != b[1] or edge_map[gamma[0]][2] != eb[2]:
+                    continue
+                g_back = (gamma[0], 1 - gamma[1])
+                for _, (r, t) in square:
+                    delta = t if r == b_back else r if t == b_back else None
+                    if delta is None or delta[1] != a[1] or edge_map[delta[0]][2] != ea[2]:
+                        continue
+                    if square == {corner, _corner(ea[a_back[1]], a_back, gamma),
+                                  _corner(eb[b_back[1]], b_back, delta),
+                                  _corner(edge_map[gamma[0]][g_back[1]], g_back,
+                                          (delta[0], 1 - delta[1]))}:
                         return a, b, gamma, delta
         except KeyError as exc:
             raise InputError(f"invalid core: a square references the unknown edge {exc}") from exc
+        except IndexError as exc:
+            raise InputError("invalid core: a square corner has an endpoint other than 0 or 1") \
+                from exc
         raise InputError(f"invalid core: the square at corner {v} does not close up")
 
     @cached_property
@@ -358,14 +371,17 @@ def salvetti(graph: DefiningGraph) -> LabeledCubeComplex:
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Every link-injectivity violation and every unfilled commuting corner."""
+    """Every link-injectivity violation, every unfilled commuting corner,
+    and every square that ``LabeledCubeComplex.square_ends`` rejects (a
+    malformed square would mark corners filled that no square bounds)."""
 
     foldable: tuple[tuple[int, str, int, tuple[int, ...]], ...]  # (vertex, label, orientation, edge ids)
     unfilled: tuple[Corner, ...]
+    malformed: tuple[Square, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not self.foldable and not self.unfilled
+        return not self.foldable and not self.unfilled and not self.malformed
 
 
 def check_local_isometry(complex_: LabeledCubeComplex,
@@ -390,7 +406,14 @@ def check_local_isometry(complex_: LabeledCubeComplex,
                     corner = _corner(v, ends[i], ends[j])
                     if corner not in corner_index:
                         unfilled.append(corner)
-    return LinkReport(foldable=tuple(foldable), unfilled=tuple(sorted(unfilled)))
+    malformed = []
+    for sq in complex_.squares:
+        try:
+            complex_.square_ends(sq)
+        except InputError:
+            malformed.append(sq)
+    return LinkReport(foldable=tuple(foldable), unfilled=tuple(sorted(unfilled)),
+                      malformed=tuple(sorted(malformed, key=sorted)))
 
 
 @dataclass(frozen=True)
@@ -607,32 +630,55 @@ class _Builder:
         return len(self.ends) + len(self.edges) - self.folds + len(self.squares)
 
     def freeze(self, status: str) -> LabeledCubeComplex:
-        """The complex, numbered by least raw id per class (canonical when
-        verified), with string labels."""
+        """The complex, with string labels, in one pass over the builder.
+
+        A verified complex comes out in canonical form: vertices numbered
+        breadth first from the basepoint, taking each vertex's ends in
+        table-key order, which on a link-injective complex is the (label
+        index, endpoint, edge id) order of ``canonical_form``; edges
+        numbered by (source, target, label).  A budget-exceeded stage is
+        numbered by least raw id per class.
+        """
         vfind, efind = self.vfind, self.efind
-        vmap = {v: i for i, v in enumerate(dict.fromkeys(map(vfind, range(len(self.vparent)))))}
-        # A fold keeps the lower edge id, so each root is its class's least id.
-        emap = {e: i for i, e in enumerate(e for e in range(len(self.eparent)) if efind(e) == e)}
+        raw = self.edges
         labels = self.graph.vertices
-        edges = tuple((i, vmap[vfind(self.edges[e][0])], vmap[vfind(self.edges[e][1])],
-                       labels[self.edges[e][2]]) for e, i in emap.items())
-
-        def corner(e1: int, k1: int, e2: int, k2: int) -> Corner:
-            return _corner(vmap[self.end_vertex(e1, k1 & 1)],
-                           (emap[efind(e1)], k1 & 1), (emap[efind(e2)], k2 & 1))
-
-        squares = frozenset(frozenset(corner(*c) for c in _square_corners(*sq))
-                            for sq in self.squares)
-        complex_ = LabeledCubeComplex(
+        # A fold keeps the lower edge id, so each root is its class's least id.
+        roots = [e for e in range(len(raw)) if efind(e) == e]
+        if status == VERIFIED:
+            base = vfind(self.basepoint)
+            vmap = {base: 0}
+            queue = [base]
+            for v in queue:
+                table = self.ends[v]
+                for key in sorted(table):
+                    far = vfind(raw[table[key]][1 - (key & 1)])
+                    if far not in vmap:
+                        vmap[far] = len(vmap)
+                        queue.append(far)
+            if len(vmap) != len(self.ends):
+                raise InternalError("complex is disconnected")
+        else:
+            vmap = {v: i for i, v in enumerate(dict.fromkeys(map(vfind, range(len(self.vparent)))))}
+        at = [(vmap[vfind(src)], vmap[vfind(dst)]) for src, dst, _ in raw]
+        if status == VERIFIED:
+            roots.sort(key=lambda e: (*at[e], labels[raw[e][2]]))
+        new_id = [0] * len(raw)
+        for i, e in enumerate(roots):
+            new_id[e] = i
+        for e in range(len(raw)):
+            new_id[e] = new_id[efind(e)]
+        edges = tuple((i, *at[e], labels[raw[e][2]]) for i, e in enumerate(roots))
+        squares = frozenset(
+            frozenset(_corner(at[e1][k1 & 1], (new_id[e1], k1 & 1), (new_id[e2], k2 & 1))
+                      for e1, k1, e2, k2 in _square_corners(*sq))
+            for sq in self.squares)
+        return LabeledCubeComplex(
             graph=self.graph,
             vertices=tuple(range(len(vmap))),
             edges=edges,
             squares=squares,
             basepoint=vmap[vfind(self.basepoint)],
         )
-        if status == VERIFIED:
-            complex_ = complex_.canonical_form()
-        return complex_
 
 
 def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 100_000,
@@ -644,8 +690,11 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
     table collides.  The cell budget is checked between rounds, so a stage
     can overshoot it by one round (the certify catalog's stage builds reach
     663 cells at budget 256 and 5847 at budget 2000).  Stabilization within
-    budget yields a verified local isometry; exhausting the budget yields an
-    inconclusive core carrying partial diagnostics.
+    budget yields a verified local isometry, frozen straight into canonical
+    form (``LabeledCubeComplex.canonical_form``), whatever order the
+    construction made its cells in; exhausting the budget yields an
+    inconclusive core carrying partial diagnostics, its cells numbered by
+    least raw id.
 
     ``extend`` is either a complex over the same graph, which seeds the
     construction instead of a bare basepoint, or a budget-exceeded core that

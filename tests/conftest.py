@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel
+from raagcc.words import normalize, parse_word
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +37,20 @@ GRAPH_ZOO = [
     DefiningGraph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
     DefiningGraph.build("abcd", [("a", "c")]),
 ]
+
+
+CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "zoo_catalog.json"
+CATALOG_GRAPHS = {"abc": GRAPH_ZOO[1], "path4": GRAPH_ZOO[3], "cycle4": GRAPH_ZOO[4],
+                  "sparse4": GRAPH_ZOO[5]}
+
+
+def catalog_sample(rng: random.Random):
+    """A seeded sample of the certify catalog: up to three problems per
+    graph and stored verdict, as (graph, generator words normalized as
+    ``certify`` builds them)."""
+    catalog = json.loads(CATALOG.read_text())
+    for name, strata in catalog["graphs"].items():
+        graph = CATALOG_GRAPHS[name]
+        for verdict in sorted(strata):
+            for texts in rng.sample(strata[verdict], min(3, len(strata[verdict]))):
+                yield graph, [normalize(parse_word(t, graph), graph).as_word() for t in texts]

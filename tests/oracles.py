@@ -8,9 +8,12 @@ linear-extension enumeration.  Slow paths the package has replaced are
 kept as differential oracles: ``oracle_loops_by_length``, the
 back-scanning walk of canonical spellings that the spelling automaton
 replaced, and ``oracle_certify_by_enumeration``, the ell-ball sweep that
-``certify`` used before its exact check, run on that walk.  Of the
-package's enumeration they share only ``_letter_options``, the table of
-letters leaving each vertex.  ``oracle_build_core`` is the fold/fill
+``certify`` used before its exact check, run on that walk.
+``oracle_partial_stage_witness`` is the bounded loop walk that decided
+budget-exceeded stages before the chord-word check took that over, and
+``oracle_chord_words`` the chord words as read before the forests kept
+parent pointers.  Of the package's enumeration they share only
+``_letter_options``, the table of letters leaving each vertex.  ``oracle_build_core`` is the fold/fill
 builder that the end tables replaced: string labels, incidence sets
 rescanned and sorted on every look-up, and a filled-corner set rebuilt
 after every fold round.  It shares only ``LabeledCubeComplex`` and the
@@ -472,6 +475,68 @@ def oracle_certify_by_enumeration(core: SubgroupCore, model: SurfaceModel, max_l
     except BudgetExceededError:
         return None
     return "certified", None, count
+
+
+def oracle_partial_stage_witness(complex_: LabeledCubeComplex, model: SurfaceModel,
+                                 node_budget: int = 100_000) -> Pairs | None:
+    """The decision ``certify`` made on a budget-exceeded stage before its
+    chord-word check: walk the stage's basepoint loops in increasing length
+    order up to 3(V+1), for at most ``node_budget`` nodes (100k, the old
+    fixed search bound), and return the first nontrivial one whose cyclic
+    reduction fails to fill; None when the walk ends or runs out first.
+    """
+    graph = complex_.graph
+    labels = graph.vertices
+    try:
+        for length, loops in oracle_loops_by_length(complex_, 3 * (len(complex_.vertices) + 1),
+                                                    node_budget=node_budget):
+            for syls in loops:
+                if length == 0:
+                    continue
+                support = cyclic_core_support(syls, graph)
+                if not oracle_fills_subset({v for g, v in enumerate(labels) if support >> g & 1},
+                                           model):
+                    return tuple((labels[g], e) for g, e in syls)
+    except BudgetExceededError:
+        return None
+    return None
+
+
+def oracle_chord_words(complex_: LabeledCubeComplex, allowed: int = -1
+                       ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The chord words ``certify`` read before its forests kept parent
+    pointers: the loop word path(src)*label*path(dst)^-1 of every chord of
+    a spanning forest of the edges whose label index is a bit of
+    ``allowed``, as index syllables, with path(v) the forest path from its
+    root to v kept as a tuple per vertex.
+
+    Roots are the basepoint, then the other vertices in order; each tree
+    grows breadth first, taking a vertex's edge-ends by label index,
+    orientation and edge id, re-sorted at every vertex of every forest.
+    """
+    index = complex_.graph._index
+    path: dict[int, tuple[tuple[int, int], ...]] = {}
+    tree: set[int] = set()
+    for root in (complex_.basepoint, *complex_.vertices):
+        if root in path:
+            continue
+        path[root] = ()
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for end in sorted(complex_.ends_at[v],
+                              key=lambda end: (index[complex_.end_label(end)], end[1], end[0])):
+                label = complex_.end_label(end)
+                if not allowed >> index[label] & 1:
+                    continue
+                far = complex_.far_vertex(end)
+                if far not in path:
+                    path[far] = path[v] + ((index[label], 1 if end[1] == 0 else -1),)
+                    tree.add(end[0])
+                    queue.append(far)
+    for eid, src, dst, label in complex_.edges:
+        if eid not in tree and allowed >> index[label] & 1:
+            yield path[src] + ((index[label], 1),) + tuple((g, -e) for g, e in reversed(path[dst]))
 
 
 # -- filling on label sets --------------------------------------------------

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from raagcc.certify import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
+    _chord_words,
+    _nonfilling_chord_set,
     certify,
     displacement_lower_bound,
     extract_generators,
@@ -29,7 +32,7 @@ from raagcc.surfaces import SurfaceModel, max_exponent
 from raagcc.words import concat, invert, normalize, parse_word, word_from_pairs
 
 import oracles
-from conftest import GRAPH_ZOO
+from conftest import GRAPH_ZOO, catalog_sample
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +307,182 @@ def test_refutation_witness_search_respects_enum_budget(abc_graph, abc_model):
     cert = certify(abc_graph, abc_model, gens, enum_budget=1)
     assert cert.verdict == INCONCLUSIVE
     assert cert.reason == "enumeration exceeded budget 1"
+
+
+# -- every stage decided by the chord-word check ------------------------------------
+
+CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}
+
+
+@pytest.fixture(scope="module")
+def catalog_stages():
+    """A seeded catalog sample, three problems per graph and stored verdict,
+    with every stage ``certify`` builds for it at the catalog's cell budget:
+    256, 1024 and 2000 cells, each resumed from the one before, up to the
+    first verified one."""
+    out = []
+    for graph, gens in catalog_sample(random.Random(29)):
+        model = SurfaceModel.build(graph, [graph.vertices])
+        stages = []
+        core = None
+        for budget in (256, 1_024, 2_000):
+            core = build_core(graph, gens, budget=budget, extend=core)
+            stages.append(core)
+            if core.verified:
+                break
+        out.append((graph, model, gens, stages))
+    return out
+
+
+def test_lean_chord_words_match_oracle(catalog_stages):
+    """The parent-pointer forests give the chord words of the per-vertex
+    path tuples, in the same order, for every edge set the check and
+    ``extract_generators`` read."""
+    counted = {True: 0, False: 0}
+    for _, model, _, stages in catalog_stages:
+        for core in stages:
+            for allowed in (-1, *model.maximal_non_filling_sets):
+                assert [tuple(w) for w in _chord_words(core.complex, allowed)] == \
+                    list(oracles.oracle_chord_words(core.complex, allowed))
+            counted[core.verified] += 1
+    assert counted[True] >= 20 and counted[False] >= 20, counted
+
+
+def _path_to(complex_, target: int) -> list[tuple[str, int]]:
+    """Some edge path from the basepoint to ``target``, as label pairs."""
+    reached = {complex_.basepoint: []}
+    queue = [complex_.basepoint]
+    for v in queue:
+        for end in complex_.ends_at[v]:
+            far = complex_.far_vertex(end)
+            if far not in reached:
+                reached[far] = reached[v] + [(complex_.end_label(end), 1 - 2 * end[1])]
+                queue.append(far)
+    return reached[target]
+
+
+def _forest_roots(complex_, allowed: int) -> list[int]:
+    """The roots of the forest of the edges labelled in ``allowed``: the
+    first of the basepoint and the vertices, in order, in each component."""
+    index = complex_.graph._index
+    seen: set[int] = set()
+    roots = []
+    for root in (complex_.basepoint, *complex_.vertices):
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        queue = [root]
+        for v in queue:
+            for end in complex_.ends_at[v]:
+                far = complex_.far_vertex(end)
+                if allowed >> index[complex_.end_label(end)] & 1 and far not in seen:
+                    seen.add(far)
+                    queue.append(far)
+    return roots
+
+
+def _closes_at(complex_, v: int, word: list[tuple[str, int]]) -> bool:
+    out, into = complex_.trace_maps
+    start = v
+    for label, sign in word:
+        v = (out if sign > 0 else into).get((v, label))
+        if v is None:
+            return False
+    return v == start
+
+
+def test_chord_check_decides_every_stage(catalog_stages):
+    """On every stage, partial or verified:
+
+    - the check returns the first maximal non-filling set with a nontrivial
+      chord word;
+    - every nontrivial chord word w is a loop at a forest root r and gives
+      the member p*w*p^-1 (p a path from the basepoint to r), which does
+      not fill and, when the last stage verifies, belongs to its core;
+    - wherever the old bounded loop walk found a witness on a partial
+      stage, the check says yes, and ``certify`` refutes at that stage with
+      the same witness."""
+    found = members = in_core = 0
+    for graph, model, gens, stages in catalog_stages:
+        labels = graph.vertices
+        last = stages[-1]
+        witness_stage = None
+        for k, core in enumerate(stages):
+            complex_ = core.complex
+            first = None
+            for allowed in model.maximal_non_filling_sets:
+                roots = _forest_roots(complex_, allowed)
+                for chord in oracles.oracle_chord_words(complex_, allowed):
+                    word = [(labels[g], e) for g, e in chord]
+                    if not normalize(word_from_pairs(word), graph).syllables:
+                        continue
+                    if first is None:
+                        first = allowed
+                    root = next(r for r in roots if _closes_at(complex_, r, word))
+                    p = _path_to(complex_, root)
+                    member = word_from_pairs(p + word + [(g, -e) for g, e in reversed(p)])
+                    assert not oracles.oracle_fills(member, model), (gens, chord)
+                    members += 1
+                    if last.verified:
+                        assert membership(last, member), (gens, chord)
+                        in_core += 1
+            assert _nonfilling_chord_set(complex_, model) == first, gens
+            if not core.verified and witness_stage is None:
+                witness = oracles.oracle_partial_stage_witness(complex_, model)
+                if witness is not None:
+                    assert first is not None, gens
+                    witness_stage = (k, witness)
+        if witness_stage is not None:
+            k, witness = witness_stage
+            cert = certify(graph, model, gens, **CATALOG_BUDGETS)
+            assert (cert.verdict, cert.witness.pairs()) == (REFUTED, witness), gens
+            assert len(cert.diagnostics["stages"]) == k + 1
+            found += 1
+    assert found >= 5 and members >= 1_000 and in_core >= 30, (found, members, in_core)
+
+
+# -- verdicts under changes of generating set --------------------------------------
+
+
+@st.composite
+def zoo_subgroup(draw):
+    """A seeded subgroup over a graph of the zoo: two or three generators
+    drawn as in the differential problems, and the seeded generator for
+    the change made to them."""
+    graph = draw(st.sampled_from(GRAPH_ZOO))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    gens = [word_from_pairs(_random_generator(graph, rng)) for _ in range(rng.randint(2, 3))]
+    return graph, gens, rng
+
+
+def _verdict(graph: DefiningGraph, gens) -> str:
+    model = SurfaceModel.build(graph, [graph.vertices])
+    return certify(graph, model, gens, **CATALOG_BUDGETS).verdict
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(zoo_subgroup())
+def test_decided_verdict_survives_a_redundant_generator(problem):
+    """Adding the product of two generators spans the same subgroup: a
+    decided verdict may turn inconclusive (the construction has more to
+    fold), never into the other verdict."""
+    graph, gens, rng = problem
+    before = _verdict(graph, gens)
+    assume(before != INCONCLUSIVE)
+    i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
+    assert _verdict(graph, gens + [concat(gens[i], gens[j])]) in (before, INCONCLUSIVE)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(zoo_subgroup())
+def test_decided_verdict_survives_conjugation(problem):
+    """Conjugating every generator by one short word gives a conjugate
+    subgroup, which is convex cocompact exactly when the subgroup is."""
+    graph, gens, rng = problem
+    before = _verdict(graph, gens)
+    assume(before != INCONCLUSIVE)
+    conj = word_from_pairs([(rng.choice(graph.vertices), rng.choice((1, -1)))
+                            for _ in range(rng.randint(1, 3))])
+    conjugated = [concat(concat(conj, g), invert(conj)) for g in gens]
+    assert _verdict(graph, conjugated) in (before, INCONCLUSIVE)

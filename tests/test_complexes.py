@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +36,7 @@ from raagcc.words import (
 )
 
 import oracles
-from conftest import GRAPH_ZOO
+from conftest import GRAPH_ZOO, catalog_sample
 
 
 @pytest.fixture(scope="module")
@@ -550,11 +549,6 @@ def test_canonical_form_ignores_numbering(pair):
 
 # -- the incremental builder against the rebuilding oracle --------------------------
 
-CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "zoo_catalog.json"
-CATALOG_GRAPHS = {"abc": GRAPH_ZOO[1], "path4": GRAPH_ZOO[3], "cycle4": GRAPH_ZOO[4],
-                  "sparse4": GRAPH_ZOO[5]}
-
-
 def _differential_problems() -> list[tuple[DefiningGraph, list, tuple[int, ...]]]:
     """Problems and their stage budgets: seeded subgroups over the graph zoo
     and the ring family's generators for (3,1), (3,2) and (4,1), at small
@@ -573,13 +567,8 @@ def _differential_problems() -> list[tuple[DefiningGraph, list, tuple[int, ...]]
     for n, N in ((3, 1), (3, 2), (4, 1)):
         fam = family(n, N)
         problems.append((fam.graph, [w.as_word() for w in fam.generators], (32, 256, 2_000)))
-    catalog = json.loads(CATALOG.read_text())
-    for name, strata in catalog["graphs"].items():
-        graph = CATALOG_GRAPHS[name]
-        for verdict in sorted(strata):
-            for texts in rng.sample(strata[verdict], min(3, len(strata[verdict]))):
-                problems.append((graph, [normalize(parse_word(t, graph), graph).as_word()
-                                         for t in texts], (256, 1_024, 2_000)))
+    for graph, gens in catalog_sample(rng):
+        problems.append((graph, gens, (256, 1_024, 2_000)))
     return problems
 
 
@@ -613,6 +602,37 @@ def test_builder_matches_rebuilding_oracle():
             assert shuffled.diagnostics == core.diagnostics
             assert shuffled.complex.canonical_form() == core.complex.canonical_form()
     assert partial >= 40
+
+
+def test_verified_freeze_is_canonical():
+    """A verified core is frozen straight into canonical form: it equals its
+    own ``canonical_form()`` and the rebuilding oracle's core, which is
+    renumbered by ``canonical_form()`` after freezing."""
+    verified = 0
+    for graph, gens, stages in _differential_problems():
+        core = build_core(graph, gens, budget=stages[-1])
+        if not core.verified:
+            continue
+        verified += 1
+        assert core.complex == core.complex.canonical_form(), (graph, gens)
+        assert core.complex == oracles.oracle_build_core(graph, gens, budget=stages[-1]).complex
+    assert verified >= 30
+
+
+def test_link_check_rejects_malformed_squares(abc_graph):
+    """A complex made in Python, not read from a file, with a one-corner
+    "square" over its only unfilled corner used to pass the link check;
+    the check now reads every square's boundary."""
+    gens = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
+    stage = build_core(abc_graph, gens, budget=12).complex
+    report = check_local_isometry(stage)
+    (corner,) = report.unfilled
+    forged = dataclasses.replace(stage, squares=stage.squares | {frozenset({corner})})
+    forged_report = check_local_isometry(forged)
+    assert not forged_report.ok
+    assert forged_report.malformed == (frozenset({corner}),)
+    assert not forged_report.unfilled and not forged_report.foldable
+    assert check_local_isometry(build_core(abc_graph, gens).complex).malformed == ()
 
 
 def test_resuming_rules(abc_graph):

@@ -3,7 +3,9 @@ check run end to end."""
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +54,19 @@ def test_perfbench_smoke():
     done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")],
                           capture_output=True, text=True, cwd=ROOT, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_catalog_reports():
+    """The first catalog problems, one sorted-keys JSON report per line, and
+    the total time on stderr."""
+    done = _run("catalog_reports.py", "--limit", "3")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        row = json.loads(line)
+        assert json.dumps(row, sort_keys=True) == line
+        assert row["graph"] == "abc" and row["report"]["schema"] == "raagcc-certificate-v1"
+        assert row["report"]["verdict"] == row["stored"] == "refuted"
+        assert row["report"]["core"]["stages"][0][0] == 256
+    assert re.fullmatch(r"3 problems through certify in \d+\.\d\d s\n", done.stderr)
