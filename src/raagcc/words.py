@@ -35,7 +35,13 @@ The syllable partial order puts p before q when p appears to the left of q
 in every normal representative.  It is the transitive closure of direct
 dependence (earlier occurrence with equal or non-commuting generator),
 which coincides with the representative-quantified order, and is kept as
-one predecessor bitset per syllable.
+one predecessor bitmask per syllable: O(k |V|) big-int ORs to build on a
+word of k syllables, O(k^2) bits to hold, and a bit test per query.  The
+closure is spelled out as position pairs only when ``pairs`` is read.
+
+The subword decomposition between two unordered syllables runs the
+constructive induction on an explicit work stack, so no word is too long
+for it.
 """
 
 from __future__ import annotations
@@ -364,18 +370,32 @@ def _position(s: Syllable | int) -> int:
 class SyllableOrder:
     """The strict partial order on the syllables of a normal word.
 
-    ``pairs`` holds position pairs (i, j) meaning syllable i precedes
-    syllable j in every normal representative.
+    Bit i of ``predecessor_masks[j]`` is set when syllable i precedes
+    syllable j in every normal representative.  ``precedes`` and
+    ``comparable`` are bit tests; positions outside the word are unordered.
+    ``pairs`` spells the order as the frozenset of position pairs (i, j),
+    O(k^2) of them on a word of k syllables, built on first use.
     """
 
     word: NormalWord
-    pairs: frozenset[tuple[int, int]]
+    predecessor_masks: tuple[int, ...]
 
     def precedes(self, p: Syllable | int, q: Syllable | int) -> bool:
-        return (_position(p), _position(q)) in self.pairs
+        i, j = _position(p), _position(q)
+        masks = self.predecessor_masks
+        return i >= 0 and 0 <= j < len(masks) and bool(masks[j] >> i & 1)
 
     def comparable(self, p: Syllable | int, q: Syllable | int) -> bool:
-        return self.precedes(p, q) or self.precedes(q, p)
+        i, j = _position(p), _position(q)
+        if i > j:
+            i, j = j, i
+        masks = self.predecessor_masks
+        return i >= 0 and j < len(masks) and bool(masks[j] >> i & 1)
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for j, below in enumerate(self.predecessor_masks)
+                         for i, bit in enumerate(bin(below)[:1:-1]) if bit == "1")
 
     def generator_pairs(self) -> frozenset[tuple[str, str]]:
         syls = self.word.syllables
@@ -385,11 +405,12 @@ class SyllableOrder:
 def predecessor_masks(w: NormalWord, graph: DefiningGraph) -> list[int]:
     """Bit i of entry j is set when syllable i precedes syllable j.
 
-    The transitive closure of direct occurrence dependence, one bitset per
+    The transitive closure of direct occurrence dependence, one bitmask per
     syllable: the union, over its own and each non-commuting generator, of
     the closure of that generator's latest earlier occurrence (earlier
     occurrences already lie below the latest).  Costs O(k |V|) big-int ORs
-    on a word of k syllables.  The word must be normal.
+    on a word of k syllables, and the masks hold O(k^2) bits.  The word
+    must be normal.
     """
     index = graph._index
     noncomm = graph.non_commuting
@@ -406,15 +427,11 @@ def predecessor_masks(w: NormalWord, graph: DefiningGraph) -> list[int]:
 
 
 def syllable_order(w: NormalWord, graph: DefiningGraph) -> SyllableOrder:
-    """Transitive closure of direct occurrence dependence on a normal word.
-
-    Built from ``predecessor_masks``; spelling the closure out as position
-    pairs costs O(k^2) on a word of k syllables.
-    """
+    """The syllable partial order of a normal word, held as its
+    ``predecessor_masks``: O(k |V|) big-int ORs and O(k^2) bits on a word
+    of k syllables, with no position pairs spelled out."""
     _require_normal(w, graph)
-    pairs = [(i, j) for j, below in enumerate(predecessor_masks(w, graph))
-             for i, bit in enumerate(bin(below)[:1:-1]) if bit == "1"]
-    return SyllableOrder(word=w, pairs=frozenset(pairs))
+    return SyllableOrder(word=w, predecessor_masks=tuple(predecessor_masks(w, graph)))
 
 
 def cyclically_reduce(w: Word | NormalWord, graph: DefiningGraph) -> tuple[NormalWord, NormalWord]:
@@ -450,24 +467,49 @@ def _ordered_from_left(lead: int, mid: Sequence[int], comm: Sequence[int]) -> li
     return ordered
 
 
-def _decompose(p_gen: int, mid: list[tuple[int, int]], q_gen: int,
+_STEP, _SPLIT_LEFT, _JOIN = range(3)  # frames of _decompose's work stack
+
+
+def _decompose(p_gen: int, mid: list[tuple[int, int]],
                comm: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Constructive induction splitting the word between two unordered
     syllables into a part commuting with the left one followed by a part
-    commuting with the right one."""
-    if not mid:
-        return [], []
-    ordered = _ordered_from_left(p_gen, [g for g, _ in mid], comm)
-    try:
-        t = ordered.index(True)
-    except ValueError:
-        return list(mid), []
-    s = mid[t]
-    left_prefix = mid[:t]
-    rest = mid[t + 1:]
-    l2, r2 = _decompose(s[0], rest, q_gen, comm)
-    l3, r3 = _decompose(p_gen, l2, q_gen, comm)
-    return left_prefix + l3, r3 + [s] + r2
+    commuting with the right one.
+
+    A step D(p, m) finds the first syllable s of m whose generator fails to
+    commute with (or equals) p; with none it gives (m, []).  Otherwise it
+    splits what follows s as (l2, r2) = D(s, rest), then l2 as
+    (l3, r3) = D(p, l2), and gives (m before s + l3, r3 + s + r2).  The
+    right syllable never enters.  The steps run on an explicit work stack in
+    the order of that recursion, so the spelling is the recursion's and no
+    window is too long for the interpreter's recursion limit.
+    """
+    done: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []  # finished steps
+    work: list[tuple] = [(_STEP, p_gen, mid, 0)]
+    while work:
+        frame = work.pop()
+        if frame[0] == _STEP:  # D(p, seq[lo:])
+            _, p, seq, lo = frame
+            bit = 1 << p
+            for t in range(lo, len(seq)):
+                if not comm[seq[t][0]] & bit:
+                    break
+            else:
+                done.append((seq[lo:], []))
+                continue
+            s = seq[t]
+            work.append((_SPLIT_LEFT, p, seq[lo:t], s))
+            work.append((_STEP, s[0], seq, t + 1))
+        elif frame[0] == _SPLIT_LEFT:  # D(s, rest) is done: run D(p, l2)
+            _, p, prefix, s = frame
+            l2, r2 = done.pop()
+            work.append((_JOIN, prefix, s, r2))
+            work.append((_STEP, p, l2, 0))
+        else:  # D(p, l2) is done
+            _, prefix, s, r2 = frame
+            l3, r3 = done.pop()
+            done.append((prefix + l3, r3 + [s] + r2))
+    return done.pop()
 
 
 def subword_decompose(w: NormalWord, p: Syllable | int, q: Syllable | int,
@@ -486,10 +528,10 @@ def subword_decompose(w: NormalWord, p: Syllable | int, q: Syllable | int,
     index = graph._index
     comm = graph.comm_masks
     window = [(index[s.generator], s.exponent) for s in w.syllables[i:j + 1]]
-    (p_gen, _), mid, (q_gen, _) = window[0], window[1:-1], window[-1]
+    p_gen, mid = window[0][0], window[1:-1]
     if _ordered_from_left(p_gen, [g for g, _ in window[1:]], comm)[-1]:
         raise ContractError("p and q must be unordered syllables")
-    left, right = _decompose(p_gen, mid, q_gen, comm)
+    left, right = _decompose(p_gen, mid, comm)
     labels = graph.vertices
     return (normal_word_from_pairs((labels[g], e) for g, e in left),
             normal_word_from_pairs((labels[g], e) for g, e in right))

@@ -13,7 +13,10 @@ replaced, and ``oracle_certify_by_enumeration``, the ell-ball sweep that
 budget-exceeded stages before the chord-word check took that over, and
 ``oracle_chord_words`` the chord words as read before the forests kept
 parent pointers.  Of the package's enumeration they share only
-``_letter_options``, the table of letters leaving each vertex.  ``oracle_build_core`` is the fold/fill
+``_letter_options``, the table of letters leaving each vertex.
+``oracle_decompose`` is the recursive subword decomposition that the
+work-stack one replaced; it shares only ``_ordered_from_left`` with the
+package.  ``oracle_build_core`` is the fold/fill
 builder that the end tables replaced: string labels, incidence sets
 rescanned and sorted on every look-up, and a filled-corner set rebuilt
 after every fold round.  It shares only ``LabeledCubeComplex`` and the
@@ -54,6 +57,7 @@ from raagcc.surfaces import FillingBlock, SurfaceModel
 from raagcc.words import (
     NormalWord,
     Word,
+    _ordered_from_left,
     cyclic_core_support,
     cyclically_reduce,
     is_normal,
@@ -163,6 +167,26 @@ def oracle_order_pairs(normal_word: Pairs, graph: DefiningGraph) -> set[tuple[in
             if all(_identity_pos(m, orient[0]) < _identity_pos(m, orient[1]) for m in members):
                 pairs.add(orient)
     return pairs
+
+
+def oracle_decompose(p_gen: int, mid: list[tuple[int, int]], q_gen: int,
+                     comm: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Constructive induction splitting the word between two unordered
+    syllables into a part commuting with the left one followed by a part
+    commuting with the right one."""
+    if not mid:
+        return [], []
+    ordered = _ordered_from_left(p_gen, [g for g, _ in mid], comm)
+    try:
+        t = ordered.index(True)
+    except ValueError:
+        return list(mid), []
+    s = mid[t]
+    left_prefix = mid[:t]
+    rest = mid[t + 1:]
+    l2, r2 = oracle_decompose(s[0], rest, q_gen, comm)
+    l3, r3 = oracle_decompose(p_gen, l2, q_gen, comm)
+    return left_prefix + l3, r3 + [s] + r2
 
 
 def oracle_cyclic_core(word: Pairs, graph: DefiningGraph) -> Pairs:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagcc.errors import BudgetExceededError, ContractError, InputError
+from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.words import (
     EPSILON,
@@ -26,9 +30,78 @@ from raagcc.words import (
 import oracles
 from conftest import GRAPH_ZOO
 
+RING = family(4, 1).graph
+
 
 def nw(pairs):
     return normal_word_from_pairs(pairs)
+
+
+def random_normal_pairs(rng: random.Random, graph: DefiningGraph, syllables: int):
+    """A random normal word of exactly ``syllables`` syllables, drawn one
+    syllable at a time under the rule ``is_normal`` checks (the graph must
+    not be complete, or the draw can run out of syllables)."""
+    labels = graph.vertices
+    noncomm = graph.non_commuting
+    on_top = [False] * len(labels)
+    pairs = []
+    while len(pairs) < syllables:
+        g = rng.randrange(len(labels))
+        if on_top[g]:
+            continue
+        pairs.append((labels[g], rng.choice((1, -1, 2, -2))))
+        on_top[g] = True
+        for h in noncomm[g]:
+            on_top[h] = False
+    return pairs
+
+
+def random_unordered_window(rng: random.Random, graph: DefiningGraph, length: int):
+    """A random normal word of at most ``length`` syllables whose first and
+    last syllables are unordered, or None when no two generators commute.
+
+    Each drawn syllable keeps the word normal and, when the first syllable
+    precedes it, commutes with the last syllable's generator; the draw stops
+    at ``length - 1`` syllables or after 100 misses in a row.
+    """
+    comm, noncomm = graph.comm_masks, graph.non_commuting
+    n = len(comm)
+    ends = [(i, j) for i in range(n) for j in range(n) if i != j and comm[i] >> j & 1]
+    if not ends:
+        return None
+    p, q = rng.choice(ends)
+    window = [(p, rng.choice((1, -1)))]
+    on_top = [False] * n
+    on_top[p] = True
+    reached = 1 << p  # generators of the syllables the first one precedes, and its own
+    misses = 0
+    while len(window) < length - 1 and misses < 100:
+        g = rng.randrange(n)
+        after_p = reached & ~comm[g]
+        if on_top[g] or (after_p and not comm[q] >> g & 1):
+            misses += 1
+            continue
+        misses = 0
+        if after_p:
+            reached |= 1 << g
+        window.append((g, rng.choice((1, -1, 2, -2))))
+        on_top[g] = True
+        for h in noncomm[g]:
+            on_top[h] = False
+
+    def q_on_top() -> bool:
+        for g, _ in reversed(window):
+            if g == q:
+                return True
+            if not comm[q] >> g & 1:
+                return False
+        return False
+
+    while q_on_top():  # the last syllable would merge into an earlier q
+        window.pop()
+    window.append((q, rng.choice((1, -1))))
+    labels = graph.vertices
+    return [(labels[g], e) for g, e in window]
 
 
 # -- parsing and plumbing ----------------------------------------------------
@@ -175,6 +248,47 @@ def test_order_matches_every_representative_exhaustively(abc_graph):
             assert got == expected, (graph.vertices, pairs)
 
 
+def test_out_of_range_positions_are_unordered(abc_graph, path_graph):
+    words = [(path_graph, [("a", 1), ("c", 1), ("b", 1), ("d", 1)]), (abc_graph, [("a", 2)]),
+             (abc_graph, [])]
+    rng = random.Random(12)
+    for graph in GRAPH_ZOO + [RING]:
+        raw = [(rng.choice(graph.vertices), rng.choice((1, -1))) for _ in range(10)]
+        words.append((graph, list(normalize(word_from_pairs(raw), graph).pairs())))
+    for graph, pairs in words:
+        order = syllable_order(nw(pairs), graph)
+        k = len(pairs)
+        for i in range(-2, k + 2):
+            for j in range(-2, k + 2):
+                assert order.precedes(i, j) == ((i, j) in order.pairs), (pairs, i, j)
+                assert order.comparable(i, j) == (
+                    (i, j) in order.pairs or (j, i) in order.pairs), (pairs, i, j)
+
+
+def test_order_of_long_words_stays_within_budget():
+    """A 4,096-syllable order is predecessor bitmasks, not position pairs:
+    building it and testing every adjacent pair takes milliseconds and about
+    a megabyte, where spelling the pairs took seconds and gigabytes."""
+    word = nw(random_normal_pairs(random.Random(4096), RING, 4096))
+
+    def run():
+        order = syllable_order(word, RING)
+        return order, [order.comparable(i, i + 1) for i in range(4095)]
+
+    start = time.perf_counter()
+    order, adjacent = run()
+    assert time.perf_counter() - start < 2.0
+    assert "pairs" not in vars(order)  # never spelled out
+    assert any(adjacent) and not all(adjacent)
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024
+
+
 def test_subwords_of_normal_words_are_normal(abc_graph):
     for pairs in oracles.normal_words_upto(abc_graph, 5):
         for i in range(len(pairs)):
@@ -297,6 +411,76 @@ def test_decompose_contract_on_path_graph(path_graph):
         checked += 1
 
 
+def oracle_split(word, graph):
+    """The recursive oracle's L and R for the window between the first and
+    last syllables of ``word``, with the recursion limit raised for it."""
+    index = graph._index
+    window = [(index[s.generator], s.exponent) for s in word.syllables]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2 * len(window) + 100))
+    try:
+        left, right = oracles.oracle_decompose(window[0][0], window[1:-1], window[-1][0],
+                                               graph.comm_masks)
+    finally:
+        sys.setrecursionlimit(limit)
+    labels = graph.vertices
+    return tuple((labels[g], e) for g, e in left), tuple((labels[g], e) for g, e in right)
+
+
+def test_decompose_matches_recursive_oracle():
+    """L and R are spelled exactly as the recursive induction spells them,
+    on long generated windows and on every unordered pair of random words."""
+    rng = random.Random(10)
+    checked = 0
+    for graph in GRAPH_ZOO + [RING]:
+        windows = []
+        for _ in range(30):
+            window = random_unordered_window(rng, graph, rng.randrange(2, 160))
+            if window is not None:
+                windows.append(window)
+        for _ in range(30):
+            raw = [(rng.choice(graph.vertices), rng.choice((1, -1))) for _ in range(14)]
+            pairs = normalize(word_from_pairs(raw), graph).pairs()
+            order = syllable_order(nw(pairs), graph)
+            windows.extend(list(pairs[i:j + 1]) for i in range(len(pairs))
+                           for j in range(i + 1, len(pairs)) if not order.comparable(i, j))
+        for window in windows:
+            word = nw(window)
+            left, right = subword_decompose(word, 0, len(window) - 1, graph)
+            assert (left.pairs(), right.pairs()) == oracle_split(word, graph), window
+            checked += 1
+    assert checked > 1000
+
+
+def test_decompose_deep_chain_window():
+    """``a (b a)^600 c`` with a, b commuting with c: the recursion nests 1,200
+    deep here and overflowed the interpreter's default limit."""
+    graph = DefiningGraph.build("abc", [("a", "c"), ("b", "c")])
+    mid = [("b", 1), ("a", 1)] * 600
+    word = nw([("a", 1)] + mid + [("c", 1)])
+    left, right = subword_decompose(word, 0, 1201, graph)
+    assert left == EPSILON
+    assert right.pairs() == tuple(mid)
+    assert (left.pairs(), right.pairs()) == oracle_split(word, graph)
+
+
+def test_decompose_contract_on_a_5000_syllable_window():
+    graph = GRAPH_ZOO[4]  # the 4-cycle: F2 x F2
+    window = random_unordered_window(random.Random(5000), graph, 5200)
+    assert len(window) >= 5000
+    word = nw(window)
+    start = time.perf_counter()
+    left, right = subword_decompose(word, 0, len(window) - 1, graph)
+    assert time.perf_counter() - start < 5.0
+    joined = concat(left.as_word(), right.as_word())
+    assert normalize(joined, graph) == normalize(word_from_pairs(window[1:-1]), graph)
+    assert is_normal(joined, graph)
+    (p_gen, _), (q_gen, _) = window[0], window[-1]
+    assert all(graph.commutes(s.generator, p_gen) for s in left.syllables)
+    assert all(graph.commutes(s.generator, q_gen) for s in right.syllables)
+    assert left.syllables and right.syllables
+
+
 # -- confluence ------------------------------------------------------------------
 
 def test_confluence_under_randomized_move_orders():
@@ -341,3 +525,34 @@ def test_word_times_inverse_is_identity(gw):
     graph, pairs = gw
     w = word_from_pairs(pairs)
     assert normalize(concat(w, invert(w)), graph) == EPSILON
+
+
+_order_graphs = GRAPH_ZOO + [RING]
+
+
+@st.composite
+def order_graph_and_normal_word(draw):
+    graph = _order_graphs[draw(st.integers(0, len(_order_graphs) - 1))]
+    labels = graph.vertices
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(labels[draw(st.integers(0, len(labels) - 1))], draw(st.sampled_from((1, -1))))
+             for _ in range(n)]
+    return graph, normalize(word_from_pairs(pairs), graph)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(order_graph_and_normal_word())
+def test_order_masks_match_oracle(gw):
+    graph, word = gw
+    order = syllable_order(word, graph)
+    expected = oracles.oracle_order_pairs(word.pairs(), graph)
+    assert order.pairs == expected
+    k = word.syllable_length
+    for i in range(k):
+        for j in range(k):
+            assert order.precedes(i, j) == ((i, j) in order.pairs)
+    syls = word.syllables
+    assert order.generator_pairs() == frozenset(
+        (syls[i].generator, syls[j].generator) for i, j in expected)
+    again = syllable_order(nw(word.pairs()), graph)
+    assert again == order and hash(again) == hash(order)
