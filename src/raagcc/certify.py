@@ -157,40 +157,25 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
     return None
 
 
-def _sorted_ends(complex_: LabeledCubeComplex) -> dict[int, list[tuple[int, int, int]]]:
-    """Each vertex's edge-ends as (2*label index + endpoint, edge id, far
-    vertex), sorted: by label index, orientation and edge id."""
-    index = complex_.graph._index
-    ends: dict[int, list[tuple[int, int, int]]] = {v: [] for v in complex_.vertices}
-    for eid, src, dst, label in complex_.edges:
-        key = 2 * index[label]
-        ends[src].append((key, eid, dst))
-        ends[dst].append((key + 1, eid, src))
-    for incident in ends.values():
-        incident.sort()
-    return ends
-
-
-def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1,
-                 ends: dict[int, list[tuple[int, int, int]]] | None = None
+def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1
                  ) -> Iterator[list[tuple[int, int]]]:
     """The loop word path(src)*label*path(dst)^-1 of every chord of a
     spanning forest of the edges whose label index is a bit of ``allowed``
     (all by default), as index syllables; path(v) is the forest path from
-    its root to v.  ``ends`` is ``_sorted_ends(complex_)``, when the caller
-    already has it.
+    its root to v.
 
     Roots are the basepoint, then the other vertices in order; each tree
-    grows breadth first, taking a vertex's edge-ends by label index,
-    orientation and edge id.  The chord loops at the roots generate the
-    fundamental group of each component.  The forest keeps one parent
-    pointer per vertex, and a chord's word is read off the two parent
-    chains when the chord is reached.
+    grows breadth first, taking a vertex's edge-ends in the complex's
+    ``adjacency`` order: by label index, orientation and edge id.  The
+    chord loops at the roots generate the fundamental group of each
+    component.  The forest keeps one parent pointer per vertex, and a
+    chord's word is read off the two parent chains when the chord is
+    reached.
     """
-    if ends is None:
-        ends = _sorted_ends(complex_)
+    ends = complex_.adjacency
     index = complex_.graph._index
-    parent: dict[int, tuple[int, int, int] | None] = {}  # v -> (u, g, e): u*(g, e) reaches v
+    letters = [(key >> 1, -1 if key & 1 else 1) for key in range(2 * len(index))]
+    parent: dict[int, tuple[int, int] | None] = {}  # v -> (u, key): u's end at key reaches v
     tree: set[int] = set()
     for root in (complex_.basepoint, *complex_.vertices):
         if root in parent:
@@ -200,7 +185,7 @@ def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1,
         for v in queue:
             for key, eid, far in ends[v]:
                 if allowed >> (key >> 1) & 1 and far not in parent:
-                    parent[far] = (v, key >> 1, -1 if key & 1 else 1)
+                    parent[far] = (v, key)
                     tree.add(eid)
                     queue.append(far)
     for eid, src, dst, label in complex_.edges:
@@ -210,13 +195,13 @@ def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1,
         word: list[tuple[int, int]] = []
         step = parent[src]
         while step is not None:  # path(src), read backwards
-            word.append(step[1:])
+            word.append(letters[step[1]])
             step = parent[step[0]]
         word.reverse()
-        word.append((g, 1))
+        word.append(letters[2 * g])
         step = parent[dst]
-        while step is not None:  # path(dst)^-1
-            word.append((step[1], -step[2]))
+        while step is not None:  # path(dst)^-1: each end's letter, inverted
+            word.append(letters[step[1] ^ 1])
             step = parent[step[0]]
         yield word
 
@@ -230,9 +215,8 @@ def _nonfilling_chord_set(complex_: LabeledCubeComplex, model: SurfaceModel) -> 
     bounds the support of a non-filling member (see the module docstring).
     """
     graph = complex_.graph
-    ends = _sorted_ends(complex_)
     for allowed in model.maximal_non_filling_sets:
-        for chord in _chord_words(complex_, allowed, ends):
+        for chord in _chord_words(complex_, allowed):
             if any(_pile(chord, graph)):
                 return allowed
     return None

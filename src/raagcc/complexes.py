@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
@@ -92,10 +91,6 @@ class LabeledCubeComplex:
             ends[src].append((eid, 0))
             ends[dst].append((eid, 1))
         return {v: tuple(sorted(es)) for v, es in ends.items()}
-
-    def end_vertex(self, end: End) -> int:
-        src, dst, _ = self.edge_map[end[0]]
-        return src if end[1] == 0 else dst
 
     def far_vertex(self, end: End) -> int:
         src, dst, _ = self.edge_map[end[0]]
@@ -153,6 +148,20 @@ class LabeledCubeComplex:
         raise InputError(f"invalid core: the square at corner {v} does not close up")
 
     @cached_property
+    def adjacency(self) -> dict[int, list[tuple[int, int, int]]]:
+        """Each vertex's edge-ends as (2*label index + endpoint, edge id, far
+        vertex), sorted: by label index, orientation (out first), edge id."""
+        index = self.graph._index
+        ends: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
+        for eid, src, dst, label in self.edges:
+            key = 2 * index[label]
+            ends[src].append((key, eid, dst))
+            ends[dst].append((key + 1, eid, src))
+        for incident in ends.values():
+            incident.sort()
+        return ends
+
+    @cached_property
     def corner_index(self) -> frozenset[Corner]:
         return frozenset(c for sq in self.squares for c in sq)
 
@@ -176,16 +185,12 @@ class LabeledCubeComplex:
         if not self.vertices:
             return False
         seen = {self.basepoint}
-        frontier = [self.basepoint]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for end in self.ends_at[v]:
-                    far = self.far_vertex(end)
-                    if far not in seen:
-                        seen.add(far)
-                        nxt.append(far)
-            frontier = nxt
+        queue = [self.basepoint]
+        for v in queue:
+            for _, _, far in self.adjacency[v]:
+                if far not in seen:
+                    seen.add(far)
+                    queue.append(far)
         return len(seen) == len(self.vertices)
 
     def canonical_form(self) -> "LabeledCubeComplex":
@@ -195,16 +200,9 @@ class LabeledCubeComplex:
         is link-injective; otherwise the result is merely a stable relabeling.
         """
         order: dict[int, int] = {self.basepoint: 0}
-        queue = deque([self.basepoint])
-        label_idx = self.graph.index
-        while queue:
-            v = queue.popleft()
-            incident = sorted(
-                self.ends_at[v],
-                key=lambda end: (label_idx(self.end_label(end)), end[1], end[0]),
-            )
-            for end in incident:
-                far = self.far_vertex(end)
+        queue = [self.basepoint]
+        for v in queue:  # ends by (label index, endpoint, edge id)
+            for _, _, far in self.adjacency[v]:
                 if far not in order:
                     order[far] = len(order)
                     queue.append(far)
@@ -373,7 +371,10 @@ def salvetti(graph: DefiningGraph) -> LabeledCubeComplex:
 class LinkReport:
     """Every link-injectivity violation, every unfilled commuting corner,
     and every square that ``LabeledCubeComplex.square_ends`` rejects (a
-    malformed square would mark corners filled that no square bounds)."""
+    malformed square would mark corners filled that no square bounds).
+    ``check_local_isometry`` re-reads every square, for complexes from
+    outside the builder; ``build_core``'s self-check re-reads none, since
+    its builder made each square from a corner's own edges."""
 
     foldable: tuple[tuple[int, str, int, tuple[int, ...]], ...]  # (vertex, label, orientation, edge ids)
     unfilled: tuple[Corner, ...]
@@ -384,35 +385,43 @@ class LinkReport:
         return not self.foldable and not self.unfilled and not self.malformed
 
 
-def check_local_isometry(complex_: LabeledCubeComplex,
-                         graph: DefiningGraph | None = None) -> LinkReport:
-    graph = graph or complex_.graph
+def _link_violations(complex_: LabeledCubeComplex) -> LinkReport:
+    """The link check on the adjacency and commutation masks, without
+    reading squares: ``malformed`` stays empty."""
+    labels, comm = complex_.graph.vertices, complex_.graph.comm_masks
+    adjacency, corner_index = complex_.adjacency, complex_.corner_index
     foldable = []
     unfilled = []
-    corner_index = complex_.corner_index
     for v in complex_.vertices:
-        ends = complex_.ends_at[v]
-        by_slot: dict[tuple[str, int], list[int]] = {}
-        for end in ends:
-            by_slot.setdefault((complex_.end_label(end), end[1]), []).append(end[0])
-        for (label, orientation), eids in sorted(by_slot.items()):
-            if len(eids) > 1:
-                foldable.append((v, label, orientation, tuple(sorted(eids))))
-        for i in range(len(ends)):
-            for j in range(i + 1, len(ends)):
-                u = complex_.end_label(ends[i])
-                w = complex_.end_label(ends[j])
-                if u != w and graph.commutes(u, w):
-                    corner = _corner(v, ends[i], ends[j])
+        ends = adjacency[v]
+        if len({key for key, _, _ in ends}) < len(ends):
+            by_slot: dict[int, list[int]] = {}
+            for key, eid, _ in ends:  # edge ids come sorted within a slot
+                by_slot.setdefault(key, []).append(eid)
+            foldable += sorted((v, labels[key >> 1], key & 1, tuple(eids))
+                               for key, eids in by_slot.items() if len(eids) > 1)
+        for i, (ka, ea, _) in enumerate(ends):
+            commuting = comm[ka >> 1]
+            if not commuting:
+                continue
+            for kb, eb, _ in ends[i + 1:]:
+                if commuting >> (kb >> 1) & 1:
+                    corner = _corner(v, (ea, ka & 1), (eb, kb & 1))
                     if corner not in corner_index:
                         unfilled.append(corner)
+    return LinkReport(foldable=tuple(foldable), unfilled=tuple(sorted(unfilled)))
+
+
+def check_local_isometry(complex_: LabeledCubeComplex) -> LinkReport:
+    """The link check, with every square's boundary read by ``square_ends``."""
     malformed = []
     for sq in complex_.squares:
         try:
             complex_.square_ends(sq)
         except InputError:
             malformed.append(sq)
-    return LinkReport(foldable=tuple(foldable), unfilled=tuple(sorted(unfilled)),
+    report = _link_violations(complex_)
+    return LinkReport(foldable=report.foldable, unfilled=report.unfilled,
                       malformed=tuple(sorted(malformed, key=sorted)))
 
 
@@ -594,7 +603,7 @@ class _Builder:
         return bool(targets)
 
     def _attach_square(self, v: int, ka: int, kb: int) -> None:
-        """Close the corner of v's ends at keys ka and kb with a square.
+        """Close the corner of v's ends at keys ka < kb with a square.
 
         The completing edges sit in the same table slots across the square
         as a and b at v.  A fresh opposite vertex and both completing edges
@@ -607,18 +616,24 @@ class _Builder:
         far_b = self.end_vertex(b, 1 - pb)
         gamma = self.ends[far_a].get(kb)
         delta = self.ends[far_b].get(ka)
-        if gamma is None or delta is None or \
-                self.end_vertex(gamma, 1 - pb) != self.end_vertex(delta, 1 - pa):
+        opposite = None if gamma is None or delta is None else self.end_vertex(gamma, 1 - pb)
+        if opposite is None or opposite != self.end_vertex(delta, 1 - pa):
             opposite = self.new_vertex()
             gamma = self.new_edge(far_a if pb == 0 else opposite,
                                   opposite if pb == 0 else far_a, kb >> 1)
             delta = self.new_edge(far_b if pa == 0 else opposite,
                                   opposite if pa == 0 else far_b, ka >> 1)
-        self.add_square(a, b, gamma, delta, ka, kb)
+        self.squares.append((a, b, gamma, delta, ka, kb))
         self.squares_added += 1
+        # fill_pass marked the corner at v; the other three, in key order.
+        filled = self.filled
+        filled[far_a].add((ka ^ 1, kb))
+        filled[far_b].add((ka, kb ^ 1))
+        filled[opposite].add((ka ^ 1, kb ^ 1))
 
     def add_square(self, *square: int) -> None:
-        """Record a square (a, b, gamma, delta, ka, kb) and mark its corners filled."""
+        """Record a seed square (a, b, gamma, delta, ka, kb) and mark its
+        corners filled."""
         self.squares.append(square)
         for e, k1, _, k2 in _square_corners(*square):
             self.filled[self.end_vertex(e, k1 & 1)].add((k1, k2) if k1 < k2 else (k2, k1))
@@ -637,7 +652,8 @@ class _Builder:
         table-key order, which on a link-injective complex is the (label
         index, endpoint, edge id) order of ``canonical_form``; edges
         numbered by (source, target, label).  A budget-exceeded stage is
-        numbered by least raw id per class.
+        numbered by least raw id per class.  Squares are renumbered, not
+        re-read, and ``build_core``'s self-check does not read them again.
         """
         vfind, efind = self.vfind, self.efind
         raw = self.edges
@@ -694,7 +710,9 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
     form (``LabeledCubeComplex.canonical_form``), whatever order the
     construction made its cells in; exhausting the budget yields an
     inconclusive core carrying partial diagnostics, its cells numbered by
-    least raw id.
+    least raw id.  A stabilized core is checked for foldable slots and
+    unfilled corners; only a seed complex's squares are read, by
+    ``square_ends`` as the builder takes them in.
 
     ``extend`` is either a complex over the same graph, which seeds the
     construction instead of a bare basepoint, or a budget-exceeded core that
@@ -747,7 +765,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
         "budget": budget,
     }
     if status == VERIFIED:
-        report = check_local_isometry(complex_)
+        report = _link_violations(complex_)
         if not report.ok:
             raise InternalError(f"stabilized complex failed the link check: {report}")
     return SubgroupCore(complex=complex_, status=status, diagnostics=diagnostics,
@@ -781,20 +799,18 @@ def membership(core: SubgroupCore, w: Word | NormalWord) -> bool:
 
 
 def _letter_options(complex_: LabeledCubeComplex) -> tuple[list[list[tuple[int, int, int]]], Sequence[int], int]:
-    """Per-vertex extension letters as (generator index, sign, next vertex)."""
-    graph = complex_.graph
-    out, into = complex_.trace_maps
+    """Per-vertex extension letters as (generator index, sign, next vertex),
+    by vertex position, in the adjacency's key order: the canonical letter
+    order (declaration index, positive sign first)."""
+    adjacency = complex_.adjacency
     index = {v: i for i, v in enumerate(complex_.vertices)}
     options: list[list[tuple[int, int, int]]] = [[] for _ in complex_.vertices]
-    for (v, label), far in out.items():
-        options[index[v]].append((graph.index(label), 1, index[far]))
-    for (v, label), far in into.items():
-        options[index[v]].append((graph.index(label), -1, index[far]))
-    # Letter order: declaration index, positive sign first (the canonical
-    # letter order used for lexicographic comparisons).
-    for opts in options:
-        opts.sort(key=lambda t: (t[0], -t[1]))
-    return options, graph.comm_masks, index[complex_.basepoint]
+    for v, i in index.items():
+        ends = adjacency[v]
+        if len({key for key, _, _ in ends}) < len(ends):
+            raise ContractError("complex is not link-injective; tracing is ambiguous")
+        options[i] = [(key >> 1, -1 if key & 1 else 1, index[far]) for key, _, far in ends]
+    return options, complex_.graph.comm_masks, index[complex_.basepoint]
 
 
 class _SpellingAutomaton:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from raagcc.complexes import build_core
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel
 from raagcc.words import normalize, parse_word
@@ -54,3 +55,23 @@ def catalog_sample(rng: random.Random):
         for verdict in sorted(strata):
             for texts in rng.sample(strata[verdict], min(3, len(strata[verdict]))):
                 yield graph, [normalize(parse_word(t, graph), graph).as_word() for t in texts]
+
+
+@pytest.fixture(scope="session")
+def catalog_stages():
+    """A seeded catalog sample, three problems per graph and stored verdict,
+    with every stage ``certify`` builds for it at the catalog's cell budget:
+    256, 1024 and 2000 cells, each resumed from the one before, up to the
+    first verified one."""
+    out = []
+    for graph, gens in catalog_sample(random.Random(29)):
+        model = SurfaceModel.build(graph, [graph.vertices])
+        stages = []
+        core = None
+        for budget in (256, 1_024, 2_000):
+            core = build_core(graph, gens, budget=budget, extend=core)
+            stages.append(core)
+            if core.verified:
+                break
+        out.append((graph, model, gens, stages))
+    return out

@@ -12,15 +12,18 @@ replaced, and ``oracle_certify_by_enumeration``, the ell-ball sweep that
 ``oracle_partial_stage_witness`` is the bounded loop walk that decided
 budget-exceeded stages before the chord-word check took that over, and
 ``oracle_chord_words`` the chord words as read before the forests kept
-parent pointers.  Of the package's enumeration they share only
-``_letter_options``, the table of letters leaving each vertex.
-``oracle_decompose`` is the recursive subword decomposition that the
+parent pointers.  ``oracle_letter_options`` is the table of letters
+leaving each vertex as read from ``trace_maps``, before the package read
+it off the complex's integer adjacency; the oracle walks use it, so they
+share nothing with the package's enumeration.
+``oracle_check_local_isometry`` is the link check on string labels and
+``ends_at`` that the integer check replaced.  ``oracle_decompose`` is the recursive subword decomposition that the
 work-stack one replaced; it shares only ``_ordered_from_left`` with the
 package.  ``oracle_build_core`` is the fold/fill
 builder that the end tables replaced: string labels, incidence sets
 rescanned and sorted on every look-up, and a filled-corner set rebuilt
-after every fold round.  It shares only ``LabeledCubeComplex`` and the
-link check with the package's builder.
+after every fold round, self-checked by ``oracle_check_local_isometry``.
+It shares only ``LabeledCubeComplex`` with the package's builder.
 
 Filling is decided here on label sets against the model's minimal filling
 sets, never on the package's bitmasks, and the ring family's span tracking
@@ -45,11 +48,10 @@ from raagcc.complexes import (
     Corner,
     End,
     LabeledCubeComplex,
+    LinkReport,
     Square,
     SubgroupCore,
     _corner,
-    _letter_options,
-    check_local_isometry,
 )
 from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.graphs import DefiningGraph
@@ -414,6 +416,60 @@ def randomized_reduce(word: Pairs, graph: DefiningGraph, rng: random.Random,
             idle = 0
 
 
+def oracle_letter_options(complex_: LabeledCubeComplex
+                          ) -> tuple[list[list[tuple[int, int, int]]], Sequence[int], int]:
+    """Per-vertex extension letters as (generator index, sign, next vertex),
+    read from ``trace_maps`` (which raises ``ContractError`` unless the
+    complex is link-injective)."""
+    graph = complex_.graph
+    out, into = complex_.trace_maps
+    index = {v: i for i, v in enumerate(complex_.vertices)}
+    options: list[list[tuple[int, int, int]]] = [[] for _ in complex_.vertices]
+    for (v, label), far in out.items():
+        options[index[v]].append((graph.index(label), 1, index[far]))
+    for (v, label), far in into.items():
+        options[index[v]].append((graph.index(label), -1, index[far]))
+    # Letter order: declaration index, positive sign first (the canonical
+    # letter order used for lexicographic comparisons).
+    for opts in options:
+        opts.sort(key=lambda t: (t[0], -t[1]))
+    return options, graph.comm_masks, index[complex_.basepoint]
+
+
+def oracle_check_local_isometry(complex_: LabeledCubeComplex) -> LinkReport:
+    """The link check on string labels: ends grouped by (label,
+    orientation) from ``ends_at``, every pair of ends tested with
+    ``graph.commutes``, and every square read by ``square_ends``."""
+    graph = complex_.graph
+    foldable = []
+    unfilled = []
+    corner_index = complex_.corner_index
+    for v in complex_.vertices:
+        ends = complex_.ends_at[v]
+        by_slot: dict[tuple[str, int], list[int]] = {}
+        for end in ends:
+            by_slot.setdefault((complex_.end_label(end), end[1]), []).append(end[0])
+        for (label, orientation), eids in sorted(by_slot.items()):
+            if len(eids) > 1:
+                foldable.append((v, label, orientation, tuple(sorted(eids))))
+        for i in range(len(ends)):
+            for j in range(i + 1, len(ends)):
+                u = complex_.end_label(ends[i])
+                w = complex_.end_label(ends[j])
+                if u != w and graph.commutes(u, w):
+                    corner = _corner(v, ends[i], ends[j])
+                    if corner not in corner_index:
+                        unfilled.append(corner)
+    malformed = []
+    for sq in complex_.squares:
+        try:
+            complex_.square_ends(sq)
+        except InputError:
+            malformed.append(sq)
+    return LinkReport(foldable=tuple(foldable), unfilled=tuple(sorted(unfilled)),
+                      malformed=tuple(sorted(malformed, key=sorted)))
+
+
 def oracle_loops_by_length(complex_: LabeledCubeComplex, max_len: int,
                            node_budget: int | None = None
                            ) -> Iterator[tuple[int, list[tuple[tuple[int, int], ...]]]]:
@@ -427,7 +483,7 @@ def oracle_loops_by_length(complex_: LabeledCubeComplex, max_len: int,
     count, the budget check and its ``partial_count`` are those of the
     production walk.
     """
-    options, comm, base = _letter_options(complex_)
+    options, comm, base = oracle_letter_options(complex_)
     states: list[tuple[tuple[tuple[int, int], ...], int]] = [((), base)]
     yield 0, [()]
     nodes = 1
@@ -1128,7 +1184,7 @@ def oracle_build_core(graph: DefiningGraph, generators: Sequence[Word], budget: 
         "budget": budget,
     }
     if status == VERIFIED:
-        report = check_local_isometry(complex_)
+        report = oracle_check_local_isometry(complex_)
         if not report.ok:
             raise InternalError(f"stabilized complex failed the link check: {report}")
     return SubgroupCore(complex=complex_, status=status, diagnostics=diagnostics)

@@ -32,7 +32,7 @@ from raagcc.surfaces import SurfaceModel, max_exponent
 from raagcc.words import concat, invert, normalize, parse_word, word_from_pairs
 
 import oracles
-from conftest import GRAPH_ZOO, catalog_sample
+from conftest import GRAPH_ZOO
 
 
 @pytest.fixture(scope="module")
@@ -312,26 +312,6 @@ def test_refutation_witness_search_respects_enum_budget(abc_graph, abc_model):
 # -- every stage decided by the chord-word check ------------------------------------
 
 CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}
-
-
-@pytest.fixture(scope="module")
-def catalog_stages():
-    """A seeded catalog sample, three problems per graph and stored verdict,
-    with every stage ``certify`` builds for it at the catalog's cell budget:
-    256, 1024 and 2000 cells, each resumed from the one before, up to the
-    first verified one."""
-    out = []
-    for graph, gens in catalog_sample(random.Random(29)):
-        model = SurfaceModel.build(graph, [graph.vertices])
-        stages = []
-        core = None
-        for budget in (256, 1_024, 2_000):
-            core = build_core(graph, gens, budget=budget, extend=core)
-            stages.append(core)
-            if core.verified:
-                break
-        out.append((graph, model, gens, stages))
-    return out
 
 
 def test_lean_chord_words_match_oracle(catalog_stages):

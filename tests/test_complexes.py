@@ -18,6 +18,8 @@ from raagcc.complexes import (
     SubgroupCore,
     _SpellingAutomaton,
     _corner,
+    _letter_options,
+    _link_violations,
     build_core,
     check_local_isometry,
     enumerate_elements,
@@ -735,3 +737,94 @@ def test_json_and_dot_round_trips(complex_):
     text = json.dumps(complex_.to_json_dict())
     assert LabeledCubeComplex.from_json_dict(json.loads(text)) == complex_
     assert LabeledCubeComplex.from_dot(complex_.to_dot()) == complex_
+
+
+# -- one integer adjacency per complex ----------------------------------------------
+
+
+def _renumbered(complex_: LabeledCubeComplex) -> LabeledCubeComplex:
+    """The complex with vertex ids reversed and spread out, and edge ids
+    shifted, so that vertex positions and ids differ."""
+    top = 3 * max(complex_.vertices)
+    vmap = {v: 7 + top - 3 * v for v in complex_.vertices}
+    squares = frozenset(
+        frozenset(_corner(vmap[v], (a[0] + 5, a[1]), (b[0] + 5, b[1])) for v, (a, b) in sq)
+        for sq in complex_.squares)
+    return LabeledCubeComplex(
+        graph=complex_.graph, vertices=tuple(sorted(vmap.values())),
+        edges=tuple((eid + 5, vmap[src], vmap[dst], label)
+                    for eid, src, dst, label in complex_.edges),
+        squares=squares, basepoint=vmap[complex_.basepoint])
+
+
+def _every_stage(catalog_stages) -> list[LabeledCubeComplex]:
+    """Every catalog stage, partial and verified, every stored core, and a
+    renumbered copy of a few of each."""
+    complexes = [core.complex for *_, stages in catalog_stages for core in stages]
+    complexes += STORED_CORES
+    return complexes + [_renumbered(c) for c in complexes[::7]]
+
+
+def _forged_complexes(abc_graph) -> list[LabeledCubeComplex]:
+    """Complexes made in Python that fail the link check: a foldable pair,
+    an unfilled corner, the worked core without each of its squares, a
+    partial stage with a one-corner square, and a vertex with clashes in
+    two slots whose label order differs from the declaration order."""
+    forged = [
+        LabeledCubeComplex(graph=abc_graph, vertices=(0, 1, 2),
+                           edges=((0, 0, 1, "b"), (1, 0, 2, "b")),
+                           squares=frozenset(), basepoint=0),
+        LabeledCubeComplex(graph=abc_graph, vertices=(0, 1, 2),
+                           edges=((0, 0, 1, "b"), (1, 0, 2, "c")),
+                           squares=frozenset(), basepoint=0),
+    ]
+    gens = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
+    worked = build_core(abc_graph, gens, budget=10_000).complex
+    forged += [dataclasses.replace(worked, squares=worked.squares - {sq})
+               for sq in worked.squares]
+    stage = build_core(abc_graph, gens, budget=12).complex
+    (corner,) = check_local_isometry(stage).unfilled
+    forged.append(dataclasses.replace(stage, squares=stage.squares | {frozenset({corner})}))
+    bac = DefiningGraph.build("bac", [("a", "c"), ("b", "c")])
+    forged.append(LabeledCubeComplex(
+        graph=bac, vertices=(0, 1, 2, 3),
+        edges=((0, 0, 1, "b"), (1, 0, 2, "b"), (2, 1, 0, "a"), (3, 3, 0, "a"),
+               (4, 0, 3, "c"), (5, 2, 2, "c"), (6, 3, 3, "a")),
+        squares=frozenset(), basepoint=0))
+    return forged
+
+
+def test_letter_options_match_oracle(catalog_stages):
+    """The letter table read off the integer adjacency equals the one read
+    from ``trace_maps``, on every partial and verified stage and stored
+    core; a complex that is not link-injective is refused by both."""
+    counted = {True: 0, False: 0}
+    for complex_ in _every_stage(catalog_stages):
+        assert _letter_options(complex_) == oracles.oracle_letter_options(complex_)
+        counted[not check_local_isometry(complex_).unfilled] += 1
+    assert counted[True] >= 50 and counted[False] >= 50, counted
+    abc = GRAPH_ZOO[1]
+    for edges in (((0, 0, 1, "b"), (1, 0, 2, "b")),    # two b-edges leave 0
+                  ((0, 1, 0, "a"), (1, 2, 0, "a"))):   # two a-edges enter 0
+        clash = LabeledCubeComplex(graph=abc, vertices=(0, 1, 2), edges=edges,
+                                   squares=frozenset(), basepoint=0)
+        for table in (_letter_options, oracles.oracle_letter_options):
+            with pytest.raises(ContractError, match="not link-injective"):
+                table(clash)
+
+
+def test_integer_link_check_matches_string_check(catalog_stages, abc_graph):
+    """``build_core``'s self-check and ``check_local_isometry`` give the
+    foldable slots and unfilled corners of the string-label check, in its
+    order, on every stage, stored core and forged complex; the public
+    check also reports the same malformed squares."""
+    forged = _forged_complexes(abc_graph)
+    failing = 0
+    for complex_ in _every_stage(catalog_stages) + forged:
+        expected = oracles.oracle_check_local_isometry(complex_)
+        assert check_local_isometry(complex_) == expected
+        assert _link_violations(complex_) == dataclasses.replace(expected, malformed=())
+        failing += not expected.ok
+    assert failing >= 60
+    clashes = check_local_isometry(forged[-1]).foldable
+    assert clashes == ((0, "a", 1, (2, 3)), (0, "b", 0, (0, 1)), (3, "a", 0, (3, 6)))
