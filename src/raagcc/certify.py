@@ -46,13 +46,11 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .complexes import (
-    BUDGET_EXCEEDED,
-    VERIFIED,
     LabeledCubeComplex,
     SubgroupCore,
+    _require_verified,
     build_core,
     count_elements,
-    iter_elements_by_length,
     iter_loops_by_length,
     membership,
 )
@@ -231,18 +229,20 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
 
     The core is built under a geometrically escalating cell budget, each
     stage resuming the construction where the one before stopped.  Every
-    stage, partial or verified, is decided by the same chord-word check
-    (see the module docstring):
+    stage, partial or verified, goes through the same two steps (see the
+    module docstring): the chord-word check, then, when it finds a
+    nontrivial chord word, the length-ordered walk of the stage's basepoint
+    loops (the core's members, when it is verified), bounded by
+    ``enum_budget`` and by the window ell = 3(V+1), whose first non-filling
+    loop is the refutation's witness.  Only what the outcome means depends
+    on whether the core is verified:
 
-    - no nontrivial chord word: a verified core is certified; a partial
-      stage gives way to the next stage;
-    - some nontrivial chord word: the length-ordered walk of the stage's
-      basepoint loops (the core's members, when it is verified) picks the
-      first non-filling one as the refutation's witness.  The walk is
-      bounded by ``enum_budget`` and by the window 3(V+1).  When a partial
-      stage's walk finds no witness, the next stage follows; when a
-      verified core's walk runs out of budget, the verdict is
-      inconclusive.
+    - no nontrivial chord word: certified, with ``count_elements``;
+    - a walk that runs out of budget: inconclusive, with its partial count;
+    - a walk that ends without a witness: an ``InternalError``.
+
+    On a partial stage each of these moves on to the next stage, and a
+    refutation carries neither ell nor an element count.
 
     A construction that never stabilizes within the cell budget and never
     exposes a witness is inconclusive.  ``diagnostics`` records the stages
@@ -267,10 +267,13 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     tried: list[list[int]] = []
 
     def certificate(core: SubgroupCore, verdict: str, chord_set: int = 0,
+                    ell: int | None = None, element_count: int | None = None,
                     **fields) -> Certificate:
         stats = dict(core.diagnostics)
-        if verdict == REFUTED and not core.verified:
-            stats["refuted_from_partial_core"] = True
+        if not core.verified:
+            ell = element_count = None
+            if verdict == REFUTED:
+                stats["refuted_from_partial_core"] = True
         stats["stages"] = tried
         if verdict == REFUTED:
             stats["chord_set"] = [v for g, v in enumerate(graph.vertices) if chord_set >> g & 1]
@@ -278,50 +281,39 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                            core_vertex_count=len(core.complex.vertices),
                            core_square_count=len(core.complex.squares),
                            core_status=core.status, core=core, diagnostics=stats,
-                           verdict=verdict, **fields)
+                           verdict=verdict, ell=ell, element_count=element_count, **fields)
 
     core = None
     for stage in stages:
         core = build_core(graph, gen_words, budget=stage, extend=core)
         tried.append([stage, core.diagnostics["cells"]])
-        if core.status == VERIFIED:
-            break
+        ell = 3 * (len(core.complex.vertices) + 1)
         chord_set = _nonfilling_chord_set(core.complex, model)
         if chord_set is None:
+            if core.verified:
+                return certificate(core, CERTIFIED, ell=ell,
+                                   element_count=count_elements(core, ell))
             continue
+        # The witness is the first non-filling member in increasing length
+        # order; on a verified core one of length at most 2V - 1 < ell exists.
         try:
-            found = _first_nonfilling(
-                iter_loops_by_length(core.complex, 3 * (len(core.complex.vertices) + 1),
-                                     node_budget=enum_budget),
-                graph, model)
-        except BudgetExceededError:
-            found = None
+            found = _first_nonfilling(iter_loops_by_length(core.complex, ell,
+                                                           node_budget=enum_budget),
+                                      graph, model)
+        except BudgetExceededError as exc:
+            if core.verified:
+                return certificate(core, INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
+                                   reason=f"enumeration exceeded budget {enum_budget}")
+            continue
         if found is not None:
-            witness, support, _ = found
-            return certificate(core, REFUTED, chord_set, ell=None,
-                               witness=witness, witness_support=support)
-    assert core is not None
-    if core.status == BUDGET_EXCEEDED:
-        return certificate(core, INCONCLUSIVE, ell=None,
-                           reason=f"core construction exceeded cell budget {cell_budget}")
-    ell = 3 * (len(core.complex.vertices) + 1)
-    chord_set = _nonfilling_chord_set(core.complex, model)
-    if chord_set is None:
-        return certificate(core, CERTIFIED, ell=ell, element_count=count_elements(core, ell))
-    # Refuted.  The witness is the first non-filling member in increasing
-    # length order; one of length at most 2V - 1 < ell exists.
-    try:
-        found = _first_nonfilling(
-            iter_elements_by_length(core, ell, node_budget=enum_budget), graph, model)
-    except BudgetExceededError as exc:
-        return certificate(core, INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
-                           reason=f"enumeration exceeded budget {enum_budget}")
-    if found is None:
-        raise InternalError(f"no non-filling member up to length {ell}, "
-                            "though a chord word of a non-filling set is nontrivial")
-    witness, support, count = found
-    return certificate(core, REFUTED, chord_set, ell=ell, witness=witness,
-                       witness_support=support, element_count=count)
+            witness, support, count = found
+            return certificate(core, REFUTED, chord_set, ell=ell, witness=witness,
+                               witness_support=support, element_count=count)
+        if core.verified:
+            raise InternalError(f"no non-filling member up to length {ell}, "
+                                "though a chord word of a non-filling set is nontrivial")
+    return certificate(core, INCONCLUSIVE,
+                       reason=f"core construction exceeded cell budget {cell_budget}")
 
 
 def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
@@ -330,8 +322,7 @@ def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
     Tree paths from the basepoint are at most the tree depth, so each chord
     word has letter length at most twice the depth plus one.
     """
-    if not core.verified:
-        raise ContractError(f"core status is {core.status!r}; a verified core is required")
+    _require_verified(core)
     labels = core.graph.vertices
     out: list[NormalWord] = []
     seen: set[tuple] = set()

@@ -27,9 +27,10 @@ from .complexes import (
     UNVERIFIED,
     VERIFIED,
     LabeledCubeComplex,
+    LinkReport,
     SubgroupCore,
+    _link_violations,
     build_core,
-    check_local_isometry,
     enumerate_elements,
     membership,
 )
@@ -96,12 +97,15 @@ def _load_generators(path: str, graph: DefiningGraph):
     return [parse_word(text, graph) for text in data["generators"]]
 
 
-def _load_core(path: str) -> SubgroupCore:
+def _load_core(path: str) -> tuple[SubgroupCore, LinkReport]:
     """A stored core, with its status recomputed rather than read: verified
-    only when it is connected and passes the link check."""
+    only when it is connected and passes the link check, whose report comes
+    with it.  Loading has already read every square through ``square_ends``,
+    so the check does not read them again."""
     complex_ = LabeledCubeComplex.from_json_dict(_read_json(path))
-    verified = complex_.is_connected() and check_local_isometry(complex_).ok
-    return SubgroupCore(complex=complex_, status=VERIFIED if verified else UNVERIFIED)
+    report = _link_violations(complex_)
+    verified = complex_.is_connected() and report.ok
+    return SubgroupCore(complex=complex_, status=VERIFIED if verified else UNVERIFIED), report
 
 
 def _emit(report: dict, config: RunConfig, text_lines: list[str],
@@ -205,8 +209,7 @@ def _cmd_core_build(config: RunConfig) -> int:
 
 
 def _cmd_core_check(config: RunConfig) -> int:
-    core = _load_core(config.options["core"])
-    report_obj = check_local_isometry(core.complex)
+    _, report_obj = _load_core(config.options["core"])
     report = {
         "schema": "raagcc-core-check-v1",
         "ok": report_obj.ok,
@@ -221,7 +224,7 @@ def _cmd_core_check(config: RunConfig) -> int:
 
 
 def _cmd_core_member(config: RunConfig) -> int:
-    core = _load_core(config.options["core"])
+    core, _ = _load_core(config.options["core"])
     word = parse_word(config.options["word"], core.graph)
     result = membership(core, word)
     report = {"schema": "raagcc-member-v1", "word": config.options["word"], "member": result}
@@ -231,7 +234,7 @@ def _cmd_core_member(config: RunConfig) -> int:
 
 
 def _cmd_core_enum(config: RunConfig) -> int:
-    core = _load_core(config.options["core"])
+    core, _ = _load_core(config.options["core"])
     try:
         words = enumerate_elements(core, config.options["max_len"],
                                    budget=config.options.get("budget"))
@@ -276,7 +279,7 @@ def _cmd_certify(config: RunConfig) -> int:
 
 
 def _cmd_export(config: RunConfig) -> int:
-    core = _load_core(config.options["core"])
+    core, _ = _load_core(config.options["core"])
     fmt = config.fmt if config.fmt != "text" else "dot"
     if fmt == "dot":
         text = core.complex.to_dot()

@@ -84,18 +84,6 @@ class LabeledCubeComplex:
     def edge_map(self) -> dict[int, tuple[int, int, str]]:
         return {eid: (src, dst, label) for eid, src, dst, label in self.edges}
 
-    @cached_property
-    def ends_at(self) -> dict[int, tuple[End, ...]]:
-        ends: dict[int, list[End]] = {v: [] for v in self.vertices}
-        for eid, src, dst, _ in self.edges:
-            ends[src].append((eid, 0))
-            ends[dst].append((eid, 1))
-        return {v: tuple(sorted(es)) for v, es in ends.items()}
-
-    def far_vertex(self, end: End) -> int:
-        src, dst, _ = self.edge_map[end[0]]
-        return dst if end[1] == 0 else src
-
     def end_label(self, end: End) -> str:
         return self.edge_map[end[0]][2]
 
@@ -192,44 +180,6 @@ class LabeledCubeComplex:
                     seen.add(far)
                     queue.append(far)
         return len(seen) == len(self.vertices)
-
-    def canonical_form(self) -> "LabeledCubeComplex":
-        """Renumber cells by a deterministic traversal from the basepoint.
-
-        Well-defined (independent of the incoming numbering) when the complex
-        is link-injective; otherwise the result is merely a stable relabeling.
-        """
-        order: dict[int, int] = {self.basepoint: 0}
-        queue = [self.basepoint]
-        for v in queue:  # ends by (label index, endpoint, edge id)
-            for _, _, far in self.adjacency[v]:
-                if far not in order:
-                    order[far] = len(order)
-                    queue.append(far)
-        if len(order) != len(self.vertices):
-            raise InternalError("complex is disconnected")
-        new_edges = sorted(
-            (order[src], order[dst], label, eid)
-            for eid, src, dst, label in self.edges
-        )
-        eid_map = {old: new for new, (_, _, _, old) in enumerate(new_edges)}
-        edges = tuple(
-            (new, src, dst, label) for new, (src, dst, label, _) in enumerate(new_edges)
-        )
-        squares = frozenset(
-            frozenset(
-                _corner(order[v], (eid_map[a[0]], a[1]), (eid_map[b[0]], b[1]))
-                for v, (a, b) in sq
-            )
-            for sq in self.squares
-        )
-        return LabeledCubeComplex(
-            graph=self.graph,
-            vertices=tuple(range(len(order))),
-            edges=edges,
-            squares=squares,
-            basepoint=0,
-        )
 
     # -- serialization ------------------------------------------------------
 
@@ -371,10 +321,7 @@ def salvetti(graph: DefiningGraph) -> LabeledCubeComplex:
 class LinkReport:
     """Every link-injectivity violation, every unfilled commuting corner,
     and every square that ``LabeledCubeComplex.square_ends`` rejects (a
-    malformed square would mark corners filled that no square bounds).
-    ``check_local_isometry`` re-reads every square, for complexes from
-    outside the builder; ``build_core``'s self-check re-reads none, since
-    its builder made each square from a corner's own edges."""
+    malformed square would mark corners filled that no square bounds)."""
 
     foldable: tuple[tuple[int, str, int, tuple[int, ...]], ...]  # (vertex, label, orientation, edge ids)
     unfilled: tuple[Corner, ...]
@@ -647,13 +594,12 @@ class _Builder:
     def freeze(self, status: str) -> LabeledCubeComplex:
         """The complex, with string labels, in one pass over the builder.
 
-        A verified complex comes out in canonical form: vertices numbered
-        breadth first from the basepoint, taking each vertex's ends in
-        table-key order, which on a link-injective complex is the (label
-        index, endpoint, edge id) order of ``canonical_form``; edges
-        numbered by (source, target, label).  A budget-exceeded stage is
-        numbered by least raw id per class.  Squares are renumbered, not
-        re-read, and ``build_core``'s self-check does not read them again.
+        A verified complex is numbered canonically, whatever order the
+        construction made its cells in: vertices breadth first from the
+        basepoint, taking each vertex's ends in table-key order (label
+        index, then endpoint), and edges by (source, target, label).  A
+        budget-exceeded stage is numbered by least raw id per class.
+        Squares are renumbered, not re-read.
         """
         vfind, efind = self.vfind, self.efind
         raw = self.edges
@@ -706,15 +652,14 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
     table collides.  The cell budget is checked between rounds, so a stage
     can overshoot it by one round (the certify catalog's stage builds reach
     663 cells at budget 256 and 5847 at budget 2000).  Stabilization within
-    budget yields a verified local isometry, frozen straight into canonical
-    form (``LabeledCubeComplex.canonical_form``), whatever order the
-    construction made its cells in; exhausting the budget yields an
+    budget yields a verified local isometry, numbered canonically by
+    ``_Builder.freeze``; exhausting the budget yields an
     inconclusive core carrying partial diagnostics, its cells numbered by
     least raw id.  A stabilized core is checked for foldable slots and
     unfilled corners; only a seed complex's squares are read, by
     ``square_ends`` as the builder takes them in.
 
-    ``extend`` is either a complex over the same graph, which seeds the
+    ``extend`` is either a connected complex over the same graph, which seeds the
     construction instead of a bare basepoint, or a budget-exceeded core that
     an earlier call built from the same graph and generators.  Such a core
     keeps its builder, and the construction resumes where that call stopped:
@@ -742,6 +687,8 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
         extend = None
     elif extend is not None and extend.graph != graph:
         raise InputError("the complex to extend must be over the same defining graph")
+    elif extend is not None and not extend.is_connected():
+        raise InputError("the complex to extend must be connected")
     if builder is None:
         builder = _Builder(graph, words, rng, extend)
     else:

@@ -17,7 +17,11 @@ leaving each vertex as read from ``trace_maps``, before the package read
 it off the complex's integer adjacency; the oracle walks use it, so they
 share nothing with the package's enumeration.
 ``oracle_check_local_isometry`` is the link check on string labels and
-``ends_at`` that the integer check replaced.  ``oracle_decompose`` is the recursive subword decomposition that the
+``oracle_ends_at`` that the integer check replaced.
+``oracle_canonical_form`` is the breadth-first renumbering that verified
+cores were once put through after freezing; it is the reference that
+``build_core``'s canonical numbering is tested against.
+``oracle_decompose`` is the recursive subword decomposition that the
 work-stack one replaced; it shares only ``_ordered_from_left`` with the
 package.  ``oracle_build_core`` is the fold/fill
 builder that the end tables replaced: string labels, incidence sets
@@ -416,6 +420,65 @@ def randomized_reduce(word: Pairs, graph: DefiningGraph, rng: random.Random,
             idle = 0
 
 
+# -- complexes: incidence and the reference numbering -------------------------
+
+
+def oracle_ends_at(complex_: LabeledCubeComplex) -> dict[int, tuple[End, ...]]:
+    """Each vertex's edge-ends (edge id, endpoint), sorted, with endpoint 0
+    where the vertex is the edge's source."""
+    ends: dict[int, list[End]] = {v: [] for v in complex_.vertices}
+    for eid, src, dst, _ in complex_.edges:
+        ends[src].append((eid, 0))
+        ends[dst].append((eid, 1))
+    return {v: tuple(sorted(es)) for v, es in ends.items()}
+
+
+def oracle_far_vertex(complex_: LabeledCubeComplex, end: End) -> int:
+    """The vertex at the other end of an edge-end's edge."""
+    src, dst, _ = complex_.edge_map[end[0]]
+    return dst if end[1] == 0 else src
+
+
+def oracle_canonical_form(complex_: LabeledCubeComplex) -> LabeledCubeComplex:
+    """Renumber cells by a breadth-first traversal from the basepoint,
+    taking each vertex's ends by (label index, endpoint, edge id); edges
+    are numbered by (source, target, label, old id).
+
+    Well-defined (independent of the incoming numbering) when the complex
+    is link-injective; otherwise the result is merely a stable relabeling.
+    This is the numbering that ``build_core`` gives a verified core.
+    """
+    index = complex_.graph.index
+    ends_at = oracle_ends_at(complex_)
+    order: dict[int, int] = {complex_.basepoint: 0}
+    queue = deque([complex_.basepoint])
+    while queue:
+        v = queue.popleft()
+        for end in sorted(ends_at[v],
+                          key=lambda end: (index(complex_.end_label(end)), end[1], end[0])):
+            far = oracle_far_vertex(complex_, end)
+            if far not in order:
+                order[far] = len(order)
+                queue.append(far)
+    if len(order) != len(complex_.vertices):
+        raise InternalError("complex is disconnected")
+    new_edges = sorted((order[src], order[dst], label, eid)
+                       for eid, src, dst, label in complex_.edges)
+    eid_map = {old: new for new, (_, _, _, old) in enumerate(new_edges)}
+    squares = frozenset(
+        frozenset(_corner(order[v], (eid_map[a[0]], a[1]), (eid_map[b[0]], b[1]))
+                  for v, (a, b) in sq)
+        for sq in complex_.squares)
+    return LabeledCubeComplex(
+        graph=complex_.graph,
+        vertices=tuple(range(len(order))),
+        edges=tuple((new, src, dst, label)
+                    for new, (src, dst, label, _) in enumerate(new_edges)),
+        squares=squares,
+        basepoint=0,
+    )
+
+
 def oracle_letter_options(complex_: LabeledCubeComplex
                           ) -> tuple[list[list[tuple[int, int, int]]], Sequence[int], int]:
     """Per-vertex extension letters as (generator index, sign, next vertex),
@@ -444,8 +507,9 @@ def oracle_check_local_isometry(complex_: LabeledCubeComplex) -> LinkReport:
     foldable = []
     unfilled = []
     corner_index = complex_.corner_index
+    ends_at = oracle_ends_at(complex_)
     for v in complex_.vertices:
-        ends = complex_.ends_at[v]
+        ends = ends_at[v]
         by_slot: dict[tuple[str, int], list[int]] = {}
         for end in ends:
             by_slot.setdefault((complex_.end_label(end), end[1]), []).append(end[0])
@@ -595,6 +659,7 @@ def oracle_chord_words(complex_: LabeledCubeComplex, allowed: int = -1
     orientation and edge id, re-sorted at every vertex of every forest.
     """
     index = complex_.graph._index
+    ends_at = oracle_ends_at(complex_)
     path: dict[int, tuple[tuple[int, int], ...]] = {}
     tree: set[int] = set()
     for root in (complex_.basepoint, *complex_.vertices):
@@ -604,12 +669,12 @@ def oracle_chord_words(complex_: LabeledCubeComplex, allowed: int = -1
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for end in sorted(complex_.ends_at[v],
+            for end in sorted(ends_at[v],
                               key=lambda end: (index[complex_.end_label(end)], end[1], end[0])):
                 label = complex_.end_label(end)
                 if not allowed >> index[label] & 1:
                     continue
-                far = complex_.far_vertex(end)
+                far = oracle_far_vertex(complex_, end)
                 if far not in path:
                     path[far] = path[v] + ((index[label], 1 if end[1] == 0 else -1),)
                     tree.add(end[0])
@@ -1112,7 +1177,7 @@ class _OracleBuilder:
             basepoint=vmap[self.vfind(basepoint)],
         )
         if status == VERIFIED:
-            complex_ = complex_.canonical_form()
+            complex_ = oracle_canonical_form(complex_)
         return complex_
 
 

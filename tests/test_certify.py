@@ -128,7 +128,8 @@ def test_verdict_stable_under_redundant_generator(abc_graph, abc_model):
 # -- generator extraction ----------------------------------------------------------
 
 def test_extract_generators_of_salvetti(abc_graph):
-    core = SubgroupCore(complex=salvetti(abc_graph).canonical_form(), status=VERIFIED)
+    core = SubgroupCore(complex=oracles.oracle_canonical_form(salvetti(abc_graph)),
+                        status=VERIFIED)
     extracted = extract_generators(core)
     assert {w.to_text() for w in extracted} == {"a", "b", "c"}
 
@@ -330,11 +331,12 @@ def test_lean_chord_words_match_oracle(catalog_stages):
 
 def _path_to(complex_, target: int) -> list[tuple[str, int]]:
     """Some edge path from the basepoint to ``target``, as label pairs."""
+    ends_at = oracles.oracle_ends_at(complex_)
     reached = {complex_.basepoint: []}
     queue = [complex_.basepoint]
     for v in queue:
-        for end in complex_.ends_at[v]:
-            far = complex_.far_vertex(end)
+        for end in ends_at[v]:
+            far = oracles.oracle_far_vertex(complex_, end)
             if far not in reached:
                 reached[far] = reached[v] + [(complex_.end_label(end), 1 - 2 * end[1])]
                 queue.append(far)
@@ -345,6 +347,7 @@ def _forest_roots(complex_, allowed: int) -> list[int]:
     """The roots of the forest of the edges labelled in ``allowed``: the
     first of the basepoint and the vertices, in order, in each component."""
     index = complex_.graph._index
+    ends_at = oracles.oracle_ends_at(complex_)
     seen: set[int] = set()
     roots = []
     for root in (complex_.basepoint, *complex_.vertices):
@@ -354,8 +357,8 @@ def _forest_roots(complex_, allowed: int) -> list[int]:
         seen.add(root)
         queue = [root]
         for v in queue:
-            for end in complex_.ends_at[v]:
-                far = complex_.far_vertex(end)
+            for end in ends_at[v]:
+                far = oracles.oracle_far_vertex(complex_, end)
                 if allowed >> index[complex_.end_label(end)] & 1 and far not in seen:
                     seen.add(far)
                     queue.append(far)

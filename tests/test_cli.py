@@ -9,6 +9,8 @@ from raagcc.cli import EXIT_INTERNAL, main
 from raagcc.complexes import LabeledCubeComplex
 from raagcc.errors import InputError, InternalError
 
+import oracles
+
 
 GRAPH = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
 MODEL = {"graph": GRAPH, "minimal_filling_sets": [["a", "b", "c"]], "admissible": True}
@@ -160,7 +162,7 @@ def test_export_dot_round_trips(files, capsys):
     assert sum(1 for line in dot_text.splitlines() if "// square:" in line) == 4
     parsed = LabeledCubeComplex.from_dot(dot_text)
     stored = LabeledCubeComplex.from_json_dict(json.loads((files["tmp"] / "core.json").read_text()))
-    assert parsed.canonical_form() == stored.canonical_form()
+    assert oracles.oracle_canonical_form(parsed) == oracles.oracle_canonical_form(stored)
 
 
 def test_reports_are_deterministic(files, capsys):
@@ -247,6 +249,42 @@ def test_stored_core_status_is_recomputed(files, capsys):
     assert main(["core", "check", "--core", str(forged)]) == 1
     assert "local isometry: NO" in capsys.readouterr().out
     assert main(["core", "member", "--core", str(core_path), "--word", "b c a"]) == 0
+
+
+def test_core_check_runs_the_link_check_once(files, capsys, monkeypatch):
+    """``core check`` prints the link report that loading the core computed:
+    one link check per run, with the same text and JSON bytes as before."""
+    from raagcc import complexes
+    calls = []
+    original = complexes._link_violations
+
+    def counted(complex_):
+        calls.append(complex_)
+        return original(complex_)
+    monkeypatch.setattr(complexes, "_link_violations", counted)
+    monkeypatch.setattr(cli, "_link_violations", counted)
+    verified, partial = files["tmp"] / "core.json", files["tmp"] / "partial.json"
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--out", str(verified)]) == 0
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--budget", "12", "--out", str(partial)]) == 2
+    capsys.readouterr()
+    corner = [0, [8, 0], [11, 1]]
+    for path, fmt, code, expected in (
+        (verified, "text", 0, "local isometry: yes\nfoldable pairs: 0\nunfilled corners: 0\n"),
+        (verified, "json", 0, {"foldable": [], "ok": True, "schema": "raagcc-core-check-v1",
+                               "unfilled_corners": []}),
+        (partial, "text", 1, "local isometry: NO\nfoldable pairs: 0\nunfilled corners: 1\n"),
+        (partial, "json", 1, {"foldable": [], "ok": False, "schema": "raagcc-core-check-v1",
+                              "unfilled_corners": [corner]}),
+    ):
+        calls.clear()
+        assert main(["core", "check", "--core", str(path), "--format", fmt]) == code
+        out = capsys.readouterr().out
+        if fmt == "json":
+            expected = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert out == expected, (path, fmt)
+        assert len(calls) == 1, (path, fmt)
 
 
 def test_stored_core_with_a_malformed_square_is_input_error(files, capsys):

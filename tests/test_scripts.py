@@ -3,6 +3,7 @@ check run end to end."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The sha256 of ``scripts/catalog_reports.py``'s output over the whole
+# catalog.  A change that alters report bytes on purpose updates this value
+# and says why.
+CATALOG_SHA256 = "9155cce400e45b2eae20cd575e45f6f2d5c9368cdb693bfe5e9328c032057ad7"
 
 
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -70,3 +75,11 @@ def test_catalog_reports():
         assert row["report"]["verdict"] == row["stored"] == "refuted"
         assert row["report"]["core"]["stages"][0][0] == 256
     assert re.fullmatch(r"3 problems through certify in \d+\.\d\d s\n", done.stderr)
+
+
+def test_catalog_report_bytes_are_pinned():
+    """All 594 catalog reports, byte for byte."""
+    done = _run("catalog_reports.py")
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 594
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == CATALOG_SHA256
