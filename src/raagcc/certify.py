@@ -26,6 +26,20 @@ core of that member has its support inside S, so the member does not
 fill.  A "no" on a partial stage proves nothing, since a later stage may
 add loops, and the construction goes on to the next stage.
 
+Most chord words are decided without spelling them, by homology over
+GF(2).  Each square of a stage is a relation of A(Gamma), so each
+component K of the S-labelled subcomplex maps pi_1(K) onto a finitely
+generated subgroup of A(Gamma_S).  RAAGs are residually torsion-free
+nilpotent (Duchamp & Krob, "The lower central series of the free
+partially commutative group", Semigroup Forum 1992), so a nontrivial
+finitely generated subgroup of one has a nontrivial torsion-free
+nilpotent quotient, hence maps onto Z and onto Z/2.  So H_1(K; GF(2)) = 0
+makes every chord word of K trivial, on any stage.  On a verified core
+the S-labelled subcomplex is itself locally isometric into the Salvetti
+complex of Gamma_S, so pi_1(K) injects (Haglund & Wise, above): there
+H_1 != 0 forces a nontrivial chord word.  Only on a partial stage with
+H_1 != 0 are the chord words piled.
+
 No chord word survives on a verified core: certified, with the
 displacement lower bound d >= |h|/(6*ell) - 2 attached and the number of
 members up to length ell counted by ``count_elements``.  Some chord word
@@ -43,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .complexes import (
@@ -155,25 +170,21 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
     return None
 
 
-def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1
-                 ) -> Iterator[list[tuple[int, int]]]:
-    """The loop word path(src)*label*path(dst)^-1 of every chord of a
-    spanning forest of the edges whose label index is a bit of ``allowed``
-    (all by default), as index syllables; path(v) is the forest path from
-    its root to v.
+def _spanning_forest(complex_: LabeledCubeComplex, allowed: int
+                     ) -> tuple[dict[int, tuple[int, int] | None], list[int]]:
+    """A spanning forest of the edges whose label index is a bit of
+    ``allowed``, as parent pointers (v -> (u, key): u's end at key reaches
+    v; None at a root), and its chords: the positions in ``edges`` of the
+    other edges so labelled, in order.
 
     Roots are the basepoint, then the other vertices in order; each tree
     grows breadth first, taking a vertex's edge-ends in the complex's
-    ``adjacency`` order: by label index, orientation and edge id.  The
-    chord loops at the roots generate the fundamental group of each
-    component.  The forest keeps one parent pointer per vertex, and a
-    chord's word is read off the two parent chains when the chord is
-    reached.
+    ``adjacency`` order: by label index, orientation and edge id.
     """
     ends = complex_.adjacency
     index = complex_.graph._index
-    letters = [(key >> 1, -1 if key & 1 else 1) for key in range(2 * len(index))]
-    parent: dict[int, tuple[int, int] | None] = {}  # v -> (u, key): u's end at key reaches v
+    takes = [allowed >> (key >> 1) & 1 for key in range(2 * len(index))]
+    parent: dict[int, tuple[int, int] | None] = {}
     tree: set[int] = set()
     for root in (complex_.basepoint, *complex_.vertices):
         if root in parent:
@@ -182,40 +193,138 @@ def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1
         queue = [root]
         for v in queue:
             for key, eid, far in ends[v]:
-                if allowed >> (key >> 1) & 1 and far not in parent:
+                if takes[key] and far not in parent:
                     parent[far] = (v, key)
                     tree.add(eid)
                     queue.append(far)
-    for eid, src, dst, label in complex_.edges:
-        g = index[label]
-        if eid in tree or not allowed >> g & 1:
-            continue
-        word: list[tuple[int, int]] = []
-        step = parent[src]
-        while step is not None:  # path(src), read backwards
-            word.append(letters[step[1]])
-            step = parent[step[0]]
-        word.reverse()
-        word.append(letters[2 * g])
-        step = parent[dst]
-        while step is not None:  # path(dst)^-1: each end's letter, inverted
-            word.append(letters[step[1] ^ 1])
-            step = parent[step[0]]
-        yield word
+    return parent, [i for i, (eid, _, _, label) in enumerate(complex_.edges)
+                    if allowed >> index[label] & 1 and eid not in tree]
 
 
-def _nonfilling_chord_set(complex_: LabeledCubeComplex, model: SurfaceModel) -> int | None:
+def _chord_word(parent: dict[int, tuple[int, int] | None], src: int, dst: int, g: int
+                ) -> list[tuple[int, int]]:
+    """The loop word path(src)*g*path(dst)^-1 of a chord from src to dst
+    labelled g, as index syllables, read off the forest's parent chains;
+    path(v) is the forest path from its root to v."""
+    word: list[tuple[int, int]] = []
+    step = parent[src]
+    while step is not None:  # path(src), read backwards
+        key = step[1]
+        word.append((key >> 1, -1 if key & 1 else 1))
+        step = parent[step[0]]
+    word.reverse()
+    word.append((g, 1))
+    step = parent[dst]
+    while step is not None:  # path(dst)^-1: each end's letter, inverted
+        key = step[1]
+        word.append((key >> 1, 1 if key & 1 else -1))
+        step = parent[step[0]]
+    return word
+
+
+def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1
+                 ) -> Iterator[list[tuple[int, int]]]:
+    """The loop word of every chord of ``_spanning_forest(complex_,
+    allowed)`` (all labels by default), in edge order.  The chord loops at
+    the roots generate the fundamental group of each component."""
+    parent, chords = _spanning_forest(complex_, allowed)
+    index = complex_.graph._index
+    edges = complex_.edges
+    for i in chords:
+        _, src, dst, label = edges[i]
+        yield _chord_word(parent, src, dst, index[label])
+
+
+def _squares_by_labels(complex_: LabeledCubeComplex) -> dict[int, list[tuple[int, int, int, int]]]:
+    """The complex's square boundaries (four edge positions each), grouped
+    by the bitmask of their two label indices: the rows ``build_core`` set,
+    or, on a complex made elsewhere, each square read by ``square_ends``."""
+    rows = complex_.square_edges
+    if rows is None:
+        index = complex_.graph._index
+        position = {eid: i for i, (eid, _, _, _) in enumerate(complex_.edges)}
+        rows = []
+        for sq in complex_.squares:
+            a, b, gamma, delta = complex_.square_ends(sq)
+            rows.append((position[a[0]], position[b[0]], position[gamma[0]], position[delta[0]],
+                         index[complex_.end_label(a)], index[complex_.end_label(b)]))
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}
+    for a, b, gamma, delta, la, lb in rows:
+        groups.setdefault(1 << la | 1 << lb, []).append((a, b, gamma, delta))
+    return groups
+
+
+def _h1_vanishes(chords: list[int], squares: dict[int, list[tuple[int, int, int, int]]],
+                 allowed: int, edge_count: int) -> bool:
+    """Whether H_1(S-subcomplex; GF(2)) = 0, for S the labels of ``allowed``:
+    whether the boundaries of the ``squares`` whose two labels lie in S
+    span the cycle space of the S-edges, given the ``chords`` (positions in
+    ``edges``) of a spanning forest of them.
+
+    With the forest contracted, each chord is one bit and a square's row is
+    the XOR of its four edges' bits (an edge its boundary repeats cancels).
+    Rows are reduced with the pivot on their highest set bit until the rank
+    reaches the number of chords.  The rank is at most the number of rows,
+    and each row that reduces to zero lowers that bound by one, so the
+    check also stops as soon as the bound falls short.
+    """
+    rows = [group for labels, group in squares.items() if labels & allowed == labels]
+    slack = sum(map(len, rows)) - len(chords)
+    if slack < 0:
+        return False
+    bit = [0] * edge_count
+    for i, e in enumerate(chords):
+        bit[e] = 1 << i
+    basis: dict[int, int] = {}  # bit length -> reduced row
+    for a, b, gamma, delta in chain.from_iterable(rows):
+        row = bit[a] ^ bit[b] ^ bit[gamma] ^ bit[delta]
+        while row:
+            top = row.bit_length()
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                if len(basis) == len(chords):
+                    return True
+                break
+            row ^= pivot
+        else:
+            slack -= 1
+            if slack < 0:
+                return False
+    return len(basis) == len(chords)
+
+
+def _nonfilling_chord_set(core: SubgroupCore, model: SurfaceModel) -> int | None:
     """The first maximal non-filling set, as a vertex-index bitmask, whose
     labelled edges have a nontrivial chord word; None when there is none.
 
+    Each set S is first decided by ``_h1_vanishes`` (see the module
+    docstring).  H_1 = 0: every chord word of S is trivial, on any stage.
+    Otherwise, on a verified core, some chord word is nontrivial and S is
+    returned; on a partial stage, the chord words of the same forest are
+    piled.
+
     On a verified core, None means that no nontrivial member fails to
     fill.  On any connected link-injective stage, a set returned here
-    bounds the support of a non-filling member (see the module docstring).
+    bounds the support of a non-filling member.
     """
+    complex_ = core.complex
     graph = complex_.graph
+    index = graph._index
+    edges = complex_.edges
+    squares = None
     for allowed in model.maximal_non_filling_sets:
-        for chord in _chord_words(complex_, allowed):
-            if any(_pile(chord, graph)):
+        parent, chords = _spanning_forest(complex_, allowed)
+        if not chords:
+            continue  # a forest has no loops
+        squares = squares or _squares_by_labels(complex_)
+        if _h1_vanishes(chords, squares, allowed, len(edges)):
+            continue
+        if core.verified:
+            return allowed
+        for i in chords:
+            _, src, dst, label = edges[i]
+            if any(_pile(_chord_word(parent, src, dst, index[label]), graph)):
                 return allowed
     return None
 
@@ -247,7 +356,8 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     A construction that never stabilizes within the cell budget and never
     exposes a witness is inconclusive.  ``diagnostics`` records the stages
     tried as [budget, cells] pairs and, for a refutation, the labels of the
-    first non-filling set with a nontrivial chord word.
+    first non-filling set with a nontrivial chord word.  Both budgets must
+    be positive.
     """
     if model.graph != graph:
         raise InputError("the model's coincidence graph must equal the defining graph")
@@ -255,6 +365,8 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         raise ContractError("certification requires the model's admissibility flag")
     if not generators:
         raise InputError("certify requires at least one generator")
+    if enum_budget < 1:
+        raise InputError("enum_budget must be positive")
     normal_gens = tuple(normalize(g, graph) for g in generators)
     gen_words = [g.as_word() for g in normal_gens]
 
@@ -288,7 +400,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         core = build_core(graph, gen_words, budget=stage, extend=core)
         tried.append([stage, core.diagnostics["cells"]])
         ell = 3 * (len(core.complex.vertices) + 1)
-        chord_set = _nonfilling_chord_set(core.complex, model)
+        chord_set = _nonfilling_chord_set(core, model)
         if chord_set is None:
             if core.verified:
                 return certificate(core, CERTIFIED, ell=ell,

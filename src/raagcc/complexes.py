@@ -79,6 +79,9 @@ class LabeledCubeComplex:
     edges: tuple[tuple[int, int, int, str], ...]  # (edge_id, source, target, label)
     squares: frozenset[Square]
     basepoint: int
+    # Set by build_core: each square once as (a, b, gamma, delta, label index
+    # of a, of b), its boundary edges as positions in ``edges``.
+    square_edges: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def edge_map(self) -> dict[int, tuple[int, int, str]]:
@@ -181,6 +184,20 @@ class LabeledCubeComplex:
                     queue.append(far)
         return len(seen) == len(self.vertices)
 
+    def _require_cells(self, what: str) -> None:
+        """Raise ``InputError``, its message starting with ``what``, unless
+        edge ids are distinct, every edge has a label of the graph and two
+        declared endpoints, and the basepoint is a vertex."""
+        vertex_set = set(self.vertices)
+        if len({e[0] for e in self.edges}) != len(self.edges):
+            raise InputError(f"{what}: duplicate edge ids")
+        for eid, src, dst, label in self.edges:
+            self.graph.require_vertex(label)
+            if src not in vertex_set or dst not in vertex_set:
+                raise InputError(f"{what}: edge {eid} has undeclared endpoints")
+        if self.basepoint not in vertex_set:
+            raise InputError(f"{what}: basepoint is not a vertex")
+
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -214,18 +231,11 @@ class LabeledCubeComplex:
             basepoint = int(data["basepoint"])
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"invalid core JSON: {exc}") from exc
-        vertex_set = set(vertices)
-        edge_ids = {e[0] for e in edges}
-        if len(edge_ids) != len(edges):
-            raise InputError("invalid core JSON: duplicate edge ids")
-        for eid, src, dst, label in edges:
-            graph.require_vertex(label)
-            if src not in vertex_set or dst not in vertex_set:
-                raise InputError(f"invalid core JSON: edge {eid} has undeclared endpoints")
-        if basepoint not in vertex_set:
-            raise InputError("invalid core JSON: basepoint is not a vertex")
         complex_ = cls(graph=graph, vertices=vertices, edges=edges,
                        squares=squares, basepoint=basepoint)
+        complex_._require_cells("invalid core JSON")
+        vertex_set = set(vertices)
+        edge_ids = {e[0] for e in edges}
         for sq in squares:
             for v, (a, b) in sq:
                 if v not in vertex_set or a[0] not in edge_ids or b[0] not in edge_ids \
@@ -599,7 +609,8 @@ class _Builder:
         basepoint, taking each vertex's ends in table-key order (label
         index, then endpoint), and edges by (source, target, label).  A
         budget-exceeded stage is numbered by least raw id per class.
-        Squares are renumbered, not re-read.
+        Squares are renumbered, not re-read, and their boundaries are set
+        as ``square_edges``.
         """
         vfind, efind = self.vfind, self.efind
         raw = self.edges
@@ -630,17 +641,26 @@ class _Builder:
         for e in range(len(raw)):
             new_id[e] = new_id[efind(e)]
         edges = tuple((i, *at[e], labels[raw[e][2]]) for i, e in enumerate(roots))
-        squares = frozenset(
-            frozenset(_corner(at[e1][k1 & 1], (new_id[e1], k1 & 1), (new_id[e2], k2 & 1))
-                      for e1, k1, e2, k2 in _square_corners(*sq))
-            for sq in self.squares)
-        return LabeledCubeComplex(
+        # Each square's corners, laid out as in _square_corners, and its
+        # boundary row; raw squares that folding made equal become one key.
+        rows = {}
+        for a, b, gamma, delta, ka, kb in self.squares:
+            pa, pb = ka & 1, kb & 1
+            na, nb, ng, nd = new_id[a], new_id[b], new_id[gamma], new_id[delta]
+            rows[frozenset((_corner(at[a][pa], (na, pa), (nb, pb)),
+                            _corner(at[a][pa ^ 1], (na, pa ^ 1), (ng, pb)),
+                            _corner(at[b][pb ^ 1], (nb, pb ^ 1), (nd, pa)),
+                            _corner(at[gamma][pb ^ 1], (ng, pb ^ 1), (nd, pa ^ 1))))] = \
+                (na, nb, ng, nd, ka >> 1, kb >> 1)
+        complex_ = LabeledCubeComplex(
             graph=self.graph,
             vertices=tuple(range(len(vmap))),
             edges=edges,
-            squares=squares,
+            squares=frozenset(rows),
             basepoint=vmap[vfind(self.basepoint)],
         )
+        object.__setattr__(complex_, "square_edges", tuple(rows.values()))
+        return complex_
 
 
 def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 100_000,
@@ -685,10 +705,12 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
         if builder.squares_added != stopped["squares_added"] or budget < stopped["budget"]:
             builder = None
         extend = None
-    elif extend is not None and extend.graph != graph:
-        raise InputError("the complex to extend must be over the same defining graph")
-    elif extend is not None and not extend.is_connected():
-        raise InputError("the complex to extend must be connected")
+    elif extend is not None:
+        if extend.graph != graph:
+            raise InputError("the complex to extend must be over the same defining graph")
+        extend._require_cells("invalid complex to extend")
+        if not extend.is_connected():
+            raise InputError("the complex to extend must be connected")
     if builder is None:
         builder = _Builder(graph, words, rng, extend)
     else:

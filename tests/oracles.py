@@ -12,7 +12,10 @@ replaced, and ``oracle_certify_by_enumeration``, the ell-ball sweep that
 ``oracle_partial_stage_witness`` is the bounded loop walk that decided
 budget-exceeded stages before the chord-word check took that over, and
 ``oracle_chord_words`` the chord words as read before the forests kept
-parent pointers.  ``oracle_letter_options`` is the table of letters
+parent pointers.  ``oracle_h1_rank`` is H_1 of a label set's subcomplex
+over GF(2), from dense rows over its edges, the reference for the
+homology decision of ``certify``'s chord check.
+``oracle_letter_options`` is the table of letters
 leaving each vertex as read from ``trace_maps``, before the package read
 it off the complex's integer adjacency; the oracle walks use it, so they
 share nothing with the package's enumeration.
@@ -682,6 +685,49 @@ def oracle_chord_words(complex_: LabeledCubeComplex, allowed: int = -1
     for eid, src, dst, label in complex_.edges:
         if eid not in tree and allowed >> index[label] & 1:
             yield path[src] + ((index[label], 1),) + tuple((g, -e) for g, e in reversed(path[dst]))
+
+
+def oracle_h1_rank(complex_: LabeledCubeComplex, allowed: int = -1) -> int:
+    """The dimension of H_1(S-subcomplex; GF(2)), for S the labels whose
+    index is a bit of ``allowed``: the S-edges with every vertex, and the
+    squares whose boundary edges all carry labels in S.
+
+    That is the cycle rank E - V + c, less the rank of the square
+    boundaries.  Components come from a union-find of its own, each square
+    is read through ``square_ends``, and each boundary is a dense row over
+    all S-edges (an edge met twice cancels), reduced against pivots on its
+    lowest set bit; no forest is contracted and no word is spelled.
+    """
+    index = complex_.graph._index
+    column = {eid: j for j, eid in enumerate(
+        eid for eid, _, _, label in complex_.edges if allowed >> index[label] & 1)}
+    root = {v: v for v in complex_.vertices}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    components = len(root)
+    for eid, src, dst, _ in complex_.edges:
+        if eid in column and find(src) != find(dst):
+            root[find(src)] = find(dst)
+            components -= 1
+    pivots: dict[int, int] = {}
+    for sq in complex_.squares:
+        boundary = complex_.square_ends(sq)
+        if not all(end[0] in column for end in boundary):
+            continue
+        row = 0
+        for eid, _ in boundary:
+            row ^= 1 << column[eid]
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    return len(column) - len(complex_.vertices) + components - len(pivots)
 
 
 # -- filling on label sets --------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,15 +13,21 @@ from raagcc.certify import (
     INCONCLUSIVE,
     REFUTED,
     _chord_words,
+    _h1_vanishes,
     _nonfilling_chord_set,
+    _spanning_forest,
+    _squares_by_labels,
     certify,
     displacement_lower_bound,
     extract_generators,
 )
 from raagcc.complexes import (
+    BUDGET_EXCEEDED,
     VERIFIED,
+    LabeledCubeComplex,
     SubgroupCore,
     build_core,
+    check_local_isometry,
     count_elements,
     enumerate_elements,
     membership,
@@ -29,10 +37,10 @@ from raagcc.errors import ContractError, InputError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel, max_exponent
-from raagcc.words import concat, invert, normalize, parse_word, word_from_pairs
+from raagcc.words import _pile, concat, invert, normalize, parse_word, word_from_pairs
 
 import oracles
-from conftest import GRAPH_ZOO
+from conftest import GRAPH_ZOO, catalog_sample
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +100,13 @@ def test_certify_validates_inputs(abc_graph, abc_model):
         certify(other, abc_model, [parse_word("a", abc_graph)])
     with pytest.raises(InputError):
         certify(abc_graph, abc_model, [])
+    # A zero budget once stopped the witness walk and came back inconclusive,
+    # blaming the cell budget.
+    gens = [parse_word(t, abc_graph) for t in ("a b c", "c a b", "a^2 b c")]
+    for budget in (0, -1):
+        with pytest.raises(InputError, match="enum_budget must be positive"):
+            certify(abc_graph, abc_model, gens, enum_budget=budget)
+    assert certify(abc_graph, abc_model, gens, enum_budget=1).verdict == INCONCLUSIVE
 
 
 def test_certify_inconclusive_on_tiny_budget(abc_graph, abc_model):
@@ -410,7 +425,7 @@ def test_chord_check_decides_every_stage(catalog_stages):
                     if last.verified:
                         assert membership(last, member), (gens, chord)
                         in_core += 1
-            assert _nonfilling_chord_set(complex_, model) == first, gens
+            assert _nonfilling_chord_set(core, model) == first, gens
             if not core.verified and witness_stage is None:
                 witness = oracles.oracle_partial_stage_witness(complex_, model)
                 if witness is not None:
@@ -423,6 +438,166 @@ def test_chord_check_decides_every_stage(catalog_stages):
             assert len(cert.diagnostics["stages"]) == k + 1
             found += 1
     assert found >= 5 and members >= 1_000 and in_core >= 30, (found, members, in_core)
+
+
+# -- the chord check decided by GF(2) homology -------------------------------------
+
+
+def _h1_vanishes_at(complex_, allowed: int) -> bool:
+    """The check's H_1 = 0 verdict for one label set, on its own forest."""
+    _, chords = _spanning_forest(complex_, allowed)
+    return _h1_vanishes(chords, _squares_by_labels(complex_), allowed, len(complex_.edges))
+
+
+def test_builder_square_rows_match_square_ends(catalog_stages):
+    """The square boundaries ``build_core`` sets are the ones read from each
+    square by ``square_ends``: one per square, with the same edges (a
+    repeated edge twice) and the same two labels, on every stage; and the
+    check groups them as it groups the squares of the same complex made
+    elsewhere."""
+    def grouped(squares):
+        return {labels: sorted(tuple(sorted(row)) for row in rows)
+                for labels, rows in squares.items()}
+
+    repeated = 0
+    for graph, _, _, stages in catalog_stages:
+        index = graph._index
+        for core in stages:
+            built = core.complex
+            read = []
+            for sq in built.squares:
+                ends = built.square_ends(sq)
+                read.append((tuple(sorted(end[0] for end in ends)),
+                             frozenset(index[built.end_label(end)] for end in ends)))
+            assert sorted(read, key=repr) == sorted(
+                ((tuple(sorted(row[:4])), frozenset(row[4:])) for row in built.square_edges),
+                key=repr)
+            elsewhere = LabeledCubeComplex(graph=graph, vertices=built.vertices,
+                                           edges=built.edges, squares=built.squares,
+                                           basepoint=built.basepoint)
+            assert elsewhere.square_edges is None and elsewhere == built
+            assert grouped(_squares_by_labels(elsewhere)) == grouped(_squares_by_labels(built))
+            repeated += sum(len(set(row[:4])) < 4 for row in built.square_edges)
+    assert repeated >= 10, repeated
+
+
+def test_homology_decision_matches_oracle(catalog_stages):
+    """On every stage and maximal non-filling set S:
+
+    - the check's H_1 = 0 verdict is the dense oracle's;
+    - H_1 = 0 makes every chord word pile to the identity, on any stage;
+    - on a verified core, H_1 != 0 exactly when some chord word is
+      nontrivial;
+    - the check returns the first set that piling every chord word finds."""
+    seen: Counter = Counter()
+    for graph, model, gens, stages in catalog_stages:
+        for core in stages:
+            complex_ = core.complex
+            piled = None
+            for allowed in model.maximal_non_filling_sets:
+                h1 = oracles.oracle_h1_rank(complex_, allowed)
+                assert _h1_vanishes_at(complex_, allowed) == (h1 == 0), (gens, allowed)
+                nontrivial = any(any(_pile(chord, graph))
+                                 for chord in oracles.oracle_chord_words(complex_, allowed))
+                if h1 == 0 or core.verified:
+                    assert nontrivial == (h1 != 0), (gens, allowed)
+                if nontrivial and piled is None:
+                    piled = allowed
+                seen[core.verified, h1 == 0] += 1
+            assert _nonfilling_chord_set(core, model) == piled, gens
+    assert min(seen[verified, vanishes] for verified in (True, False)
+               for vanishes in (True, False)) >= 10, seen
+
+
+def _one_vertex_complex(graph, labels, squares) -> LabeledCubeComplex:
+    """Loops at vertex 0 with the given labels (edge ids in order), and
+    squares given by their corners as (end, end) pairs at vertex 0."""
+    return LabeledCubeComplex(
+        graph=graph, vertices=(0,),
+        edges=tuple((eid, 0, 0, label) for eid, label in enumerate(labels)),
+        squares=frozenset(frozenset((0, tuple(sorted(pair))) for pair in sq) for sq in squares),
+        basepoint=0)
+
+
+def test_homology_cancels_a_repeated_edge(abc_graph):
+    """A square whose boundary runs along one edge twice contributes that
+    edge zero times.  One vertex carries a b-loop (edge 0) and two c-loops
+    (edges 1 and 2), the tori on (0, 1) and (0, 2), and a square reading
+    b c b^-1 c'^-1, which runs along edge 0 twice.  Over GF(2) the tori
+    bound nothing and the third square bounds c + c', so H_1 has
+    dimension 2 on {b, c}; read as edge sets, the three boundaries would
+    span all three loops.  The check agrees with the oracle on every label
+    set."""
+    def torus(b, c):
+        return [((b, p), (c, q)) for p in (0, 1) for q in (0, 1)]
+
+    twisted = [((0, 0), (1, 0)), ((0, 1), (2, 0)), ((1, 1), (0, 0)), ((2, 1), (0, 1))]
+    complex_ = _one_vertex_complex(abc_graph, "bcc", [torus(0, 1), torus(0, 2), twisted])
+    ends = complex_.square_ends(frozenset((0, tuple(sorted(p))) for p in twisted))
+    assert [end[0] for end in ends].count(0) == 2
+    assert oracles.oracle_h1_rank(complex_, 0b110) == 2
+    for allowed in range(8):
+        assert _h1_vanishes_at(complex_, allowed) == \
+            (oracles.oracle_h1_rank(complex_, allowed) == 0), allowed
+
+
+def test_partial_stage_piles_where_h1_is_not_zero(abc_graph, abc_model):
+    """A stage where the commuting corner of b and c is still unfilled has
+    H_1 != 0 on {b, c}, yet its only chord word b c b^-1 c^-1 is trivial:
+    on a partial stage, homology alone must not answer yes."""
+    square = LabeledCubeComplex(
+        graph=abc_graph, vertices=(0, 1, 2, 3),
+        edges=((0, 0, 1, "b"), (1, 1, 2, "c"), (2, 0, 3, "c"), (3, 3, 2, "b")),
+        squares=frozenset(), basepoint=0)
+    assert oracles.oracle_h1_rank(square, 0b110) == 1
+    assert not _h1_vanishes_at(square, 0b110)
+    assert _nonfilling_chord_set(SubgroupCore(square, BUDGET_EXCEEDED), abc_model) is None
+
+
+def test_chord_check_piles_nothing_on_a_verified_core(catalog_stages, monkeypatch):
+    """The check spells no chord word on a verified core, and does on
+    partial stages with H_1 != 0."""
+    piles = Counter()
+
+    def counting_pile(syllables, graph):
+        piles[stage_kind] += 1
+        return _pile(syllables, graph)
+
+    # The module itself: ``raagcc.certify`` is also the name of the function.
+    monkeypatch.setattr(importlib.import_module("raagcc.certify"), "_pile", counting_pile)
+    for _, model, _, stages in catalog_stages:
+        for core in stages:
+            stage_kind = core.verified
+            _nonfilling_chord_set(core, model)
+    assert piles[True] == 0 and piles[False] > 0, piles
+
+
+def test_certify_reads_no_square(abc_graph, abc_model, monkeypatch):
+    """``certify`` takes every square's boundary from the builder: across
+    certified, refuted (on a verified core and on a partial stage) and
+    inconclusive runs, ``square_ends`` is never called."""
+    calls = Counter()
+    square_ends = LabeledCubeComplex.square_ends
+
+    def counting_square_ends(self, square):
+        calls["square_ends"] += 1
+        return square_ends(self, square)
+
+    monkeypatch.setattr(LabeledCubeComplex, "square_ends", counting_square_ends)
+    verdicts = Counter()
+    problems = [(abc_graph, abc_model, ["b c a", "b a b c"]),
+                (abc_graph, abc_model, ["b c a", "c a b", "a^2 b c"])]
+    for graph, gens in catalog_sample(random.Random(29)):
+        problems.append((graph, SurfaceModel.build(graph, [graph.vertices]), gens))
+    for graph, model, gens in problems:
+        words = [parse_word(g, graph) if isinstance(g, str) else g for g in gens]
+        cert = certify(graph, model, words, **CATALOG_BUDGETS)
+        verdicts[cert.verdict, cert.diagnostics.get("refuted_from_partial_core", False)] += 1
+    assert calls["square_ends"] == 0
+    assert {(CERTIFIED, False), (REFUTED, False), (REFUTED, True), (INCONCLUSIVE, False)} \
+        <= set(verdicts), verdicts
+    check_local_isometry(build_core(abc_graph, [parse_word("b c a", abc_graph)]).complex)
+    assert calls["square_ends"] > 0  # the counter sees the reads it should
 
 
 # -- verdicts under changes of generating set --------------------------------------

@@ -79,6 +79,15 @@ def test_certify_inconclusive_exit_code(files, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_certify_rejects_a_nonpositive_enum_budget(files, capsys):
+    for budget in ("0", "-5"):
+        assert main(["certify", "--graph", files["graph"], "--model", files["model"],
+                     "--gens", files["gens_bad"], "--enum-budget", budget]) == 3, budget
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: enum_budget must be positive"]
+
+
 def test_certify_json_schema(files, capsys):
     assert main(["certify", "--graph", files["graph"], "--model", files["model"],
                  "--gens", files["gens"], "--format", "json"]) == 0

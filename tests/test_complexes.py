@@ -692,6 +692,26 @@ def test_extend_requires_a_connected_seed(abc_graph):
     joined = dataclasses.replace(seed, edges=seed.edges + ((1, 0, 1, "a"),))
     assert build_core(abc_graph, [parse_word("b c a", abc_graph)], extend=joined).verified
 
+
+def test_extend_rejects_undeclared_cells(abc_graph):
+    """A seed whose basepoint or edge endpoint is not one of its vertices,
+    or whose edge carries a label outside the graph, is an input error, as
+    in a stored core.  Unchecked, each raises a bare ``KeyError``."""
+    gens = [parse_word("b c a", abc_graph)]
+    seeds = {
+        "basepoint is not a vertex": LabeledCubeComplex(
+            graph=abc_graph, vertices=(0,), edges=(), squares=frozenset(), basepoint=5),
+        "edge 0 has undeclared endpoints": LabeledCubeComplex(
+            graph=abc_graph, vertices=(0,), edges=((0, 0, 7, "a"),), squares=frozenset(),
+            basepoint=0),
+        "unknown generator 'x'": LabeledCubeComplex(
+            graph=abc_graph, vertices=(0,), edges=((0, 0, 0, "x"),), squares=frozenset(),
+            basepoint=0),
+    }
+    for message, seed in seeds.items():
+        with pytest.raises(InputError, match=message):
+            build_core(abc_graph, gens, extend=seed)
+
 # -- JSON and DOT round-trips ------------------------------------------------------
 
 
