@@ -354,10 +354,11 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     refutation carries neither ell nor an element count.
 
     A construction that never stabilizes within the cell budget and never
-    exposes a witness is inconclusive.  ``diagnostics`` records the stages
-    tried as [budget, cells] pairs and, for a refutation, the labels of the
-    first non-filling set with a nontrivial chord word.  Both budgets must
-    be positive.
+    exposes a witness is inconclusive.  Its reason names the enumeration
+    budget when some stage's walk ran out of it, and the cell budget
+    otherwise.  ``diagnostics`` records the stages tried as [budget, cells]
+    pairs and, for a refutation, the labels of the first non-filling set
+    with a nontrivial chord word.  Both budgets must be positive.
     """
     if model.graph != graph:
         raise InputError("the model's coincidence graph must equal the defining graph")
@@ -396,6 +397,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                            verdict=verdict, ell=ell, element_count=element_count, **fields)
 
     core = None
+    walk_ran_out = False  # a partial stage's witness walk hit enum_budget
     for stage in stages:
         core = build_core(graph, gen_words, budget=stage, extend=core)
         tried.append([stage, core.diagnostics["cells"]])
@@ -416,6 +418,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
             if core.verified:
                 return certificate(core, INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
                                    reason=f"enumeration exceeded budget {enum_budget}")
+            walk_ran_out = True
             continue
         if found is not None:
             witness, support, count = found
@@ -424,8 +427,9 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         if core.verified:
             raise InternalError(f"no non-filling member up to length {ell}, "
                                 "though a chord word of a non-filling set is nontrivial")
-    return certificate(core, INCONCLUSIVE,
-                       reason=f"core construction exceeded cell budget {cell_budget}")
+    reason = (f"enumeration exceeded budget {enum_budget}" if walk_ran_out
+              else f"core construction exceeded cell budget {cell_budget}")
+    return certificate(core, INCONCLUSIVE, reason=reason)
 
 
 def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:

@@ -13,7 +13,10 @@ The subgroup generators are ring words
 ``w_i = (g_1^i .. g_{n-1}^i)(f_1^i g_n^i)(f_2^i .. f_n^i) = B_i M_i E_i``.
 Products of the ``w_i`` rewrite into a B/M/E normal form by merging the
 all-commuting B- and E-blocks across generator boundaries; the result is in
-normal form with respect to the standard generators.
+normal form with respect to the standard generators.  Each symbol kind (B,
+E, M, Minv) is spelled from one block of (vertex index, sign) syllables
+cached per family, so the checks read the form as (vertex index, exponent)
+syllables; label strings are spelled only by ``bme_normal_form``.
 
 Displacement tracking: a curve state records, as two bitmasks over the
 graph's vertex indices, the supports whose span contains the curve and the
@@ -30,8 +33,11 @@ Each signed generator's letter supports, in the order they act, are
 computed once per family.  An h-word is applied generator by generator
 through a transition memo from (state, signed generator) to state; one
 memo serves one call (a whole star sweep, or every block of one
-displacement bound), so each distinct transition is folded letter by
-letter only once per call and nothing is cached across calls.
+displacement bound), so each distinct transition is folded only once per
+call, on the state's two masks, building one state.  Nothing is cached
+across calls.  The star sweep finds each word's state from its suffix: the
+first generator of h acts last, on the state of ``h[1:]``, which the
+sweep reached one length earlier.
 """
 
 from __future__ import annotations
@@ -40,12 +46,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, InputError, InternalError
 from .graphs import DefiningGraph
-from .surfaces import SurfaceModel, check_window_property
-from .words import NormalWord, Letter, is_normal, normal_word_from_pairs, predecessor_masks
+from .surfaces import SurfaceModel, _window_holds
+from .words import Letter, NormalWord, _predecessor_masks, is_normal, normal_word_from_pairs
 
 # An h-word over the subgroup generators: ((i, +1) | (i, -1), ...), 1 <= i <= N.
 HWord = tuple[tuple[int, int], ...]
@@ -73,6 +79,12 @@ class Section8Family:
         L = d * b
         ell_prime = b + 4 * L * self.N + 1
         return FamilyConstants(b=b, d=d, L=L, ell_prime=ell_prime, ell=ell_prime + 2 * self.N)
+
+    @cached_property
+    def _blocks(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        """Per B/M/E symbol kind, its syllables as (vertex index, sign); a
+        symbol with subscript k spells them with exponent sign * k."""
+        return _symbol_blocks(self.n)
 
     @cached_property
     def _letter_supports(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -127,8 +139,9 @@ def family(n: int, N: int) -> Section8Family:
                 edges.append((_f(i, n), _g(j, n)))
     graph = DefiningGraph.build(labels, edges)
     model = SurfaceModel.build(graph, [labels], admissible=True)
+    blocks = _symbol_blocks(n)
     gens = tuple(
-        normal_word_from_pairs(_bme_symbol_pairs(_generator_symbols(i, n), n))
+        normal_word_from_pairs((labels[z], sign * i) for kind in "BME" for z, sign in blocks[kind])
         for i in range(1, N + 1)
     )
     for w in gens:
@@ -142,32 +155,14 @@ def family(n: int, N: int) -> Section8Family:
 # ("Minv", i) with i >= 1.  B and E invert by negating k; M does not.
 
 
-def _generator_symbols(i: int, n: int) -> list[tuple[str, int]]:
-    return [("B", i), ("M", i), ("E", i)]
-
-
-def _inverse_symbols(i: int, n: int) -> list[tuple[str, int]]:
-    return [("E", -i), ("Minv", i), ("B", -i)]
-
-
-def _symbol_pairs(symbol: tuple[str, int], n: int) -> list[tuple[str, int]]:
-    kind, k = symbol
-    if kind == "B":
-        return [(_g(t, n), k) for t in range(1, n)]
-    if kind == "E":
-        return [(_f(t, n), k) for t in range(2, n + 1)]
-    if kind == "M":
-        return [(_f(1, n), k), (_g(n, n), k)]
-    if kind == "Minv":
-        return [(_g(n, n), -k), (_f(1, n), -k)]
-    raise InternalError(f"unknown symbol {symbol!r}")
-
-
-def _bme_symbol_pairs(symbols: Sequence[tuple[str, int]], n: int) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for sym in symbols:
-        out.extend(_symbol_pairs(sym, n))
-    return out
+def _symbol_blocks(n: int) -> dict[str, tuple[tuple[int, int], ...]]:
+    """Each symbol kind's (vertex index, sign) syllables, ``g_t`` at index
+    ``t - 1`` and ``f_t`` at ``n + t - 1``: B is g_1 .. g_{n-1}, E is
+    f_2 .. f_n, M is f_1 g_n, and Minv is g_n^-1 f_1^-1."""
+    return {"B": tuple((t, 1) for t in range(n - 1)),
+            "E": tuple((n + t, 1) for t in range(1, n)),
+            "M": ((n, 1), (n - 1, 1)),
+            "Minv": ((n - 1, -1), (n, -1))}
 
 
 def h_word_symbols(h: HWord, n: int) -> list[tuple[str, int]]:
@@ -180,16 +175,25 @@ def h_word_symbols(h: HWord, n: int) -> list[tuple[str, int]]:
     _require_reduced(h)
     symbols: list[tuple[str, int]] = []
     for idx, sign in h:
-        block = _generator_symbols(idx, n) if sign > 0 else _inverse_symbols(idx, n)
-        for sym in block:
-            if symbols and symbols[-1][0] == sym[0] and sym[0] in ("B", "E"):
-                merged = symbols[-1][1] + sym[1]
-                if merged == 0:
-                    raise InternalError("zero B/E subscript from a reduced h-word")
-                symbols[-1] = (sym[0], merged)
-            else:
-                symbols.append(sym)
+        head, *rest = ((("B", idx), ("M", idx), ("E", idx)) if sign > 0
+                       else (("E", -idx), ("Minv", idx), ("B", -idx)))
+        # Only a generator's first symbol can meet a symbol of its own kind.
+        if symbols and symbols[-1][0] == head[0]:
+            merged = symbols[-1][1] + head[1]
+            if merged == 0:
+                raise InternalError("zero B/E subscript from a reduced h-word")
+            symbols[-1] = (head[0], merged)
+        else:
+            symbols.append(head)
+        symbols += rest
     return symbols
+
+
+def _bme_pairs(h: HWord, fam: Section8Family) -> list[tuple[int, int]]:
+    """The B/M/E normal form of a freely reduced h-word, as (vertex index,
+    exponent) syllables."""
+    blocks = fam._blocks
+    return [(z, sign * k) for kind, k in h_word_symbols(h, fam.n) for z, sign in blocks[kind]]
 
 
 def _require_reduced(h: HWord) -> None:
@@ -245,8 +249,8 @@ def bme_normal_form(h: HWord | str, fam: Section8Family) -> NormalWord:
     """Expand a freely reduced h-word into its B/M/E normal form."""
     if isinstance(h, str):
         h = parse_h_word(h, fam.N)
-    symbols = h_word_symbols(tuple(h), fam.n)
-    return normal_word_from_pairs(_bme_symbol_pairs(symbols, fam.n))
+    labels = fam.graph.vertices
+    return normal_word_from_pairs((labels[z], e) for z, e in _bme_pairs(tuple(h), fam))
 
 
 def naive_expansion(h: HWord, fam: Section8Family) -> list[tuple[str, int]]:
@@ -269,8 +273,7 @@ def constants(fam: Section8Family) -> FamilyConstants:
 # -- span tracking -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanState:
+class SpanState(NamedTuple):
     """A span container for a curve, as bitmasks over the family graph's
     vertex indices (``g_t`` at ``t - 1``, ``f_t`` at ``n + t - 1``): the
     supports whose span contains it, and the supports it is known to miss."""
@@ -299,22 +302,26 @@ def span_apply(state: SpanState, generator: str | Letter, fam: Section8Family) -
     is cleared: only containment is known afterward.
     """
     label = generator.generator if isinstance(generator, Letter) else str(generator)
-    return _span_step(state, fam.graph.index(label), fam._meets)
-
-
-def _span_step(state: SpanState, z: int, meets: Sequence[int]) -> SpanState:
-    """The one-letter rule of ``span_apply``, on the letter's vertex index."""
-    if state.misses >> z & 1 or not state.contained_in & meets[z]:
-        return state
-    return SpanState(contained_in=state.contained_in | 1 << z, misses=0)
+    return _fold_supports(state, (fam.graph.index(label),), fam._meets)
 
 
 def span_apply_pairs(state: SpanState, pairs: Sequence[tuple[str, int]],
                      fam: Section8Family) -> SpanState:
     """Apply a standard-generator word to a state, rightmost letter first."""
-    for label, _ in reversed(pairs):
-        state = span_apply(state, label, fam)
-    return state
+    index = fam.graph.index
+    return _fold_supports(state, [index(label) for label, _ in reversed(pairs)], fam._meets)
+
+
+def _fold_supports(state: SpanState, supports: Iterable[int],
+                   meets: Sequence[int]) -> SpanState:
+    """The rule of ``span_apply`` for letters with these vertex-index
+    supports, in the order they act, on the state's two masks."""
+    span, misses = state
+    for z in supports:
+        if not misses >> z & 1 and span & meets[z]:
+            span |= 1 << z
+            misses = 0
+    return SpanState(span, misses)
 
 
 def _generator_supports(gen: tuple[int, int], fam: Section8Family) -> tuple[int, ...]:
@@ -322,25 +329,29 @@ def _generator_supports(gen: tuple[int, int], fam: Section8Family) -> tuple[int,
     return tuple(fam.graph.index(label) for label, _ in reversed(naive_expansion((gen,), fam)))
 
 
-Transitions = dict[tuple[SpanState, tuple[int, int]], SpanState]
+class _Transitions(dict):
+    """A memo from (state, signed generator) to the state the generator
+    takes it to.  A miss folds the generator's letter supports on the two
+    masks and builds one state; one memo serves one call."""
+
+    def __init__(self, fam: Section8Family):
+        super().__init__()
+        self.fam = fam
+
+    def __missing__(self, key: tuple[SpanState, tuple[int, int]]) -> SpanState:
+        state, gen = key
+        fam = self.fam
+        # Entries outside the table (an index out of range raises
+        # InputError) take the same spelling through naive_expansion.
+        supports = fam._letter_supports.get(gen) or _generator_supports(gen, fam)
+        nxt = self[key] = _fold_supports(state, supports, fam._meets)
+        return nxt
 
 
-def _fold_h(state: SpanState, h: HWord, fam: Section8Family,
-            memo: Transitions) -> SpanState:
+def _fold_h(state: SpanState, h: HWord, memo: _Transitions) -> SpanState:
     """Apply an h-word through a transition memo, rightmost generator first."""
-    steps = fam._letter_supports
-    meets = fam._meets
     for gen in reversed(h):
-        key = (state, gen)
-        nxt = memo.get(key)
-        if nxt is None:
-            nxt = state
-            # Entries outside the table (an index out of range raises
-            # InputError) take the same spelling through naive_expansion.
-            for z in steps.get(gen) or _generator_supports(gen, fam):
-                nxt = _span_step(nxt, z, meets)
-            memo[key] = nxt
-        state = nxt
+        state = memo[state, gen]
     return state
 
 
@@ -350,7 +361,7 @@ def span_apply_h(state: SpanState, h: HWord, fam: Section8Family) -> SpanState:
     Each generator acts through its own B/M/E spelling (no merging across
     generator boundaries), matching the inductive displacement argument.
     """
-    return _fold_h(state, h, fam, {})
+    return _fold_h(state, h, _Transitions(fam))
 
 
 def _containers(k: int, fam: Section8Family) -> tuple[int, int]:
@@ -402,12 +413,14 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
     alpha = alpha_state(fam)
     n = fam.n
     containers = {k: _containers(k, fam) for k in range(2, max(2, k_max) + 1)}
-    memo: Transitions = {}
+    memo = _Transitions(fam)
+    states: dict[HWord, SpanState] = {}  # every word's state, found in enumeration order
     tested = 0
     violations: list[tuple[str, str]] = []
     all_proper = True
     for h in _h_words_upto(fam.N, k_max):
-        state = _fold_h(alpha, h, fam, memo)
+        # The first generator acts last, on the state of h[1:], one word shorter.
+        state = states[h] = memo[states[h[1:]], h[0]] if h else alpha
         k = max(2, len(h))
         tested += 1
         xbar, ybar = containers[k]
@@ -450,9 +463,9 @@ def displacement_upper(h: HWord | str, fam: Section8Family) -> tuple[int, Fracti
             blocks.append(h[pos:pos + size])
             pos += size
         alpha = alpha_state(fam)
-        memo: Transitions = {}
+        memo = _Transitions(fam)
         for block in blocks:
-            state = _fold_h(alpha, block, fam, memo)
+            state = _fold_h(alpha, block, memo)
             if not state.is_proper(n):
                 if len(block) > n // 2:
                     raise ContractError(
@@ -497,9 +510,9 @@ def verify_order_window(fam: Section8Family, hs: Iterable[HWord | str]) -> Order
     for h in hs:
         if isinstance(h, str):
             h = parse_h_word(h, fam.N)
-        word = bme_normal_form(h, fam)
+        pairs = _bme_pairs(tuple(h), fam)
         tested += 1
-        below = predecessor_masks(word, fam.graph)
+        below = _predecessor_masks([z for z, _ in pairs], fam.graph)
         k = len(below)
         # Syllable i precedes j exactly when bit i of below[j] is set; the
         # window holds when below[j] covers every position up to j - L - 1.
@@ -515,12 +528,16 @@ def verify_order_window(fam: Section8Family, hs: Iterable[HWord | str]) -> Order
 def window_constant_check(fam: Section8Family, hs: Iterable[HWord | str],
                           window: int | None = None) -> bool:
     """Every B/M/E normal form among ``hs`` passes the letter-window filling
-    check at the given window (default: the b constant)."""
+    check at the given window (default: the b constant), with the guards of
+    ``check_window_property`` applied per form, in its order."""
     if window is None:
         window = constants(fam).b
     for h in hs:
         if isinstance(h, str):
             h = parse_h_word(h, fam.N)
-        if not check_window_property(bme_normal_form(h, fam), window, fam.model):
+        pairs = _bme_pairs(tuple(h), fam)
+        if window < 1:
+            raise InputError(f"window length must be >= 1, got {window}")
+        if not _window_holds(pairs, window, fam.model):
             return False
     return True

@@ -11,6 +11,10 @@ Inside the package every support is an ``int`` bitmask over the graph's
 vertex indices (bit i for the i-th declared vertex); label sets appear only
 at the boundary: JSON, ``fills_subset``, ``supports``, ``FillingBlock.support``.
 
+Filling blocks come from one sweep over generator indices that counts, per
+minimal filling set, the generators the window lacks; the letter-window
+property then tests each minimal block once, against its tightest window.
+
 Admissibility of the underlying embedding is a declared flag, never
 computed; certification downstream is conditional on it.
 """
@@ -29,6 +33,8 @@ from .words import (
     NormalWord,
     Word,
     _indexed,
+    _is_normal_indexed,
+    _pairs_to_text,
     concat,
     cyclic_core_support,
     invert,
@@ -66,6 +72,13 @@ class SurfaceModel:
     def filling_masks(self) -> tuple[int, ...]:
         """The minimal filling sets as vertex-index bitmasks."""
         return tuple(sorted(map(self.graph.mask, self.minimal_filling_sets)))
+
+    @cached_property
+    def _holders(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex index, the positions in ``filling_masks`` of the
+        minimal filling sets that contain it."""
+        return tuple(tuple(t for t, f in enumerate(self.filling_masks) if f >> v & 1)
+                     for v in range(len(self.graph.vertices)))
 
     def fills_mask(self, mask: int) -> bool:
         """Whether the generator subset with this vertex-index bitmask fills."""
@@ -194,66 +207,95 @@ class FillingBlock:
         return offsets[self.start], offsets[self.end + 1]
 
 
-def find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBlock, ...]:
-    """All inclusion-minimal consecutive syllable ranges whose supports fill.
+def _minimal_blocks(gens: Sequence[int], model: SurfaceModel) -> list[tuple[int, int]]:
+    """The inclusion-minimal filling ranges (start, end), both inclusive, of
+    a syllable sequence given by its generator indices.
 
     Filling is monotone, so the end of the shortest filling range starting
     at i never decreases as i grows: one sweep with two pointers finds every
     such end, and a range is minimal exactly when the next start's shortest
-    range ends later.  The window's support mask, kept with a count per
-    generator, is rechecked only when a generator enters or leaves it.
+    range ends later.  The window keeps a count per generator and, per
+    minimal filling set, how many of its generators it lacks; it fills
+    while some set lacks none, so a pointer move only updates the counts of
+    the sets that hold a generator entering or leaving the window.
     """
+    holders = model._holders
+    lacking = [f.bit_count() for f in model.filling_masks]
+    counts = [0] * len(holders)  # generator multiplicities in gens[i:j]
+    full = 0  # the minimal filling sets the window lacks nothing of
+    k = len(gens)
+    j = 0
+    blocks: list[tuple[int, int]] = []
+    for i in range(k):
+        while not full and j < k:
+            g = gens[j]
+            if not counts[g]:
+                for f in holders[g]:
+                    lacking[f] -= 1
+                    full += not lacking[f]
+            counts[g] += 1
+            j += 1
+        if not full:
+            break
+        if blocks and blocks[-1][1] == j - 1:
+            blocks[-1] = (i, j - 1)  # the longer range with the same end is not minimal
+        else:
+            blocks.append((i, j - 1))
+        g = gens[i]
+        counts[g] -= 1
+        if not counts[g]:
+            for f in holders[g]:
+                full -= not lacking[f]
+                lacking[f] += 1
+    return blocks
+
+
+def find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBlock, ...]:
+    """All inclusion-minimal consecutive syllable ranges whose supports fill."""
     if not is_normal(w, model.graph):
         raise ContractError(f"find_filling_blocks requires a normal word, got {w.to_text()!r}")
-    n = len(w.syllables)
-    gens = [model.graph._index[s.generator] for s in w.syllables]
-    counts = [0] * len(model.graph.vertices)  # generator multiplicities in gens[i:j]
-    present = 0  # the generators with a nonzero count
-    j = 0
-    filled = False
-    candidates: list[tuple[int, int]] = []
-    for i in range(n):
-        while not filled and j < n:
-            if not counts[gens[j]]:
-                present |= 1 << gens[j]
-                filled = model.fills_mask(present)
-            counts[gens[j]] += 1
-            j += 1
-        if not filled:
-            break
-        candidates.append((i, j - 1))
-        counts[gens[i]] -= 1
-        if not counts[gens[i]]:
-            present &= ~(1 << gens[i])
-            filled = model.fills_mask(present)
-    minimal = [(i, e) for t, (i, e) in enumerate(candidates)
-               if t + 1 == len(candidates) or candidates[t + 1][1] > e]
-    return tuple(FillingBlock(word=w, start=i, end=e) for i, e in minimal)
+    index = model.graph._index
+    return tuple(FillingBlock(word=w, start=i, end=e) for i, e in
+                 _minimal_blocks([index[s.generator] for s in w.syllables], model))
 
 
 def check_window_property(w: NormalWord, window: int, model: SurfaceModel) -> bool:
     """Every contiguous letter window of the given length contains a complete
-    filling block.  Vacuously true when the word is shorter than the window.
-
-    The minimal blocks' starts and ends both strictly increase, so the block
-    to test for the window at letter p is the first one starting at or after
-    p; a second pointer follows it, and the sweep is linear in the letter
-    and block counts.
-    """
+    filling block.  Vacuously true when the word is shorter than the window."""
     if window < 1:
         raise InputError(f"window length must be >= 1, got {window}")
-    total = w.letter_length
-    if total < window:
+    if w.letter_length < window:
         return True
-    offsets = [0, *accumulate(abs(s.exponent) for s in w.syllables)]
-    spans = [(offsets[b.start], offsets[b.end + 1]) for b in find_filling_blocks(w, model)]
-    t = 0
-    for p in range(0, total - window + 1):
-        while t < len(spans) and spans[t][0] < p:
-            t += 1
-        if t == len(spans) or spans[t][1] > p + window:
+    index = model.graph.index
+    return _window_holds([(index(s.generator), s.exponent) for s in w.syllables], window, model)
+
+
+def _window_holds(syllables: Sequence[tuple[int, int]], window: int,
+                  model: SurfaceModel) -> bool:
+    """``check_window_property`` on (generator index, exponent) syllables,
+    for a window of at least one letter.
+
+    The minimal blocks' letter starts and ends both strictly increase, so
+    the block to test for the window at letter p is the first one starting
+    at or after p.  Block t is thus tested for the windows from one past
+    block t-1's start to its own start, and the first of them is the
+    tightest: one test per block decides the property.
+    """
+    offsets = [0, *accumulate(abs(e) for _, e in syllables)]
+    last = offsets[-1] - window  # the start of the last window
+    if last < 0:
+        return True
+    if not _is_normal_indexed(syllables, model.graph):
+        text = _pairs_to_text([(model.graph.vertices[g], e) for g, e in syllables])
+        raise ContractError(f"find_filling_blocks requires a normal word, got {text!r}")
+    p = 0  # the first window start no block has been tested for
+    for start, end in _minimal_blocks([g for g, _ in syllables], model):
+        if p > last:
+            return True
+        if offsets[end + 1] > p + window:
             return False
-    return True
+        p = offsets[start] + 1
+    return p > last
 
 
 def max_exponent(w: NormalWord) -> int:

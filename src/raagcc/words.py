@@ -303,14 +303,22 @@ def normalize(w: Word | NormalWord, graph: DefiningGraph) -> NormalWord:
 def is_normal(w: Word | NormalWord, graph: DefiningGraph) -> bool:
     """No zero exponents, and no same-generator pair separated only by
     commuting generators (which would let moves reach a merge)."""
-    pairs = _group_letters(w.letters) if isinstance(w, Word) else list(w.pairs())
-    for gen, _ in pairs:
-        graph.require_vertex(gen)
+    pairs = _group_letters(w.letters) if isinstance(w, Word) else w.pairs()
     index = graph._index
+    try:
+        syllables = [(index[gen], exp) for gen, exp in pairs]
+    except KeyError:
+        for gen, _ in pairs:
+            graph.require_vertex(gen)  # raises InputError for the first unknown label
+        raise
+    return _is_normal_indexed(syllables, graph)
+
+
+def _is_normal_indexed(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> bool:
+    """``is_normal`` on (generator index, exponent) syllables."""
     noncomm = graph.non_commuting
     on_top = [False] * len(noncomm)  # a syllable with nothing non-commuting after it
-    for gen, exp in pairs:
-        g = index[gen]
+    for g, exp in syllables:
         if exp == 0 or on_top[g]:
             return False
         on_top[g] = True
@@ -413,11 +421,15 @@ def predecessor_masks(w: NormalWord, graph: DefiningGraph) -> list[int]:
     must be normal.
     """
     index = graph._index
+    return _predecessor_masks([index[s.generator] for s in w.syllables], graph)
+
+
+def _predecessor_masks(gens: Iterable[int], graph: DefiningGraph) -> list[int]:
+    """``predecessor_masks`` on the syllables' generator indices."""
     noncomm = graph.non_commuting
     latest = [0] * len(noncomm)  # closure (predecessors plus itself) of the latest occurrence
     masks: list[int] = []
-    for j, s in enumerate(w.syllables):
-        g = index[s.generator]
+    for j, g in enumerate(gens):
         below = latest[g]
         for h in noncomm[g]:
             below |= latest[h]

@@ -19,6 +19,9 @@ homology decision of ``certify``'s chord check.
 leaving each vertex as read from ``trace_maps``, before the package read
 it off the complex's integer adjacency; the oracle walks use it, so they
 share nothing with the package's enumeration.
+``oracle_bme_normal_form`` is the ring family's B/M/E normal form
+spelled in string labels, symbol by symbol, before the package spelled
+index syllables.
 ``oracle_check_local_isometry`` is the link check on string labels and
 ``oracle_ends_at`` that the integer check replaced.
 ``oracle_canonical_form`` is the breadth-first renumbering that verified
@@ -70,6 +73,7 @@ from raagcc.words import (
     cyclic_core_support,
     cyclically_reduce,
     is_normal,
+    normal_word_from_pairs,
     syllable_order,
 )
 
@@ -746,6 +750,35 @@ def oracle_fills(w: Word | NormalWord, model: SurfaceModel) -> bool:
 
 
 # -- ring-family checks: the slow paths the package replaced -----------------
+
+
+def _ring_label(kind: str, t: int, n: int) -> str:
+    return f"{kind}{((t - 1) % n) + 1}"
+
+
+def _oracle_symbol_pairs(symbol: tuple[str, int], n: int) -> list[tuple[str, int]]:
+    """One B/M/E symbol spelled in ring labels."""
+    kind, k = symbol
+    if kind == "B":
+        return [(_ring_label("g", t, n), k) for t in range(1, n)]
+    if kind == "E":
+        return [(_ring_label("f", t, n), k) for t in range(2, n + 1)]
+    if kind == "M":
+        return [(_ring_label("f", 1, n), k), (_ring_label("g", n, n), k)]
+    if kind == "Minv":
+        return [(_ring_label("g", n, n), -k), (_ring_label("f", 1, n), -k)]
+    raise InternalError(f"unknown symbol {symbol!r}")
+
+
+def oracle_bme_normal_form(h, fam) -> NormalWord:
+    """The B/M/E normal form spelled label by label from the merged symbol
+    sequence, as the package did before it spelled index syllables."""
+    if isinstance(h, str):
+        h = ring.parse_h_word(h, fam.N)
+    symbols = ring.h_word_symbols(tuple(h), fam.n)
+    return normal_word_from_pairs(
+        [pair for sym in symbols for pair in _oracle_symbol_pairs(sym, fam.n)])
+
 
 
 def oracle_find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBlock, ...]:

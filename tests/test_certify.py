@@ -325,6 +325,21 @@ def test_refutation_witness_search_respects_enum_budget(abc_graph, abc_model):
     assert cert.reason == "enumeration exceeded budget 1"
 
 
+def test_partial_stage_budget_stop_names_the_enum_budget(abc_graph, abc_model):
+    """When partial stages' witness walks run out of ``enum_budget`` and no
+    stage decides, the reason names the enumeration budget, not the cells."""
+    gens = [parse_word(t, abc_graph) for t in ("a b c", "c a b", "a^2 b c")]
+    cert = certify(abc_graph, abc_model, gens, enum_budget=1)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.reason == "enumeration exceeded budget 1"
+    assert len(cert.diagnostics["stages"]) == 5
+    assert certify(abc_graph, abc_model, gens, enum_budget=10).verdict == REFUTED
+    # A run the cell budget alone stops still names the cell budget.
+    small = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
+    assert certify(abc_graph, abc_model, small, cell_budget=10).reason == (
+        "core construction exceeded cell budget 10")
+
+
 # -- every stage decided by the chord-word check ------------------------------------
 
 CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}

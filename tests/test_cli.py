@@ -79,6 +79,15 @@ def test_certify_inconclusive_exit_code(files, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_certify_names_the_enum_budget_that_stopped_it(files, capsys):
+    assert main(["certify", "--graph", files["graph"], "--model", files["model"],
+                 "--gens", files["gens_bad"], "--enum-budget", "1"]) == 2
+    assert "reason: enumeration exceeded budget 1" in capsys.readouterr().out.splitlines()
+    assert main(["certify", "--graph", files["graph"], "--model", files["model"],
+                 "--gens", files["gens_bad"], "--enum-budget", "1", "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["reason"] == "enumeration exceeded budget 1"
+
+
 def test_certify_rejects_a_nonpositive_enum_budget(files, capsys):
     for budget in ("0", "-5"):
         assert main(["certify", "--graph", files["graph"], "--model", files["model"],

@@ -1,10 +1,14 @@
 """The ring-family checks and the filling-block sweeps against the slow
 paths they replaced (kept in ``oracles.py``): the package's bitmask paths
-against label sets and the ring's tuple support rule."""
+against label sets and the ring's tuple support rule, and its index
+syllables against the string-label spelling.  The ring-sweep mix of outputs
+is also pinned by hash."""
 
 from __future__ import annotations
 
+import hashlib
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -19,12 +23,13 @@ from raagcc.family import (
     window_constant_check,
 )
 from raagcc.surfaces import SurfaceModel, check_window_property, fills, find_filling_blocks
-from raagcc.words import normalize, word_from_pairs
+from raagcc.words import normal_word_from_pairs, normalize, word_from_pairs
 
 from conftest import GRAPH_ZOO
 from oracles import (
     TupleSpanState,
     mask_state,
+    oracle_bme_normal_form,
     oracle_check_window_property,
     oracle_displacement_upper,
     oracle_find_filling_blocks,
@@ -142,6 +147,85 @@ def test_window_constant_check_matches_quadratic_sweep():
             expected = all(oracle_check_window_property(
                 ring.bme_normal_form(h, fam), window or b, fam.model) for h in hs)
             assert window_constant_check(fam, hs, window) is expected
+
+
+def test_check_window_property_guard_order(abc_model):
+    unmerged = normal_word_from_pairs([("b", 1), ("c", 1), ("b", 1), ("a", 1)])
+    for window in (0, -2):
+        with pytest.raises(InputError, match="window length must be >= 1"):
+            check_window_property(unmerged, window, abc_model)
+    # Shorter than the window: true before the word is looked at.
+    assert check_window_property(unmerged, 5, abc_model) is True
+    assert check_window_property(normal_word_from_pairs([("z", 2)]), 3, abc_model) is True
+    with pytest.raises(ContractError, match="requires a normal word, got 'b c b a'"):
+        check_window_property(unmerged, 4, abc_model)
+    with pytest.raises(InputError, match="unknown generator 'z'"):
+        check_window_property(normal_word_from_pairs([("z", 2)]), 2, abc_model)
+
+
+def test_window_constant_check_guard_order(monkeypatch):
+    fam = family(4, 2)
+    # The window is checked per form, so no form means no check.
+    assert window_constant_check(fam, [], 0) is True
+    assert window_constant_check(fam, iter(()), -1) is True
+    with pytest.raises(InputError, match="window length must be >= 1, got 0"):
+        window_constant_check(fam, ["w1"], 0)
+    # Each form is parsed and expanded before its window is checked.
+    with pytest.raises(InputError, match="generator index 3 out of range"):
+        window_constant_check(fam, ["w3"], 0)
+    with pytest.raises(ContractError, match="not freely reduced"):
+        window_constant_check(fam, [((1, 1), (1, -1))], 0)
+    hs = ["w1 w2^-1", "w2^3 w1"]
+    for window in (1, 8, 16, None):
+        assert window_constant_check(fam, hs, window) is window_constant_check(
+            fam, [ring.parse_h_word(h, 2) for h in hs], window)
+    # Normality is checked on the index syllables, after the length test.
+    monkeypatch.setattr(ring, "_bme_pairs", lambda h, fam: [(0, 1), (0, 1)])
+    assert window_constant_check(fam, ["w1"], 3) is True
+    with pytest.raises(ContractError, match="requires a normal word, got 'g1 g1'"):
+        window_constant_check(fam, ["w1"], 2)
+
+
+# -- B/M/E normal forms ------------------------------------------------------------
+
+
+def test_bme_normal_form_matches_label_spelling():
+    rng = random.Random(29)
+    for n in range(2, 11):
+        for N in range(1, 5):
+            fam = family(n, N)
+            for _ in range(6):
+                h = _random_h(rng, N, rng.randint(0, 40))
+                expected = oracle_bme_normal_form(h, fam)
+                assert ring.bme_normal_form(h, fam) == expected, (n, N, h)
+                text = ring.h_word_text(h)
+                assert ring.bme_normal_form(text, fam) == oracle_bme_normal_form(text, fam)
+
+
+# -- pinned ring-sweep outputs ------------------------------------------------------
+# The sha256 of the four ring checks' outputs (and the B/M/E texts) on seeded
+# h-words of 8/16/24 generators over the ring-sweep families.  A change that
+# alters these outputs on purpose updates this value and says why.
+RING_SHA256 = "d2903e978599a10e65401c225256f8a5b640d727a9d505f62403ed15808be541"
+
+
+def test_ring_outputs_are_pinned():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for n, N in ((4, 1), (6, 2), (8, 2), (10, 2), (10, 3)):
+        fam = family(n, N)
+        digest.update(repr(verify_star(fam, min(3, n // 2))).encode())
+        hs = [_random_h(rng, N, length) for length in (8, 16, 24) for _ in range(2)]
+        digest.update(repr(verify_order_window(fam, hs)).encode())
+        b = ring.constants(fam).b
+        for h in hs:
+            digest.update(ring.bme_normal_form(h, fam).to_text().encode())
+            # The property is monotone in the window: pin the least one that holds.
+            least = bisect_left(range(1, b + 1), True,
+                                key=lambda window: window_constant_check(fam, [h], window))
+            digest.update(repr((window_constant_check(fam, [h]), least)).encode())
+            digest.update(repr(displacement_upper(h, fam)).encode())
+    assert digest.hexdigest() == RING_SHA256
 
 
 # -- span fold: star sweep, displacement bound -------------------------------------

@@ -148,6 +148,11 @@ def test_normalize_path_graph_example(path_graph):
 def test_normalize_unknown_generator(abc_graph):
     with pytest.raises(InputError):
         normalize(word_from_pairs([("z", 1)]), abc_graph)
+    # is_normal names the first unknown label, before any normality test.
+    for w in (normal_word_from_pairs([("a", 1), ("a", 1), ("z", 1), ("y", 1)]),
+              word_from_pairs([("a", 1), ("a", 0), ("z", 1), ("y", 1)])):
+        with pytest.raises(InputError, match="unknown generator 'z'"):
+            is_normal(w, abc_graph)
 
 
 def test_normalize_idempotent_and_canonical_is_least(abc_graph):
