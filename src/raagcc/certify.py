@@ -72,15 +72,7 @@ from .complexes import (
 from .errors import BudgetExceededError, ContractError, InputError, InternalError
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel
-from .words import (
-    _pile,
-    NormalWord,
-    Word,
-    cyclic_core_support,
-    normal_word_from_pairs,
-    normalize,
-    word_from_pairs,
-)
+from .words import NormalWord, Word, _pile, _read_out, _spell, cyclic_core_support, normalize
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -164,9 +156,8 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
             if verdict is None:
                 verdict = memo[support] = model.fills_mask(support)
             if not verdict:
-                witness = normal_word_from_pairs((labels[g], e) for g, e in syls)
-                return (witness, frozenset(v for g, v in enumerate(labels) if support >> g & 1),
-                        count)
+                return (_spell(syls, graph),
+                        frozenset(v for g, v in enumerate(labels) if support >> g & 1), count)
     return None
 
 
@@ -236,20 +227,10 @@ def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1
 
 
 def _squares_by_labels(complex_: LabeledCubeComplex) -> dict[int, list[tuple[int, int, int, int]]]:
-    """The complex's square boundaries (four edge positions each), grouped
-    by the bitmask of their two label indices: the rows ``build_core`` set,
-    or, on a complex made elsewhere, each square read by ``square_ends``."""
-    rows = complex_.square_edges
-    if rows is None:
-        index = complex_.graph._index
-        position = {eid: i for i, (eid, _, _, _) in enumerate(complex_.edges)}
-        rows = []
-        for sq in complex_.squares:
-            a, b, gamma, delta = complex_.square_ends(sq)
-            rows.append((position[a[0]], position[b[0]], position[gamma[0]], position[delta[0]],
-                         index[complex_.end_label(a)], index[complex_.end_label(b)]))
+    """The complex's ``square_edges`` (four edge positions each), grouped
+    by the bitmask of their two label indices."""
     groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for a, b, gamma, delta, la, lb in rows:
+    for a, b, gamma, delta, la, lb in complex_.square_edges:
         groups.setdefault(1 << la | 1 << lb, []).append((a, b, gamma, delta))
     return groups
 
@@ -439,16 +420,11 @@ def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
     word has letter length at most twice the depth plus one.
     """
     _require_verified(core)
-    labels = core.graph.vertices
-    out: list[NormalWord] = []
-    seen: set[tuple] = set()
+    graph = core.graph
+    seen: dict[tuple[tuple[int, int], ...], None] = {}
     for chord in _chord_words(core.complex):
-        nw = normalize(word_from_pairs((labels[g], e) for g, e in chord), core.graph)
-        key = nw.pairs()
-        if nw.syllables and key not in seen:
-            seen.add(key)
-            out.append(nw)
-    return tuple(out)
+        seen.setdefault(tuple(_read_out(_pile(chord, graph), graph)))
+    return tuple(_spell(syls, graph) for syls in seen if syls)
 
 
 def displacement_lower_bound(cert: Certificate, h: Word | NormalWord) -> Fraction:

@@ -47,13 +47,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, ContractError, InputError, InternalError
 from .graphs import DefiningGraph
-from .words import (
-    Letter,
-    NormalWord,
-    Word,
-    normal_word_from_pairs,
-    normalize,
-)
+from .words import Letter, NormalWord, Word, _indexed, _pile, _read_out, _spell
 
 VERIFIED = "verified-local-isometry"
 BUDGET_EXCEEDED = "budget-exceeded"
@@ -79,9 +73,6 @@ class LabeledCubeComplex:
     edges: tuple[tuple[int, int, int, str], ...]  # (edge_id, source, target, label)
     squares: frozenset[Square]
     basepoint: int
-    # Set by build_core: each square once as (a, b, gamma, delta, label index
-    # of a, of b), its boundary edges as positions in ``edges``.
-    square_edges: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def edge_map(self) -> dict[int, tuple[int, int, str]]:
@@ -157,16 +148,34 @@ class LabeledCubeComplex:
         return frozenset(c for sq in self.squares for c in sq)
 
     @cached_property
-    def trace_maps(self) -> tuple[dict[tuple[int, str], int], dict[tuple[int, str], int]]:
-        """(out, in) maps (vertex, label) -> far vertex; requires link injectivity."""
-        out: dict[tuple[int, str], int] = {}
-        into: dict[tuple[int, str], int] = {}
-        for eid, src, dst, label in self.edges:
-            if (src, label) in out or (dst, label) in into:
+    def square_edges(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """Each square once as (a, b, gamma, delta, label index of a, of b),
+        its boundary edges as positions in ``edges``: the rows ``build_core``
+        set, or each square read by ``square_ends``."""
+        index = self.graph._index
+        position = {eid: i for i, (eid, _, _, _) in enumerate(self.edges)}
+        rows = []
+        for sq in self.squares:
+            a, b, gamma, delta = self.square_ends(sq)
+            rows.append((position[a[0]], position[b[0]], position[gamma[0]], position[delta[0]],
+                         index[self.end_label(a)], index[self.end_label(b)]))
+        return tuple(rows)
+
+    @cached_property
+    def _letter_options(self) -> tuple[list[list[tuple[int, int, int]]], int]:
+        """Per vertex position, the letters leaving it as (generator index,
+        sign, far vertex position), in the adjacency's key order: the
+        canonical letter order (declaration index, positive sign first);
+        and the basepoint's position."""
+        position = {v: i for i, v in enumerate(self.vertices)}
+        options = []
+        for v in self.vertices:
+            ends = self.adjacency[v]
+            if len({key for key, _, _ in ends}) < len(ends):
                 raise ContractError("complex is not link-injective; tracing is ambiguous")
-            out[(src, label)] = dst
-            into[(dst, label)] = src
-        return out, into
+            options.append([(key >> 1, -1 if key & 1 else 1, position[far])
+                            for key, _, far in ends])
+        return options, position[self.basepoint]
 
     @property
     def cell_count(self) -> int:
@@ -659,7 +668,7 @@ class _Builder:
             squares=frozenset(rows),
             basepoint=vmap[vfind(self.basepoint)],
         )
-        object.__setattr__(complex_, "square_edges", tuple(rows.values()))
+        complex_.__dict__["square_edges"] = tuple(rows.values())
         return complex_
 
 
@@ -749,37 +758,27 @@ def _require_verified(core: SubgroupCore) -> None:
 
 
 def membership(core: SubgroupCore, w: Word | NormalWord) -> bool:
-    """Trace the normal form from the basepoint; member iff the trace closes up.
+    """Trace the normal form's index syllables, letter by letter, through
+    the letter table from the basepoint; member iff the trace closes up.
 
     Sound on a verified core: geodesic words of subgroup elements stay inside
     the core's convex universal-cover image, so a failed or non-closing trace
     certifies non-membership.
     """
     _require_verified(core)
-    complex_ = core.complex
-    out, into = complex_.trace_maps
-    v = complex_.basepoint
-    for gen, sign in normalize(w, core.graph).letters():
-        nxt = out.get((v, gen)) if sign > 0 else into.get((v, gen))
-        if nxt is None:
-            return False
-        v = nxt
-    return v == complex_.basepoint
-
-
-def _letter_options(complex_: LabeledCubeComplex) -> tuple[list[list[tuple[int, int, int]]], Sequence[int], int]:
-    """Per-vertex extension letters as (generator index, sign, next vertex),
-    by vertex position, in the adjacency's key order: the canonical letter
-    order (declaration index, positive sign first)."""
-    adjacency = complex_.adjacency
-    index = {v: i for i, v in enumerate(complex_.vertices)}
-    options: list[list[tuple[int, int, int]]] = [[] for _ in complex_.vertices]
-    for v, i in index.items():
-        ends = adjacency[v]
-        if len({key for key, _, _ in ends}) < len(ends):
-            raise ContractError("complex is not link-injective; tracing is ambiguous")
-        options[i] = [(key >> 1, -1 if key & 1 else 1, index[far]) for key, _, far in ends]
-    return options, complex_.graph.comm_masks, index[complex_.basepoint]
+    graph = core.graph
+    options, base = core.complex._letter_options
+    v = base
+    for g, e in _read_out(_pile(_indexed(w, graph), graph), graph):
+        sign = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            for h, s, far in options[v]:
+                if h == g and s == sign:
+                    v = far
+                    break
+            else:
+                return False
+    return v == base
 
 
 class _SpellingAutomaton:
@@ -809,7 +808,8 @@ class _SpellingAutomaton:
     """
 
     def __init__(self, complex_: LabeledCubeComplex):
-        self.options, self.comm, self.base = _letter_options(complex_)
+        self.options, self.base = complex_._letter_options
+        self.comm = complex_.graph.comm_masks
         self._ids: dict[tuple[int, int, int, int], int] = {}
         self.keys: list[tuple[int, int, int, int]] = []
         # The letter that reaches each state, whole and as generator and sign.
@@ -978,7 +978,6 @@ def enumerate_elements(core: SubgroupCore, max_len: int,
     order: letter order is generator index, positive sign first)."""
     if max_len < 0:
         raise InputError("max_len must be >= 0")
-    labels = core.graph.vertices
-    return tuple(normal_word_from_pairs((labels[g], e) for g, e in syls)
+    return tuple(_spell(syls, core.graph)
                  for _, loops in iter_elements_by_length(core, max_len, node_budget=budget)
                  for syls in loops)

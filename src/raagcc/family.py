@@ -16,7 +16,8 @@ all-commuting B- and E-blocks across generator boundaries; the result is in
 normal form with respect to the standard generators.  Each symbol kind (B,
 E, M, Minv) is spelled from one block of (vertex index, sign) syllables
 cached per family, so the checks read the form as (vertex index, exponent)
-syllables; label strings are spelled only by ``bme_normal_form``.
+syllables; labels are spelled only for the generators and by
+``bme_normal_form``.
 
 Displacement tracking: a curve state records, as two bitmasks over the
 graph's vertex indices, the supports whose span contains the curve and the
@@ -29,9 +30,10 @@ complex.  This reproduces the family's upper bounds: d(alpha, h alpha) <=
 |h| * 4/(g-1) + 2 and stable translation length at most 4/(g-1) for each
 generator.
 
-Each signed generator's letter supports, in the order they act, are
+Every w_i spells the same B M E syllables, so a generator's letter
+supports, in the order they act, depend only on its sign; they are
 computed once per family.  An h-word is applied generator by generator
-through a transition memo from (state, signed generator) to state; one
+through a transition memo from (state, generator sign) to state; one
 memo serves one call (a whole star sweep, or every block of one
 displacement bound), so each distinct transition is folded only once per
 call, on the state's two masks, building one state.  Nothing is cached
@@ -51,7 +53,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import ContractError, InputError, InternalError
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel, _window_holds
-from .words import Letter, NormalWord, _predecessor_masks, is_normal, normal_word_from_pairs
+from .words import Letter, NormalWord, _predecessor_masks, _spell, is_normal
 
 # An h-word over the subgroup generators: ((i, +1) | (i, -1), ...), 1 <= i <= N.
 HWord = tuple[tuple[int, int], ...]
@@ -87,11 +89,12 @@ class Section8Family:
         return _symbol_blocks(self.n)
 
     @cached_property
-    def _letter_supports(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Each signed generator's letter supports, as vertex indices in the
-        order they act (rightmost letter first)."""
-        return {(i, sign): _generator_supports((i, sign), self)
-                for i in range(1, self.N + 1) for sign in (1, -1)}
+    def _letter_supports(self) -> dict[int, tuple[int, ...]]:
+        """Per sign, the letter supports of every w_i with that sign, as
+        vertex indices in the order they act (rightmost letter first); a
+        syllable's repeated letters fold like one."""
+        spelled = tuple(z for kind in "BME" for z, _ in self._blocks[kind])
+        return {1: spelled[::-1], -1: spelled}
 
     @cached_property
     def _meets(self) -> tuple[int, ...]:
@@ -107,9 +110,9 @@ class FamilyConstants:
 
     b: int          # letter window guaranteeing a filling block in B/M/E forms
     d: int          # diameter of the complement graph (the 2n-cycle)
-    L: int = 0      # syllable separation forcing order: d * b
-    ell_prime: int = 0  # b + 4*L*N + 1
-    ell: int = 0    # ell_prime + 2*N
+    L: int          # syllable separation forcing order: d * b
+    ell_prime: int  # b + 4*L*N + 1
+    ell: int        # ell_prime + 2*N
 
 
 def _f(t: int, n: int) -> str:
@@ -140,10 +143,8 @@ def family(n: int, N: int) -> Section8Family:
     graph = DefiningGraph.build(labels, edges)
     model = SurfaceModel.build(graph, [labels], admissible=True)
     blocks = _symbol_blocks(n)
-    gens = tuple(
-        normal_word_from_pairs((labels[z], sign * i) for kind in "BME" for z, sign in blocks[kind])
-        for i in range(1, N + 1)
-    )
+    gens = tuple(_spell([(z, sign * i) for kind in "BME" for z, sign in blocks[kind]], graph)
+                 for i in range(1, N + 1))
     for w in gens:
         if not is_normal(w, graph):
             raise InternalError(f"family generator {w.to_text()!r} is not normal")
@@ -165,7 +166,7 @@ def _symbol_blocks(n: int) -> dict[str, tuple[tuple[int, int], ...]]:
             "Minv": ((n - 1, -1), (n, -1))}
 
 
-def h_word_symbols(h: HWord, n: int) -> list[tuple[str, int]]:
+def h_word_symbols(h: HWord) -> list[tuple[str, int]]:
     """The merged B/M/E symbol sequence of a freely reduced h-word.
 
     At a ``w_i w_j^-1`` boundary the two all-commuting E-blocks merge into
@@ -193,7 +194,19 @@ def _bme_pairs(h: HWord, fam: Section8Family) -> list[tuple[int, int]]:
     """The B/M/E normal form of a freely reduced h-word, as (vertex index,
     exponent) syllables."""
     blocks = fam._blocks
-    return [(z, sign * k) for kind, k in h_word_symbols(h, fam.n) for z, sign in blocks[kind]]
+    return [(z, sign * k) for kind, k in h_word_symbols(h) for z, sign in blocks[kind]]
+
+
+def _h_word(h: HWord | str, fam: Section8Family) -> HWord:
+    """An h-word given as text (parsed) or as index pairs, with every
+    generator index in 1..N."""
+    if isinstance(h, str):
+        return parse_h_word(h, fam.N)
+    h = tuple(h)
+    for idx, _ in h:
+        if not 1 <= idx <= fam.N:
+            raise InputError(f"generator index {idx} out of range 1..{fam.N}")
+    return h
 
 
 def _require_reduced(h: HWord) -> None:
@@ -247,10 +260,7 @@ def h_word_text(h: HWord) -> str:
 
 def bme_normal_form(h: HWord | str, fam: Section8Family) -> NormalWord:
     """Expand a freely reduced h-word into its B/M/E normal form."""
-    if isinstance(h, str):
-        h = parse_h_word(h, fam.N)
-    labels = fam.graph.vertices
-    return normal_word_from_pairs((labels[z], e) for z, e in _bme_pairs(tuple(h), fam))
+    return _spell(_bme_pairs(_h_word(h, fam), fam), fam.graph)
 
 
 def naive_expansion(h: HWord, fam: Section8Family) -> list[tuple[str, int]]:
@@ -324,34 +334,25 @@ def _fold_supports(state: SpanState, supports: Iterable[int],
     return SpanState(span, misses)
 
 
-def _generator_supports(gen: tuple[int, int], fam: Section8Family) -> tuple[int, ...]:
-    """The letter supports of one signed generator, in the order they act."""
-    return tuple(fam.graph.index(label) for label, _ in reversed(naive_expansion((gen,), fam)))
-
-
 class _Transitions(dict):
-    """A memo from (state, signed generator) to the state the generator
-    takes it to.  A miss folds the generator's letter supports on the two
+    """A memo from (state, generator sign) to the state a generator of that
+    sign takes it to.  A miss folds the sign's letter supports on the two
     masks and builds one state; one memo serves one call."""
 
     def __init__(self, fam: Section8Family):
         super().__init__()
         self.fam = fam
 
-    def __missing__(self, key: tuple[SpanState, tuple[int, int]]) -> SpanState:
-        state, gen = key
+    def __missing__(self, key: tuple[SpanState, int]) -> SpanState:
         fam = self.fam
-        # Entries outside the table (an index out of range raises
-        # InputError) take the same spelling through naive_expansion.
-        supports = fam._letter_supports.get(gen) or _generator_supports(gen, fam)
-        nxt = self[key] = _fold_supports(state, supports, fam._meets)
+        nxt = self[key] = _fold_supports(key[0], fam._letter_supports[key[1]], fam._meets)
         return nxt
 
 
 def _fold_h(state: SpanState, h: HWord, memo: _Transitions) -> SpanState:
     """Apply an h-word through a transition memo, rightmost generator first."""
-    for gen in reversed(h):
-        state = memo[state, gen]
+    for _, sign in reversed(h):
+        state = memo[state, sign]
     return state
 
 
@@ -361,7 +362,7 @@ def span_apply_h(state: SpanState, h: HWord, fam: Section8Family) -> SpanState:
     Each generator acts through its own B/M/E spelling (no merging across
     generator boundaries), matching the inductive displacement argument.
     """
-    return _fold_h(state, h, _Transitions(fam))
+    return _fold_h(state, _h_word(tuple(h), fam), _Transitions(fam))
 
 
 def _containers(k: int, fam: Section8Family) -> tuple[int, int]:
@@ -420,7 +421,7 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
     all_proper = True
     for h in _h_words_upto(fam.N, k_max):
         # The first generator acts last, on the state of h[1:], one word shorter.
-        state = states[h] = memo[states[h[1:]], h[0]] if h else alpha
+        state = states[h] = memo[states[h[1:]], h[0][1]] if h else alpha
         k = max(2, len(h))
         tested += 1
         xbar, ybar = containers[k]
@@ -447,9 +448,7 @@ def displacement_upper(h: HWord | str, fam: Section8Family) -> tuple[int, Fracti
     most n//2 generators would break the star sweep and raises
     ``InternalError``.
     """
-    if isinstance(h, str):
-        h = parse_h_word(h, fam.N)
-    h = tuple(h)
+    h = _h_word(h, fam)
     _require_reduced(h)
     n = fam.n
     length = len(h)
@@ -508,9 +507,8 @@ def verify_order_window(fam: Section8Family, hs: Iterable[HWord | str]) -> Order
     tested = 0
     violations: list[tuple[str, int, int]] = []
     for h in hs:
-        if isinstance(h, str):
-            h = parse_h_word(h, fam.N)
-        pairs = _bme_pairs(tuple(h), fam)
+        h = _h_word(h, fam)
+        pairs = _bme_pairs(h, fam)
         tested += 1
         below = _predecessor_masks([z for z, _ in pairs], fam.graph)
         k = len(below)
@@ -533,9 +531,7 @@ def window_constant_check(fam: Section8Family, hs: Iterable[HWord | str],
     if window is None:
         window = constants(fam).b
     for h in hs:
-        if isinstance(h, str):
-            h = parse_h_word(h, fam.N)
-        pairs = _bme_pairs(tuple(h), fam)
+        pairs = _bme_pairs(_h_word(h, fam), fam)
         if window < 1:
             raise InputError(f"window length must be >= 1, got {window}")
         if not _window_holds(pairs, window, fam.model):

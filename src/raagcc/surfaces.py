@@ -34,7 +34,7 @@ from .words import (
     Word,
     _indexed,
     _is_normal_indexed,
-    _pairs_to_text,
+    _spell,
     concat,
     cyclic_core_support,
     invert,
@@ -286,8 +286,8 @@ def _window_holds(syllables: Sequence[tuple[int, int]], window: int,
     if last < 0:
         return True
     if not _is_normal_indexed(syllables, model.graph):
-        text = _pairs_to_text([(model.graph.vertices[g], e) for g, e in syllables])
-        raise ContractError(f"find_filling_blocks requires a normal word, got {text!r}")
+        raise ContractError("find_filling_blocks requires a normal word, "
+                            f"got {_spell(syllables, model.graph).to_text()!r}")
     p = 0  # the first window start no block has been tested for
     for start, end in _minimal_blocks([g for g, _ in syllables], model):
         if p > last:

@@ -251,19 +251,26 @@ def _pop_bottom(piles: Piling, g: int, noncomm: Sequence[Sequence[int]]) -> int:
     return piles[g].popleft()
 
 
-def _read_out(piles: Piling, graph: DefiningGraph) -> list[tuple[str, int]]:
-    """Empty the piling into its canonical normal form: repeatedly emit the
-    least-index generator whose bottom entry is a syllable."""
+def _read_out(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:
+    """Empty the piling into its canonical normal form, as index syllables:
+    repeatedly emit the least-index generator whose bottom entry is a
+    syllable."""
     noncomm = graph.non_commuting
-    labels = graph.vertices
-    out: list[tuple[str, int]] = []
+    out: list[tuple[int, int]] = []
     while True:
         for g, pile in enumerate(piles):
             if pile and pile[0]:
                 break
         else:
             return out
-        out.append((labels[g], _pop_bottom(piles, g, noncomm)))
+        out.append((g, _pop_bottom(piles, g, noncomm)))
+
+
+def _spell(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> NormalWord:
+    """The NormalWord of (generator index, exponent) syllables, in labels,
+    without checking; the one place index syllables become labels."""
+    labels = graph.vertices
+    return NormalWord(tuple(Syllable(labels[g], e, i) for i, (g, e) in enumerate(syllables)))
 
 
 def _reduce_cyclically(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:
@@ -297,7 +304,7 @@ def cyclic_core_support(syllables: Iterable[tuple[int, int]], graph: DefiningGra
 
 def normalize(w: Word | NormalWord, graph: DefiningGraph) -> NormalWord:
     """The canonical normal representative of the element ``w`` spells."""
-    return normal_word_from_pairs(_read_out(_pile(_indexed(w, graph), graph), graph))
+    return _spell(_read_out(_pile(_indexed(w, graph), graph), graph), graph)
 
 
 def is_normal(w: Word | NormalWord, graph: DefiningGraph) -> bool:
@@ -334,11 +341,11 @@ def _require_normal(w: NormalWord, graph: DefiningGraph) -> None:
         raise ContractError(f"word {w.to_text()!r} is not in normal form")
 
 
-def _lex_key(pairs: Sequence[tuple[str, int]], graph: DefiningGraph) -> tuple:
+def _lex_key(syllables: Sequence[tuple[int, int]]) -> tuple:
     key: list[tuple[int, int]] = []
-    for gen, exp in pairs:
+    for g, exp in syllables:
         sign = 0 if exp > 0 else 1  # positive letters sort first
-        key.extend([(graph.index(gen), sign)] * abs(exp))
+        key.extend([(g, sign)] * abs(exp))
     return tuple(key)
 
 
@@ -349,15 +356,15 @@ def min_class(w: Word | NormalWord, graph: DefiningGraph,
     Breadth-first over adjacent commuting swaps.  Classes can be factorially
     large, so the search carries a size budget.
     """
-    start = tuple(normalize(w, graph).pairs())
+    start = tuple(_read_out(_pile(_indexed(w, graph), graph), graph))
     seen = {start}
     queue = deque([start])
-    commutes = graph.commutes
+    comm = graph.comm_masks
     while queue:
         current = queue.popleft()
         for i in range(len(current) - 1):
             (g1, e1), (g2, e2) = current[i], current[i + 1]
-            if g1 != g2 and commutes(g1, g2):
+            if comm[g1] >> g2 & 1:
                 swapped = current[:i] + ((g2, e2), (g1, e1)) + current[i + 2:]
                 if swapped not in seen:
                     if len(seen) >= max_size:
@@ -366,8 +373,7 @@ def min_class(w: Word | NormalWord, graph: DefiningGraph,
                             partial_count=len(seen))
                     seen.add(swapped)
                     queue.append(swapped)
-    ordered = sorted(seen, key=lambda p: _lex_key(p, graph))
-    return tuple(normal_word_from_pairs(p) for p in ordered)
+    return tuple(_spell(p, graph) for p in sorted(seen, key=_lex_key))
 
 
 def _position(s: Syllable | int) -> int:
@@ -457,8 +463,7 @@ def cyclically_reduce(w: Word | NormalWord, graph: DefiningGraph) -> tuple[Norma
     """
     piles = _pile(_indexed(w, graph), graph)
     conjugator = _pile(_reduce_cyclically(piles, graph), graph)
-    return (normal_word_from_pairs(_read_out(conjugator, graph)),
-            normal_word_from_pairs(_read_out(piles, graph)))
+    return _spell(_read_out(conjugator, graph), graph), _spell(_read_out(piles, graph), graph)
 
 
 def _ordered_from_left(lead: int, mid: Sequence[int], comm: Sequence[int]) -> list[bool]:
@@ -544,6 +549,4 @@ def subword_decompose(w: NormalWord, p: Syllable | int, q: Syllable | int,
     if _ordered_from_left(p_gen, [g for g, _ in window[1:]], comm)[-1]:
         raise ContractError("p and q must be unordered syllables")
     left, right = _decompose(p_gen, mid, comm)
-    labels = graph.vertices
-    return (normal_word_from_pairs((labels[g], e) for g, e in left),
-            normal_word_from_pairs((labels[g], e) for g, e in right))
+    return _spell(left, graph), _spell(right, graph)

@@ -16,9 +16,10 @@ parent pointers.  ``oracle_h1_rank`` is H_1 of a label set's subcomplex
 over GF(2), from dense rows over its edges, the reference for the
 homology decision of ``certify``'s chord check.
 ``oracle_letter_options`` is the table of letters
-leaving each vertex as read from ``trace_maps``, before the package read
-it off the complex's integer adjacency; the oracle walks use it, so they
-share nothing with the package's enumeration.
+leaving each vertex as read from ``oracle_trace_maps``, the (vertex,
+label) maps the package once kept, before it read the table off the
+complex's integer adjacency; the oracle walks use it, so they share
+nothing with the package's enumeration.
 ``oracle_bme_normal_form`` is the ring family's B/M/E normal form
 spelled in string labels, symbol by symbol, before the package spelled
 index syllables.
@@ -486,13 +487,27 @@ def oracle_canonical_form(complex_: LabeledCubeComplex) -> LabeledCubeComplex:
     )
 
 
+def oracle_trace_maps(complex_: LabeledCubeComplex
+                      ) -> tuple[dict[tuple[int, str], int], dict[tuple[int, str], int]]:
+    """(out, in) maps (vertex, label) -> far vertex; requires link injectivity."""
+    out: dict[tuple[int, str], int] = {}
+    into: dict[tuple[int, str], int] = {}
+    for eid, src, dst, label in complex_.edges:
+        if (src, label) in out or (dst, label) in into:
+            raise ContractError("complex is not link-injective; tracing is ambiguous")
+        out[(src, label)] = dst
+        into[(dst, label)] = src
+    return out, into
+
+
 def oracle_letter_options(complex_: LabeledCubeComplex
-                          ) -> tuple[list[list[tuple[int, int, int]]], Sequence[int], int]:
+                          ) -> tuple[list[list[tuple[int, int, int]]], int]:
     """Per-vertex extension letters as (generator index, sign, next vertex),
-    read from ``trace_maps`` (which raises ``ContractError`` unless the
+    by vertex position, and the basepoint's position, read from
+    ``oracle_trace_maps`` (which raises ``ContractError`` unless the
     complex is link-injective)."""
     graph = complex_.graph
-    out, into = complex_.trace_maps
+    out, into = oracle_trace_maps(complex_)
     index = {v: i for i, v in enumerate(complex_.vertices)}
     options: list[list[tuple[int, int, int]]] = [[] for _ in complex_.vertices]
     for (v, label), far in out.items():
@@ -503,7 +518,7 @@ def oracle_letter_options(complex_: LabeledCubeComplex
     # letter order used for lexicographic comparisons).
     for opts in options:
         opts.sort(key=lambda t: (t[0], -t[1]))
-    return options, graph.comm_masks, index[complex_.basepoint]
+    return options, index[complex_.basepoint]
 
 
 def oracle_check_local_isometry(complex_: LabeledCubeComplex) -> LinkReport:
@@ -554,7 +569,8 @@ def oracle_loops_by_length(complex_: LabeledCubeComplex, max_len: int,
     count, the budget check and its ``partial_count`` are those of the
     production walk.
     """
-    options, comm, base = oracle_letter_options(complex_)
+    options, base = oracle_letter_options(complex_)
+    comm = complex_.graph.comm_masks
     states: list[tuple[tuple[tuple[int, int], ...], int]] = [((), base)]
     yield 0, [()]
     nodes = 1
@@ -775,7 +791,7 @@ def oracle_bme_normal_form(h, fam) -> NormalWord:
     sequence, as the package did before it spelled index syllables."""
     if isinstance(h, str):
         h = ring.parse_h_word(h, fam.N)
-    symbols = ring.h_word_symbols(tuple(h), fam.n)
+    symbols = ring.h_word_symbols(tuple(h))
     return normal_word_from_pairs(
         [pair for sym in symbols for pair in _oracle_symbol_pairs(sym, fam.n)])
 

@@ -18,7 +18,6 @@ from raagcc.complexes import (
     SubgroupCore,
     _SpellingAutomaton,
     _corner,
-    _letter_options,
     _link_violations,
     build_core,
     check_local_isometry,
@@ -31,6 +30,7 @@ from raagcc.words import (
     EPSILON,
     concat,
     invert,
+    min_class,
     normal_word_from_pairs,
     normalize,
     parse_word,
@@ -312,6 +312,46 @@ def test_trace_rejection_matches_enumeration(abc_graph, ex2_core):
         if candidate.letter_length > 6:
             continue
         assert membership(ex2_core, candidate) == (candidate.pairs() in language)
+
+
+def test_tracing_on_unordered_labels_and_sparse_vertex_ids():
+    """``membership``, ``enumerate_elements`` and ``min_class`` on a graph
+    declared out of alphabetical order, and on the same core stored with
+    vertex ids 10v + 7, pinned to the answers of the (vertex, label) trace
+    maps they replaced: the letter table walks vertex positions, not ids."""
+    graph = DefiningGraph.build("dbca", [("d", "b"), ("b", "c"), ("c", "a")])
+    core = build_core(graph, [parse_word("a d^-1 c", graph), parse_word("b a b", graph)])
+    assert (core.status, len(core.complex.vertices)) == (VERIFIED, 12)
+    data = core.complex.to_json_dict()
+    data["vertices"] = [10 * v + 7 for v in data["vertices"]]
+    data["basepoint"] = 10 * data["basepoint"] + 7
+    data["edges"] = [[eid, 10 * src + 7, 10 * dst + 7, label]
+                     for eid, src, dst, label in data["edges"]]
+    data["squares"] = [[[10 * v + 7, a, b] for v, a, b in sq] for sq in data["squares"]]
+    sparse = SubgroupCore(LabeledCubeComplex.from_json_dict(data), VERIFIED)
+    assert check_local_isometry(sparse.complex).ok
+    words = ["a d^-1 c", "b a b", "c^-1 d a^-1", "a d^-1 c b a b", "b a b a d^-1 c",
+             "a d^-1 c a d^-1 c", "b a^2 b", "a", "d^-1 c a",
+             "b a b c^-1 d a^-1 b^-1 a^-1 b^-1"]
+    members = [True, True, True, True, True, True, False, False, False, True]
+    elements = [
+        "", "b a b", "b^-1 a^-1 b^-1", "c^-1 d a^-1", "a d^-1 c", "b c^-1 a d b a^-1",
+        "b a b^2 a b", "b a b a d^-1 c", "b^-1 c^-1 a^-1 d b^-1 a^-1",
+        "b^-1 a^-1 b^-2 a^-1 b^-1", "b^-1 a^-1 b^-1 a d^-1 c", "c^-1 d c^-1 a^-1 d a^-1",
+        "c^-1 d a^-1 b a b", "c^-1 d a^-1 b^-1 a^-1 b^-1", "a d^-1 b c a b",
+        "a d^-1 b^-1 c a^-1 b^-1", "a d^-1 c a d^-1 c"]
+    for c in (core, sparse):
+        assert [membership(c, parse_word(w, graph)) for w in words] == members
+        assert [w.to_text() for w in enumerate_elements(c, 6)] == elements
+    classes = {
+        "a d b c a b": ["a d b c a b", "a d b a b c", "a d b a c b", "a d c b a b",
+                        "a b d c a b", "a b d a b c", "a b d a c b"],
+        "c^2 a b^-1 d": ["c^2 a d b^-1", "c^2 a b^-1 d", "a b^-1 c^2 d", "a c^2 d b^-1",
+                         "a c^2 b^-1 d"],
+        "b a d c": ["b a d c"],
+    }
+    for text, expected in classes.items():
+        assert [w.to_text() for w in min_class(parse_word(text, graph), graph)] == expected
 
 
 def test_new_generator_strictly_enlarges_language(abc_graph, ex2_core):
@@ -834,11 +874,11 @@ def _forged_complexes(abc_graph) -> list[LabeledCubeComplex]:
 
 def test_letter_options_match_oracle(catalog_stages):
     """The letter table read off the integer adjacency equals the one read
-    from ``trace_maps``, on every partial and verified stage and stored
-    core; a complex that is not link-injective is refused by both."""
+    from ``oracle_trace_maps``, on every partial and verified stage and
+    stored core; a complex that is not link-injective is refused by both."""
     counted = {True: 0, False: 0}
     for complex_ in _every_stage(catalog_stages):
-        assert _letter_options(complex_) == oracles.oracle_letter_options(complex_)
+        assert complex_._letter_options == oracles.oracle_letter_options(complex_)
         counted[not check_local_isometry(complex_).unfilled] += 1
     assert counted[True] >= 50 and counted[False] >= 50, counted
     abc = GRAPH_ZOO[1]
@@ -846,7 +886,7 @@ def test_letter_options_match_oracle(catalog_stages):
                   ((0, 1, 0, "a"), (1, 2, 0, "a"))):   # two a-edges enter 0
         clash = LabeledCubeComplex(graph=abc, vertices=(0, 1, 2), edges=edges,
                                    squares=frozenset(), basepoint=0)
-        for table in (_letter_options, oracles.oracle_letter_options):
+        for table in (lambda c: c._letter_options, oracles.oracle_letter_options):
             with pytest.raises(ContractError, match="not link-injective"):
                 table(clash)
 

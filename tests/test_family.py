@@ -95,11 +95,11 @@ def test_model_fills_only_with_every_label():
 # -- B/M/E normal forms --------------------------------------------------------------
 
 def test_symbol_merge_rules():
-    assert h_word_symbols(parse_h_word("w1 w2^-1", 2), 3) == [
+    assert h_word_symbols(parse_h_word("w1 w2^-1", 2)) == [
         ("B", 1), ("M", 1), ("E", -1), ("Minv", 2), ("B", -2)]
-    assert h_word_symbols(parse_h_word("w1^-1 w2", 2), 3) == [
+    assert h_word_symbols(parse_h_word("w1^-1 w2", 2)) == [
         ("E", -1), ("Minv", 1), ("B", 1), ("M", 2), ("E", 2)]
-    assert h_word_symbols(parse_h_word("w1 w2", 2), 3) == [
+    assert h_word_symbols(parse_h_word("w1 w2", 2)) == [
         ("B", 1), ("M", 1), ("E", 1), ("B", 2), ("M", 2), ("E", 2)]
 
 

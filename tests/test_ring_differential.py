@@ -313,6 +313,28 @@ def test_displacement_upper_matches_letter_fold():
     assert all(outcomes.values())
 
 
+def test_bad_generator_index_in_tuple_h_words():
+    """Every entry point that takes a tuple h-word refuses a generator index
+    outside 1..N with the error that parsing its text gives, before it
+    spells or folds anything."""
+    fam = family(4, 2)
+    alpha = ring.alpha_state(fam)
+    entry_points = {
+        "bme_normal_form": lambda h: ring.bme_normal_form(h, fam),
+        "verify_order_window": lambda h: verify_order_window(fam, [h]),
+        "window_constant_check": lambda h: window_constant_check(fam, [h]),
+        "displacement_upper": lambda h: displacement_upper(h, fam),
+        "span_apply_h": lambda h: span_apply_h(alpha, h, fam),
+    }
+    for idx in (5, 3, 0, -1):
+        message = f"generator index {idx} out of range 1..2"
+        if idx > 0:
+            assert _outcome(ring.parse_h_word, f"w1 w{idx}", 2) == (InputError, message)
+        for name, call in entry_points.items():
+            for h in (((idx, 1),), ((1, 1), (idx, -1), (2, 1))):
+                assert _outcome(call, h) == (InputError, message), (name, h)
+
+
 def test_displacement_upper_input_errors_match_letter_fold():
     fam = family(4, 2)
     for h in (((1, 1), (1, -1)), ((3, 1),), ((1, 1), (5, -1), (2, 1)), "w1 w3", "w1^0"):

@@ -52,6 +52,27 @@ def test_reproduce_examples():
     assert "certify: refuted" in lines
 
 
+def test_src_lines(tmp_path):
+    """One row per module of ``src/raagcc``, whose lines and code lines sum
+    to the total row; code lines leave out docstrings, comments and blanks."""
+    done = _run("src_lines.py")
+    assert done.returncode == 0, done.stderr
+    header, *rows, total = [line.split(",") for line in done.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    package = ROOT / "src" / "raagcc"
+    assert [name for name, _, _ in rows] == sorted(p.name for p in package.glob("*.py"))
+    for name, lines, code in rows:
+        assert int(lines) == len((package / name).read_text().splitlines())
+        assert 0 < int(code) < int(lines)
+    assert total == ["total", str(sum(int(r[1]) for r in rows)),
+                     str(sum(int(r[2]) for r in rows))]
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\ndef f(x):\n    """Doc."""\n'
+        '    return (x +  # trailing\n            1)\n')
+    done = _run("src_lines.py", "--root", str(tmp_path))
+    assert done.stdout.splitlines() == ["module,lines,code", "m.py,8,3", "total,8,3"]
+
+
 def test_perfbench_smoke():
     """Every benchmark workload runs at a tiny size, untraced and traced,
     passes its output checks and emits exactly its declared metrics; a change
