@@ -8,13 +8,10 @@ comments and docstrings are left out.  One CSV row per module, sorted by
 name, then a ``total`` row:
 
     python3 scripts/src_lines.py
-
-``--root DIR`` counts the ``*.py`` files of another directory instead.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import tokenize
@@ -46,12 +43,9 @@ def count(source: str) -> tuple[int, int]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=PACKAGE)
-    args = parser.parse_args()
     print("module,lines,code")
     totals = [0, 0]
-    for path in sorted(args.root.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         lines, code = count(path.read_text())
         totals[0] += lines
         totals[1] += code

@@ -151,15 +151,8 @@ class LabeledCubeComplex:
     def square_edges(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
         """Each square once as (a, b, gamma, delta, label index of a, of b),
         its boundary edges as positions in ``edges``: the rows ``build_core``
-        set, or each square read by ``square_ends``."""
-        index = self.graph._index
-        position = {eid: i for i, (eid, _, _, _) in enumerate(self.edges)}
-        rows = []
-        for sq in self.squares:
-            a, b, gamma, delta = self.square_ends(sq)
-            rows.append((position[a[0]], position[b[0]], position[gamma[0]], position[delta[0]],
-                         index[self.end_label(a)], index[self.end_label(b)]))
-        return tuple(rows)
+        sets when it freezes a complex, known for no other complex."""
+        raise ContractError("square rows are set only on a complex that build_core made")
 
     @cached_property
     def _letter_options(self) -> tuple[list[list[tuple[int, int, int]]], int]:

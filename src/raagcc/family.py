@@ -199,13 +199,15 @@ def _bme_pairs(h: HWord, fam: Section8Family) -> list[tuple[int, int]]:
 
 def _h_word(h: HWord | str, fam: Section8Family) -> HWord:
     """An h-word given as text (parsed) or as index pairs, with every
-    generator index in 1..N."""
+    generator index in 1..N and every sign 1 or -1."""
     if isinstance(h, str):
         return parse_h_word(h, fam.N)
     h = tuple(h)
-    for idx, _ in h:
+    for idx, sign in h:
         if not 1 <= idx <= fam.N:
             raise InputError(f"generator index {idx} out of range 1..{fam.N}")
+        if sign not in (1, -1):
+            raise InputError(f"generator sign {sign} is not 1 or -1")
     return h
 
 

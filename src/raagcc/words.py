@@ -270,7 +270,7 @@ def _spell(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> Normal
     """The NormalWord of (generator index, exponent) syllables, in labels,
     without checking; the one place index syllables become labels."""
     labels = graph.vertices
-    return NormalWord(tuple(Syllable(labels[g], e, i) for i, (g, e) in enumerate(syllables)))
+    return normal_word_from_pairs((labels[g], e) for g, e in syllables)
 
 
 def _reduce_cyclically(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:

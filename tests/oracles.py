@@ -15,6 +15,8 @@ budget-exceeded stages before the chord-word check took that over, and
 parent pointers.  ``oracle_h1_rank`` is H_1 of a label set's subcomplex
 over GF(2), from dense rows over its edges, the reference for the
 homology decision of ``certify``'s chord check.
+``oracle_square_edges`` reads each square's boundary row through
+``square_ends``, the reference for the rows that ``build_core`` sets.
 ``oracle_letter_options`` is the table of letters
 leaving each vertex as read from ``oracle_trace_maps``, the (vertex,
 label) maps the package once kept, before it read the table off the
@@ -498,6 +500,19 @@ def oracle_trace_maps(complex_: LabeledCubeComplex
         out[(src, label)] = dst
         into[(dst, label)] = src
     return out, into
+
+
+def oracle_square_edges(complex_: LabeledCubeComplex) -> list[tuple[int, int, int, int, int, int]]:
+    """Each square once as (a, b, gamma, delta, label index of a, of b), its
+    boundary edges as positions in ``edges``, read by ``square_ends``."""
+    index = complex_.graph._index
+    position = {eid: i for i, (eid, _, _, _) in enumerate(complex_.edges)}
+    rows = []
+    for sq in complex_.squares:
+        a, b, gamma, delta = complex_.square_ends(sq)
+        rows.append((position[a[0]], position[b[0]], position[gamma[0]], position[delta[0]],
+                     index[complex_.end_label(a)], index[complex_.end_label(b)]))
+    return rows
 
 
 def oracle_letter_options(complex_: LabeledCubeComplex

@@ -315,8 +315,8 @@ def test_displacement_upper_matches_letter_fold():
 
 def test_bad_generator_index_in_tuple_h_words():
     """Every entry point that takes a tuple h-word refuses a generator index
-    outside 1..N with the error that parsing its text gives, before it
-    spells or folds anything."""
+    outside 1..N with the error that parsing its text gives, and a sign other
+    than 1 or -1, before it spells or folds anything."""
     fam = family(4, 2)
     alpha = ring.alpha_state(fam)
     entry_points = {
@@ -332,6 +332,11 @@ def test_bad_generator_index_in_tuple_h_words():
             assert _outcome(ring.parse_h_word, f"w1 w{idx}", 2) == (InputError, message)
         for name, call in entry_points.items():
             for h in (((idx, 1),), ((1, 1), (idx, -1), (2, 1))):
+                assert _outcome(call, h) == (InputError, message), (name, h)
+    for sign in (2, 0, -2):
+        message = f"generator sign {sign} is not 1 or -1"
+        for name, call in entry_points.items():
+            for h in (((1, sign),), ((1, 1), (2, sign), (2, 1))):
                 assert _outcome(call, h) == (InputError, message), (name, h)
 
 
