@@ -2,7 +2,8 @@
 """Certify every problem of the benchmark's catalog (``perfbench/zoo_catalog.json``)
 at the catalog's budgets and print each report as one JSON line with sorted
 keys: the graph's name, the stored verdict, and ``certify``'s
-``to_json_dict()``.  The total time goes to stderr.
+``to_json_dict()``.  The ``certify`` time of each class of problems (graph
+and stored verdict, in catalog order) and the total time go to stderr.
 
 Comparing two versions of the package is then one ``diff`` of this output:
 
@@ -45,14 +46,17 @@ def main() -> None:
         for stored, gen_sets in strata.items():
             problems += [(name, stored, graph, model, texts) for texts in gen_sets]
 
-    total = 0.0
+    spent: dict[tuple[str, str], list[float]] = {}
     for name, stored, graph, model, texts in problems[:args.limit]:
         gens = [parse_word(t, graph) for t in texts]
         start = time.perf_counter()
         cert = certify(graph, model, gens, **budgets)
-        total += time.perf_counter() - start
+        spent.setdefault((name, stored), []).append(time.perf_counter() - start)
         print(json.dumps({"graph": name, "stored": stored, "report": cert.to_json_dict()},
                          sort_keys=True))
+    for (name, stored), times in spent.items():
+        print(f"{name} {stored}: {len(times)} problems in {sum(times):.3f} s", file=sys.stderr)
+    total = sum(map(sum, spent.values()))
     print(f"{len(problems[:args.limit])} problems through certify in {total:.2f} s",
           file=sys.stderr)
 

@@ -57,14 +57,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Iterator, Sequence
 
 from .complexes import (
+    VERIFIED,
     LabeledCubeComplex,
     SubgroupCore,
+    _Builder,
     _require_verified,
-    build_core,
     count_elements,
     iter_loops_by_length,
     membership,
@@ -129,6 +131,56 @@ class Certificate:
                 "formula": f"d >= |h|/{6 * self.ell} - 2",
             },
         }
+
+
+class _FrozenOnRead:
+    """``Certificate.core``.  A certificate from a budget-exceeded stage is
+    given the stage's freeze as a callable, which the first read calls and
+    whose core it keeps."""
+
+    def __get__(self, cert, owner=None):
+        if cert is None:
+            return None
+        core = cert.__dict__["_core"]
+        if callable(core):
+            core = cert.__dict__["_core"] = core()
+        return core
+
+    def __set__(self, cert, core):
+        cert.__dict__["_core"] = core
+
+
+# Set after the class, so that the dataclass keeps ``core=None`` as the
+# field's default and its ``__init__`` stores through the descriptor.
+Certificate.core = _FrozenOnRead()
+
+
+class _StageView:
+    """A budget-exceeded stage read off its folded builder, with the parts
+    of ``LabeledCubeComplex`` that the chord check and the spelling
+    automaton read: the canonical vertices, the canonical edges numbered by
+    least raw id (as ``freeze`` numbers the stage), the adjacency and letter
+    table built from them as a frozen complex builds its own, and a square
+    row per raw square.  Raw squares that folding made equal give equal
+    rows, which ``_h1_vanishes`` reduces to zero and has counted in its
+    slack.  The view copies what it reads, so the builder may grow on."""
+
+    adjacency = LabeledCubeComplex.adjacency
+    _letter_options = LabeledCubeComplex._letter_options
+
+    def __init__(self, builder: _Builder):
+        vroot = list(map(builder.vfind, range(len(builder.vparent))))
+        eroot = list(map(builder.efind, range(len(builder.eparent))))
+        labels, raw = builder.graph.vertices, builder.edges
+        self.graph, self.basepoint = builder.graph, vroot[builder.basepoint]
+        self.vertices = tuple(builder.ends)
+        roots = [e for e, root in enumerate(eroot) if e == root]
+        self.edges = [(e, vroot[raw[e][0]], vroot[raw[e][1]], labels[raw[e][2]]) for e in roots]
+        slot = {e: i for i, e in enumerate(roots)}
+        position = [slot[root] for root in eroot]
+        self.square_edges = [(position[a], position[b], position[gamma], position[delta],
+                              ka >> 1, kb >> 1)
+                             for a, b, gamma, delta, ka, kb in builder.squares]
 
 
 def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ...]]]],
@@ -197,28 +249,27 @@ def _chord_word(parent: dict[int, tuple[int, int] | None], src: int, dst: int, g
     """The loop word path(src)*g*path(dst)^-1 of a chord from src to dst
     labelled g, as index syllables, read off the forest's parent chains;
     path(v) is the forest path from its root to v."""
-    word: list[tuple[int, int]] = []
-    step = parent[src]
-    while step is not None:  # path(src), read backwards
-        key = step[1]
-        word.append((key >> 1, -1 if key & 1 else 1))
-        step = parent[step[0]]
-    word.reverse()
-    word.append((g, 1))
-    step = parent[dst]
-    while step is not None:  # path(dst)^-1: each end's letter, inverted
-        key = step[1]
-        word.append((key >> 1, 1 if key & 1 else -1))
-        step = parent[step[0]]
-    return word
+    climbs = []  # the end keys from src, and from dst, up to the root
+    for v in (src, dst):
+        keys = []
+        step = parent[v]
+        while step is not None:
+            keys.append(step[1])
+            step = parent[step[0]]
+        climbs.append(keys)
+    up, down = climbs
+    return [(key >> 1, -1 if key & 1 else 1) for key in reversed(up)] + [(g, 1)] + \
+        [(key >> 1, 1 if key & 1 else -1) for key in down]  # path(dst)^-1: letters inverted
 
 
-def _chord_words(complex_: LabeledCubeComplex, allowed: int = -1
+def _chord_words(complex_: LabeledCubeComplex | _StageView, allowed: int = -1,
+                 forest: tuple[dict[int, tuple[int, int] | None], list[int]] | None = None
                  ) -> Iterator[list[tuple[int, int]]]:
     """The loop word of every chord of ``_spanning_forest(complex_,
-    allowed)`` (all labels by default), in edge order.  The chord loops at
-    the roots generate the fundamental group of each component."""
-    parent, chords = _spanning_forest(complex_, allowed)
+    allowed)`` (all labels by default), in edge order, or of the given
+    ``forest`` when the caller has grown it.  The chord loops at the roots
+    generate the fundamental group of each component."""
+    parent, chords = forest or _spanning_forest(complex_, allowed)
     index = complex_.graph._index
     edges = complex_.edges
     for i in chords:
@@ -275,9 +326,12 @@ def _h1_vanishes(chords: list[int], squares: dict[int, list[tuple[int, int, int,
     return len(basis) == len(chords)
 
 
-def _nonfilling_chord_set(core: SubgroupCore, model: SurfaceModel) -> int | None:
+def _nonfilling_chord_set(complex_: LabeledCubeComplex | _StageView, model: SurfaceModel,
+                          verified: bool) -> int | None:
     """The first maximal non-filling set, as a vertex-index bitmask, whose
     labelled edges have a nontrivial chord word; None when there is none.
+    ``complex_`` is a verified core's complex or, when ``verified`` is
+    false, a budget-exceeded stage (``certify`` passes its ``_StageView``).
 
     Each set S is first decided by ``_h1_vanishes`` (see the module
     docstring).  H_1 = 0: every chord word of S is trivial, on any stage.
@@ -289,24 +343,18 @@ def _nonfilling_chord_set(core: SubgroupCore, model: SurfaceModel) -> int | None
     fill.  On any connected link-injective stage, a set returned here
     bounds the support of a non-filling member.
     """
-    complex_ = core.complex
     graph = complex_.graph
-    index = graph._index
-    edges = complex_.edges
     squares = None
     for allowed in model.maximal_non_filling_sets:
-        parent, chords = _spanning_forest(complex_, allowed)
+        forest = _, chords = _spanning_forest(complex_, allowed)
         if not chords:
             continue  # a forest has no loops
         squares = squares or _squares_by_labels(complex_)
-        if _h1_vanishes(chords, squares, allowed, len(edges)):
+        if _h1_vanishes(chords, squares, allowed, len(complex_.edges)):
             continue
-        if core.verified:
+        if verified or any(any(_pile(word, graph))
+                           for word in _chord_words(complex_, forest=forest)):
             return allowed
-        for i in chords:
-            _, src, dst, label = edges[i]
-            if any(_pile(_chord_word(parent, src, dst, index[label]), graph)):
-                return allowed
     return None
 
 
@@ -334,6 +382,11 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     On a partial stage each of these moves on to the next stage, and a
     refutation carries neither ell nor an element count.
 
+    The stages grow on one ``_Builder``.  A verified stage is frozen into
+    its core; a budget-exceeded one is decided on a ``_StageView`` of the
+    builder, and a certificate from it freezes the stage only when its
+    ``core`` is first read.
+
     A construction that never stabilizes within the cell budget and never
     exposes a witness is inconclusive.  Its reason names the enumeration
     budget when some stage's walk ran out of it, and the cell budget
@@ -350,7 +403,6 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     if enum_budget < 1:
         raise InputError("enum_budget must be positive")
     normal_gens = tuple(normalize(g, graph) for g in generators)
-    gen_words = [g.as_word() for g in normal_gens]
 
     stages = []
     b = _STAGE_START
@@ -360,11 +412,12 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     stages.append(cell_budget)
     tried: list[list[int]] = []
 
-    def certificate(core: SubgroupCore, verdict: str, chord_set: int = 0,
-                    ell: int | None = None, element_count: int | None = None,
-                    **fields) -> Certificate:
-        stats = dict(core.diagnostics)
-        if not core.verified:
+    def certificate(verdict: str, chord_set: int = 0, ell: int | None = None,
+                    element_count: int | None = None, **fields) -> Certificate:
+        """The certificate of the stage at hand (``status``, ``verified``,
+        ``counts``, ``core``)."""
+        stats = dict(counts)
+        if not verified:
             ell = element_count = None
             if verdict == REFUTED:
                 stats["refuted_from_partial_core"] = True
@@ -372,45 +425,51 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         if verdict == REFUTED:
             stats["chord_set"] = [v for g, v in enumerate(graph.vertices) if chord_set >> g & 1]
         return Certificate(graph=graph, model=model, generators=normal_gens,
-                           core_vertex_count=len(core.complex.vertices),
-                           core_square_count=len(core.complex.squares),
-                           core_status=core.status, core=core, diagnostics=stats,
+                           core_vertex_count=counts["vertex_count"],
+                           core_square_count=counts["square_count"],
+                           core_status=status, core=core, diagnostics=stats,
                            verdict=verdict, ell=ell, element_count=element_count, **fields)
 
-    core = None
+    builder = _Builder(graph, tuple(g.letters() for g in normal_gens), None, None)
     walk_ran_out = False  # a partial stage's witness walk hit enum_budget
     for stage in stages:
-        core = build_core(graph, gen_words, budget=stage, extend=core)
-        tried.append([stage, core.diagnostics["cells"]])
-        ell = 3 * (len(core.complex.vertices) + 1)
-        chord_set = _nonfilling_chord_set(core, model)
+        status = builder.grow(stage)
+        verified = status == VERIFIED
+        if verified:
+            core = builder.core(status, stage)
+            complex_, counts = core.complex, core.diagnostics
+        else:  # decided on the builder; a certificate freezes it when read
+            core = partial(builder.core, status, stage)
+            complex_, counts = _StageView(builder), builder.diagnostics(stage)
+        tried.append([stage, counts["cells"]])
+        ell = 3 * (counts["vertex_count"] + 1)
+        chord_set = _nonfilling_chord_set(complex_, model, verified)
         if chord_set is None:
-            if core.verified:
-                return certificate(core, CERTIFIED, ell=ell,
-                                   element_count=count_elements(core, ell))
+            if verified:
+                return certificate(CERTIFIED, ell=ell, element_count=count_elements(core, ell))
             continue
         # The witness is the first non-filling member in increasing length
         # order; on a verified core one of length at most 2V - 1 < ell exists.
         try:
-            found = _first_nonfilling(iter_loops_by_length(core.complex, ell,
+            found = _first_nonfilling(iter_loops_by_length(complex_, ell,
                                                            node_budget=enum_budget),
                                       graph, model)
         except BudgetExceededError as exc:
-            if core.verified:
-                return certificate(core, INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
+            if verified:
+                return certificate(INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
                                    reason=f"enumeration exceeded budget {enum_budget}")
             walk_ran_out = True
             continue
         if found is not None:
             witness, support, count = found
-            return certificate(core, REFUTED, chord_set, ell=ell, witness=witness,
+            return certificate(REFUTED, chord_set, ell=ell, witness=witness,
                                witness_support=support, element_count=count)
-        if core.verified:
+        if verified:
             raise InternalError(f"no non-filling member up to length {ell}, "
                                 "though a chord word of a non-filling set is nontrivial")
     reason = (f"enumeration exceeded budget {enum_budget}" if walk_ran_out
               else f"core construction exceeded cell budget {cell_budget}")
-    return certificate(core, INCONCLUSIVE, reason=reason)
+    return certificate(INCONCLUSIVE, reason=reason)
 
 
 def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:

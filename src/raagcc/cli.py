@@ -108,6 +108,11 @@ def _load_core(path: str) -> tuple[SubgroupCore, LinkReport]:
     return SubgroupCore(complex=complex_, status=VERIFIED if verified else UNVERIFIED), report
 
 
+def _core_json(core: SubgroupCore) -> str:
+    return json.dumps({**core.complex.to_json_dict(), "status": core.status},
+                      sort_keys=True, indent=2) + "\n"
+
+
 def _emit(report: dict, config: RunConfig, text_lines: list[str],
           csv_rows: list[dict] | None = None) -> str:
     if config.fmt == "json":
@@ -196,10 +201,7 @@ def _cmd_core_build(config: RunConfig) -> int:
     }
     out = config.options.get("out")
     if out:
-        Path(out).write_text(
-            json.dumps({**core.complex.to_json_dict(), "status": core.status},
-                       sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        Path(out).write_text(_core_json(core), encoding="utf-8")
         report["core_file"] = out
     lines = [f"status: {core.status}"] + [
         f"{k}: {v}" for k, v in sorted(core.diagnostics.items())
@@ -284,8 +286,7 @@ def _cmd_export(config: RunConfig) -> int:
     if fmt == "dot":
         text = core.complex.to_dot()
     elif fmt == "json":
-        text = json.dumps({**core.complex.to_json_dict(), "status": core.status},
-                          sort_keys=True, indent=2) + "\n"
+        text = _core_json(core)
     else:
         raise InputError(f"export supports dot or json, not {fmt!r}")
     _write_out(text, config.options.get("out"))
@@ -321,8 +322,7 @@ def _cmd_section8_constants(config: RunConfig) -> int:
     }
     lines = [f"b = {c.b}", f"d = {c.d}", f"L = {c.L}",
              f"ell' = {c.ell_prime}", f"ell = {c.ell}"]
-    rows = [{"n": fam.n, "N": fam.N, "b": c.b, "d": c.d, "L": c.L,
-             "ell_prime": c.ell_prime, "ell": c.ell}]
+    rows = [{k: v for k, v in report.items() if k != "schema"}]
     _write_out(_emit(report, config, lines, rows), config.options.get("out"))
     return EXIT_OK
 

@@ -310,23 +310,14 @@ class LabeledCubeComplex:
 
 
 def salvetti(graph: DefiningGraph) -> LabeledCubeComplex:
-    """One vertex, a loop per generator, a square per commuting pair."""
+    """One vertex, a loop per generator (edge id = its index), a square per
+    commuting pair."""
+    index = graph._index
     edges = tuple((i, 0, 0, label) for i, label in enumerate(graph.vertices))
-    squares = set()
-    for e in graph.edges:
-        u, w = sorted(e, key=graph.index)
-        eu, ew = graph.index(u), graph.index(w)
-        corners = frozenset(
-            _corner(0, (eu, pu), (ew, pw)) for pu in (0, 1) for pw in (0, 1)
-        )
-        squares.add(corners)
-    return LabeledCubeComplex(
-        graph=graph,
-        vertices=(0,),
-        edges=edges,
-        squares=frozenset(squares),
-        basepoint=0,
-    )
+    squares = frozenset(frozenset(_corner(0, (index[u], pu), (index[w], pw))
+                                  for pu in (0, 1) for pw in (0, 1))
+                        for u, w in graph.edges)
+    return LabeledCubeComplex(graph=graph, vertices=(0,), edges=edges, squares=squares, basepoint=0)
 
 
 @dataclass(frozen=True)
@@ -401,14 +392,6 @@ class SubgroupCore:
     @property
     def verified(self) -> bool:
         return self.status == VERIFIED
-
-
-def _square_corners(a: int, b: int, gamma: int, delta: int, ka: int, kb: int
-                    ) -> tuple[tuple[int, int, int, int], ...]:
-    """A builder square's four corners as (edge, key, edge, key): at the
-    vertex of a and b, across a, across b, and opposite."""
-    return ((a, ka, b, kb), (a, ka ^ 1, gamma, kb), (b, kb ^ 1, delta, ka),
-            (gamma, kb ^ 1, delta, ka ^ 1))
 
 
 class _Builder:
@@ -592,16 +575,48 @@ class _Builder:
 
     def add_square(self, *square: int) -> None:
         """Record a seed square (a, b, gamma, delta, ka, kb) and mark its
-        corners filled."""
+        corners filled: at the vertex of a and b, across a, across b, and
+        opposite, each as an edge and its key and the other key there."""
         self.squares.append(square)
-        for e, k1, _, k2 in _square_corners(*square):
+        a, b, gamma, _, ka, kb = square
+        for e, k1, k2 in ((a, ka, kb), (a, ka ^ 1, kb), (b, kb ^ 1, ka), (gamma, kb ^ 1, ka ^ 1)):
             self.filled[self.end_vertex(e, k1 & 1)].add((k1, k2) if k1 < k2 else (k2, k1))
 
     # -- assembly -----------------------------------------------------------
 
-    @property
-    def cell_count(self) -> int:
-        return len(self.ends) + len(self.edges) - self.folds + len(self.squares)
+    def grow(self, budget: int) -> str:
+        """Fill every unfilled commuting corner, then fold, in rounds until
+        nothing is left to fill (VERIFIED) or, checked between rounds, the
+        cells exceed ``budget`` (BUDGET_EXCEEDED): the vertices, the edges
+        less the folds, and the raw squares."""
+        while len(self.ends) + len(self.edges) - self.folds + len(self.squares) <= budget:
+            if not self.fill_pass():
+                return VERIFIED
+            self.fold_all()
+        return BUDGET_EXCEEDED
+
+    def diagnostics(self, budget: int) -> dict:
+        """The counters of the stage grown to ``budget``, its cells counted
+        as ``freeze`` leaves them.  Raw squares that folding made equal are
+        one square: on a folded stage any one corner fixes its square, and
+        each square has four distinct corners, so the squares are the
+        filled corners over four."""
+        vertices, edges = len(self.ends), len(self.edges) - self.folds
+        squares = sum(map(len, self.filled.values())) // 4
+        return {"folds": self.folds, "squares_added": self.squares_added,
+                "cells": vertices + edges + squares, "vertex_count": vertices,
+                "edge_count": edges, "square_count": squares, "budget": budget}
+
+    def core(self, status: str, budget: int) -> SubgroupCore:
+        """The stage frozen as a core; a verified one is link-checked, and a
+        budget-exceeded one keeps this builder."""
+        complex_ = self.freeze(status)
+        if status == VERIFIED:
+            report = _link_violations(complex_)
+            if not report.ok:
+                raise InternalError(f"stabilized complex failed the link check: {report}")
+        return SubgroupCore(complex=complex_, status=status, diagnostics=self.diagnostics(budget),
+                            _builder=None if status == VERIFIED else self)
 
     def freeze(self, status: str) -> LabeledCubeComplex:
         """The complex, with string labels, in one pass over the builder.
@@ -643,7 +658,7 @@ class _Builder:
         for e in range(len(raw)):
             new_id[e] = new_id[efind(e)]
         edges = tuple((i, *at[e], labels[raw[e][2]]) for i, e in enumerate(roots))
-        # Each square's corners, laid out as in _square_corners, and its
+        # Each square's corners, laid out as in add_square, and its
         # boundary row; raw squares that folding made equal become one key.
         rows = {}
         for a, b, gamma, delta, ka, kb in self.squares:
@@ -672,8 +687,9 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
 
     A round fills every unfilled commuting corner, then folds until no end
     table collides.  The cell budget is checked between rounds, so a stage
-    can overshoot it by one round (the certify catalog's stage builds reach
-    663 cells at budget 256 and 5847 at budget 2000).  Stabilization within
+    can overshoot it by one round (over the certify catalog, ``certify``'s
+    stages reach 663, 1659 and 3091 cells at budgets 256, 1024 and 2000,
+    and a direct build at budget 2000 reaches 4027).  Stabilization within
     budget yields a verified local isometry, numbered canonically by
     ``_Builder.freeze``; exhausting the budget yields an
     inconclusive core carrying partial diagnostics, its cells numbered by
@@ -717,30 +733,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
         builder = _Builder(graph, words, rng, extend)
     else:
         builder.rng = rng
-    status = VERIFIED
-    while True:
-        if builder.cell_count > budget:
-            status = BUDGET_EXCEEDED
-            break
-        if not builder.fill_pass():
-            break
-        builder.fold_all()
-    complex_ = builder.freeze(status)
-    diagnostics = {
-        "folds": builder.folds,
-        "squares_added": builder.squares_added,
-        "cells": complex_.cell_count,
-        "vertex_count": len(complex_.vertices),
-        "edge_count": len(complex_.edges),
-        "square_count": len(complex_.squares),
-        "budget": budget,
-    }
-    if status == VERIFIED:
-        report = _link_violations(complex_)
-        if not report.ok:
-            raise InternalError(f"stabilized complex failed the link check: {report}")
-    return SubgroupCore(complex=complex_, status=status, diagnostics=diagnostics,
-                        _builder=None if status == VERIFIED else builder)
+    return builder.core(builder.grow(budget), budget)
 
 
 def _require_verified(core: SubgroupCore) -> None:

@@ -111,11 +111,8 @@ class DefiningGraph:
 
     def complement_diameter(self) -> int:
         """Diameter of the complement graph (BFS); raises if disconnected."""
-        comp_adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.complement_edges():
-            u, w = tuple(e)
-            comp_adj[u].add(w)
-            comp_adj[w].add(u)
+        comp_adj = {v: [w for w in self.vertices if not self.commutes(v, w)]
+                    for v in self.vertices}
         diameter = 0
         for source in self.vertices:
             dist = {source: 0}

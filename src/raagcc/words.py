@@ -148,8 +148,6 @@ def word_from_pairs(pairs: Iterable[tuple[str, int]], graph: DefiningGraph | Non
     for gen, exp in pairs:
         if graph is not None:
             graph.require_vertex(gen)
-        if exp == 0:
-            continue
         sign = 1 if exp > 0 else -1
         letters.extend([Letter(gen, sign)] * abs(exp))
     return Word(tuple(letters))

@@ -12,6 +12,7 @@ from raagcc.certify import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
+    _StageView,
     _chord_words,
     _h1_vanishes,
     _nonfilling_chord_set,
@@ -26,10 +27,12 @@ from raagcc.complexes import (
     VERIFIED,
     LabeledCubeComplex,
     SubgroupCore,
+    _Builder,
     build_core,
     check_local_isometry,
     count_elements,
     enumerate_elements,
+    iter_loops_by_length,
     membership,
     salvetti,
 )
@@ -440,7 +443,7 @@ def test_chord_check_decides_every_stage(catalog_stages):
                     if last.verified:
                         assert membership(last, member), (gens, chord)
                         in_core += 1
-            assert _nonfilling_chord_set(core, model) == first, gens
+            assert _nonfilling_chord_set(complex_, model, core.verified) == first, gens
             if not core.verified and witness_stage is None:
                 witness = oracles.oracle_partial_stage_witness(complex_, model)
                 if witness is not None:
@@ -519,7 +522,7 @@ def test_homology_decision_matches_oracle(catalog_stages):
                 if nontrivial and piled is None:
                     piled = allowed
                 seen[core.verified, h1 == 0] += 1
-            assert _nonfilling_chord_set(core, model) == piled, gens
+            assert _nonfilling_chord_set(complex_, model, core.verified) == piled, gens
     assert min(seen[verified, vanishes] for verified in (True, False)
                for vanishes in (True, False)) >= 10, seen
 
@@ -541,15 +544,29 @@ def _one_vertex_complex(graph, labels, squares) -> LabeledCubeComplex:
         basepoint=0))
 
 
+def _stage_view(seed: LabeledCubeComplex) -> _StageView:
+    """A hand-made stage as ``certify`` reads a budget-exceeded stage: the
+    view of a builder seeded with it (and folded)."""
+    return _StageView(_Builder(seed.graph, (), None, seed))
+
+
 def test_homology_cancels_a_repeated_edge(abc_graph):
     """A square whose boundary runs along one edge twice contributes that
-    edge zero times.  One vertex carries a b-loop (edge 0) and two c-loops
-    (edges 1 and 2), the tori on (0, 1) and (0, 2), and a square reading
-    b c b^-1 c'^-1, which runs along edge 0 twice.  Over GF(2) the tori
-    bound nothing and the third square bounds c + c', so H_1 has
-    dimension 2 on {b, c}; read as edge sets, the three boundaries would
-    span all three loops.  The check agrees with the oracle on every label
-    set."""
+    edge zero times.
+
+    One vertex carries a b-loop (edge 0) and two c-loops (edges 1 and 2),
+    the tori on (0, 1) and (0, 2), and a square reading b c b^-1 c'^-1,
+    which runs along edge 0 twice.  Over GF(2) the tori bound nothing and
+    the third square bounds c + c', so H_1 has dimension 2 on {b, c}; read
+    as edge sets, the three boundaries would span all three loops.  That
+    complex is not link-injective, so no stage looks like it (a builder
+    seeded with it folds the two c-loops); its rows go to ``_h1_vanishes``
+    as ``build_core`` would set them.  On a stage, as ``certify`` reads it,
+    the 2-skeleton of the 3-torus (one vertex, a loop per generator of the
+    triangle graph, a torus per pair) runs along both of its loops twice in
+    each square, so no square bounds anything and H_1 has dimension 3 on
+    all three labels.  The check agrees with the oracle on every label set,
+    on the hand-made complex and on the stage's view."""
     def torus(b, c):
         return [((b, p), (c, q)) for p in (0, 1) for q in (0, 1)]
 
@@ -561,19 +578,26 @@ def test_homology_cancels_a_repeated_edge(abc_graph):
     for allowed in range(8):
         assert _h1_vanishes_at(complex_, allowed) == \
             (oracles.oracle_h1_rank(complex_, allowed) == 0), allowed
+    three_torus = salvetti(GRAPH_ZOO[2])
+    view = _stage_view(three_torus)
+    assert oracles.oracle_h1_rank(three_torus, 0b111) == 3
+    for allowed in range(8):
+        assert _h1_vanishes_at(view, allowed) == \
+            (oracles.oracle_h1_rank(three_torus, allowed) == 0), allowed
 
 
 def test_partial_stage_piles_where_h1_is_not_zero(abc_graph, abc_model):
     """A stage where the commuting corner of b and c is still unfilled has
     H_1 != 0 on {b, c}, yet its only chord word b c b^-1 c^-1 is trivial:
     on a partial stage, homology alone must not answer yes."""
-    square = _with_square_rows(LabeledCubeComplex(
+    square = LabeledCubeComplex(
         graph=abc_graph, vertices=(0, 1, 2, 3),
         edges=((0, 0, 1, "b"), (1, 1, 2, "c"), (2, 0, 3, "c"), (3, 3, 2, "b")),
-        squares=frozenset(), basepoint=0))
+        squares=frozenset(), basepoint=0)
+    view = _stage_view(square)
     assert oracles.oracle_h1_rank(square, 0b110) == 1
-    assert not _h1_vanishes_at(square, 0b110)
-    assert _nonfilling_chord_set(SubgroupCore(square, BUDGET_EXCEEDED), abc_model) is None
+    assert not _h1_vanishes_at(view, 0b110)
+    assert _nonfilling_chord_set(view, abc_model, False) is None
 
 
 def test_chord_check_piles_nothing_on_a_verified_core(catalog_stages, monkeypatch):
@@ -590,7 +614,7 @@ def test_chord_check_piles_nothing_on_a_verified_core(catalog_stages, monkeypatc
     for _, model, _, stages in catalog_stages:
         for core in stages:
             stage_kind = core.verified
-            _nonfilling_chord_set(core, model)
+            _nonfilling_chord_set(core.complex, model, core.verified)
     assert piles[True] == 0 and piles[False] > 0, piles
 
 
@@ -620,6 +644,99 @@ def test_certify_reads_no_square(abc_graph, abc_model, monkeypatch):
         <= set(verdicts), verdicts
     check_local_isometry(build_core(abc_graph, [parse_word("b c a", abc_graph)]).complex)
     assert calls["square_ends"] > 0  # the counter sees the reads it should
+
+
+# -- partial stages decided on the builder -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def catalog_stage_views(catalog_stages):
+    """Each budget-exceeded stage of ``catalog_stages``, as (model, the stage
+    frozen by ``build_core``, and, from a builder grown stage by stage to
+    the same budgets as ``certify`` grows it, the stage's counters, its
+    number of raw squares and its view)."""
+    out = []
+    for graph, model, gens, stages in catalog_stages:
+        builder = _Builder(graph, tuple(w.letters for w in gens), None, None)
+        for core in stages:
+            if core.verified:
+                break
+            budget = core.diagnostics["budget"]
+            assert builder.grow(budget) == BUDGET_EXCEEDED
+            out.append((model, core, builder.diagnostics(budget), len(builder.squares),
+                        _StageView(builder)))
+    return out
+
+
+def test_stage_view_matches_frozen_stage(catalog_stage_views):
+    """On every budget-exceeded stage, the view ``certify`` decides it on
+    and the complex ``build_core`` freezes agree: the vertex, edge and
+    square counts; per maximal non-filling set, the H_1 verdict and whether
+    some chord word is nontrivial; the check's answer; and the first levels
+    of the basepoint-loop walk on the two letter tables.  Some stage has raw
+    squares that folding made equal."""
+    merged = 0
+    for model, core, counts, raw_squares, view in catalog_stage_views:
+        frozen = core.complex
+        graph = frozen.graph
+        assert counts == core.diagnostics
+        assert (len(view.vertices), len(view.edges), counts["square_count"]) == \
+            (len(frozen.vertices), len(frozen.edges), len(frozen.squares))
+        for allowed in model.maximal_non_filling_sets:
+            assert _h1_vanishes_at(view, allowed) == _h1_vanishes_at(frozen, allowed)
+            assert any(any(_pile(w, graph)) for w in _chord_words(view, allowed)) == \
+                any(any(_pile(w, graph)) for w in _chord_words(frozen, allowed))
+        assert _nonfilling_chord_set(view, model, False) == \
+            _nonfilling_chord_set(frozen, model, False)
+        assert list(iter_loops_by_length(view, 4)) == list(iter_loops_by_length(frozen, 4))
+        merged += raw_squares > len(frozen.squares)
+    assert len(catalog_stage_views) >= 20 and merged >= 1, (len(catalog_stage_views), merged)
+
+
+def test_partial_stage_core_is_frozen_on_read(monkeypatch):
+    """A run that ends on a budget-exceeded stage, refuted or inconclusive,
+    freezes no stage until ``cert.core`` is read; that core is the one a
+    ``build_core`` chain at the same budgets makes, and resuming it matches
+    a fresh build at a larger budget."""
+    freezes = Counter()
+    freeze = _Builder.freeze
+
+    def counting_freeze(self, status):
+        freezes[status] += 1
+        return freeze(self, status)
+
+    monkeypatch.setattr(_Builder, "freeze", counting_freeze)
+    abc = GRAPH_ZOO[1]
+    augmented = [parse_word(t, abc) for t in ("a b c", "c a b", "a^2 b c")]
+    problems = [(abc, augmented, {"enum_budget": 1})]
+    problems += [(graph, gens, CATALOG_BUDGETS)
+                 for graph, gens in catalog_sample(random.Random(29))]
+    ends = Counter()
+    for graph, gens, budgets in problems:
+        model = SurfaceModel.build(graph, [graph.vertices])
+        freezes.clear()
+        cert = certify(graph, model, gens, **budgets)
+        if cert.core_status == VERIFIED:
+            continue
+        assert not freezes, (gens, freezes)
+        core = cert.core
+        assert cert.core is core and freezes == {BUDGET_EXCEEDED: 1}
+        words = [g.as_word() for g in cert.generators]
+        chain = None
+        for budget, _ in cert.diagnostics["stages"]:
+            chain = build_core(graph, words, budget=budget, extend=chain)
+        assert (core.complex, core.status, core.diagnostics) == \
+            (chain.complex, chain.status, chain.diagnostics)
+        assert (core.diagnostics["vertex_count"], core.diagnostics["square_count"]) == \
+            (cert.core_vertex_count, cert.core_square_count)
+        larger = 2 * core.diagnostics["budget"]
+        resumed = build_core(graph, words, budget=larger, extend=core)
+        fresh = build_core(graph, words, budget=larger)
+        assert (resumed.complex, resumed.status, resumed.diagnostics) == \
+            (fresh.complex, fresh.status, fresh.diagnostics)
+        assert cert.core is core  # resuming left the frozen core as it was
+        ends[cert.verdict] += 1
+    assert ends[REFUTED] >= 3 and ends[INCONCLUSIVE] >= 3, ends
 
 
 # -- verdicts under changes of generating set --------------------------------------

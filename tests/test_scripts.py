@@ -83,7 +83,7 @@ def test_perfbench_smoke():
 
 def test_catalog_reports():
     """The first catalog problems, one sorted-keys JSON report per line, and
-    the total time on stderr."""
+    on stderr the time per class of problems and the total time."""
     done = _run("catalog_reports.py", "--limit", "3")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -94,7 +94,8 @@ def test_catalog_reports():
         assert row["graph"] == "abc" and row["report"]["schema"] == "raagcc-certificate-v1"
         assert row["report"]["verdict"] == row["stored"] == "refuted"
         assert row["report"]["core"]["stages"][0][0] == 256
-    assert re.fullmatch(r"3 problems through certify in \d+\.\d\d s\n", done.stderr)
+    assert re.fullmatch(r"abc refuted: 3 problems in \d+\.\d{3} s\n"
+                        r"3 problems through certify in \d+\.\d\d s\n", done.stderr)
 
 
 def test_catalog_report_bytes_are_pinned():
