@@ -159,11 +159,12 @@ class _StageView:
     """A budget-exceeded stage read off its folded builder, with the parts
     of ``LabeledCubeComplex`` that the chord check and the spelling
     automaton read: the canonical vertices, the canonical edges numbered by
-    least raw id (as ``freeze`` numbers the stage), the adjacency and letter
-    table built from them as a frozen complex builds its own, and a square
-    row per raw square.  Raw squares that folding made equal give equal
-    rows, which ``_h1_vanishes`` reduces to zero and has counted in its
-    slack.  The view copies what it reads, so the builder may grow on."""
+    least raw id (neither answer depends on the numbering), the adjacency
+    and letter table built from them as a frozen complex builds its own,
+    and a square row per raw square.  Raw squares that folding made equal
+    give equal rows, which ``_h1_vanishes`` reduces to zero and has counted
+    in its slack.  The view copies what it reads, so the builder may grow
+    on."""
 
     adjacency = LabeledCubeComplex.adjacency
     _letter_options = LabeledCubeComplex._letter_options

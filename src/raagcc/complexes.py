@@ -19,8 +19,7 @@ fresh opposite vertex and two fresh edges unless the completing edges are
 already present).  Folds are found as collisions in per-vertex end tables
 on label indices and done by union-find (Touikan, IJAC 16, 2006).
 Termination is budget-bounded, not proven: running out of budget yields an
-inconclusive status, never a negative claim, and a core that keeps its
-builder, so that a larger budget resumes it instead of starting over.
+inconclusive status, never a negative claim.
 
 On a verified core, tracing a normal word from the basepoint is
 deterministic, and a word lies in the core's subgroup exactly when its
@@ -38,7 +37,6 @@ states.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
@@ -188,9 +186,11 @@ class LabeledCubeComplex:
 
     def _require_cells(self, what: str) -> None:
         """Raise ``InputError``, its message starting with ``what``, unless
-        edge ids are distinct, every edge has a label of the graph and two
-        declared endpoints, and the basepoint is a vertex."""
+        vertex ids and edge ids are distinct, every edge has a label of the
+        graph and two declared endpoints, and the basepoint is a vertex."""
         vertex_set = set(self.vertices)
+        if len(vertex_set) != len(self.vertices):
+            raise InputError(f"{what}: duplicate vertex ids")
         if len({e[0] for e in self.edges}) != len(self.edges):
             raise InputError(f"{what}: duplicate edge ids")
         for eid, src, dst, label in self.edges:
@@ -260,53 +260,6 @@ class LabeledCubeComplex:
             lines.append(f'  {src} -> {dst} [label="{label}" eid={eid}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dot(cls, text: str) -> "LabeledCubeComplex":
-        """Parse the output of ``to_dot``; any other non-blank line is an error."""
-        graph = None
-        basepoint = None
-        squares_raw = []
-        vertices: set[int] = set()
-        edges = []
-        edge_re = re.compile(r"(\d+)\s*->\s*(\d+)\s*\[label=\"([^\"]+)\"\s+eid=(\d+)\];")
-        node_re = re.compile(r"(\d+)\s*\[shape=(?:circle|doublecircle)\];")
-        meta_re = re.compile(r"//\s*(schema|graph|basepoint|square):(.*)")
-        for lineno, line in enumerate(text.splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped in ("digraph core {", "}"):
-                continue
-            meta = meta_re.fullmatch(stripped)
-            edge = edge_re.fullmatch(stripped)
-            node = node_re.fullmatch(stripped)
-            try:
-                if meta and meta.group(1) == "schema":
-                    if meta.group(2).strip() != "raagcc-dot-v1":
-                        raise InputError(f"unsupported DOT schema {meta.group(2).strip()!r}")
-                elif meta and meta.group(1) == "graph":
-                    graph = DefiningGraph.from_json(meta.group(2).strip())
-                elif meta and meta.group(1) == "basepoint":
-                    basepoint = int(meta.group(2))
-                elif meta:
-                    squares_raw.append(json.loads(meta.group(2)))
-                elif edge:
-                    src, dst, label, eid = edge.groups()
-                    edges.append((int(eid), int(src), int(dst), label))
-                elif node:
-                    vertices.add(int(node.group(1)))
-                else:
-                    raise InputError(f"unrecognised line {stripped!r}")
-            except (ValueError, json.JSONDecodeError) as exc:
-                raise InputError(f"DOT line {lineno}: {exc}") from exc
-        if graph is None or basepoint is None:
-            raise InputError("DOT input is missing // graph or // basepoint metadata")
-        return cls.from_json_dict({
-            "graph": graph.to_json_dict(),
-            "basepoint": basepoint,
-            "vertices": sorted(vertices),
-            "edges": [list(e) for e in sorted(edges)],
-            "squares": squares_raw,
-        })
 
 
 def salvetti(graph: DefiningGraph) -> LabeledCubeComplex:
@@ -382,8 +335,6 @@ class SubgroupCore:
     complex: LabeledCubeComplex
     status: str
     diagnostics: dict = field(default_factory=dict, compare=False)
-    # A budget-exceeded core keeps its builder, so that build_core can resume it.
-    _builder: "_Builder | None" = field(default=None, compare=False, repr=False)
 
     @property
     def graph(self) -> DefiningGraph:
@@ -410,7 +361,6 @@ class _Builder:
     def __init__(self, graph: DefiningGraph, words: tuple[tuple[Letter, ...], ...],
                  rng: Random | None, seed: LabeledCubeComplex | None):
         self.graph = graph
-        self.words = words
         self.rng = rng
         self.vparent: list[int] = []
         self.eparent: list[int] = []
@@ -435,7 +385,7 @@ class _Builder:
                                 2 * index[seed.end_label(a)] + a[1],
                                 2 * index[seed.end_label(b)] + b[1])
             self.basepoint = vmap[seed.basepoint]
-        for letters in self.words:
+        for letters in words:
             current = self.basepoint
             for i, (gen, sign) in enumerate(letters):
                 nxt = self.basepoint if i == len(letters) - 1 else self.new_vertex()
@@ -608,50 +558,42 @@ class _Builder:
                 "edge_count": edges, "square_count": squares, "budget": budget}
 
     def core(self, status: str, budget: int) -> SubgroupCore:
-        """The stage frozen as a core; a verified one is link-checked, and a
-        budget-exceeded one keeps this builder."""
-        complex_ = self.freeze(status)
+        """The stage frozen as a core; a verified one is link-checked."""
+        complex_ = self.freeze()
         if status == VERIFIED:
             report = _link_violations(complex_)
             if not report.ok:
                 raise InternalError(f"stabilized complex failed the link check: {report}")
-        return SubgroupCore(complex=complex_, status=status, diagnostics=self.diagnostics(budget),
-                            _builder=None if status == VERIFIED else self)
+        return SubgroupCore(complex=complex_, status=status, diagnostics=self.diagnostics(budget))
 
-    def freeze(self, status: str) -> LabeledCubeComplex:
+    def freeze(self) -> LabeledCubeComplex:
         """The complex, with string labels, in one pass over the builder.
 
-        A verified complex is numbered canonically, whatever order the
-        construction made its cells in: vertices breadth first from the
-        basepoint, taking each vertex's ends in table-key order (label
-        index, then endpoint), and edges by (source, target, label).  A
-        budget-exceeded stage is numbered by least raw id per class.
-        Squares are renumbered, not re-read, and their boundaries are set
-        as ``square_edges``.
+        Every stage is connected and folded, so link-injective, and is
+        numbered canonically, whatever order the construction made its
+        cells in: vertices breadth first from the basepoint, taking each
+        vertex's ends in table-key order (label index, then endpoint), and
+        edges by (source, target, label).  Squares are renumbered, not
+        re-read, and their boundaries are set as ``square_edges``.
         """
         vfind, efind = self.vfind, self.efind
         raw = self.edges
         labels = self.graph.vertices
-        # A fold keeps the lower edge id, so each root is its class's least id.
-        roots = [e for e in range(len(raw)) if efind(e) == e]
-        if status == VERIFIED:
-            base = vfind(self.basepoint)
-            vmap = {base: 0}
-            queue = [base]
-            for v in queue:
-                table = self.ends[v]
-                for key in sorted(table):
-                    far = vfind(raw[table[key]][1 - (key & 1)])
-                    if far not in vmap:
-                        vmap[far] = len(vmap)
-                        queue.append(far)
-            if len(vmap) != len(self.ends):
-                raise InternalError("complex is disconnected")
-        else:
-            vmap = {v: i for i, v in enumerate(dict.fromkeys(map(vfind, range(len(self.vparent)))))}
+        base = vfind(self.basepoint)
+        vmap = {base: 0}
+        queue = [base]
+        for v in queue:
+            table = self.ends[v]
+            for key in sorted(table):
+                far = vfind(raw[table[key]][1 - (key & 1)])
+                if far not in vmap:
+                    vmap[far] = len(vmap)
+                    queue.append(far)
+        if len(vmap) != len(self.ends):
+            raise InternalError("complex is disconnected")
         at = [(vmap[vfind(src)], vmap[vfind(dst)]) for src, dst, _ in raw]
-        if status == VERIFIED:
-            roots.sort(key=lambda e: (*at[e], labels[raw[e][2]]))
+        roots = sorted((e for e in range(len(raw)) if efind(e) == e),
+                       key=lambda e: (*at[e], labels[raw[e][2]]))
         new_id = [0] * len(raw)
         for i, e in enumerate(roots):
             new_id[e] = i
@@ -674,14 +616,14 @@ class _Builder:
             vertices=tuple(range(len(vmap))),
             edges=edges,
             squares=frozenset(rows),
-            basepoint=vmap[vfind(self.basepoint)],
+            basepoint=0,
         )
         complex_.__dict__["square_edges"] = tuple(rows.values())
         return complex_
 
 
 def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 100_000,
-               extend: LabeledCubeComplex | SubgroupCore | None = None,
+               extend: LabeledCubeComplex | None = None,
                rng: Random | None = None) -> SubgroupCore:
     """Fold-and-fill construction of a core for the subgroup the generators span.
 
@@ -690,21 +632,17 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
     can overshoot it by one round (over the certify catalog, ``certify``'s
     stages reach 663, 1659 and 3091 cells at budgets 256, 1024 and 2000,
     and a direct build at budget 2000 reaches 4027).  Stabilization within
-    budget yields a verified local isometry, numbered canonically by
-    ``_Builder.freeze``; exhausting the budget yields an
-    inconclusive core carrying partial diagnostics, its cells numbered by
-    least raw id.  A stabilized core is checked for foldable slots and
-    unfilled corners; only a seed complex's squares are read, by
-    ``square_ends`` as the builder takes them in.
+    budget yields a verified local isometry; exhausting the budget yields
+    an inconclusive core carrying partial diagnostics.  Either way the
+    cells are numbered canonically by ``_Builder.freeze``.  A stabilized
+    core is checked for foldable slots and unfilled corners; only a seed
+    complex's squares are read, by ``square_ends`` as the builder takes
+    them in.
 
-    ``extend`` is either a connected complex over the same graph, which seeds the
-    construction instead of a bare basepoint, or a budget-exceeded core that
-    an earlier call built from the same graph and generators.  Such a core
-    keeps its builder, and the construction resumes where that call stopped:
-    the same rounds, cells and cumulative counters as a fresh build at the
-    new budget.  A core whose builder has moved on since, or a smaller
-    budget, is rebuilt afresh.  ``rng`` randomizes processing order
-    (the result is independent of it; used by confluence tests).
+    ``extend`` is a connected complex over the same graph (for a core, its
+    ``complex``), which seeds the construction instead of a bare
+    basepoint.  ``rng`` randomizes processing order (the result is
+    independent of it; used by confluence tests).
     """
     if not generators:
         raise InputError("build_core requires at least one generator word")
@@ -714,25 +652,16 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
     for letters in words:
         for gen, _ in letters:
             graph.require_vertex(gen)
-    builder = None
-    if isinstance(extend, SubgroupCore):
-        builder, stopped = extend._builder, extend.diagnostics
-        if builder is None or (builder.graph, builder.words) != (graph, words):
-            raise InputError("only a budget-exceeded core built from the same graph and "
-                             "generators can be resumed")
-        if builder.squares_added != stopped["squares_added"] or budget < stopped["budget"]:
-            builder = None
-        extend = None
-    elif extend is not None:
+    if extend is not None:
+        if not isinstance(extend, LabeledCubeComplex):
+            raise InputError(f"extend takes a complex, not a {type(extend).__name__}: "
+                             "pass core.complex")
         if extend.graph != graph:
             raise InputError("the complex to extend must be over the same defining graph")
         extend._require_cells("invalid complex to extend")
         if not extend.is_connected():
             raise InputError("the complex to extend must be connected")
-    if builder is None:
-        builder = _Builder(graph, words, rng, extend)
-    else:
-        builder.rng = rng
+    builder = _Builder(graph, words, rng, extend)
     return builder.core(builder.grow(budget), budget)
 
 

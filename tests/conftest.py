@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from raagcc.complexes import build_core
+from raagcc.complexes import _Builder
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel
 from raagcc.words import normalize, parse_word
@@ -61,15 +61,15 @@ def catalog_sample(rng: random.Random):
 def catalog_stages():
     """A seeded catalog sample, three problems per graph and stored verdict,
     with every stage ``certify`` builds for it at the catalog's cell budget:
-    256, 1024 and 2000 cells, each resumed from the one before, up to the
-    first verified one."""
+    256, 1024 and 2000 cells, grown on one builder as ``certify`` grows
+    them, each frozen as a core, up to the first verified one."""
     out = []
     for graph, gens in catalog_sample(random.Random(29)):
         model = SurfaceModel.build(graph, [graph.vertices])
+        builder = _Builder(graph, tuple(w.letters for w in gens), None, None)
         stages = []
-        core = None
         for budget in (256, 1_024, 2_000):
-            core = build_core(graph, gens, budget=budget, extend=core)
+            core = builder.core(builder.grow(budget), budget)
             stages.append(core)
             if core.verified:
                 break

@@ -17,6 +17,9 @@ over GF(2), from dense rows over its edges, the reference for the
 homology decision of ``certify``'s chord check.
 ``oracle_square_edges`` reads each square's boundary row through
 ``square_ends``, the reference for the rows that ``build_core`` sets.
+``oracle_from_dot`` parses ``to_dot``'s output back into a complex, so
+that the tests can check that DOT export loses nothing; the package
+itself reads stored cores only from JSON.
 ``oracle_letter_options`` is the table of letters
 leaving each vertex as read from ``oracle_trace_maps``, the (vertex,
 label) maps the package once kept, before it read the table off the
@@ -47,6 +50,7 @@ supports, never on the graph's commutation masks.
 from __future__ import annotations
 
 import importlib
+import json
 import random
 import re
 from collections import deque
@@ -456,7 +460,7 @@ def oracle_canonical_form(complex_: LabeledCubeComplex) -> LabeledCubeComplex:
 
     Well-defined (independent of the incoming numbering) when the complex
     is link-injective; otherwise the result is merely a stable relabeling.
-    This is the numbering that ``build_core`` gives a verified core.
+    This is the numbering that ``build_core`` gives every core.
     """
     index = complex_.graph.index
     ends_at = oracle_ends_at(complex_)
@@ -513,6 +517,54 @@ def oracle_square_edges(complex_: LabeledCubeComplex) -> list[tuple[int, int, in
         rows.append((position[a[0]], position[b[0]], position[gamma[0]], position[delta[0]],
                      index[complex_.end_label(a)], index[complex_.end_label(b)]))
     return rows
+
+
+def oracle_from_dot(text: str) -> LabeledCubeComplex:
+    """Parse the output of ``to_dot``, through ``from_json_dict`` and its
+    checks; any other non-blank line is an ``InputError``."""
+    graph = None
+    basepoint = None
+    squares_raw = []
+    vertices: set[int] = set()
+    edges = []
+    edge_re = re.compile(r"(\d+)\s*->\s*(\d+)\s*\[label=\"([^\"]+)\"\s+eid=(\d+)\];")
+    node_re = re.compile(r"(\d+)\s*\[shape=(?:circle|doublecircle)\];")
+    meta_re = re.compile(r"//\s*(schema|graph|basepoint|square):(.*)")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped in ("digraph core {", "}"):
+            continue
+        meta = meta_re.fullmatch(stripped)
+        edge = edge_re.fullmatch(stripped)
+        node = node_re.fullmatch(stripped)
+        try:
+            if meta and meta.group(1) == "schema":
+                if meta.group(2).strip() != "raagcc-dot-v1":
+                    raise InputError(f"unsupported DOT schema {meta.group(2).strip()!r}")
+            elif meta and meta.group(1) == "graph":
+                graph = DefiningGraph.from_json(meta.group(2).strip())
+            elif meta and meta.group(1) == "basepoint":
+                basepoint = int(meta.group(2))
+            elif meta:
+                squares_raw.append(json.loads(meta.group(2)))
+            elif edge:
+                src, dst, label, eid = edge.groups()
+                edges.append((int(eid), int(src), int(dst), label))
+            elif node:
+                vertices.add(int(node.group(1)))
+            else:
+                raise InputError(f"unrecognised line {stripped!r}")
+        except (ValueError, json.JSONDecodeError) as exc:
+            raise InputError(f"DOT line {lineno}: {exc}") from exc
+    if graph is None or basepoint is None:
+        raise InputError("DOT input is missing // graph or // basepoint metadata")
+    return LabeledCubeComplex.from_json_dict({
+        "graph": graph.to_json_dict(),
+        "basepoint": basepoint,
+        "vertices": sorted(vertices),
+        "edges": [list(e) for e in sorted(edges)],
+        "squares": squares_raw,
+    })
 
 
 def oracle_letter_options(complex_: LabeledCubeComplex

@@ -652,7 +652,7 @@ def test_certify_reads_no_square(abc_graph, abc_model, monkeypatch):
 @pytest.fixture(scope="module")
 def catalog_stage_views(catalog_stages):
     """Each budget-exceeded stage of ``catalog_stages``, as (model, the stage
-    frozen by ``build_core``, and, from a builder grown stage by stage to
+    frozen as a core, and, from a builder grown stage by stage to
     the same budgets as ``certify`` grows it, the stage's counters, its
     number of raw squares and its view)."""
     out = []
@@ -670,7 +670,7 @@ def catalog_stage_views(catalog_stages):
 
 def test_stage_view_matches_frozen_stage(catalog_stage_views):
     """On every budget-exceeded stage, the view ``certify`` decides it on
-    and the complex ``build_core`` freezes agree: the vertex, edge and
+    and the complex it freezes into agree: the vertex, edge and
     square counts; per maximal non-filling set, the H_1 verdict and whether
     some chord word is nontrivial; the check's answer; and the first levels
     of the basepoint-loop walk on the two letter tables.  Some stage has raw
@@ -695,15 +695,14 @@ def test_stage_view_matches_frozen_stage(catalog_stage_views):
 
 def test_partial_stage_core_is_frozen_on_read(monkeypatch):
     """A run that ends on a budget-exceeded stage, refuted or inconclusive,
-    freezes no stage until ``cert.core`` is read; that core is the one a
-    ``build_core`` chain at the same budgets makes, and resuming it matches
-    a fresh build at a larger budget."""
-    freezes = Counter()
+    freezes no stage until ``cert.core`` is read, and then once; that core
+    is the one a fresh ``build_core`` at the last stage's budget makes."""
+    freezes = []
     freeze = _Builder.freeze
 
-    def counting_freeze(self, status):
-        freezes[status] += 1
-        return freeze(self, status)
+    def counting_freeze(self):
+        freezes.append(self)
+        return freeze(self)
 
     monkeypatch.setattr(_Builder, "freeze", counting_freeze)
     abc = GRAPH_ZOO[1]
@@ -720,21 +719,14 @@ def test_partial_stage_core_is_frozen_on_read(monkeypatch):
             continue
         assert not freezes, (gens, freezes)
         core = cert.core
-        assert cert.core is core and freezes == {BUDGET_EXCEEDED: 1}
+        assert cert.core is core and len(freezes) == 1 and core.status == BUDGET_EXCEEDED
         words = [g.as_word() for g in cert.generators]
-        chain = None
-        for budget, _ in cert.diagnostics["stages"]:
-            chain = build_core(graph, words, budget=budget, extend=chain)
+        (last, _) = cert.diagnostics["stages"][-1]
+        fresh = build_core(graph, words, budget=last)
         assert (core.complex, core.status, core.diagnostics) == \
-            (chain.complex, chain.status, chain.diagnostics)
+            (fresh.complex, fresh.status, fresh.diagnostics)
         assert (core.diagnostics["vertex_count"], core.diagnostics["square_count"]) == \
             (cert.core_vertex_count, cert.core_square_count)
-        larger = 2 * core.diagnostics["budget"]
-        resumed = build_core(graph, words, budget=larger, extend=core)
-        fresh = build_core(graph, words, budget=larger)
-        assert (resumed.complex, resumed.status, resumed.diagnostics) == \
-            (fresh.complex, fresh.status, fresh.diagnostics)
-        assert cert.core is core  # resuming left the frozen core as it was
         ends[cert.verdict] += 1
     assert ends[REFUTED] >= 3 and ends[INCONCLUSIVE] >= 3, ends
 

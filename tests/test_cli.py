@@ -6,8 +6,10 @@ import pytest
 
 from raagcc import cli
 from raagcc.cli import EXIT_INTERNAL, main
-from raagcc.complexes import LabeledCubeComplex
+from raagcc.complexes import LabeledCubeComplex, build_core
 from raagcc.errors import InputError, InternalError
+from raagcc.graphs import DefiningGraph
+from raagcc.words import parse_word
 
 import oracles
 
@@ -178,7 +180,7 @@ def test_export_dot_round_trips(files, capsys):
     dot_text = capsys.readouterr().out
     # The worked two-generator core carries four square annotations.
     assert sum(1 for line in dot_text.splitlines() if "// square:" in line) == 4
-    parsed = LabeledCubeComplex.from_dot(dot_text)
+    parsed = oracles.oracle_from_dot(dot_text)
     stored = LabeledCubeComplex.from_json_dict(json.loads((files["tmp"] / "core.json").read_text()))
     assert oracles.oracle_canonical_form(parsed) == oracles.oracle_canonical_form(stored)
 
@@ -269,6 +271,33 @@ def test_stored_core_status_is_recomputed(files, capsys):
     assert main(["core", "member", "--core", str(core_path), "--word", "b c a"]) == 0
 
 
+def test_stored_core_with_repeated_vertex_ids_is_input_error(files, capsys):
+    """A stored core whose vertex list repeats an id is malformed input
+    (exit 3) for ``core check``, ``export`` and ``core member`` alike, and
+    so is a seed complex with one.  Unchecked, ``core check`` calls the
+    core a local isometry, ``export`` writes the repeat back, ``core
+    member`` refuses the core as unverified, and a seed is called
+    disconnected."""
+    core_path = files["tmp"] / "core.json"
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--out", str(core_path)]) == 0
+    data = json.loads(core_path.read_text())
+    data["vertices"] = data["vertices"] + data["vertices"][:1]
+    forged = files["tmp"] / "forged.json"
+    forged.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["core", "check"], ["export", "--format", "json"], ["export", "--format", "dot"],
+                 ["core", "member", "--word", "b c a"]):
+        assert main(argv + ["--core", str(forged)]) == 3, argv
+        captured = capsys.readouterr()
+        assert not captured.out and "duplicate vertex ids" in captured.err, argv
+    graph = DefiningGraph.from_json_dict(GRAPH)
+    seed = LabeledCubeComplex(graph=graph, vertices=(0, 1, 0), edges=((0, 0, 1, "a"),),
+                              squares=frozenset(), basepoint=0)
+    with pytest.raises(InputError, match="duplicate vertex ids"):
+        build_core(graph, [parse_word("b c a", graph)], extend=seed)
+
+
 def test_core_check_runs_the_link_check_once(files, capsys, monkeypatch):
     """``core check`` prints the link report that loading the core computed:
     one link check per run, with the same text and JSON bytes as before."""
@@ -287,7 +316,7 @@ def test_core_check_runs_the_link_check_once(files, capsys, monkeypatch):
     assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
                  "--budget", "12", "--out", str(partial)]) == 2
     capsys.readouterr()
-    corner = [0, [8, 0], [11, 1]]
+    corner = [0, [1, 0], [5, 1]]
     for path, fmt, code, expected in (
         (verified, "text", 0, "local isometry: yes\nfoldable pairs: 0\nunfilled corners: 0\n"),
         (verified, "json", 0, {"foldable": [], "ok": True, "schema": "raagcc-core-check-v1",
@@ -342,7 +371,7 @@ def test_stored_core_with_a_malformed_square_is_input_error(files, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: invalid core") and message in err, (message, err)
         with pytest.raises(InputError, match=message):
-            LabeledCubeComplex.from_dot(dot + f"// square: {json.dumps(square)}\n")
+            oracles.oracle_from_dot(dot + f"// square: {json.dumps(square)}\n")
     assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
                  "--out", str(core_path)]) == 0
     capsys.readouterr()

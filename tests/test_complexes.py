@@ -16,6 +16,7 @@ from raagcc.complexes import (
     VERIFIED,
     LabeledCubeComplex,
     SubgroupCore,
+    _Builder,
     _SpellingAutomaton,
     _corner,
     _link_violations,
@@ -503,7 +504,7 @@ def test_core_json_round_trip(ex2_core):
 
 def test_core_dot_round_trip(ex2_core):
     text = ex2_core.complex.to_dot()
-    again = LabeledCubeComplex.from_dot(text)
+    again = oracles.oracle_from_dot(text)
     assert oracles.oracle_canonical_form(again) == ex2_core.complex
 
 
@@ -511,9 +512,9 @@ def test_dot_rejects_unrecognised_lines(ex2_core):
     lines = ex2_core.complex.to_dot().splitlines()
     for stray in ("  stray;", "  // comment: x", "  0 -> 1 [label=a];", "  7 [color=red];"):
         with pytest.raises(InputError, match="unrecognised line"):
-            LabeledCubeComplex.from_dot("\n".join(lines[:-1] + [stray, lines[-1]]) + "\n")
+            oracles.oracle_from_dot("\n".join(lines[:-1] + [stray, lines[-1]]) + "\n")
     with pytest.raises(InputError, match="schema"):
-        LabeledCubeComplex.from_dot("\n".join(lines).replace("raagcc-dot-v1", "raagcc-dot-v9"))
+        oracles.oracle_from_dot("\n".join(lines).replace("raagcc-dot-v1", "raagcc-dot-v9"))
 
 
 def test_dot_of_edgeless_salvetti():
@@ -615,52 +616,54 @@ def _differential_problems() -> list[tuple[DefiningGraph, list, tuple[int, ...]]
 
 
 def test_builder_matches_rebuilding_oracle():
-    """Every stage, resumed from the stage before as ``certify`` does, is
-    the same core as a fresh build at its budget, cell for cell and counter
-    for counter; it matches the oracle builder in status, every diagnostic
-    and canonical form; and on partial stages a randomized processing order
-    changes neither.  (Past the first fill round, the two builders number
-    a partial stage's cells differently: they create cells in different
-    orders.)"""
+    """Every stage, grown on one builder as ``certify`` grows it, is the
+    same core as a fresh build at its budget, cell for cell and counter
+    for counter; it matches the oracle builder in status and every
+    diagnostic, and equals the canonical form of the oracle's complex;
+    and on partial stages a randomized processing order changes
+    neither."""
     partial = 0
     for graph, gens, stages in _differential_problems():
-        # Before any fill round the cells are numbered in order of their
-        # least raw id, by both builders alike.
+        # Before any fill round, too.
+        before_filling = oracles.oracle_build_core(graph, gens, budget=1).complex
         assert build_core(graph, gens, budget=1).complex \
-            == oracles.oracle_build_core(graph, gens, budget=1).complex
-        core = None
+            == oracles.oracle_canonical_form(before_filling)
+        builder = _Builder(graph, tuple(w.letters for w in gens), None, None)
         for budget in stages:
-            core = build_core(graph, gens, budget=budget, extend=core)
+            core = builder.core(builder.grow(budget), budget)
             fresh = build_core(graph, gens, budget=budget)
             assert core == fresh and core.diagnostics == fresh.diagnostics, (graph, gens, budget)
             expected = oracles.oracle_build_core(graph, gens, budget=budget)
             assert (core.status, core.diagnostics) == (expected.status, expected.diagnostics), \
                 (graph, gens, budget)
-            assert oracles.oracle_canonical_form(core.complex) \
-                == oracles.oracle_canonical_form(expected.complex)
+            assert core.complex == oracles.oracle_canonical_form(expected.complex)
             if core.verified:
                 break
             partial += 1
             shuffled = build_core(graph, gens, budget=budget, rng=random.Random(budget))
-            assert shuffled.diagnostics == core.diagnostics
-            assert oracles.oracle_canonical_form(shuffled.complex) \
-                == oracles.oracle_canonical_form(core.complex)
+            assert shuffled == core and shuffled.diagnostics == core.diagnostics
     assert partial >= 40
 
 
 def test_verified_freeze_is_canonical():
-    """A verified core is frozen straight into canonical form: it equals its
-    own ``oracle_canonical_form`` and the rebuilding oracle's core, which is
-    renumbered by ``oracle_canonical_form`` after freezing."""
-    verified = 0
+    """Every stage, verified or budget-exceeded, is frozen straight into
+    canonical form: it equals its own ``oracle_canonical_form``, and builds
+    in randomized processing orders equal it as complexes.  A verified
+    core also equals the rebuilding oracle's core, which is renumbered by
+    ``oracle_canonical_form`` after freezing."""
+    frozen = {VERIFIED: 0, BUDGET_EXCEEDED: 0}
     for graph, gens, stages in _differential_problems():
-        core = build_core(graph, gens, budget=stages[-1])
-        if not core.verified:
-            continue
-        verified += 1
-        assert core.complex == oracles.oracle_canonical_form(core.complex), (graph, gens)
-        assert core.complex == oracles.oracle_build_core(graph, gens, budget=stages[-1]).complex
-    assert verified >= 30
+        for budget in stages:
+            core = build_core(graph, gens, budget=budget)
+            frozen[core.status] += 1
+            assert core.complex == oracles.oracle_canonical_form(core.complex), (graph, gens)
+            for seed in (1, 2):
+                assert build_core(graph, gens, budget=budget, rng=random.Random(seed)).complex \
+                    == core.complex, (graph, gens, budget, seed)
+            if core.verified:
+                assert core.complex == oracles.oracle_build_core(graph, gens, budget=budget).complex
+                break
+    assert frozen[VERIFIED] >= 30 and frozen[BUDGET_EXCEEDED] >= 40, frozen
 
 
 def test_link_check_rejects_malformed_squares(abc_graph):
@@ -680,23 +683,17 @@ def test_link_check_rejects_malformed_squares(abc_graph):
 
 
 def test_resuming_rules(abc_graph):
-    """A partial core resumes only while its builder stands where the core
-    was frozen, and only towards a budget no smaller; otherwise the build
-    starts afresh, with the same result.  Other generators, another graph,
-    or a verified core cannot be resumed."""
+    """``build_core`` resumes no core: ``extend`` takes a complex, and a
+    ``SubgroupCore``, partial or verified, is an input error that says to
+    pass its complex.  Unchecked, it raises a bare ``AttributeError``."""
     gens = [parse_word(t, abc_graph) for t in ("a b c", "c a b", "a^2 b c")]
     partial = build_core(abc_graph, gens, budget=60)
-    assert partial.status == BUDGET_EXCEEDED
-    for budget in (200, 120, 30, 60):
-        resumed = build_core(abc_graph, gens, budget=budget, extend=partial)
-        fresh = build_core(abc_graph, gens, budget=budget)
-        assert resumed == fresh and resumed.diagnostics == fresh.diagnostics
-    xyz = DefiningGraph.build("abc", [("a", "b")])
     verified = build_core(abc_graph, gens[:1], budget=1_000)
-    for graph, words, core in ((abc_graph, gens[:2], partial), (xyz, gens, partial),
-                               (abc_graph, gens[:1], verified)):
-        with pytest.raises(InputError, match="can be resumed"):
-            build_core(graph, words, budget=1_000, extend=core)
+    assert partial.status == BUDGET_EXCEEDED and verified.verified
+    for core in (partial, verified):
+        with pytest.raises(InputError, match=r"pass core\.complex"):
+            build_core(abc_graph, gens, budget=1_000, extend=core)
+    assert build_core(abc_graph, gens[:1], extend=verified.complex) == verified
 
 
 def test_extend_requires_the_same_graph_and_sound_squares(abc_graph):
@@ -814,7 +811,7 @@ def test_json_and_dot_round_trips(complex_):
     unchanged, so the square check rejects none of them."""
     text = json.dumps(complex_.to_json_dict())
     assert LabeledCubeComplex.from_json_dict(json.loads(text)) == complex_
-    assert LabeledCubeComplex.from_dot(complex_.to_dot()) == complex_
+    assert oracles.oracle_from_dot(complex_.to_dot()) == complex_
 
 
 # -- one integer adjacency per complex ----------------------------------------------
