@@ -37,9 +37,12 @@ through a transition memo from (state, generator sign) to state; one
 memo serves one call (a whole star sweep, or every block of one
 displacement bound), so each distinct transition is folded only once per
 call, on the state's two masks, building one state.  Nothing is cached
-across calls.  The star sweep finds each word's state from its suffix: the
-first generator of h acts last, on the state of ``h[1:]``, which the
-sweep reached one length earlier.
+across calls.  An h-word's state therefore depends only on its sign
+pattern, so the star sweep visits the 2^k sign patterns of each length k
+rather than the (2N)(2N-1)^(k-1) h-words: a pattern's state comes from its
+suffix pattern one length shorter, it stands for the count of freely
+reduced words with that pattern, and words are spelled only when a
+pattern fails.
 """
 
 from __future__ import annotations
@@ -115,31 +118,19 @@ class FamilyConstants:
     ell: int        # ell_prime + 2*N
 
 
-def _f(t: int, n: int) -> str:
-    return f"f{((t - 1) % n) + 1}"
-
-
-def _g(t: int, n: int) -> str:
-    return f"g{((t - 1) % n) + 1}"
-
-
 def family(n: int, N: int) -> Section8Family:
     """Construct the ring family for a genus n+1 surface and N generators."""
     if n < 2:
         raise InputError(f"ring size n must be >= 2, got {n}")
     if N < 1:
         raise InputError(f"generator count N must be >= 1, got {N}")
-    labels = [_g(t, n) for t in range(1, n + 1)] + [_f(t, n) for t in range(1, n + 1)]
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            edges.append((_f(i, n), _f(j, n)))
-            edges.append((_g(i, n), _g(j, n)))
-    for i in range(1, n + 1):
-        blocked = {((i - 1 - 1) % n) + 1, i}
-        for j in range(1, n + 1):
-            if j not in blocked:
-                edges.append((_f(i, n), _g(j, n)))
+    g = [f"g{t}" for t in range(1, n + 1)]
+    f = [f"f{t}" for t in range(1, n + 1)]
+    labels = g + f
+    # The f's commute, the g's commute, and f_i fails to commute only with
+    # g_{i-1} and g_i: as list positions, f[i] with g[i - 1] and g[i].
+    edges = [(side[i], side[j]) for side in (f, g) for i in range(n) for j in range(i + 1, n)]
+    edges += [(f[i], g[j]) for i in range(n) for j in range(n) if j not in ((i - 1) % n, i)]
     graph = DefiningGraph.build(labels, edges)
     model = SurfaceModel.build(graph, [labels], admissible=True)
     blocks = _symbol_blocks(n)
@@ -298,10 +289,10 @@ class SpanState(NamedTuple):
 
 
 def alpha_state(fam: Section8Family) -> SpanState:
-    """The tracked curve: the separating curve inside Y_0 missing X_0 and X_1."""
+    """The tracked curve: the separating curve inside Y_0 missing X_0 and X_1,
+    the supports of g_n, f_n and f_1 (vertex indices n - 1, 2n - 1 and n)."""
     n = fam.n
-    return SpanState(contained_in=fam.graph.mask([_g(0, n)]),
-                     misses=fam.graph.mask([_f(0, n), _f(1, n)]))
+    return SpanState(contained_in=1 << (n - 1), misses=(1 << (2 * n - 1)) | (1 << n))
 
 
 def span_apply(state: SpanState, generator: str | Letter, fam: Section8Family) -> SpanState:
@@ -370,9 +361,14 @@ def span_apply_h(state: SpanState, h: HWord, fam: Section8Family) -> SpanState:
 def _containers(k: int, fam: Section8Family) -> tuple[int, int]:
     """The step-k span containers reached from the X-side and the Y-side:
     X_{1-k}..X_{k-1} with Y_{1-k}..Y_{k-2}, and Y_{1-k}..Y_k with X_{2-k}..X_k."""
-    n, mask = fam.n, fam.graph.mask
-    return (mask([_f(i, n) for i in range(1 - k, k)] + [_g(j, n) for j in range(1 - k, k - 1)]),
-            mask([_g(i, n) for i in range(1 - k, k + 1)] + [_f(j, n) for j in range(2 - k, k + 1)]))
+    n = fam.n
+
+    def ring(first: int, last: int) -> int:
+        # Ring positions first..last: the g_t at bits (t - 1) % n; shifted by n, the f_t.
+        return sum({1 << ((t - 1) % n) for t in range(first, last + 1)})
+
+    return ((ring(1 - k, k - 1) << n) | ring(1 - k, k - 2),
+            ring(1 - k, k) | (ring(2 - k, k) << n))
 
 
 def _h_words_upto(N: int, max_len: int) -> Iterator[HWord]:
@@ -407,32 +403,50 @@ class StarReport:
 
 def verify_star(fam: Section8Family, k_max: int) -> StarReport:
     """Check that every h-word of length at most k_max lands alpha inside one
-    of the step-k containers, every tested span staying proper."""
+    of the step-k containers, every tested span staying proper.
+
+    A word's state depends only on its sign pattern, so the sweep checks the
+    2^k sign patterns of each length k, not the (2N)(2N-1)^(k-1) words;
+    ``tested`` adds up how many freely reduced words each pattern has, a
+    pattern that no word has is never checked, and words are spelled only
+    when a pattern fails: then the words of its length are walked in the
+    order of ``_h_words_upto``."""
     if k_max > fam.n / 2:
         raise ContractError(
             f"k_max={k_max} exceeds n/2={fam.n / 2}; containers stop being proper")
     if k_max < 0:
         raise InputError("k_max must be >= 0")
-    alpha = alpha_state(fam)
-    n = fam.n
-    containers = {k: _containers(k, fam) for k in range(2, max(2, k_max) + 1)}
+    n, N = fam.n, fam.N
     memo = _Transitions(fam)
-    states: dict[HWord, SpanState] = {}  # every word's state, found in enumeration order
+    # (sign pattern, its state, the number of freely reduced words with it)
+    level = [((), alpha_state(fam), 1)]
     tested = 0
     violations: list[tuple[str, str]] = []
     all_proper = True
-    for h in _h_words_upto(fam.N, k_max):
-        # The first generator acts last, on the state of h[1:], one word shorter.
-        state = states[h] = memo[states[h[1:]], h[0][1]] if h else alpha
-        k = max(2, len(h))
-        tested += 1
-        xbar, ybar = containers[k]
-        contained = not state.contained_in & ~xbar or not state.contained_in & ~ybar
-        if not contained:
-            violations.append((h_word_text(h), f"span escapes both step-{k} containers"))
-        if not state.is_proper(n):
-            all_proper = False
-            violations.append((h_word_text(h), "span is the whole surface"))
+    for length in range(k_max + 1):
+        if length:
+            # The first generator acts last, on the state of the pattern one
+            # shorter.  Next to a generator of its own sign it is any of the
+            # N; next to one of the other sign, any but that one's inverse.
+            level = [((sign,) + signs, memo[state, sign], count * factor)
+                     for signs, state, count in level for sign in (1, -1)
+                     if (factor := N if not signs or signs[0] == sign else N - 1)]
+        k = max(2, length)
+        xbar, ybar = _containers(k, fam)
+        failing: dict[tuple[int, ...], list[str]] = {}
+        for signs, state, count in level:
+            tested += count
+            failed = []
+            if state.contained_in & ~xbar and state.contained_in & ~ybar:
+                failed.append(f"span escapes both step-{k} containers")
+            if not state.is_proper(n):
+                all_proper = False
+                failed.append("span is the whole surface")
+            if failed:
+                failing[signs] = failed
+        if failing:
+            violations += [(h_word_text(h), kind) for h in _h_words_upto(N, length)
+                           if len(h) == length for kind in failing.get(tuple(s for _, s in h), ())]
     return StarReport(tested=tested, violations=tuple(violations), all_proper=all_proper)
 
 
@@ -504,7 +518,8 @@ class OrderWindowReport:
 
 def verify_order_window(fam: Section8Family, hs: Iterable[HWord | str]) -> OrderWindowReport:
     """Check that in B/M/E normal forms, syllables separated by at least L
-    syllables are always order-comparable."""
+    syllables are always order-comparable.  A form of at most L + 1
+    syllables has no such pair, so its syllable order is never built."""
     L = constants(fam).L
     tested = 0
     violations: list[tuple[str, int, int]] = []
@@ -512,6 +527,8 @@ def verify_order_window(fam: Section8Family, hs: Iterable[HWord | str]) -> Order
         h = _h_word(h, fam)
         pairs = _bme_pairs(h, fam)
         tested += 1
+        if len(pairs) <= L + 1:
+            continue  # no two syllables are more than L apart
         below = _predecessor_masks([z for z, _ in pairs], fam.graph)
         k = len(below)
         # Syllable i precedes j exactly when bit i of below[j] is set; the

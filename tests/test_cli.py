@@ -204,6 +204,10 @@ def test_section8_commands(files, capsys):
     assert rows[1] == "3,2,26,3,78,651,655"
     assert main(["section8", "verify-star", "--n", "6", "--N", "2", "--kmax", "3"]) == 0
     assert "violations: 0" in capsys.readouterr().out
+    assert main(["section8", "verify-star", "--n", "16", "--N", "4", "--kmax", "8",
+                 "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tested"] == 7_686_401 and report["ok"]
     assert main(["section8", "bound", "--n", "6", "--N", "2", "--word", "w1 w2^-1 w1",
                  "--format", "csv"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()

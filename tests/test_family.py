@@ -235,6 +235,18 @@ def test_verify_star_exhaustive():
     assert report.tested == 1 + 4 + 12 + 36
 
 
+def test_verify_star_counts_every_reduced_word():
+    for n in range(2, 13):
+        for N in range(1, 5):
+            fam = family(n, N)
+            for k in range(n // 2 + 1):
+                expected = 1 + 2 * N * sum((2 * N - 1) ** (l - 1) for l in range(1, k + 1))
+                assert verify_star(fam, k).tested == expected, (n, N, k)
+    # Far past a word-by-word sweep: 7,686,401 h-words, 511 sign patterns.
+    report = verify_star(family(16, 4), 8)
+    assert report.ok and report.tested == 7_686_401
+
+
 def test_verify_star_rejects_large_k():
     fam = family(6, 2)
     with pytest.raises(ContractError):

@@ -276,6 +276,36 @@ def test_verify_star_violations_match_letter_fold(monkeypatch):
     assert any(kind.startswith("span escapes") for kind in kinds)
 
 
+def test_verify_star_skips_sign_patterns_without_words(monkeypatch):
+    """With N = 1 no word changes sign.  From a wider curve the mixed
+    patterns (1, -1) and (-1, 1) escape both step-2 containers, but no word
+    has them, so the sweep never reaches their states: it looks up one
+    transition per pattern that has words, and only w1^2 and w1^-2 can be
+    reported."""
+    fam = family(4, 1)
+    start = TupleSpanState(contained_in=frozenset({("Y", 0), ("X", 0)}), misses=frozenset())
+    alpha = mask_state(start, fam)
+    memo = ring._Transitions(fam)
+    xbar, ybar = ring._containers(2, fam)
+    for first, second in ((1, -1), (-1, 1)):
+        span = memo[memo[alpha, second], first].contained_in
+        assert span & ~xbar and span & ~ybar
+    monkeypatch.setattr(ring, "alpha_state", lambda fam: alpha)
+    looked_up = []
+
+    class Spy(ring._Transitions):
+        def __getitem__(self, key):
+            looked_up.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(ring, "_Transitions", Spy)
+    report = verify_star(fam, 2)
+    assert report == oracle_verify_star(fam, 2, start)
+    assert report.tested == 5
+    assert {h for h, _ in report.violations} <= {"w1^2", "w1^-2"}
+    assert looked_up == [(alpha, 1), (alpha, -1), (memo[alpha, 1], 1), (memo[alpha, -1], -1)]
+
+
 def test_span_apply_h_matches_letter_fold():
     rng = random.Random(17)
     for n, N in ((3, 2), (5, 2), (8, 3)):
@@ -367,3 +397,27 @@ def test_order_window_violations_match_pair_scan(monkeypatch):
             found += len(report.violations)
             monkeypatch.undo()
     assert found
+
+
+def test_order_window_skips_only_forms_without_distant_pairs(monkeypatch):
+    """A form of at most L + 1 syllables has no two syllables more than L
+    apart, so its syllable order is never built.  Over family (4, 1) the
+    first and last of the 8 syllables of w1^-1 are unordered, so at L = 6
+    that form, of exactly L + 2 syllables, has a violation."""
+    fam = family(4, 1)
+    hs = ["", "w1", "w1^-1", "w1^2", "w1^-3"]
+    sizes = [len(ring.bme_normal_form(h, fam).syllables) for h in hs]
+    assert sizes == [0, 8, 8, 16, 24]
+    built = []
+    masks = ring._predecessor_masks
+    monkeypatch.setattr(ring, "_predecessor_masks", lambda zs, graph: (
+        built.append(len(zs)), masks(zs, graph))[1])
+    c = ring.constants(fam)
+    for L in (5, 6, 7, 15):
+        small = FamilyConstants(b=c.b, d=c.d, L=L, ell_prime=c.ell_prime, ell=c.ell)
+        monkeypatch.setattr(ring, "constants", lambda fam, small=small: small)
+        built.clear()
+        report = verify_order_window(fam, hs)
+        assert report == oracle_verify_order_window(fam, hs), L
+        assert built == [size for size in sizes if size > L + 1], L
+        assert (L <= 6) == (("w1^-1", 0, 7) in report.violations), L
