@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,11 @@ from raagcc.words import parse_word
 
 import oracles
 
+
+# The sha256 of every pinned invocation's argv, exit code, stdout, stderr
+# and ``--out`` bytes (see ``test_cli_outputs_are_pinned``).  A change that
+# alters CLI bytes on purpose updates this value and says why.
+CLI_SHA256 = "56f631649e3b19b89e7b843947b5e68c2093d4d4ed698d084b2e2e08c190b34f"
 
 GRAPH = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
 MODEL = {"graph": GRAPH, "minimal_filling_sets": [["a", "b", "c"]], "admissible": True}
@@ -382,3 +389,83 @@ def test_stored_core_with_a_malformed_square_is_input_error(files, capsys):
     assert main(["core", "member", "--core", str(core_path),
                  "--word", "a^-1 b^-2 c^-2 a^-1 b^-1"]) == 0
     assert capsys.readouterr().out.strip() == "member"
+
+
+def _pinned_invocations(files) -> list[list[str]]:
+    """Every subcommand in each format, on good and bad inputs: budget
+    stops, ``--out`` files, stored cores at budgets 12 and 100,000, bad
+    JSON, a missing file and an unknown label.  Argparse's own text (help
+    and usage errors) is left out, since it changes between Python
+    versions."""
+    tmp = files["tmp"]
+    graph, model = ["--graph", files["graph"]], ["--model", files["model"]]
+    (tmp / "broken.json").write_text('{"vertices": ', encoding="utf-8")
+    broken, missing = str(tmp / "broken.json"), str(tmp / "missing.json")
+    cores = [str(tmp / f"core_{budget}.json") for budget in (12, 100_000)]
+    runs = []
+    for fmt in (None, "text", "json", "csv", "dot"):
+        fmt_args = [] if fmt is None else ["--format", fmt]
+        for budget, core in zip((12, 100_000), cores):
+            build = ["core", "build", *graph, "--gens", files["gens"], "--budget", str(budget)]
+            runs += [build + fmt_args, build + fmt_args + ["--out", core]]
+        for word in ("a a^-1 b c b", "b c a", "c b a^-1 b^2", "", "a z"):
+            runs += [[cmd, *graph, "--word", word, *fmt_args]
+                     for cmd in ("normalize", "minclass", "order")]
+        runs.append(["minclass", *graph, "--word", "b c a", "--max-size", "1", *fmt_args])
+        for core in cores:
+            runs += [["core", "check", "--core", core, *fmt_args],
+                     ["core", "member", "--core", core, "--word", "b c a", *fmt_args],
+                     ["core", "member", "--core", core, "--word", "b^2 c^2 a^2", *fmt_args],
+                     ["core", "enum", "--core", core, "--max-len", "3", *fmt_args],
+                     ["core", "enum", "--core", core, "--max-len", "4", "--budget", "5",
+                      *fmt_args],
+                     ["export", "--core", core, *fmt_args]]
+        for gens in ("gens", "gens_bad", "gens_a"):
+            runs.append(["certify", *graph, *model, "--gens", files[gens], *fmt_args])
+        runs.append(["certify", *graph, *model, "--gens", files["gens"], "--cell-budget", "10",
+                     *fmt_args])
+        for n, big_n in ((3, 1), (3, 2), (4, 1)):
+            family = ["--n", str(n), "--N", str(big_n), *fmt_args]
+            runs += [["section8", "gen", *family], ["section8", "constants", *family],
+                     ["section8", "verify-star", *family, "--kmax", str(n // 2)]]
+        for word in ("w1 w2^-1 w1", "", "w1 w2 w1", "w3"):
+            runs.append(["section8", "bound", "--n", "6", "--N", "2", "--word", word, *fmt_args])
+    runs += [["normalize", "--graph", broken, "--word", "a"],
+             ["normalize", "--graph", missing, "--word", "a"],
+             ["certify", *graph, "--model", broken, "--gens", files["gens"]],
+             ["certify", *graph, *model, "--gens", missing],
+             ["certify", *graph, *model, "--gens", files["gens_bad"], "--enum-budget", "0"],
+             ["certify", *graph, *model, "--gens", files["gens_bad"], "--enum-budget", "1"],
+             ["certify", *graph, *model, "--gens", files["gens_bad"], "--enum-budget", "1",
+              "--format", "json"],
+             ["core", "check", "--core", broken],
+             ["export", "--core", missing, "--format", "json"]]
+    for i, argv in enumerate(
+            [["normalize", *graph, "--word", "b c b"], ["minclass", *graph, "--word", "b c a"],
+             ["order", *graph, "--word", "b c a", "--format", "json"],
+             ["core", "check", "--core", cores[0]],
+             ["core", "member", "--core", cores[1], "--word", "b c a"],
+             ["core", "enum", "--core", cores[1], "--max-len", "2", "--format", "csv"],
+             ["export", "--core", cores[1]],
+             ["certify", *graph, *model, "--gens", files["gens_bad"], "--format", "json"],
+             ["section8", "constants", "--n", "3", "--N", "2", "--format", "csv"],
+             ["section8", "verify-star", "--n", "4", "--N", "1", "--kmax", "2"],
+             ["section8", "bound", "--n", "6", "--N", "2", "--word", "w1 w2^-1"]]):
+        runs.append(argv + ["--out", str(tmp / f"out_{i}.txt")])
+    return runs
+
+
+def test_cli_outputs_are_pinned(files, capsys):
+    """Exit code, stdout, stderr and ``--out`` bytes of every pinned
+    invocation, hashed with the temporary directory replaced by a
+    placeholder."""
+    tmp = str(files["tmp"])
+    records = []
+    for argv in _pinned_invocations(files):
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        written = open(out, encoding="utf-8").read() if out and Path(out).exists() else None
+        records.append([argv, code, captured.out, captured.err, written])
+    text = json.dumps(records).replace(tmp, "<tmp>")
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_SHA256
