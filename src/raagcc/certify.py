@@ -403,6 +403,8 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         raise InputError("certify requires at least one generator")
     if enum_budget < 1:
         raise InputError("enum_budget must be positive")
+    if cell_budget < 1:
+        raise InputError("cell_budget must be positive")
     normal_gens = tuple(normalize(g, graph) for g in generators)
 
     stages = []

@@ -2,8 +2,9 @@
 
 Subcommands: ``normalize``, ``minclass``, ``order``, ``core
 {build,check,member,enum}``, ``certify``, ``section8
-{gen,constants,verify-star,bound}``, ``export``.  Reports are deterministic
-for identical inputs: JSON is emitted with sorted keys and no timestamps.
+{gen,constants,verify-star,bound}``, ``export``.  Each subparser carries its
+handler, so argparse alone routes a command.  Reports are deterministic for
+identical inputs: JSON is emitted with sorted keys and no timestamps.
 
 Exit codes: 0 success/certified, 1 refuted or a failed check, 2
 inconclusive or budget exhausted, 3 malformed input or usage, 4 internal
@@ -18,7 +19,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .certify import CERTIFIED, INCONCLUSIVE, REFUTED, certify
@@ -63,15 +63,6 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: command path, inputs, budgets, output format."""
-
-    command: tuple[str, ...]
-    options: dict = field(default_factory=dict)
-    fmt: str = "text"
-
-
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -113,13 +104,13 @@ def _core_json(core: SubgroupCore) -> str:
                       sort_keys=True, indent=2) + "\n"
 
 
-def _emit(report: dict, config: RunConfig, text_lines: list[str],
+def _emit(report: dict, args: argparse.Namespace, text_lines: list[str],
           csv_rows: list[dict] | None = None) -> str:
-    if config.fmt == "json":
+    if args.format == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if config.fmt == "csv":
+    if args.format == "csv":
         if csv_rows is None:
-            raise InputError(f"command {' '.join(config.command)} has no CSV form")
+            raise InputError(f"command {args.name} has no CSV form")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()) if csv_rows else [])
         writer.writeheader()
@@ -136,42 +127,42 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_normalize(config: RunConfig) -> int:
-    graph = _load_graph(config.options["graph"])
-    word = parse_word(config.options["word"], graph)
+def _cmd_normalize(args: argparse.Namespace) -> int:
+    graph = _load_graph(args.graph)
+    word = parse_word(args.word, graph)
     result = normalize(word, graph)
     report = {
         "schema": "raagcc-normalize-v1",
-        "input": config.options["word"],
+        "input": args.word,
         "normal_form": result.to_text(),
         "letter_length": result.letter_length,
         "syllable_length": result.syllable_length,
     }
-    _write_out(_emit(report, config, [result.to_text()]), config.options.get("out"))
+    _write_out(_emit(report, args, [result.to_text()]), args.out)
     return EXIT_OK
 
 
-def _cmd_minclass(config: RunConfig) -> int:
-    graph = _load_graph(config.options["graph"])
-    word = parse_word(config.options["word"], graph)
+def _cmd_minclass(args: argparse.Namespace) -> int:
+    graph = _load_graph(args.graph)
+    word = parse_word(args.word, graph)
     try:
-        words = min_class(word, graph, max_size=config.options["max_size"])
+        words = min_class(word, graph, max_size=args.max_size)
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INCONCLUSIVE
     report = {
         "schema": "raagcc-minclass-v1",
-        "input": config.options["word"],
+        "input": args.word,
         "size": len(words),
         "words": [w.to_text() for w in words],
     }
-    _write_out(_emit(report, config, [w.to_text() for w in words]), config.options.get("out"))
+    _write_out(_emit(report, args, [w.to_text() for w in words]), args.out)
     return EXIT_OK
 
 
-def _cmd_order(config: RunConfig) -> int:
-    graph = _load_graph(config.options["graph"])
-    word = parse_word(config.options["word"], graph)
+def _cmd_order(args: argparse.Namespace) -> int:
+    graph = _load_graph(args.graph)
+    word = parse_word(args.word, graph)
     if not is_normal(word, graph):
         raise InputError("word is not in normal form; run 'normalize' first")
     # Keep the user's spelling: positions refer to the word as written.
@@ -186,32 +177,31 @@ def _cmd_order(config: RunConfig) -> int:
         "pairs": [[i, j] for i, j in pairs],
         "generator_pairs": sorted(f"{syls[i].generator}<{syls[j].generator}" for i, j in pairs),
     }
-    _write_out(_emit(report, config, lines or ["(no ordered pairs)"]), config.options.get("out"))
+    _write_out(_emit(report, args, lines or ["(no ordered pairs)"]), args.out)
     return EXIT_OK
 
 
-def _cmd_core_build(config: RunConfig) -> int:
-    graph = _load_graph(config.options["graph"])
-    gens = _load_generators(config.options["gens"], graph)
-    core = build_core(graph, gens, budget=config.options["budget"])
+def _cmd_core_build(args: argparse.Namespace) -> int:
+    graph = _load_graph(args.graph)
+    gens = _load_generators(args.gens, graph)
+    core = build_core(graph, gens, budget=args.budget)
     report = {
         "schema": "raagcc-core-build-v1",
         "status": core.status,
         "diagnostics": core.diagnostics,
     }
-    out = config.options.get("out")
-    if out:
-        Path(out).write_text(_core_json(core), encoding="utf-8")
-        report["core_file"] = out
+    if args.out:
+        Path(args.out).write_text(_core_json(core), encoding="utf-8")
+        report["core_file"] = args.out
     lines = [f"status: {core.status}"] + [
         f"{k}: {v}" for k, v in sorted(core.diagnostics.items())
     ]
-    sys.stdout.write(_emit(report, config, lines))
+    sys.stdout.write(_emit(report, args, lines))
     return EXIT_OK if core.status != BUDGET_EXCEEDED else EXIT_INCONCLUSIVE
 
 
-def _cmd_core_check(config: RunConfig) -> int:
-    _, report_obj = _load_core(config.options["core"])
+def _cmd_core_check(args: argparse.Namespace) -> int:
+    _, report_obj = _load_core(args.core)
     report = {
         "schema": "raagcc-core-check-v1",
         "ok": report_obj.ok,
@@ -221,46 +211,41 @@ def _cmd_core_check(config: RunConfig) -> int:
     lines = [f"local isometry: {'yes' if report_obj.ok else 'NO'}",
              f"foldable pairs: {len(report_obj.foldable)}",
              f"unfilled corners: {len(report_obj.unfilled)}"]
-    _write_out(_emit(report, config, lines), config.options.get("out"))
+    _write_out(_emit(report, args, lines), args.out)
     return EXIT_OK if report_obj.ok else EXIT_REFUTED
 
 
-def _cmd_core_member(config: RunConfig) -> int:
-    core, _ = _load_core(config.options["core"])
-    word = parse_word(config.options["word"], core.graph)
+def _cmd_core_member(args: argparse.Namespace) -> int:
+    core, _ = _load_core(args.core)
+    word = parse_word(args.word, core.graph)
     result = membership(core, word)
-    report = {"schema": "raagcc-member-v1", "word": config.options["word"], "member": result}
-    _write_out(_emit(report, config, ["member" if result else "non-member"]),
-               config.options.get("out"))
+    report = {"schema": "raagcc-member-v1", "word": args.word, "member": result}
+    _write_out(_emit(report, args, ["member" if result else "non-member"]), args.out)
     return EXIT_OK
 
 
-def _cmd_core_enum(config: RunConfig) -> int:
-    core, _ = _load_core(config.options["core"])
+def _cmd_core_enum(args: argparse.Namespace) -> int:
+    core, _ = _load_core(args.core)
     try:
-        words = enumerate_elements(core, config.options["max_len"],
-                                   budget=config.options.get("budget"))
+        words = enumerate_elements(core, args.max_len, budget=args.budget)
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc} (partial count {exc.partial_count})\n")
         return EXIT_INCONCLUSIVE
     report = {
         "schema": "raagcc-enum-v1",
-        "max_len": config.options["max_len"],
+        "max_len": args.max_len,
         "count": len(words),
         "elements": [w.to_text() for w in words],
     }
-    _write_out(_emit(report, config, [w.to_text() or "(identity)" for w in words]),
-               config.options.get("out"))
+    _write_out(_emit(report, args, [w.to_text() or "(identity)" for w in words]), args.out)
     return EXIT_OK
 
 
-def _cmd_certify(config: RunConfig) -> int:
-    graph = _load_graph(config.options["graph"])
-    model = _load_model(config.options["model"])
-    gens = _load_generators(config.options["gens"], graph)
-    cert = certify(graph, model, gens,
-                   cell_budget=config.options["cell_budget"],
-                   enum_budget=config.options["enum_budget"])
+def _cmd_certify(args: argparse.Namespace) -> int:
+    graph = _load_graph(args.graph)
+    model = _load_model(args.model)
+    gens = _load_generators(args.gens, graph)
+    cert = certify(graph, model, gens, cell_budget=args.cell_budget, enum_budget=args.enum_budget)
     report = cert.to_json_dict()
     lines = [f"verdict: {cert.verdict}"]
     if cert.ell is not None:
@@ -272,7 +257,7 @@ def _cmd_certify(config: RunConfig) -> int:
         lines.append(f"reason: {cert.reason}")
     if cert.verdict == CERTIFIED:
         lines.append(f"bound: d >= |h|/{6 * cert.ell} - 2")
-    _write_out(_emit(report, config, lines), config.options.get("out"))
+    _write_out(_emit(report, args, lines), args.out)
     if cert.verdict == CERTIFIED:
         return EXIT_OK
     if cert.verdict == REFUTED:
@@ -280,25 +265,20 @@ def _cmd_certify(config: RunConfig) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _cmd_export(config: RunConfig) -> int:
-    core, _ = _load_core(config.options["core"])
-    fmt = config.fmt if config.fmt != "text" else "dot"
+def _cmd_export(args: argparse.Namespace) -> int:
+    core, _ = _load_core(args.core)
+    fmt = args.format if args.format != "text" else "dot"
     if fmt == "dot":
         text = core.complex.to_dot()
     elif fmt == "json":
         text = _core_json(core)
     else:
         raise InputError(f"export supports dot or json, not {fmt!r}")
-    _write_out(text, config.options.get("out"))
+    _write_out(text, args.out)
     return EXIT_OK
 
 
-def _family_from_config(config: RunConfig) -> Section8Family:
-    return make_family(config.options["n"], config.options["N"])
-
-
-def _cmd_section8_gen(config: RunConfig) -> int:
-    fam = _family_from_config(config)
+def _cmd_section8_gen(args: argparse.Namespace, fam: Section8Family) -> int:
     report = {
         "schema": "raagcc-section8-gen-v1",
         "n": fam.n,
@@ -308,12 +288,11 @@ def _cmd_section8_gen(config: RunConfig) -> int:
         "generators": [w.to_text() for w in fam.generators],
     }
     lines = [f"w{i + 1} = {w.to_text()}" for i, w in enumerate(fam.generators)]
-    _write_out(_emit(report, config, lines), config.options.get("out"))
+    _write_out(_emit(report, args, lines), args.out)
     return EXIT_OK
 
 
-def _cmd_section8_constants(config: RunConfig) -> int:
-    fam = _family_from_config(config)
+def _cmd_section8_constants(args: argparse.Namespace, fam: Section8Family) -> int:
     c = family_constants(fam)
     report = {
         "schema": "raagcc-section8-constants-v1",
@@ -323,16 +302,15 @@ def _cmd_section8_constants(config: RunConfig) -> int:
     lines = [f"b = {c.b}", f"d = {c.d}", f"L = {c.L}",
              f"ell' = {c.ell_prime}", f"ell = {c.ell}"]
     rows = [{k: v for k, v in report.items() if k != "schema"}]
-    _write_out(_emit(report, config, lines, rows), config.options.get("out"))
+    _write_out(_emit(report, args, lines, rows), args.out)
     return EXIT_OK
 
 
-def _cmd_section8_verify_star(config: RunConfig) -> int:
-    fam = _family_from_config(config)
-    rep = verify_star(fam, config.options["kmax"])
+def _cmd_section8_verify_star(args: argparse.Namespace, fam: Section8Family) -> int:
+    rep = verify_star(fam, args.kmax)
     report = {
         "schema": "raagcc-section8-star-v1",
-        "n": fam.n, "N": fam.N, "k_max": config.options["kmax"],
+        "n": fam.n, "N": fam.N, "k_max": args.kmax,
         "tested": rep.tested,
         "violations": [list(v) for v in rep.violations],
         "all_proper": rep.all_proper,
@@ -342,13 +320,12 @@ def _cmd_section8_verify_star(config: RunConfig) -> int:
              f"all spans proper: {rep.all_proper}"]
     rows = [{"tested": rep.tested, "violations": len(rep.violations),
              "all_proper": rep.all_proper}]
-    _write_out(_emit(report, config, lines, rows), config.options.get("out"))
+    _write_out(_emit(report, args, lines, rows), args.out)
     return EXIT_OK if rep.ok else EXIT_REFUTED
 
 
-def _cmd_section8_bound(config: RunConfig) -> int:
-    fam = _family_from_config(config)
-    h = parse_h_word(config.options["word"], fam.N)
+def _cmd_section8_bound(args: argparse.Namespace, fam: Section8Family) -> int:
+    h = parse_h_word(args.word, fam.N)
     m, bound = displacement_upper(h, fam)
     report = {
         "schema": "raagcc-section8-bound-v1",
@@ -364,7 +341,7 @@ def _cmd_section8_bound(config: RunConfig) -> int:
              f"bound: d(alpha, h alpha) <= {bound}"]
     rows = [{"h": h_word_text(h), "h_length": len(h), "m": m,
              "bound": str(bound), "span_proper": True}]
-    _write_out(_emit(report, config, lines, rows), config.options.get("out"))
+    _write_out(_emit(report, args, lines, rows), args.out)
     return EXIT_OK
 
 
@@ -374,45 +351,44 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default: text)")
     common.add_argument("--out", default=None, help="write the report to a file")
 
+    def command(subparsers, name, handler, *required, **kwargs):
+        """A subparser that runs ``handler``, with the required string options named."""
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(run=handler, name=p.prog.removeprefix("raagcc "))
+        for option in required:
+            p.add_argument(f"--{option}", required=True)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="raagcc",
         description="Normal forms, subgroup cores, and convex-cocompactness certificates "
                     "for right-angled Artin groups over a declared surface model.")
+    # Each dest names a missing subcommand in argparse's usage error.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", parents=[common], help="canonical normal form of a word")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--word", required=True)
-
-    p = sub.add_parser("minclass", parents=[common], help="all normal representatives of a word")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--word", required=True)
+    command(sub, "normalize", _cmd_normalize, "graph", "word",
+            help="canonical normal form of a word")
+    p = command(sub, "minclass", _cmd_minclass, "graph", "word",
+                help="all normal representatives of a word")
     p.add_argument("--max-size", type=int, default=200_000)
-
-    p = sub.add_parser("order", parents=[common], help="syllable partial order of a normal word")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--word", required=True)
+    command(sub, "order", _cmd_order, "graph", "word",
+            help="syllable partial order of a normal word")
 
     core = sub.add_parser("core", help="subgroup core operations").add_subparsers(
         dest="core_command", required=True)
-    p = core.add_parser("build", parents=[common], help="fold-and-fill a core for given generators")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--gens", required=True)
+    p = command(core, "build", _cmd_core_build, "graph", "gens",
+                help="fold-and-fill a core for given generators")
     p.add_argument("--budget", type=int, default=100_000)
-    p = core.add_parser("check", parents=[common], help="link conditions of a stored core")
-    p.add_argument("--core", required=True)
-    p = core.add_parser("member", parents=[common], help="membership of a word in a stored core")
-    p.add_argument("--core", required=True)
-    p.add_argument("--word", required=True)
-    p = core.add_parser("enum", parents=[common], help="enumerate elements up to a length")
-    p.add_argument("--core", required=True)
+    command(core, "check", _cmd_core_check, "core", help="link conditions of a stored core")
+    command(core, "member", _cmd_core_member, "core", "word",
+            help="membership of a word in a stored core")
+    p = command(core, "enum", _cmd_core_enum, "core",
+                help="enumerate elements up to a length")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
 
-    p = sub.add_parser("certify", parents=[common], help="convex-cocompactness certificate")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--gens", required=True)
+    p = command(sub, "certify", _cmd_certify, "graph", "model", "gens",
+                help="convex-cocompactness certificate")
     p.add_argument("--cell-budget", type=int, default=20_000)
     p.add_argument("--enum-budget", type=int, default=5_000_000,
                    help="enumeration nodes allowed when searching for a refutation's "
@@ -420,9 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s8 = sub.add_parser("section8", help="the explicit ring family").add_subparsers(
         dest="s8_command", required=True)
-    for name, extra in (("gen", ()), ("constants", ()),
-                        ("verify-star", ("kmax",)), ("bound", ("word",))):
-        p = s8.add_parser(name, parents=[common])
+    for name, handler, extra in (("gen", _cmd_section8_gen, ()),
+                                 ("constants", _cmd_section8_constants, ()),
+                                 ("verify-star", _cmd_section8_verify_star, ("kmax",)),
+                                 ("bound", _cmd_section8_bound, ("word",))):
+        p = command(s8, name, lambda args, h=handler: h(args, make_family(args.n, args.bigN)))
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--N", type=int, required=True, dest="bigN")
         if "kmax" in extra:
@@ -430,45 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         if "word" in extra:
             p.add_argument("--word", required=True)
 
-    p = sub.add_parser("export", parents=[common], help="export a stored core (dot or json)")
-    p.add_argument("--core", required=True)
+    command(sub, "export", _cmd_export, "core", help="export a stored core (dot or json)")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("format", "command", "core_command", "s8_command")}
-    command = tuple(x for x in (args.command, getattr(args, "core_command", None),
-                                getattr(args, "s8_command", None)) if x)
-    if "bigN" in options:
-        options["N"] = options.pop("bigN")
-    return RunConfig(command=command, options=options, fmt=args.format)
-
-
-_DISPATCH = {
-    ("normalize",): _cmd_normalize,
-    ("minclass",): _cmd_minclass,
-    ("order",): _cmd_order,
-    ("core", "build"): _cmd_core_build,
-    ("core", "check"): _cmd_core_check,
-    ("core", "member"): _cmd_core_member,
-    ("core", "enum"): _cmd_core_enum,
-    ("certify",): _cmd_certify,
-    ("section8", "gen"): _cmd_section8_gen,
-    ("section8", "constants"): _cmd_section8_constants,
-    ("section8", "verify-star"): _cmd_section8_verify_star,
-    ("section8", "bound"): _cmd_section8_bound,
-    ("export",): _cmd_export,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    handler = _DISPATCH.get(config.command)
-    if handler is None:
-        raise InputError(f"unknown command {' '.join(config.command)}")
-    return handler(config)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -478,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed help (code 0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
-        return run(_config_from_args(args))
+        return args.run(args)
     except (InputError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

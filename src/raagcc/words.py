@@ -414,22 +414,16 @@ class SyllableOrder:
         return frozenset((syls[i].generator, syls[j].generator) for i, j in self.pairs)
 
 
-def predecessor_masks(w: NormalWord, graph: DefiningGraph) -> list[int]:
-    """Bit i of entry j is set when syllable i precedes syllable j.
+def _predecessor_masks(gens: Iterable[int], graph: DefiningGraph) -> list[int]:
+    """Bit i of entry j is set when syllable i precedes syllable j, for the
+    syllables of a normal word given by their generator indices.
 
     The transitive closure of direct occurrence dependence, one bitmask per
     syllable: the union, over its own and each non-commuting generator, of
     the closure of that generator's latest earlier occurrence (earlier
     occurrences already lie below the latest).  Costs O(k |V|) big-int ORs
-    on a word of k syllables, and the masks hold O(k^2) bits.  The word
-    must be normal.
+    on a word of k syllables, and the masks hold O(k^2) bits.
     """
-    index = graph._index
-    return _predecessor_masks([index[s.generator] for s in w.syllables], graph)
-
-
-def _predecessor_masks(gens: Iterable[int], graph: DefiningGraph) -> list[int]:
-    """``predecessor_masks`` on the syllables' generator indices."""
     noncomm = graph.non_commuting
     latest = [0] * len(noncomm)  # closure (predecessors plus itself) of the latest occurrence
     masks: list[int] = []
@@ -447,7 +441,9 @@ def syllable_order(w: NormalWord, graph: DefiningGraph) -> SyllableOrder:
     ``predecessor_masks``: O(k |V|) big-int ORs and O(k^2) bits on a word
     of k syllables, with no position pairs spelled out."""
     _require_normal(w, graph)
-    return SyllableOrder(word=w, predecessor_masks=tuple(predecessor_masks(w, graph)))
+    index = graph._index
+    masks = _predecessor_masks([index[s.generator] for s in w.syllables], graph)
+    return SyllableOrder(word=w, predecessor_masks=tuple(masks))
 
 
 def cyclically_reduce(w: Word | NormalWord, graph: DefiningGraph) -> tuple[NormalWord, NormalWord]:

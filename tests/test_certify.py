@@ -109,6 +109,11 @@ def test_certify_validates_inputs(abc_graph, abc_model):
     for budget in (0, -1):
         with pytest.raises(InputError, match="enum_budget must be positive"):
             certify(abc_graph, abc_model, gens, enum_budget=budget)
+    # A non-positive cell budget once came back as a refutation with the
+    # stage [[-5, 10]].
+    for budget in (0, -5):
+        with pytest.raises(InputError, match="cell_budget must be positive"):
+            certify(abc_graph, abc_model, gens, cell_budget=budget)
     assert certify(abc_graph, abc_model, gens, enum_budget=1).verdict == INCONCLUSIVE
 
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +74,26 @@ def test_order_rejects_non_normal(files, capsys):
     assert main(["order", "--graph", files["graph"], "--word", "b c b"]) == 3
 
 
+def test_module_entry_point_passes_exit_codes_through(files):
+    """``python -m raagcc`` exits with the code ``main`` returns."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "raagcc", *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+    done = run("normalize", "--graph", files["graph"], "--word", "a a^-1 b c b")
+    assert (done.returncode, done.stdout) == (0, "b^2 c\n")
+    done = run("certify", "--graph", files["graph"], "--model", files["model"],
+               "--gens", files["gens_bad"])
+    assert done.returncode == 1 and "verdict: refuted" in done.stdout
+    done = run("normalize", "--graph", str(files["tmp"] / "missing.json"), "--word", "a")
+    assert done.returncode == 3 and done.stderr.startswith("error: cannot read ")
+    done = run("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: raagcc")
+
+
 def test_certify_exit_codes(files, capsys):
     assert main(["certify", "--graph", files["graph"], "--model", files["model"],
                  "--gens", files["gens"]]) == 0
@@ -98,12 +122,13 @@ def test_certify_names_the_enum_budget_that_stopped_it(files, capsys):
 
 
 def test_certify_rejects_a_nonpositive_enum_budget(files, capsys):
-    for budget in ("0", "-5"):
+    # A non-positive cell budget is malformed input too; it once exited 2.
+    for option, budget in itertools.product(("enum", "cell"), ("0", "-5")):
         assert main(["certify", "--graph", files["graph"], "--model", files["model"],
-                     "--gens", files["gens_bad"], "--enum-budget", budget]) == 3, budget
+                     "--gens", files["gens_bad"], f"--{option}-budget", budget]) == 3, budget
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: enum_budget must be positive"]
+        assert captured.err.splitlines() == [f"error: {option}_budget must be positive"]
 
 
 def test_certify_json_schema(files, capsys):
@@ -255,9 +280,9 @@ def test_usage_errors_exit_as_input_errors(files, capsys):
                                  ValueError("bad\nvalue")])
 def test_crashes_exit_as_internal_errors(files, capsys, monkeypatch, exc):
     """A crash gets its own exit code, never the one for "refuted"."""
-    def crash(config):
+    def crash(*args):
         raise exc
-    monkeypatch.setitem(cli._DISPATCH, ("normalize",), crash)
+    monkeypatch.setattr(cli, "normalize", crash)
     assert main(["normalize", "--graph", files["graph"], "--word", "a"]) == EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
