@@ -1,9 +1,9 @@
 """The convex-cocompactness certifier.
 
-``certify`` builds a core for the subgroup and sets the window length from
-the core's vertex count (three times one more than it, the concrete
-stand-in for the abstract ball-counting constant).  The subgroup is
-convex cocompact exactly when no nontrivial member has a cyclic reduction
+``certify`` grows a core for the subgroup in stages and sets the window
+length from a stage's vertex count (three times one more than it, the
+concrete stand-in for the abstract ball-counting constant).  The subgroup
+is convex cocompact exactly when no nontrivial member has a cyclic reduction
 whose support fails to fill, and on a verified core that is a finite
 check: for each maximal non-filling label set S, every chord of a spanning
 forest of the core's S-labelled edges closes a loop, and some member fails
@@ -16,7 +16,8 @@ isometries of nonpositively curved cube complexes are pi_1-injective
 (Haglund & Wise, "Special cube complexes", GAFA 2008).
 
 The same check decides every stage of the construction, partial or
-verified.  On a budget-exceeded stage a "yes" is still sound.  The stage
+verified, on a view of the construction's own tables (``_StageView``).
+On a budget-exceeded stage a "yes" is still sound.  The stage
 is connected and link-injective, and every loop at its basepoint reads a
 member of the subgroup: folding identifies paths without changing their
 images, and attached squares are relations that already hold.  So a
@@ -40,13 +41,14 @@ complex of Gamma_S, so pi_1(K) injects (Haglund & Wise, above): there
 H_1 != 0 forces a nontrivial chord word.  Only on a partial stage with
 H_1 != 0 are the chord words piled.
 
-No chord word survives on a verified core: certified, with the
-displacement lower bound d >= |h|/(6*ell) - 2 attached and the number of
-members up to length ell counted by ``count_elements``.  Some chord word
-survives: refuted, with the first non-filling loop in increasing length
-order as witness (its image fixes a curve, so the subgroup is not purely
-pseudo-Anosov); the walk that finds it is bounded by the enumeration
-budget.  Budget exhaustion anywhere: inconclusive, never a negative claim.
+No chord word survives on a verified core: certified, with the core
+frozen and link-checked, the displacement lower bound
+d >= |h|/(6*ell) - 2 attached and the number of members up to length ell
+counted by ``count_elements``.  Some chord word survives: refuted, with
+the first non-filling loop in increasing length order as witness (its
+image fixes a curve, so the subgroup is not purely pseudo-Anosov); the
+walk that finds it is bounded by the enumeration budget.  Budget
+exhaustion anywhere: inconclusive, never a negative claim.
 
 Each enumerated element's filling check needs only the generator support
 of a cyclic reduction: it is piled once by the word kernel in ``words.py``
@@ -134,9 +136,9 @@ class Certificate:
 
 
 class _FrozenOnRead:
-    """``Certificate.core``.  A certificate from a budget-exceeded stage is
-    given the stage's freeze as a callable, which the first read calls and
-    whose core it keeps."""
+    """``Certificate.core``.  A certified certificate is given its frozen
+    core; any other is given its stage's freeze as a callable, which the
+    first read calls and whose core it keeps."""
 
     def __get__(self, cert, owner=None):
         if cert is None:
@@ -156,15 +158,16 @@ Certificate.core = _FrozenOnRead()
 
 
 class _StageView:
-    """A budget-exceeded stage read off its folded builder, with the parts
+    """A stage, verified or not, read off its folded builder, with the parts
     of ``LabeledCubeComplex`` that the chord check and the spelling
     automaton read: the canonical vertices, the canonical edges numbered by
     least raw id (neither answer depends on the numbering), the adjacency
     and letter table built from them as a frozen complex builds its own,
-    and a square row per raw square.  Raw squares that folding made equal
-    give equal rows, which ``_h1_vanishes`` reduces to zero and has counted
-    in its slack.  The view copies what it reads, so the builder may grow
-    on."""
+    and a square row per raw square: (a, b, gamma, delta, label index of
+    a, of b), its boundary edges as positions in ``edges``.  Raw squares
+    that folding made equal give equal rows, which ``_h1_vanishes`` reduces
+    to zero and has counted in its slack.  The view copies what it reads,
+    so the builder may grow on."""
 
     adjacency = LabeledCubeComplex.adjacency
     _letter_options = LabeledCubeComplex._letter_options
@@ -263,14 +266,13 @@ def _chord_word(parent: dict[int, tuple[int, int] | None], src: int, dst: int, g
         [(key >> 1, 1 if key & 1 else -1) for key in down]  # path(dst)^-1: letters inverted
 
 
-def _chord_words(complex_: LabeledCubeComplex | _StageView, allowed: int = -1,
-                 forest: tuple[dict[int, tuple[int, int] | None], list[int]] | None = None
+def _chord_words(complex_: LabeledCubeComplex,
+                 forest: tuple[dict[int, tuple[int, int] | None], list[int]]
                  ) -> Iterator[list[tuple[int, int]]]:
-    """The loop word of every chord of ``_spanning_forest(complex_,
-    allowed)`` (all labels by default), in edge order, or of the given
-    ``forest`` when the caller has grown it.  The chord loops at the roots
+    """The loop word of every chord of a ``forest`` that ``_spanning_forest``
+    grew on ``complex_``, in edge order.  The chord loops at the roots
     generate the fundamental group of each component."""
-    parent, chords = forest or _spanning_forest(complex_, allowed)
+    parent, chords = forest
     index = complex_.graph._index
     edges = complex_.edges
     for i in chords:
@@ -278,11 +280,11 @@ def _chord_words(complex_: LabeledCubeComplex | _StageView, allowed: int = -1,
         yield _chord_word(parent, src, dst, index[label])
 
 
-def _squares_by_labels(complex_: LabeledCubeComplex) -> dict[int, list[tuple[int, int, int, int]]]:
-    """The complex's ``square_edges`` (four edge positions each), grouped
-    by the bitmask of their two label indices."""
+def _squares_by_labels(view: _StageView) -> dict[int, list[tuple[int, int, int, int]]]:
+    """The stage's ``square_edges`` (four edge positions each), grouped by
+    the bitmask of their two label indices."""
     groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for a, b, gamma, delta, la, lb in complex_.square_edges:
+    for a, b, gamma, delta, la, lb in view.square_edges:
         groups.setdefault(1 << la | 1 << lb, []).append((a, b, gamma, delta))
     return groups
 
@@ -327,12 +329,11 @@ def _h1_vanishes(chords: list[int], squares: dict[int, list[tuple[int, int, int,
     return len(basis) == len(chords)
 
 
-def _nonfilling_chord_set(complex_: LabeledCubeComplex | _StageView, model: SurfaceModel,
-                          verified: bool) -> int | None:
+def _nonfilling_chord_set(view: _StageView, model: SurfaceModel, verified: bool) -> int | None:
     """The first maximal non-filling set, as a vertex-index bitmask, whose
-    labelled edges have a nontrivial chord word; None when there is none.
-    ``complex_`` is a verified core's complex or, when ``verified`` is
-    false, a budget-exceeded stage (``certify`` passes its ``_StageView``).
+    labelled edges have a nontrivial chord word on a stage's ``view``;
+    None when there is none.  ``verified`` says whether the stage is a
+    verified core.
 
     Each set S is first decided by ``_h1_vanishes`` (see the module
     docstring).  H_1 = 0: every chord word of S is trivial, on any stage.
@@ -344,17 +345,16 @@ def _nonfilling_chord_set(complex_: LabeledCubeComplex | _StageView, model: Surf
     fill.  On any connected link-injective stage, a set returned here
     bounds the support of a non-filling member.
     """
-    graph = complex_.graph
+    graph = view.graph
     squares = None
     for allowed in model.maximal_non_filling_sets:
-        forest = _, chords = _spanning_forest(complex_, allowed)
+        forest = _, chords = _spanning_forest(view, allowed)
         if not chords:
             continue  # a forest has no loops
-        squares = squares or _squares_by_labels(complex_)
-        if _h1_vanishes(chords, squares, allowed, len(complex_.edges)):
+        squares = squares or _squares_by_labels(view)
+        if _h1_vanishes(chords, squares, allowed, len(view.edges)):
             continue
-        if verified or any(any(_pile(word, graph))
-                           for word in _chord_words(complex_, forest=forest)):
+        if verified or any(any(_pile(word, graph)) for word in _chord_words(view, forest)):
             return allowed
     return None
 
@@ -383,10 +383,10 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     On a partial stage each of these moves on to the next stage, and a
     refutation carries neither ell nor an element count.
 
-    The stages grow on one ``_Builder``.  A verified stage is frozen into
-    its core; a budget-exceeded one is decided on a ``_StageView`` of the
-    builder, and a certificate from it freezes the stage only when its
-    ``core`` is first read.
+    The stages grow on one ``_Builder``, and each is decided on its
+    ``_StageView``.  A certified stage is frozen into its core, and so
+    link-checked, before the verdict is returned; any other certificate
+    freezes its stage only when its ``core`` is first read.
 
     A construction that never stabilizes within the cell budget and never
     exposes a witness is inconclusive.  Its reason names the enumeration
@@ -438,24 +438,20 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     for stage in stages:
         status = builder.grow(stage)
         verified = status == VERIFIED
-        if verified:
-            core = builder.core(status, stage)
-            complex_, counts = core.complex, core.diagnostics
-        else:  # decided on the builder; a certificate freezes it when read
-            core = partial(builder.core, status, stage)
-            complex_, counts = _StageView(builder), builder.diagnostics(stage)
+        view, counts = _StageView(builder), builder.diagnostics(stage)
+        core = partial(builder.core, status, stage)  # frozen when a certificate's core is read
         tried.append([stage, counts["cells"]])
         ell = 3 * (counts["vertex_count"] + 1)
-        chord_set = _nonfilling_chord_set(complex_, model, verified)
+        chord_set = _nonfilling_chord_set(view, model, verified)
         if chord_set is None:
             if verified:
+                core = builder.core(status, stage)  # so link-checked before the verdict
                 return certificate(CERTIFIED, ell=ell, element_count=count_elements(core, ell))
             continue
         # The witness is the first non-filling member in increasing length
         # order; on a verified core one of length at most 2V - 1 < ell exists.
         try:
-            found = _first_nonfilling(iter_loops_by_length(complex_, ell,
-                                                           node_budget=enum_budget),
+            found = _first_nonfilling(iter_loops_by_length(view, ell, node_budget=enum_budget),
                                       graph, model)
         except BudgetExceededError as exc:
             if verified:
@@ -482,9 +478,9 @@ def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
     word has letter length at most twice the depth plus one.
     """
     _require_verified(core)
-    graph = core.graph
+    graph, complex_ = core.graph, core.complex
     seen: dict[tuple[tuple[int, int], ...], None] = {}
-    for chord in _chord_words(core.complex):
+    for chord in _chord_words(complex_, _spanning_forest(complex_, -1)):
         seen.setdefault(tuple(_read_out(_pile(chord, graph), graph)))
     return tuple(_spell(syls, graph) for syls in seen if syls)
 

@@ -109,8 +109,6 @@ def _emit(report: dict, args: argparse.Namespace, text_lines: list[str],
     if args.format == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.format == "csv":
-        if csv_rows is None:
-            raise InputError(f"command {args.name} has no CSV form")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()) if csv_rows else [])
         writer.writeheader()
@@ -267,14 +265,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     core, _ = _load_core(args.core)
-    fmt = args.format if args.format != "text" else "dot"
-    if fmt == "dot":
-        text = core.complex.to_dot()
-    elif fmt == "json":
-        text = _core_json(core)
-    else:
-        raise InputError(f"export supports dot or json, not {fmt!r}")
-    _write_out(text, args.out)
+    _write_out(_core_json(core) if args.format == "json" else core.complex.to_dot(), args.out)
     return EXIT_OK
 
 
@@ -354,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(subparsers, name, handler, *required, **kwargs):
         """A subparser that runs ``handler``, with the required string options named."""
         p = subparsers.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(run=handler, name=p.prog.removeprefix("raagcc "))
+        p.set_defaults(run=handler, name=p.prog.removeprefix("raagcc "), csv=False)
         for option in required:
             p.add_argument(f"--{option}", required=True)
         return p
@@ -401,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  ("verify-star", _cmd_section8_verify_star, ("kmax",)),
                                  ("bound", _cmd_section8_bound, ("word",))):
         p = command(s8, name, lambda args, h=handler: h(args, make_family(args.n, args.bigN)))
+        p.set_defaults(csv=name != "gen")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--N", type=int, required=True, dest="bigN")
         if "kmax" in extra:
@@ -420,6 +412,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed help (code 0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
+        # A format is refused before any input is read or any work is done.
+        if args.format == "csv" and not args.csv:
+            raise InputError("export supports dot or json, not 'csv'" if args.name == "export"
+                             else f"command {args.name} has no CSV form")
         return args.run(args)
     except (InputError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")

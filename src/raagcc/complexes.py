@@ -146,13 +146,6 @@ class LabeledCubeComplex:
         return frozenset(c for sq in self.squares for c in sq)
 
     @cached_property
-    def square_edges(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
-        """Each square once as (a, b, gamma, delta, label index of a, of b),
-        its boundary edges as positions in ``edges``: the rows ``build_core``
-        sets when it freezes a complex, known for no other complex."""
-        raise ContractError("square rows are set only on a complex that build_core made")
-
-    @cached_property
     def _letter_options(self) -> tuple[list[list[tuple[int, int, int]]], int]:
         """Per vertex position, the letters leaving it as (generator index,
         sign, far vertex position), in the adjacency's key order: the
@@ -574,7 +567,7 @@ class _Builder:
         cells in: vertices breadth first from the basepoint, taking each
         vertex's ends in table-key order (label index, then endpoint), and
         edges by (source, target, label).  Squares are renumbered, not
-        re-read, and their boundaries are set as ``square_edges``.
+        re-read: each becomes its four corners.
         """
         vfind, efind = self.vfind, self.efind
         raw = self.edges
@@ -600,26 +593,18 @@ class _Builder:
         for e in range(len(raw)):
             new_id[e] = new_id[efind(e)]
         edges = tuple((i, *at[e], labels[raw[e][2]]) for i, e in enumerate(roots))
-        # Each square's corners, laid out as in add_square, and its
-        # boundary row; raw squares that folding made equal become one key.
-        rows = {}
+        # Each square's corners, laid out as in add_square; raw squares that
+        # folding made equal become one square.
+        squares = set()
         for a, b, gamma, delta, ka, kb in self.squares:
             pa, pb = ka & 1, kb & 1
             na, nb, ng, nd = new_id[a], new_id[b], new_id[gamma], new_id[delta]
-            rows[frozenset((_corner(at[a][pa], (na, pa), (nb, pb)),
-                            _corner(at[a][pa ^ 1], (na, pa ^ 1), (ng, pb)),
-                            _corner(at[b][pb ^ 1], (nb, pb ^ 1), (nd, pa)),
-                            _corner(at[gamma][pb ^ 1], (ng, pb ^ 1), (nd, pa ^ 1))))] = \
-                (na, nb, ng, nd, ka >> 1, kb >> 1)
-        complex_ = LabeledCubeComplex(
-            graph=self.graph,
-            vertices=tuple(range(len(vmap))),
-            edges=edges,
-            squares=frozenset(rows),
-            basepoint=0,
-        )
-        complex_.__dict__["square_edges"] = tuple(rows.values())
-        return complex_
+            squares.add(frozenset((_corner(at[a][pa], (na, pa), (nb, pb)),
+                                   _corner(at[a][pa ^ 1], (na, pa ^ 1), (ng, pb)),
+                                   _corner(at[b][pb ^ 1], (nb, pb ^ 1), (nd, pa)),
+                                   _corner(at[gamma][pb ^ 1], (ng, pb ^ 1), (nd, pa ^ 1)))))
+        return LabeledCubeComplex(graph=self.graph, vertices=tuple(range(len(vmap))),
+                                  edges=edges, squares=frozenset(squares), basepoint=0)
 
 
 def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 100_000,
@@ -890,9 +875,12 @@ def enumerate_elements(core: SubgroupCore, max_len: int,
                        budget: int | None = None) -> tuple[NormalWord, ...]:
     """All subgroup elements of letter length at most ``max_len``, each as its
     canonical normal word, sorted by length then spelling (the walk's own
-    order: letter order is generator index, positive sign first)."""
+    order: letter order is generator index, positive sign first).  A
+    ``budget`` on the walk's nodes must be positive."""
     if max_len < 0:
         raise InputError("max_len must be >= 0")
+    if budget is not None and budget < 1:
+        raise InputError("budget must be positive")
     return tuple(_spell(syls, core.graph)
                  for _, loops in iter_elements_by_length(core, max_len, node_budget=budget)
                  for syls in loops)

@@ -352,8 +352,10 @@ def min_class(w: Word | NormalWord, graph: DefiningGraph,
     """All normal representatives of the element of ``w`` (its move-(3) class).
 
     Breadth-first over adjacent commuting swaps.  Classes can be factorially
-    large, so the search carries a size budget.
+    large, so the search carries a size budget, which must be positive.
     """
+    if max_size < 1:
+        raise InputError("max_size must be positive")
     start = tuple(_read_out(_pile(_indexed(w, graph), graph), graph))
     seen = {start}
     queue = deque([start])

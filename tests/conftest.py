@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from raagcc.certify import _StageView
 from raagcc.complexes import _Builder
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel
@@ -62,7 +63,8 @@ def catalog_stages():
     """A seeded catalog sample, three problems per graph and stored verdict,
     with every stage ``certify`` builds for it at the catalog's cell budget:
     256, 1024 and 2000 cells, grown on one builder as ``certify`` grows
-    them, each frozen as a core, up to the first verified one."""
+    them, up to the first verified one.  Each stage is a pair: the stage
+    frozen as a core, and the ``_StageView`` that ``certify`` decides it on."""
     out = []
     for graph, gens in catalog_sample(random.Random(29)):
         model = SurfaceModel.build(graph, [graph.vertices])
@@ -70,7 +72,7 @@ def catalog_stages():
         stages = []
         for budget in (256, 1_024, 2_000):
             core = builder.core(builder.grow(budget), budget)
-            stages.append(core)
+            stages.append((core, _StageView(builder)))
             if core.verified:
                 break
         out.append((graph, model, gens, stages))

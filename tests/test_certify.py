@@ -26,6 +26,7 @@ from raagcc.complexes import (
     BUDGET_EXCEEDED,
     VERIFIED,
     LabeledCubeComplex,
+    LinkReport,
     SubgroupCore,
     _Builder,
     build_core,
@@ -36,7 +37,7 @@ from raagcc.complexes import (
     membership,
     salvetti,
 )
-from raagcc.errors import ContractError, InputError
+from raagcc.errors import ContractError, InputError, InternalError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel, max_exponent
@@ -359,10 +360,12 @@ def test_lean_chord_words_match_oracle(catalog_stages):
     ``extract_generators`` read."""
     counted = {True: 0, False: 0}
     for _, model, _, stages in catalog_stages:
-        for core in stages:
+        for core, _ in stages:
+            complex_ = core.complex
             for allowed in (-1, *model.maximal_non_filling_sets):
-                assert [tuple(w) for w in _chord_words(core.complex, allowed)] == \
-                    list(oracles.oracle_chord_words(core.complex, allowed))
+                forest = _spanning_forest(complex_, allowed)
+                assert [tuple(w) for w in _chord_words(complex_, forest)] == \
+                    list(oracles.oracle_chord_words(complex_, allowed))
             counted[core.verified] += 1
     assert counted[True] >= 20 and counted[False] >= 20, counted
 
@@ -416,8 +419,8 @@ def _closes_at(complex_, v: int, word: list[tuple[str, int]]) -> bool:
 def test_chord_check_decides_every_stage(catalog_stages):
     """On every stage, partial or verified:
 
-    - the check returns the first maximal non-filling set with a nontrivial
-      chord word;
+    - the check, on the stage's view, returns the first maximal non-filling
+      set with a nontrivial chord word of the frozen stage;
     - every nontrivial chord word w is a loop at a forest root r and gives
       the member p*w*p^-1 (p a path from the basepoint to r), which does
       not fill and, when the last stage verifies, belongs to its core;
@@ -427,9 +430,9 @@ def test_chord_check_decides_every_stage(catalog_stages):
     found = members = in_core = 0
     for graph, model, gens, stages in catalog_stages:
         labels = graph.vertices
-        last = stages[-1]
+        last = stages[-1][0]
         witness_stage = None
-        for k, core in enumerate(stages):
+        for k, (core, view) in enumerate(stages):
             complex_ = core.complex
             first = None
             for allowed in model.maximal_non_filling_sets:
@@ -448,7 +451,7 @@ def test_chord_check_decides_every_stage(catalog_stages):
                     if last.verified:
                         assert membership(last, member), (gens, chord)
                         in_core += 1
-            assert _nonfilling_chord_set(complex_, model, core.verified) == first, gens
+            assert _nonfilling_chord_set(view, model, core.verified) == first, gens
             if not core.verified and witness_stage is None:
                 witness = oracles.oracle_partial_stage_witness(complex_, model)
                 if witness is not None:
@@ -466,41 +469,57 @@ def test_chord_check_decides_every_stage(catalog_stages):
 # -- the chord check decided by GF(2) homology -------------------------------------
 
 
-def _h1_vanishes_at(complex_, allowed: int) -> bool:
+def _h1_vanishes_at(view, allowed: int) -> bool:
     """The check's H_1 = 0 verdict for one label set, on its own forest."""
-    _, chords = _spanning_forest(complex_, allowed)
-    return _h1_vanishes(chords, _squares_by_labels(complex_), allowed, len(complex_.edges))
+    _, chords = _spanning_forest(view, allowed)
+    return _h1_vanishes(chords, _squares_by_labels(view), allowed, len(view.edges))
+
+
+def _frozen_positions(view: _StageView, frozen: LabeledCubeComplex) -> list[int]:
+    """Each edge position of a stage's view, as the position of the same
+    edge in the complex the stage freezes into: the two are walked from
+    their basepoints together, pairing the ends in each vertex's slots."""
+    position = {e[0]: i for i, e in enumerate(view.edges)}
+    to = [-1] * len(view.edges)
+    pairs = {view.basepoint: frozen.basepoint}
+    queue = [view.basepoint]
+    for v in queue:
+        slots = {key: (eid, far) for key, eid, far in frozen.adjacency[pairs[v]]}
+        for key, eid, far in view.adjacency[v]:
+            to[position[eid]], frozen_far = slots[key]  # a frozen edge id is its position
+            if far not in pairs:
+                pairs[far] = frozen_far
+                queue.append(far)
+    return to
 
 
 def test_builder_square_rows_match_square_ends(catalog_stages):
-    """The square boundaries ``build_core`` sets are the ones read from each
-    square by ``square_ends``: one per square, with the same edges (a
-    repeated edge twice) and the same two labels, on every stage; the check
-    groups them by their labels; and the same complex made elsewhere
-    carries no rows."""
+    """The square rows of every stage's view, carried to the frozen
+    stage's edge positions, are the boundaries read from the frozen
+    squares by ``square_ends``: with the same edges (a repeated edge twice)
+    and the same two labels, one boundary per square (raw squares that
+    folding made equal give equal rows); the check groups them by their
+    labels; and a frozen complex carries no rows."""
     def boundary(row):  # a row names its square from one of four corners
         return tuple(sorted(row[:4])), frozenset(row[4:])
 
     repeated = 0
-    for graph, _, _, stages in catalog_stages:
-        for core in stages:
+    for _, _, _, stages in catalog_stages:
+        for core, view in stages:
             built = core.complex
+            to = _frozen_positions(view, built)
+            rows = {(*map(to.__getitem__, row[:4]), *row[4:]) for row in view.square_edges}
             read = oracles.oracle_square_edges(built)
             assert sorted(map(boundary, read), key=repr) == \
-                sorted(map(boundary, built.square_edges), key=repr)
+                sorted(set(map(boundary, rows)), key=repr)
             grouped = {}
             for row in read:
                 grouped.setdefault(1 << row[4] | 1 << row[5], []).append(sorted(row[:4]))
-            assert {labels: sorted(map(sorted, rows))
-                    for labels, rows in _squares_by_labels(built).items()} == \
-                {labels: sorted(rows) for labels, rows in grouped.items()}
-            elsewhere = LabeledCubeComplex(graph=graph, vertices=built.vertices,
-                                           edges=built.edges, squares=built.squares,
-                                           basepoint=built.basepoint)
-            assert elsewhere == built
-            with pytest.raises(ContractError, match="square rows are set only"):
-                elsewhere.square_edges
-            repeated += sum(len(set(row[:4])) < 4 for row in built.square_edges)
+            assert {labels: sorted({tuple(sorted(map(to.__getitem__, row))) for row in group})
+                    for labels, group in _squares_by_labels(view).items()} == \
+                {labels: sorted(map(tuple, group)) for labels, group in grouped.items()}
+            assert not hasattr(built, "square_edges")
+            repeated += sum(len(set(row[:4])) < 4 for row in read)
     assert repeated >= 10, repeated
 
 
@@ -514,12 +533,12 @@ def test_homology_decision_matches_oracle(catalog_stages):
     - the check returns the first set that piling every chord word finds."""
     seen: Counter = Counter()
     for graph, model, gens, stages in catalog_stages:
-        for core in stages:
+        for core, view in stages:
             complex_ = core.complex
             piled = None
             for allowed in model.maximal_non_filling_sets:
                 h1 = oracles.oracle_h1_rank(complex_, allowed)
-                assert _h1_vanishes_at(complex_, allowed) == (h1 == 0), (gens, allowed)
+                assert _h1_vanishes_at(view, allowed) == (h1 == 0), (gens, allowed)
                 nontrivial = any(any(_pile(chord, graph))
                                  for chord in oracles.oracle_chord_words(complex_, allowed))
                 if h1 == 0 or core.verified:
@@ -527,26 +546,22 @@ def test_homology_decision_matches_oracle(catalog_stages):
                 if nontrivial and piled is None:
                     piled = allowed
                 seen[core.verified, h1 == 0] += 1
-            assert _nonfilling_chord_set(complex_, model, core.verified) == piled, gens
+            assert _nonfilling_chord_set(view, model, core.verified) == piled, gens
     assert min(seen[verified, vanishes] for verified in (True, False)
                for vanishes in (True, False)) >= 10, seen
 
 
-def _with_square_rows(complex_: LabeledCubeComplex) -> LabeledCubeComplex:
-    """A hand-made complex, given the square rows that ``build_core`` sets on
-    the complexes it makes, read from its squares."""
-    complex_.__dict__["square_edges"] = tuple(oracles.oracle_square_edges(complex_))
-    return complex_
-
-
 def _one_vertex_complex(graph, labels, squares) -> LabeledCubeComplex:
     """Loops at vertex 0 with the given labels (edge ids in order), and
-    squares given by their corners as (end, end) pairs at vertex 0."""
-    return _with_square_rows(LabeledCubeComplex(
+    squares given by their corners as (end, end) pairs at vertex 0; given
+    the square rows a ``_StageView`` holds, read from its squares."""
+    complex_ = LabeledCubeComplex(
         graph=graph, vertices=(0,),
         edges=tuple((eid, 0, 0, label) for eid, label in enumerate(labels)),
         squares=frozenset(frozenset((0, tuple(sorted(pair))) for pair in sq) for sq in squares),
-        basepoint=0))
+        basepoint=0)
+    complex_.__dict__["square_edges"] = tuple(oracles.oracle_square_edges(complex_))
+    return complex_
 
 
 def _stage_view(seed: LabeledCubeComplex) -> _StageView:
@@ -617,9 +632,9 @@ def test_chord_check_piles_nothing_on_a_verified_core(catalog_stages, monkeypatc
     # The module itself: ``raagcc.certify`` is also the name of the function.
     monkeypatch.setattr(importlib.import_module("raagcc.certify"), "_pile", counting_pile)
     for _, model, _, stages in catalog_stages:
-        for core in stages:
+        for core, view in stages:
             stage_kind = core.verified
-            _nonfilling_chord_set(core.complex, model, core.verified)
+            _nonfilling_chord_set(view, model, core.verified)
     assert piles[True] == 0 and piles[False] > 0, piles
 
 
@@ -663,7 +678,7 @@ def catalog_stage_views(catalog_stages):
     out = []
     for graph, model, gens, stages in catalog_stages:
         builder = _Builder(graph, tuple(w.letters for w in gens), None, None)
-        for core in stages:
+        for core, _ in stages:
             if core.verified:
                 break
             budget = core.diagnostics["budget"]
@@ -676,9 +691,11 @@ def catalog_stage_views(catalog_stages):
 def test_stage_view_matches_frozen_stage(catalog_stage_views):
     """On every budget-exceeded stage, the view ``certify`` decides it on
     and the complex it freezes into agree: the vertex, edge and
-    square counts; per maximal non-filling set, the H_1 verdict and whether
-    some chord word is nontrivial; the check's answer; and the first levels
-    of the basepoint-loop walk on the two letter tables.  Some stage has raw
+    square counts; per maximal non-filling set, the H_1 verdict (the
+    frozen stage's from the dense oracle) and whether some chord word is
+    nontrivial; the check's answer, which is the first set with a
+    nontrivial chord word of the frozen stage; and the first levels of the
+    basepoint-loop walk on the two letter tables.  Some stage has raw
     squares that folding made equal."""
     merged = 0
     for model, core, counts, raw_squares, view in catalog_stage_views:
@@ -687,21 +704,28 @@ def test_stage_view_matches_frozen_stage(catalog_stage_views):
         assert counts == core.diagnostics
         assert (len(view.vertices), len(view.edges), counts["square_count"]) == \
             (len(frozen.vertices), len(frozen.edges), len(frozen.squares))
+        piled = None
         for allowed in model.maximal_non_filling_sets:
-            assert _h1_vanishes_at(view, allowed) == _h1_vanishes_at(frozen, allowed)
-            assert any(any(_pile(w, graph)) for w in _chord_words(view, allowed)) == \
-                any(any(_pile(w, graph)) for w in _chord_words(frozen, allowed))
-        assert _nonfilling_chord_set(view, model, False) == \
-            _nonfilling_chord_set(frozen, model, False)
+            assert _h1_vanishes_at(view, allowed) == \
+                (oracles.oracle_h1_rank(frozen, allowed) == 0)
+            nontrivial = [any(any(_pile(w, graph))
+                              for w in _chord_words(c, _spanning_forest(c, allowed)))
+                          for c in (view, frozen)]
+            assert nontrivial[0] == nontrivial[1]
+            if nontrivial[1] and piled is None:
+                piled = allowed
+        assert _nonfilling_chord_set(view, model, False) == piled
         assert list(iter_loops_by_length(view, 4)) == list(iter_loops_by_length(frozen, 4))
         merged += raw_squares > len(frozen.squares)
     assert len(catalog_stage_views) >= 20 and merged >= 1, (len(catalog_stage_views), merged)
 
 
 def test_partial_stage_core_is_frozen_on_read(monkeypatch):
-    """A run that ends on a budget-exceeded stage, refuted or inconclusive,
-    freezes no stage until ``cert.core`` is read, and then once; that core
-    is the one a fresh ``build_core`` at the last stage's budget makes."""
+    """A run that is not certified, refuted or inconclusive, on a
+    budget-exceeded stage or a verified one, freezes no stage until
+    ``cert.core`` is read, and then once; that core is the one a fresh
+    ``build_core`` at the last stage's budget makes.  A certified run
+    freezes its stage once, before it returns."""
     freezes = []
     freeze = _Builder.freeze
 
@@ -720,11 +744,14 @@ def test_partial_stage_core_is_frozen_on_read(monkeypatch):
         model = SurfaceModel.build(graph, [graph.vertices])
         freezes.clear()
         cert = certify(graph, model, gens, **budgets)
-        if cert.core_status == VERIFIED:
+        ends[cert.verdict, cert.core_status] += 1
+        if cert.verdict == CERTIFIED:
+            assert len(freezes) == 1, gens
+            assert cert.core.verified and len(freezes) == 1, gens
             continue
         assert not freezes, (gens, freezes)
         core = cert.core
-        assert cert.core is core and len(freezes) == 1 and core.status == BUDGET_EXCEEDED
+        assert cert.core is core and len(freezes) == 1 and core.status == cert.core_status
         words = [g.as_word() for g in cert.generators]
         (last, _) = cert.diagnostics["stages"][-1]
         fresh = build_core(graph, words, budget=last)
@@ -732,8 +759,20 @@ def test_partial_stage_core_is_frozen_on_read(monkeypatch):
             (fresh.complex, fresh.status, fresh.diagnostics)
         assert (core.diagnostics["vertex_count"], core.diagnostics["square_count"]) == \
             (cert.core_vertex_count, cert.core_square_count)
-        ends[cert.verdict] += 1
-    assert ends[REFUTED] >= 3 and ends[INCONCLUSIVE] >= 3, ends
+    assert min(ends[REFUTED, BUDGET_EXCEEDED], ends[INCONCLUSIVE, BUDGET_EXCEEDED],
+               ends[REFUTED, VERIFIED], ends[CERTIFIED, VERIFIED]) >= 3, ends
+
+
+def test_certified_core_is_link_checked_before_the_verdict(abc_graph, abc_model, monkeypatch):
+    """A certified verdict is returned only after its core has been frozen
+    and has passed the link check: with the check made to report a
+    violation, ``certify`` raises ``InternalError`` instead of returning."""
+    gens = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
+    assert certify(abc_graph, abc_model, gens).verdict == CERTIFIED
+    violation = LinkReport(foldable=((0, "b", 0, (0, 1)),), unfilled=())
+    monkeypatch.setattr("raagcc.complexes._link_violations", lambda complex_: violation)
+    with pytest.raises(InternalError, match="failed the link check"):
+        certify(abc_graph, abc_model, gens)
 
 
 # -- verdicts under changes of generating set --------------------------------------

@@ -23,7 +23,7 @@ import oracles
 # The sha256 of every pinned invocation's argv, exit code, stdout, stderr
 # and ``--out`` bytes (see ``test_cli_outputs_are_pinned``).  A change that
 # alters CLI bytes on purpose updates this value and says why.
-CLI_SHA256 = "56f631649e3b19b89e7b843947b5e68c2093d4d4ed698d084b2e2e08c190b34f"
+CLI_SHA256 = "034119fa6ea75332b59732784fdaee7c4d25a4c5018d430b64c5267924d816fe"
 
 GRAPH = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
 MODEL = {"graph": GRAPH, "minimal_filling_sets": [["a", "b", "c"]], "admissible": True}
@@ -201,6 +201,41 @@ def test_core_pipeline_round_trip(files, capsys):
     assert main(["core", "enum", "--core", core_path, "--max-len", "4"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "(identity)" in out and "b c a" in out
+
+
+def test_a_refused_format_stops_before_any_work(files, capsys, monkeypatch):
+    """A command without a CSV form refuses ``--format csv`` before it reads
+    input, computes anything or writes ``--out``."""
+    out = files["tmp"] / "core.json"
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--format", "csv", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: command core build has no CSV form\n"
+    assert not out.exists()
+    calls = []
+    monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: calls.append(args))
+    assert main(["certify", "--graph", files["graph"], "--model", files["model"],
+                 "--gens", files["gens"], "--format", "csv", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: command certify has no CSV form\n"
+    assert not calls and not out.exists()
+    # The refusal comes before the missing core file is read.
+    assert main(["export", "--core", str(files["tmp"] / "missing.json"),
+                 "--format", "csv", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: export supports dot or json, not 'csv'\n"
+    assert not out.exists()
+
+
+def test_a_nonpositive_budget_is_input_error(files, capsys):
+    core_path = str(files["tmp"] / "core.json")
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--out", core_path]) == 0
+    capsys.readouterr()
+    for budget in ("0", "-2"):
+        assert main(["core", "enum", "--core", core_path, "--max-len", "2",
+                     "--budget", budget]) == 3
+        assert capsys.readouterr().err == "error: budget must be positive\n"
+        assert main(["minclass", "--graph", files["graph"], "--word", "b c",
+                     "--max-size", budget]) == 3
+        assert capsys.readouterr().err == "error: max_size must be positive\n"
 
 
 def test_export_dot_round_trips(files, capsys):

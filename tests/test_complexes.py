@@ -300,6 +300,13 @@ def test_enumerate_budget(ex2_core):
         enumerate_elements(ex2_core, 20, budget=50)
 
 
+def test_enumerate_rejects_a_nonpositive_budget(ex2_core):
+    # A budget of 0 was once a budget stop, with partial count 1.
+    for budget in (0, -3):
+        with pytest.raises(InputError, match="budget must be positive"):
+            enumerate_elements(ex2_core, 2, budget=budget)
+
+
 def test_trace_rejection_matches_enumeration(abc_graph, ex2_core):
     """1000 random geodesic words: the membership trace agrees with the
     enumerated language at every length."""
@@ -835,7 +842,7 @@ def _renumbered(complex_: LabeledCubeComplex) -> LabeledCubeComplex:
 def _every_stage(catalog_stages) -> list[LabeledCubeComplex]:
     """Every catalog stage, partial and verified, every stored core, and a
     renumbered copy of a few of each."""
-    complexes = [core.complex for *_, stages in catalog_stages for core in stages]
+    complexes = [core.complex for *_, stages in catalog_stages for core, _ in stages]
     complexes += STORED_CORES
     return complexes + [_renumbered(c) for c in complexes[::7]]
 

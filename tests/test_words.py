@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import time
@@ -214,6 +215,13 @@ def test_min_class_budget(abc_graph):
     w = word_from_pairs([(g, 1) for g in "abcdef"])
     with pytest.raises(BudgetExceededError):
         min_class(w, big, max_size=10)
+
+
+def test_min_class_rejects_a_nonpositive_budget(abc_graph):
+    # A budget of 0 once returned a one-word class, or reported "exceeds budget 0".
+    for word, size in itertools.product(("a", "b c"), (0, -1)):
+        with pytest.raises(InputError, match="max_size must be positive"):
+            min_class(parse_word(word, abc_graph), abc_graph, max_size=size)
 
 
 def test_min_class_sizes_match_linear_extensions(abc_graph):
