@@ -76,7 +76,8 @@ from .complexes import (
 from .errors import BudgetExceededError, ContractError, InputError, InternalError
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel
-from .words import NormalWord, Word, _pile, _read_out, _spell, cyclic_core_support, normalize
+from .words import (NormalWord, Word, _indexed, _pile, _read_out, _spell, cyclic_core_support,
+                    normalize)
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -405,7 +406,8 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         raise InputError("enum_budget must be positive")
     if cell_budget < 1:
         raise InputError("cell_budget must be positive")
-    normal_gens = tuple(normalize(g, graph) for g in generators)
+    forms = [_read_out(_pile(_indexed(g, graph), graph), graph) for g in generators]
+    normal_gens = tuple(_spell(form, graph) for form in forms)
 
     stages = []
     b = _STAGE_START
@@ -433,7 +435,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                            core_status=status, core=core, diagnostics=stats,
                            verdict=verdict, ell=ell, element_count=element_count, **fields)
 
-    builder = _Builder(graph, tuple(g.letters() for g in normal_gens), None, None)
+    builder = _Builder(graph, forms, None, None)
     walk_ran_out = False  # a partial stage's witness walk hit enum_budget
     for stage in stages:
         status = builder.grow(stage)

@@ -345,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(subparsers, name, handler, *required, **kwargs):
         """A subparser that runs ``handler``, with the required string options named."""
         p = subparsers.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(run=handler, name=p.prog.removeprefix("raagcc "), csv=False)
+        p.set_defaults(run=handler, name=p.prog.removeprefix("raagcc "),
+                       formats=("text", "json"))  # the formats it has a form for
         for option in required:
             p.add_argument(f"--{option}", required=True)
         return p
@@ -392,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  ("verify-star", _cmd_section8_verify_star, ("kmax",)),
                                  ("bound", _cmd_section8_bound, ("word",))):
         p = command(s8, name, lambda args, h=handler: h(args, make_family(args.n, args.bigN)))
-        p.set_defaults(csv=name != "gen")
+        if name != "gen":
+            p.set_defaults(formats=("text", "json", "csv"))
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--N", type=int, required=True, dest="bigN")
         if "kmax" in extra:
@@ -400,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "word" in extra:
             p.add_argument("--word", required=True)
 
-    command(sub, "export", _cmd_export, "core", help="export a stored core (dot or json)")
+    p = command(sub, "export", _cmd_export, "core", help="export a stored core (dot or json)")
+    p.set_defaults(formats=("text", "dot", "json"))  # text is its DOT default
 
     return parser
 
@@ -413,9 +416,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         # A format is refused before any input is read or any work is done.
-        if args.format == "csv" and not args.csv:
-            raise InputError("export supports dot or json, not 'csv'" if args.name == "export"
-                             else f"command {args.name} has no CSV form")
+        if args.format not in args.formats:
+            raise InputError(f"command {args.name} has no {args.format.upper()} form")
         return args.run(args)
     except (InputError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")

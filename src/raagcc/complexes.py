@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, ContractError, InputError, InternalError
 from .graphs import DefiningGraph
-from .words import Letter, NormalWord, Word, _indexed, _pile, _read_out, _spell
+from .words import NormalWord, Word, _indexed, _pile, _read_out, _spell
 
 VERIFIED = "verified-local-isometry"
 BUDGET_EXCEEDED = "budget-exceeded"
@@ -160,10 +160,6 @@ class LabeledCubeComplex:
             options.append([(key >> 1, -1 if key & 1 else 1, position[far])
                             for key, _, far in ends])
         return options, position[self.basepoint]
-
-    @property
-    def cell_count(self) -> int:
-        return len(self.vertices) + len(self.edges) + len(self.squares)
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -351,7 +347,7 @@ class _Builder:
     corner; gamma lies across a parallel to b, delta across b parallel to a.
     """
 
-    def __init__(self, graph: DefiningGraph, words: tuple[tuple[Letter, ...], ...],
+    def __init__(self, graph: DefiningGraph, words: Sequence[Sequence[tuple[int, int]]],
                  rng: Random | None, seed: LabeledCubeComplex | None):
         self.graph = graph
         self.rng = rng
@@ -378,14 +374,15 @@ class _Builder:
                                 2 * index[seed.end_label(a)] + a[1],
                                 2 * index[seed.end_label(b)] + b[1])
             self.basepoint = vmap[seed.basepoint]
-        for letters in words:
+        for syllables in words:
+            letters = [(g, e > 0) for g, e in syllables for _ in range(abs(e))]
             current = self.basepoint
-            for i, (gen, sign) in enumerate(letters):
+            for i, (g, positive) in enumerate(letters):
                 nxt = self.basepoint if i == len(letters) - 1 else self.new_vertex()
-                if sign > 0:
-                    self.new_edge(current, nxt, index[gen])
+                if positive:
+                    self.new_edge(current, nxt, g)
                 else:
-                    self.new_edge(nxt, current, index[gen])
+                    self.new_edge(nxt, current, g)
                 current = nxt
         self.fold_all()
 
@@ -607,7 +604,8 @@ class _Builder:
                                   edges=edges, squares=frozenset(squares), basepoint=0)
 
 
-def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 100_000,
+def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
+               budget: int = 100_000,
                extend: LabeledCubeComplex | None = None,
                rng: Random | None = None) -> SubgroupCore:
     """Fold-and-fill construction of a core for the subgroup the generators span.
@@ -633,10 +631,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word], budget: int = 1
         raise InputError("build_core requires at least one generator word")
     if budget <= 0:
         raise InputError("budget must be positive")
-    words = tuple(word.letters if isinstance(word, Word) else tuple(word) for word in generators)
-    for letters in words:
-        for gen, _ in letters:
-            graph.require_vertex(gen)
+    words = [_indexed(word, graph) for word in generators]
     if extend is not None:
         if not isinstance(extend, LabeledCubeComplex):
             raise InputError(f"extend takes a complex, not a {type(extend).__name__}: "

@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import ContractError, InputError, InternalError
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel, _window_holds
-from .words import Letter, NormalWord, _predecessor_masks, _spell, is_normal
+from .words import Letter, NormalWord, _is_normal_indexed, _predecessor_masks, _spell, is_normal
 
 # An h-word over the subgroup generators: ((i, +1) | (i, -1), ...), 1 <= i <= N.
 HWord = tuple[tuple[int, int], ...]
@@ -256,17 +256,6 @@ def bme_normal_form(h: HWord | str, fam: Section8Family) -> NormalWord:
     return _spell(_bme_pairs(_h_word(h, fam), fam), fam.graph)
 
 
-def naive_expansion(h: HWord, fam: Section8Family) -> list[tuple[str, int]]:
-    """Concatenate generator spellings without any boundary merging."""
-    out: list[tuple[str, int]] = []
-    for idx, sign in h:
-        pairs = list(fam.generator(idx).pairs())
-        if sign < 0:
-            pairs = [(g, -e) for g, e in reversed(pairs)]
-        out.extend(pairs)
-    return out
-
-
 def constants(fam: Section8Family) -> FamilyConstants:
     """Exact window constants; the complement diameter comes from BFS, run
     once per family."""
@@ -306,13 +295,6 @@ def span_apply(state: SpanState, generator: str | Letter, fam: Section8Family) -
     """
     label = generator.generator if isinstance(generator, Letter) else str(generator)
     return _fold_supports(state, (fam.graph.index(label),), fam._meets)
-
-
-def span_apply_pairs(state: SpanState, pairs: Sequence[tuple[str, int]],
-                     fam: Section8Family) -> SpanState:
-    """Apply a standard-generator word to a state, rightmost letter first."""
-    index = fam.graph.index
-    return _fold_supports(state, [index(label) for label, _ in reversed(pairs)], fam._meets)
 
 
 def _fold_supports(state: SpanState, supports: Iterable[int],
@@ -553,6 +535,10 @@ def window_constant_check(fam: Section8Family, hs: Iterable[HWord | str],
         pairs = _bme_pairs(_h_word(h, fam), fam)
         if window < 1:
             raise InputError(f"window length must be >= 1, got {window}")
+        # A form shorter than the window holds before its normality is checked.
+        if not _is_normal_indexed(pairs, fam.graph) and sum(abs(e) for _, e in pairs) >= window:
+            raise ContractError("window_constant_check requires a normal word, "
+                                f"got {_spell(pairs, fam.graph).to_text()!r}")
         if not _window_holds(pairs, window, fam.model):
             return False
     return True

@@ -9,7 +9,6 @@ tie-breaking of normal forms, deterministic traversals, reports).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -100,15 +99,6 @@ class DefiningGraph:
         """The label together with its neighbors."""
         return self.neighbors(label) | {label}
 
-    def complement_edges(self) -> frozenset[frozenset[str]]:
-        """Edges of the complement graph on the same vertices."""
-        comp = set()
-        for i, u in enumerate(self.vertices):
-            for w in self.vertices[i + 1:]:
-                if not self.commutes(u, w):
-                    comp.add(frozenset((u, w)))
-        return frozenset(comp)
-
     def complement_diameter(self) -> int:
         """Diameter of the complement graph (BFS); raises if disconnected."""
         comp_adj = {v: [w for w in self.vertices if not self.commutes(v, w)]
@@ -146,14 +136,6 @@ class DefiningGraph:
             raise InputError("graph JSON 'vertices' must be a list of strings and "
                              "'edges' a list of string lists")
         return cls.build(vertices, [tuple(e) for e in edges])
-
-    @classmethod
-    def from_json(cls, text: str) -> "DefiningGraph":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid graph JSON: {exc}") from exc
-        return cls.from_json_dict(data)
 
 
 def is_string_list(data: object) -> bool:

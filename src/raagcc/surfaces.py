@@ -21,26 +21,25 @@ computed; certification downstream is conditional on it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import ContractError, InputError
+from .errors import InputError
 from .graphs import DefiningGraph, is_string_list
 from .words import (
     NormalWord,
     Word,
     _indexed,
-    _is_normal_indexed,
+    _pile,
+    _read_out,
+    _require_normal,
     _spell,
     concat,
     cyclic_core_support,
     invert,
-    is_normal,
     normalize,
-    word_from_pairs,
 )
 
 
@@ -126,14 +125,6 @@ class SurfaceModel:
             raise InputError(f"model JSON 'admissible' must be true or false, got {admissible!r}")
         return cls.build(graph, sets, admissible)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SurfaceModel":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid model JSON: {exc}") from exc
-        return cls.from_json_dict(data)
-
 
 def supports(w: NormalWord) -> frozenset[str]:
     """The set of generator labels appearing among the syllables."""
@@ -157,15 +148,11 @@ class SymbolicSubsurface:
 def subs(w: NormalWord, graph: DefiningGraph) -> tuple[SymbolicSubsurface, ...]:
     """The per-syllable subsurface family: entry i pairs the canonical form of
     the prefix before syllable i with that syllable's support."""
-    if not is_normal(w, graph):
-        raise ContractError(f"subs requires a normal word, got {w.to_text()!r}")
-    family: list[SymbolicSubsurface] = []
-    prefix: list[tuple[str, int]] = []
-    for s in w.syllables:
-        prefix_word = normalize(word_from_pairs(prefix), graph)
-        family.append(SymbolicSubsurface(prefix=prefix_word, base=s.generator))
-        prefix.append((s.generator, s.exponent))
-    return tuple(family)
+    syllables = _require_normal(w, graph, "subs")
+    labels = graph.vertices
+    return tuple(SymbolicSubsurface(
+        prefix=_spell(_read_out(_pile(syllables[:i], graph), graph), graph), base=labels[g])
+        for i, (g, _) in enumerate(syllables))
 
 
 def subsurfaces_equal(a: SymbolicSubsurface, b: SymbolicSubsurface,
@@ -198,13 +185,6 @@ class FillingBlock:
     @property
     def support(self) -> frozenset[str]:
         return frozenset(s.generator for s in self.word.syllables[self.start:self.end + 1])
-
-    def letter_span(self) -> tuple[int, int]:
-        """Half-open letter interval covered by the block."""
-        offsets = [0]
-        for s in self.word.syllables:
-            offsets.append(offsets[-1] + abs(s.exponent))
-        return offsets[self.start], offsets[self.end + 1]
 
 
 def _minimal_blocks(gens: Sequence[int], model: SurfaceModel) -> list[tuple[int, int]]:
@@ -252,28 +232,26 @@ def _minimal_blocks(gens: Sequence[int], model: SurfaceModel) -> list[tuple[int,
 
 def find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBlock, ...]:
     """All inclusion-minimal consecutive syllable ranges whose supports fill."""
-    if not is_normal(w, model.graph):
-        raise ContractError(f"find_filling_blocks requires a normal word, got {w.to_text()!r}")
-    index = model.graph._index
+    syllables = _require_normal(w, model.graph, "find_filling_blocks")
     return tuple(FillingBlock(word=w, start=i, end=e) for i, e in
-                 _minimal_blocks([index[s.generator] for s in w.syllables], model))
+                 _minimal_blocks([g for g, _ in syllables], model))
 
 
 def check_window_property(w: NormalWord, window: int, model: SurfaceModel) -> bool:
     """Every contiguous letter window of the given length contains a complete
-    filling block.  Vacuously true when the word is shorter than the window."""
+    filling block.  Vacuously true when the word is shorter than the window,
+    before the word is checked."""
     if window < 1:
         raise InputError(f"window length must be >= 1, got {window}")
-    if w.letter_length < window:
+    if len(w) < window:
         return True
-    index = model.graph.index
-    return _window_holds([(index(s.generator), s.exponent) for s in w.syllables], window, model)
+    return _window_holds(_require_normal(w, model.graph, "check_window_property"), window, model)
 
 
 def _window_holds(syllables: Sequence[tuple[int, int]], window: int,
                   model: SurfaceModel) -> bool:
-    """``check_window_property`` on (generator index, exponent) syllables,
-    for a window of at least one letter.
+    """``check_window_property`` on the (generator index, exponent)
+    syllables of a normal word, for a window of at least one letter.
 
     The minimal blocks' letter starts and ends both strictly increase, so
     the block to test for the window at letter p is the first one starting
@@ -283,11 +261,6 @@ def _window_holds(syllables: Sequence[tuple[int, int]], window: int,
     """
     offsets = [0, *accumulate(abs(e) for _, e in syllables)]
     last = offsets[-1] - window  # the start of the last window
-    if last < 0:
-        return True
-    if not _is_normal_indexed(syllables, model.graph):
-        raise ContractError("find_filling_blocks requires a normal word, "
-                            f"got {_spell(syllables, model.graph).to_text()!r}")
     p = 0  # the first window start no block has been tested for
     for start, end in _minimal_blocks([g for g, _ in syllables], model):
         if p > last:

@@ -42,6 +42,17 @@ closure is spelled out as position pairs only when ``pairs`` is read.
 The subword decomposition between two unordered syllables runs the
 constructive induction on an explicit work stack, so no word is too long
 for it.
+
+A word's labels become generator indices in one place, ``_syllables``: a
+``Word`` gives its runs of equal letters, a ``NormalWord`` its syllables.
+Every entry point reads its word through it, so a label the graph lacks
+is an ``InputError`` naming the first such label, and a value that is no
+word is a ``TypeError``.  The functions defined on normal words only
+(``syllable_order``, ``subword_decompose``, and ``find_filling_blocks``,
+``check_window_property`` and ``subs`` in ``surfaces.py``) take a
+``NormalWord`` alone and raise a ``ContractError`` naming themselves for
+any other word or a non-normal one.  Index syllables become labels only
+in ``_spell``.
 """
 
 from __future__ import annotations
@@ -187,14 +198,6 @@ def _pairs_to_text(pairs: Sequence[tuple[str, int]]) -> str:
     return " ".join(tokens)
 
 
-def _as_pairs(w: Word | NormalWord) -> list[tuple[str, int]]:
-    if isinstance(w, NormalWord):
-        return list(w.pairs())
-    if isinstance(w, Word):
-        return [(g, s) for g, s in w.letters]
-    raise TypeError(f"expected Word or NormalWord, got {type(w).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Piling kernel.  Words in progress are sequences of (generator index,
 # exponent) syllables, piled with one stack per generator.
@@ -202,12 +205,24 @@ def _as_pairs(w: Word | NormalWord) -> list[tuple[str, int]]:
 Piling = list[deque]
 
 
-def _indexed(w: Word | NormalWord, graph: DefiningGraph) -> list[tuple[int, int]]:
-    pairs = _as_pairs(w)
-    for gen, _ in pairs:
-        graph.require_vertex(gen)
+def _syllables(w: Word | NormalWord, graph: DefiningGraph) -> list[tuple[int, int]]:
+    """The (generator index, exponent) syllables of a word, zero exponents
+    kept: a ``Word``'s runs of equal letters, or a ``NormalWord``'s
+    syllables.  The one place a word's labels become indices."""
     index = graph._index
-    return [(index[gen], exp) for gen, exp in pairs if exp]
+    try:
+        if isinstance(w, NormalWord):
+            return [(index[gen], exp) for gen, exp, _ in w.syllables]
+        if isinstance(w, Word):
+            return [(index[gen], exp) for gen, exp in _group_letters(w.letters)]
+    except KeyError as exc:
+        graph.require_vertex(exc.args[0])  # an InputError naming the first unknown label
+        raise
+    raise TypeError(f"expected Word or NormalWord, got {type(w).__name__}")
+
+
+def _indexed(w: Word | NormalWord, graph: DefiningGraph) -> list[tuple[int, int]]:
+    return [s for s in _syllables(w, graph) if s[1]]
 
 
 def _push(piles: Piling, g: int, e: int, noncomm: Sequence[Sequence[int]]) -> None:
@@ -308,15 +323,7 @@ def normalize(w: Word | NormalWord, graph: DefiningGraph) -> NormalWord:
 def is_normal(w: Word | NormalWord, graph: DefiningGraph) -> bool:
     """No zero exponents, and no same-generator pair separated only by
     commuting generators (which would let moves reach a merge)."""
-    pairs = _group_letters(w.letters) if isinstance(w, Word) else w.pairs()
-    index = graph._index
-    try:
-        syllables = [(index[gen], exp) for gen, exp in pairs]
-    except KeyError:
-        for gen, _ in pairs:
-            graph.require_vertex(gen)  # raises InputError for the first unknown label
-        raise
-    return _is_normal_indexed(syllables, graph)
+    return _is_normal_indexed(_syllables(w, graph), graph)
 
 
 def _is_normal_indexed(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> bool:
@@ -332,11 +339,16 @@ def _is_normal_indexed(syllables: Iterable[tuple[int, int]], graph: DefiningGrap
     return True
 
 
-def _require_normal(w: NormalWord, graph: DefiningGraph) -> None:
+def _require_normal(w: NormalWord, graph: DefiningGraph, who: str) -> list[tuple[int, int]]:
+    """The syllables of a normal word, checked for the function ``who``: a
+    ``ContractError`` names it when ``w`` is no ``NormalWord`` or is not
+    normal."""
     if not isinstance(w, NormalWord):
-        raise ContractError(f"expected a NormalWord, got {type(w).__name__}")
-    if not is_normal(w, graph):
-        raise ContractError(f"word {w.to_text()!r} is not in normal form")
+        raise ContractError(f"{who} requires a NormalWord, got {type(w).__name__}")
+    syllables = _syllables(w, graph)
+    if not _is_normal_indexed(syllables, graph):
+        raise ContractError(f"{who} requires a normal word, got {w.to_text()!r}")
+    return syllables
 
 
 def _lex_key(syllables: Sequence[tuple[int, int]]) -> tuple:
@@ -442,9 +454,8 @@ def syllable_order(w: NormalWord, graph: DefiningGraph) -> SyllableOrder:
     """The syllable partial order of a normal word, held as its
     ``predecessor_masks``: O(k |V|) big-int ORs and O(k^2) bits on a word
     of k syllables, with no position pairs spelled out."""
-    _require_normal(w, graph)
-    index = graph._index
-    masks = _predecessor_masks([index[s.generator] for s in w.syllables], graph)
+    syllables = _require_normal(w, graph, "syllable_order")
+    masks = _predecessor_masks([g for g, _ in syllables], graph)
     return SyllableOrder(word=w, predecessor_masks=tuple(masks))
 
 
@@ -529,18 +540,17 @@ def subword_decompose(w: NormalWord, p: Syllable | int, q: Syllable | int,
                       graph: DefiningGraph) -> tuple[NormalWord, NormalWord]:
     """Split the subword strictly between two unordered syllables p, q of a
     normal word as L*R with L commuting with p's generator and R with q's."""
-    _require_normal(w, graph)
+    syllables = _require_normal(w, graph, "subword_decompose")
     i = _position(p)
     j = _position(q)
     if i == j:
         raise ContractError("p and q must be distinct syllables")
-    if not (0 <= i < len(w.syllables) and 0 <= j < len(w.syllables)):
+    if not (0 <= i < len(syllables) and 0 <= j < len(syllables)):
         raise ContractError("p and q must be syllables of w")
     if i > j:
         i, j = j, i
-    index = graph._index
     comm = graph.comm_masks
-    window = [(index[s.generator], s.exponent) for s in w.syllables[i:j + 1]]
+    window = syllables[i:j + 1]
     p_gen, mid = window[0][0], window[1:-1]
     if _ordered_from_left(p_gen, [g for g, _ in window[1:]], comm)[-1]:
         raise ContractError("p and q must be unordered syllables")

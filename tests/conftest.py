@@ -10,7 +10,7 @@ from raagcc.certify import _StageView
 from raagcc.complexes import _Builder
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel
-from raagcc.words import normalize, parse_word
+from raagcc.words import _indexed, normalize, parse_word
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +68,7 @@ def catalog_stages():
     out = []
     for graph, gens in catalog_sample(random.Random(29)):
         model = SurfaceModel.build(graph, [graph.vertices])
-        builder = _Builder(graph, tuple(w.letters for w in gens), None, None)
+        builder = _Builder(graph, [_indexed(w, graph) for w in gens], None, None)
         stages = []
         for budget in (256, 1_024, 2_000):
             core = builder.core(builder.grow(budget), budget)

@@ -27,7 +27,8 @@ complex's integer adjacency; the oracle walks use it, so they share
 nothing with the package's enumeration.
 ``oracle_bme_normal_form`` is the ring family's B/M/E normal form
 spelled in string labels, symbol by symbol, before the package spelled
-index syllables.
+index syllables; ``naive_expansion`` concatenates the generators'
+spellings with no merging at all, the word both are normalized against.
 ``oracle_check_local_isometry`` is the link check on string labels and
 ``oracle_ends_at`` that the integer check replaced.
 ``oracle_canonical_form`` is the breadth-first renumbering that verified
@@ -55,7 +56,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -542,7 +543,11 @@ def oracle_from_dot(text: str) -> LabeledCubeComplex:
                 if meta.group(2).strip() != "raagcc-dot-v1":
                     raise InputError(f"unsupported DOT schema {meta.group(2).strip()!r}")
             elif meta and meta.group(1) == "graph":
-                graph = DefiningGraph.from_json(meta.group(2).strip())
+                try:
+                    data = json.loads(meta.group(2).strip())
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"invalid graph JSON: {exc}") from exc
+                graph = DefiningGraph.from_json_dict(data)
             elif meta and meta.group(1) == "basepoint":
                 basepoint = int(meta.group(2))
             elif meta:
@@ -863,6 +868,17 @@ def oracle_bme_normal_form(h, fam) -> NormalWord:
         [pair for sym in symbols for pair in _oracle_symbol_pairs(sym, fam.n)])
 
 
+def naive_expansion(h, fam) -> list[tuple[str, int]]:
+    """Concatenate generator spellings without any boundary merging."""
+    out: list[tuple[str, int]] = []
+    for idx, sign in h:
+        pairs = list(fam.generator(idx).pairs())
+        if sign < 0:
+            pairs = [(g, -e) for g, e in reversed(pairs)]
+        out.extend(pairs)
+    return out
+
+
 
 def oracle_find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBlock, ...]:
     """All inclusion-minimal consecutive syllable ranges whose supports fill."""
@@ -896,7 +912,9 @@ def oracle_check_window_property(w: NormalWord, window: int, model: SurfaceModel
     total = w.letter_length
     if total < window:
         return True
-    spans = [b.letter_span() for b in oracle_find_filling_blocks(w, model)]
+    offsets = [0, *accumulate(abs(s.exponent) for s in w.syllables)]
+    spans = [(offsets[b.start], offsets[b.end + 1])
+             for b in oracle_find_filling_blocks(w, model)]
     for p in range(0, total - window + 1):
         hi = p + window
         if not any(p <= a and b <= hi for a, b in spans):
@@ -992,7 +1010,7 @@ def oracle_span_apply_h(state: TupleSpanState, h, fam) -> TupleSpanState:
     re-spelling every generator and applying the tuple rule letter by
     letter."""
     for gen in reversed(h):
-        for label, _ in reversed(ring.naive_expansion((gen,), fam)):
+        for label, _ in reversed(naive_expansion((gen,), fam)):
             state = oracle_span_step(state, support_of(label, fam.n), fam.n)
     return state
 
@@ -1404,7 +1422,7 @@ def oracle_build_core(graph: DefiningGraph, generators: Sequence[Word], budget: 
     diagnostics = {
         "folds": builder.folds,
         "squares_added": builder.squares_added,
-        "cells": complex_.cell_count,
+        "cells": len(complex_.vertices) + len(complex_.edges) + len(complex_.squares),
         "vertex_count": len(complex_.vertices),
         "edge_count": len(complex_.edges),
         "square_count": len(complex_.squares),

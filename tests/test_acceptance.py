@@ -28,7 +28,6 @@ from raagcc.family import (
     constants,
     displacement_upper,
     family,
-    naive_expansion,
     span_apply_h,
     alpha_state,
     translation_length_bound,
@@ -199,7 +198,8 @@ def test_07_ring_family_expansion():
                         + [("f1", 1), (f"g{n}", 1)]
                         + [(f"f{t}", 1) for t in range(2, n + 1)])
             assert bme.pairs() == tuple(expected)
-            naive = normalize(word_from_pairs(naive_expansion(((1, 1),), fam)), fam.graph)
+            naive = normalize(word_from_pairs(oracles.naive_expansion(((1, 1),), fam)),
+                              fam.graph)
             assert naive.pairs() == bme.pairs()
             assert is_normal(bme, fam.graph)
 

@@ -41,7 +41,7 @@ from raagcc.errors import ContractError, InputError, InternalError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel, max_exponent
-from raagcc.words import _pile, concat, invert, normalize, parse_word, word_from_pairs
+from raagcc.words import _indexed, _pile, concat, invert, normalize, parse_word, word_from_pairs
 
 import oracles
 from conftest import GRAPH_ZOO, catalog_sample
@@ -677,7 +677,7 @@ def catalog_stage_views(catalog_stages):
     number of raw squares and its view)."""
     out = []
     for graph, model, gens, stages in catalog_stages:
-        builder = _Builder(graph, tuple(w.letters for w in gens), None, None)
+        builder = _Builder(graph, [_indexed(w, graph) for w in gens], None, None)
         for core, _ in stages:
             if core.verified:
                 break

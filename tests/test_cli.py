@@ -23,7 +23,7 @@ import oracles
 # The sha256 of every pinned invocation's argv, exit code, stdout, stderr
 # and ``--out`` bytes (see ``test_cli_outputs_are_pinned``).  A change that
 # alters CLI bytes on purpose updates this value and says why.
-CLI_SHA256 = "034119fa6ea75332b59732784fdaee7c4d25a4c5018d430b64c5267924d816fe"
+CLI_SHA256 = "b2c76b6f671ce4b23d46f86841695a110c6ecee7a21d396b5ba004c789a3c403"
 
 GRAPH = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
 MODEL = {"graph": GRAPH, "minimal_filling_sets": [["a", "b", "c"]], "admissible": True}
@@ -204,8 +204,8 @@ def test_core_pipeline_round_trip(files, capsys):
 
 
 def test_a_refused_format_stops_before_any_work(files, capsys, monkeypatch):
-    """A command without a CSV form refuses ``--format csv`` before it reads
-    input, computes anything or writes ``--out``."""
+    """A command without a CSV or DOT form refuses that format before it
+    reads input, computes anything or writes ``--out``."""
     out = files["tmp"] / "core.json"
     assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
                  "--format", "csv", "--out", str(out)]) == 3
@@ -220,8 +220,16 @@ def test_a_refused_format_stops_before_any_work(files, capsys, monkeypatch):
     # The refusal comes before the missing core file is read.
     assert main(["export", "--core", str(files["tmp"] / "missing.json"),
                  "--format", "csv", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error: export supports dot or json, not 'csv'\n"
+    assert capsys.readouterr().err == "error: command export has no CSV form\n"
     assert not out.exists()
+    # DOT is export's alone; the text report of the others is not a DOT form.
+    assert main(["core", "build", "--graph", files["graph"], "--gens", files["gens"],
+                 "--format", "dot", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: command core build has no DOT form\n"
+    assert not out.exists()
+    assert main(["normalize", "--graph", files["graph"], "--word", "b c b",
+                 "--format", "dot"]) == 3
+    assert capsys.readouterr() == ("", "error: command normalize has no DOT form\n")
 
 
 def test_a_nonpositive_budget_is_input_error(files, capsys):
@@ -518,7 +526,10 @@ def _pinned_invocations(files) -> list[list[str]]:
 def test_cli_outputs_are_pinned(files, capsys):
     """Exit code, stdout, stderr and ``--out`` bytes of every pinned
     invocation, hashed with the temporary directory replaced by a
-    placeholder."""
+    placeholder.  On a mismatch, ``pinned_invocations.txt`` in the test's
+    temporary directory has one line per invocation (argv, exit code, and
+    the sha256 of stdout, stderr and the ``--out`` file), so that diffing
+    the files of two commits lists the invocations that moved."""
     tmp = str(files["tmp"])
     records = []
     for argv in _pinned_invocations(files):
@@ -528,4 +539,13 @@ def test_cli_outputs_are_pinned(files, capsys):
         written = open(out, encoding="utf-8").read() if out and Path(out).exists() else None
         records.append([argv, code, captured.out, captured.err, written])
     text = json.dumps(records).replace(tmp, "<tmp>")
-    assert hashlib.sha256(text.encode()).hexdigest() == CLI_SHA256
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    if digest != CLI_SHA256:
+        def sha(data):
+            return "-" if data is None else hashlib.sha256(data.encode()).hexdigest()
+        listing = files["tmp"] / "pinned_invocations.txt"
+        listing.write_text("".join(
+            f"{json.dumps(argv)}\t{code}\t{sha(out)}\t{sha(err)}\t{sha(written)}\n"
+            for argv, code, out, err, written in json.loads(text)), encoding="utf-8")
+        pytest.fail(f"pinned CLI outputs hash to {digest}, not {CLI_SHA256}; "
+                    f"per-invocation digests in {listing}")

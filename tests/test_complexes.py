@@ -29,6 +29,7 @@ from raagcc.complexes import (
 )
 from raagcc.words import (
     EPSILON,
+    _indexed,
     concat,
     invert,
     min_class,
@@ -635,7 +636,7 @@ def test_builder_matches_rebuilding_oracle():
         before_filling = oracles.oracle_build_core(graph, gens, budget=1).complex
         assert build_core(graph, gens, budget=1).complex \
             == oracles.oracle_canonical_form(before_filling)
-        builder = _Builder(graph, tuple(w.letters for w in gens), None, None)
+        builder = _Builder(graph, [_indexed(w, graph) for w in gens], None, None)
         for budget in stages:
             core = builder.core(builder.grow(budget), budget)
             fresh = build_core(graph, gens, budget=budget)

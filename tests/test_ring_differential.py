@@ -186,6 +186,15 @@ def test_window_constant_check_guard_order(monkeypatch):
         window_constant_check(fam, ["w1"], 2)
 
 
+def test_window_normality_errors_name_their_caller(abc_model, monkeypatch):
+    unmerged = normal_word_from_pairs([("b", 1), ("c", 1), ("b", 1), ("a", 1)])
+    with pytest.raises(ContractError, match="^check_window_property requires a normal word"):
+        check_window_property(unmerged, 4, abc_model)
+    monkeypatch.setattr(ring, "_bme_pairs", lambda h, fam: [(0, 1), (0, 1)])
+    with pytest.raises(ContractError, match="^window_constant_check requires a normal word"):
+        window_constant_check(family(4, 2), ["w1"], 2)
+
+
 # -- B/M/E normal forms ------------------------------------------------------------
 
 

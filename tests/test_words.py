@@ -9,9 +9,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raagcc import words
+from raagcc.certify import certify
+from raagcc.complexes import build_core, membership
 from raagcc.errors import BudgetExceededError, ContractError, InputError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
+from raagcc.surfaces import check_window_property, fills, find_filling_blocks, subs
 from raagcc.words import (
     EPSILON,
     Word,
@@ -569,3 +573,66 @@ def test_order_masks_match_oracle(gw):
         (syls[i].generator, syls[j].generator) for i, j in expected)
     again = syllable_order(nw(word.pairs()), graph)
     assert again == order and hash(again) == hash(order)
+
+
+# -- the label-to-index boundary ---------------------------------------------
+
+def _entry_points(graph, model):
+    """Every word entry point as (name, call on one word, whether it takes
+    a NormalWord only)."""
+    core = build_core(graph, [parse_word("b c a", graph)])
+    return [
+        ("normalize", lambda w: normalize(w, graph), False),
+        ("is_normal", lambda w: is_normal(w, graph), False),
+        ("cyclically_reduce", lambda w: cyclically_reduce(w, graph), False),
+        ("min_class", lambda w: min_class(w, graph), False),
+        ("membership", lambda w: membership(core, w), False),
+        ("fills", lambda w: fills(w, model), False),
+        ("build_core", lambda w: build_core(graph, [w]), False),
+        ("certify", lambda w: certify(graph, model, [w]), False),
+        ("syllable_order", lambda w: syllable_order(w, graph), True),
+        ("subword_decompose", lambda w: subword_decompose(w, 0, 1, graph), True),
+        ("find_filling_blocks", lambda w: find_filling_blocks(w, model), True),
+        ("check_window_property", lambda w: check_window_property(w, 3, model), True),
+        ("subs", lambda w: subs(w, graph), True),
+    ]
+
+
+def test_every_word_entry_point_shares_one_boundary(abc_graph, abc_model):
+    """A Word and its NormalWord spelling give the same result wherever both
+    are taken; an unknown label is an InputError naming it; a normal-only
+    function names itself in the ContractError for a Word or a non-normal
+    word."""
+    word, spelled = parse_word("b c a", abc_graph), nw([("b", 1), ("c", 1), ("a", 1)])
+    unknown = [word_from_pairs([("b", 1), ("z", 1), ("y", 1)]),
+               nw([("b", 1), ("z", 1), ("y", 1)])]
+    for name, call, normal_only in _entry_points(abc_graph, abc_model):
+        if normal_only:
+            with pytest.raises(ContractError, match=f"^{name} requires a NormalWord, got Word$"):
+                call(word)
+            with pytest.raises(ContractError,
+                               match=f"^{name} requires a normal word, got 'b c b'$"):
+                call(nw([("b", 1), ("c", 1), ("b", 1)]))
+            call(spelled)
+        else:
+            assert call(word) == call(spelled), name
+        for w in unknown[1:] if normal_only else unknown:
+            with pytest.raises(InputError, match="unknown generator 'z'"):
+                call(w)
+
+
+def test_normal_only_functions_map_labels_once(abc_graph, abc_model, monkeypatch):
+    calls = []
+    original = words._syllables
+
+    def spy(w, graph):
+        calls.append(w)
+        return original(w, graph)
+    monkeypatch.setattr(words, "_syllables", spy)
+    w = nw([("b", 1), ("c", 1), ("a", 1)])
+    for call in (lambda: syllable_order(w, abc_graph),
+                 lambda: subword_decompose(w, 0, 1, abc_graph),
+                 lambda: find_filling_blocks(w, abc_model)):
+        calls.clear()
+        call()
+        assert calls == [w]
