@@ -59,9 +59,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .complexes import (
     VERIFIED,
@@ -100,8 +100,13 @@ class Certificate:
     witness_support: frozenset[str] | None = None
     reason: str | None = None
     element_count: int | None = None
-    core: SubgroupCore | None = field(default=None, repr=False, compare=False)
+    _freeze: Callable[[], SubgroupCore] | None = field(default=None, repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict, compare=False)
+
+    @cached_property
+    def core(self) -> SubgroupCore | None:
+        """The stage's core, frozen by ``_freeze`` on first read."""
+        return None if self._freeze is None else self._freeze()
 
     def bound_coefficients(self) -> tuple[Fraction, Fraction] | None:
         """(slope, offset) of the certified lower bound d >= slope*|h| + offset."""
@@ -131,31 +136,9 @@ class Certificate:
             "bound": None if bound is None else {
                 "slope": [bound[0].numerator, bound[0].denominator],
                 "offset": [bound[1].numerator, bound[1].denominator],
-                "formula": f"d >= |h|/{6 * self.ell} - 2",
+                "formula": f"d >= |h|/{1 / bound[0]} - {-bound[1]}",
             },
         }
-
-
-class _FrozenOnRead:
-    """``Certificate.core``.  A certified certificate is given its frozen
-    core; any other is given its stage's freeze as a callable, which the
-    first read calls and whose core it keeps."""
-
-    def __get__(self, cert, owner=None):
-        if cert is None:
-            return None
-        core = cert.__dict__["_core"]
-        if callable(core):
-            core = cert.__dict__["_core"] = core()
-        return core
-
-    def __set__(self, cert, core):
-        cert.__dict__["_core"] = core
-
-
-# Set after the class, so that the dataclass keeps ``core=None`` as the
-# field's default and its ``__init__`` stores through the descriptor.
-Certificate.core = _FrozenOnRead()
 
 
 class _StageView:
@@ -420,7 +403,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     def certificate(verdict: str, chord_set: int = 0, ell: int | None = None,
                     element_count: int | None = None, **fields) -> Certificate:
         """The certificate of the stage at hand (``status``, ``verified``,
-        ``counts``, ``core``)."""
+        ``counts``, ``freeze``)."""
         stats = dict(counts)
         if not verified:
             ell = element_count = None
@@ -432,7 +415,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         return Certificate(graph=graph, model=model, generators=normal_gens,
                            core_vertex_count=counts["vertex_count"],
                            core_square_count=counts["square_count"],
-                           core_status=status, core=core, diagnostics=stats,
+                           core_status=status, _freeze=freeze, diagnostics=stats,
                            verdict=verdict, ell=ell, element_count=element_count, **fields)
 
     builder = _Builder(graph, forms, None, None)
@@ -441,13 +424,14 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         status = builder.grow(stage)
         verified = status == VERIFIED
         view, counts = _StageView(builder), builder.diagnostics(stage)
-        core = partial(builder.core, status, stage)  # frozen when a certificate's core is read
+        freeze = partial(builder.core, status, stage)  # called when a certificate's core is read
         tried.append([stage, counts["cells"]])
         ell = 3 * (counts["vertex_count"] + 1)
         chord_set = _nonfilling_chord_set(view, model, verified)
         if chord_set is None:
             if verified:
                 core = builder.core(status, stage)  # so link-checked before the verdict
+                freeze = lambda: core  # noqa: E731
                 return certificate(CERTIFIED, ell=ell, element_count=count_elements(core, ell))
             continue
         # The witness is the first non-filling member in increasing length
@@ -493,5 +477,5 @@ def displacement_lower_bound(cert: Certificate, h: Word | NormalWord) -> Fractio
         raise ContractError("displacement bounds require a certified certificate")
     if not membership(cert.core, h):
         raise ContractError("displacement bounds apply to subgroup members only")
-    length = normalize(h, cert.graph).letter_length
-    return Fraction(length, 6 * cert.ell) - 2
+    slope, offset = cert.bound_coefficients()
+    return slope * normalize(h, cert.graph).letter_length + offset

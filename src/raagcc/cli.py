@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certify import CERTIFIED, INCONCLUSIVE, REFUTED, certify
+from .certify import CERTIFIED, REFUTED, certify
 from .complexes import (
     BUDGET_EXCEEDED,
     UNVERIFIED,
@@ -69,6 +69,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
@@ -254,7 +256,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if cert.reason:
         lines.append(f"reason: {cert.reason}")
     if cert.verdict == CERTIFIED:
-        lines.append(f"bound: d >= |h|/{6 * cert.ell} - 2")
+        lines.append(f"bound: {report['bound']['formula']}")
     _write_out(_emit(report, args, lines), args.out)
     if cert.verdict == CERTIFIED:
         return EXIT_OK

@@ -37,7 +37,7 @@ states.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from random import Random
@@ -225,13 +225,7 @@ class LabeledCubeComplex:
         complex_ = cls(graph=graph, vertices=vertices, edges=edges,
                        squares=squares, basepoint=basepoint)
         complex_._require_cells("invalid core JSON")
-        vertex_set = set(vertices)
-        edge_ids = {e[0] for e in edges}
         for sq in squares:
-            for v, (a, b) in sq:
-                if v not in vertex_set or a[0] not in edge_ids or b[0] not in edge_ids \
-                        or a[1] not in (0, 1) or b[1] not in (0, 1):
-                    raise InputError("invalid core JSON: square corner references unknown cells")
             complex_.square_ends(sq)
         return complex_
 
@@ -312,9 +306,7 @@ def check_local_isometry(complex_: LabeledCubeComplex) -> LinkReport:
             complex_.square_ends(sq)
         except InputError:
             malformed.append(sq)
-    report = _link_violations(complex_)
-    return LinkReport(foldable=report.foldable, unfilled=report.unfilled,
-                      malformed=tuple(sorted(malformed, key=sorted)))
+    return replace(_link_violations(complex_), malformed=tuple(sorted(malformed, key=sorted)))
 
 
 @dataclass(frozen=True)
@@ -606,8 +598,7 @@ class _Builder:
 
 def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
                budget: int = 100_000,
-               extend: LabeledCubeComplex | None = None,
-               rng: Random | None = None) -> SubgroupCore:
+               extend: LabeledCubeComplex | None = None) -> SubgroupCore:
     """Fold-and-fill construction of a core for the subgroup the generators span.
 
     A round fills every unfilled commuting corner, then folds until no end
@@ -624,8 +615,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
 
     ``extend`` is a connected complex over the same graph (for a core, its
     ``complex``), which seeds the construction instead of a bare
-    basepoint.  ``rng`` randomizes processing order (the result is
-    independent of it; used by confluence tests).
+    basepoint.
     """
     if not generators:
         raise InputError("build_core requires at least one generator word")
@@ -641,7 +631,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
         extend._require_cells("invalid complex to extend")
         if not extend.is_connected():
             raise InputError("the complex to extend must be connected")
-    builder = _Builder(graph, words, rng, extend)
+    builder = _Builder(graph, words, None, extend)
     return builder.core(builder.grow(budget), budget)
 
 

@@ -56,7 +56,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import ContractError, InputError, InternalError
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel, _window_holds
-from .words import Letter, NormalWord, _is_normal_indexed, _predecessor_masks, _spell, is_normal
+from .words import (Letter, NormalWord, _group_letters, _is_normal_indexed, _pairs_to_text,
+                    _predecessor_masks, _spell, is_normal)
 
 # An h-word over the subgroup generators: ((i, +1) | (i, -1), ...), 1 <= i <= N.
 HWord = tuple[tuple[int, int], ...]
@@ -71,11 +72,6 @@ class Section8Family:
     graph: DefiningGraph
     model: SurfaceModel
     generators: tuple[NormalWord, ...]
-
-    def generator(self, i: int) -> NormalWord:
-        if not 1 <= i <= self.N:
-            raise InputError(f"generator index {i} out of range 1..{self.N}")
-        return self.generators[i - 1]
 
     @cached_property
     def _window_constants(self) -> FamilyConstants:
@@ -240,15 +236,7 @@ def parse_h_word(text: str, N: int) -> HWord:
 
 
 def h_word_text(h: HWord) -> str:
-    if not h:
-        return ""
-    tokens = []
-    for idx, sign in h:
-        if tokens and tokens[-1][0] == idx and (tokens[-1][1] > 0) == (sign > 0):
-            tokens[-1] = (idx, tokens[-1][1] + sign)
-        else:
-            tokens.append((idx, sign))
-    return " ".join(f"w{i}" if e == 1 else f"w{i}^{e}" for i, e in tokens)
+    return _pairs_to_text(_group_letters([(f"w{i}", sign) for i, sign in h]))
 
 
 def bme_normal_form(h: HWord | str, fam: Section8Family) -> NormalWord:

@@ -112,14 +112,10 @@ class NormalWord:
         return tuple((s.generator, s.exponent) for s in self.syllables)
 
     def letters(self) -> tuple[Letter, ...]:
-        out: list[Letter] = []
-        for s in self.syllables:
-            sign = 1 if s.exponent > 0 else -1
-            out.extend([Letter(s.generator, sign)] * abs(s.exponent))
-        return tuple(out)
+        return word_from_pairs(self.pairs()).letters
 
     def as_word(self) -> Word:
-        return Word(self.letters())
+        return word_from_pairs(self.pairs())
 
     def to_text(self) -> str:
         return _pairs_to_text(self.pairs())
@@ -138,7 +134,7 @@ _TOKEN = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\^(-?\d+))?$")
 
 def parse_word(text: str, graph: DefiningGraph) -> Word:
     """Parse whitespace-separated tokens ``label`` or ``label^k`` (k nonzero)."""
-    letters: list[Letter] = []
+    pairs: list[tuple[str, int]] = []
     for token in text.split():
         m = _TOKEN.match(token)
         if m is None:
@@ -149,9 +145,8 @@ def parse_word(text: str, graph: DefiningGraph) -> Word:
         exp = 1 if exp_text is None else int(exp_text)
         if exp == 0:
             raise InputError(f"zero exponent in token {token!r}")
-        sign = 1 if exp > 0 else -1
-        letters.extend([Letter(label, sign)] * abs(exp))
-    return Word(tuple(letters))
+        pairs.append((label, exp))
+    return word_from_pairs(pairs)
 
 
 def word_from_pairs(pairs: Iterable[tuple[str, int]], graph: DefiningGraph | None = None) -> Word:

@@ -46,6 +46,14 @@ CATALOG_GRAPHS = {"abc": GRAPH_ZOO[1], "path4": GRAPH_ZOO[3], "cycle4": GRAPH_ZO
                   "sparse4": GRAPH_ZOO[5]}
 
 
+def build_shuffled(graph: DefiningGraph, gens, budget: int, rng: random.Random):
+    """``build_core(graph, gens, budget=budget)`` with its fold and fill
+    order drawn from ``rng``, for the confluence tests: the core must not
+    depend on it."""
+    builder = _Builder(graph, [_indexed(w, graph) for w in gens], rng, None)
+    return builder.core(builder.grow(budget), budget)
+
+
 def catalog_sample(rng: random.Random):
     """A seeded sample of the certify catalog: up to three problems per
     graph and stored verdict, as (graph, generator words normalized as

@@ -872,7 +872,9 @@ def naive_expansion(h, fam) -> list[tuple[str, int]]:
     """Concatenate generator spellings without any boundary merging."""
     out: list[tuple[str, int]] = []
     for idx, sign in h:
-        pairs = list(fam.generator(idx).pairs())
+        if not 1 <= idx <= fam.N:
+            raise InputError(f"generator index {idx} out of range 1..{fam.N}")
+        pairs = list(fam.generators[idx - 1].pairs())
         if sign < 0:
             pairs = [(g, -e) for g, e in reversed(pairs)]
         out.extend(pairs)

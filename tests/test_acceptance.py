@@ -35,7 +35,6 @@ from raagcc.family import (
     window_constant_check,
 )
 from raagcc.graphs import DefiningGraph
-from raagcc.surfaces import SurfaceModel
 from raagcc.words import (
     EPSILON,
     Word,

@@ -205,6 +205,24 @@ def test_displacement_lower_bound_values(abc_graph, ex2_cert):
     assert displacement_lower_bound(ex2_cert, word) == Fraction(0)
 
 
+def test_displacement_bound_is_the_paper_formula(ex2_cert):
+    """On the worked certificate and on certified catalog certificates,
+    every member h up to length 6 gets d >= |h|/(6 ell) - 2, spelled here
+    as it was before ``bound_coefficients`` owned it, and the report's
+    formula reads the same."""
+    certs = [ex2_cert]
+    for graph, gens in catalog_sample(random.Random(29)):
+        cert = certify(graph, SurfaceModel.build(graph, [graph.vertices]), gens,
+                       **CATALOG_BUDGETS)
+        if cert.verdict == CERTIFIED:
+            certs.append(cert)
+    assert len(certs) >= 10
+    for cert in certs:
+        assert cert.to_json_dict()["bound"]["formula"] == f"d >= |h|/{6 * cert.ell} - 2"
+        for h in enumerate_elements(cert.core, 6):
+            assert displacement_lower_bound(cert, h) == Fraction(h.letter_length, 6 * cert.ell) - 2
+
+
 def test_support_kernel_matches_rotation_oracle():
     """The certifier's per-element support (piled once, reduced in place) and
     ``cyclically_reduce`` agree with a cyclic reduction by literal moves."""

@@ -94,6 +94,22 @@ def test_module_entry_point_passes_exit_codes_through(files):
     assert done.returncode == 0 and done.stdout.startswith("usage: raagcc")
 
 
+def test_a_file_that_is_not_utf8_is_malformed_input(files, capsys):
+    """A graph, model, generators or stored-core file that does not decode
+    as UTF-8 (here, one that starts with a UTF-16 byte-order mark) is
+    malformed input: one error line naming the file, and exit 3."""
+    bad = files["tmp"] / "utf16.json"
+    bad.write_bytes(json.dumps(GRAPH).encode("utf-16"))
+    runs = (["normalize", "--graph", str(bad), "--word", "a"],
+            ["certify", "--graph", files["graph"], "--model", str(bad), "--gens", files["gens"]],
+            ["certify", "--graph", files["graph"], "--model", files["model"], "--gens", str(bad)],
+            ["core", "check", "--core", str(bad)])
+    for argv in runs:
+        assert main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {bad}: invalid UTF-8 at byte 0\n", argv
+
+
 def test_certify_exit_codes(files, capsys):
     assert main(["certify", "--graph", files["graph"], "--model", files["model"],
                  "--gens", files["gens"]]) == 0

@@ -40,7 +40,7 @@ from raagcc.words import (
 )
 
 import oracles
-from conftest import GRAPH_ZOO, catalog_sample
+from conftest import GRAPH_ZOO, build_shuffled, catalog_sample
 
 
 @pytest.fixture(scope="module")
@@ -201,8 +201,7 @@ def test_fold_fill_confluence(abc_graph):
     gens = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
     reference = build_core(abc_graph, gens, budget=10_000).complex
     for seed in range(8):
-        other = build_core(abc_graph, gens, budget=10_000,
-                           rng=random.Random(seed)).complex
+        other = build_shuffled(abc_graph, gens, 10_000, random.Random(seed)).complex
         assert other == reference
     permuted = build_core(abc_graph, list(reversed(gens)), budget=10_000).complex
     assert permuted == reference
@@ -222,7 +221,7 @@ def test_confluence_on_random_small_inputs():
         if reference.status != VERIFIED or len(reference.complex.vertices) > 50:
             continue
         for seed in (1, 2):
-            again = build_core(graph, gens, budget=3_000, rng=random.Random(seed))
+            again = build_shuffled(graph, gens, 3_000, random.Random(seed))
             assert again.complex == reference.complex
 
 
@@ -510,6 +509,33 @@ def test_core_json_round_trip(ex2_core):
     assert oracles.oracle_canonical_form(again) == ex2_core.complex
 
 
+def test_stored_square_naming_unknown_cells_is_input_error(ex2_core):
+    """A stored square corner whose end names an unknown edge, whose vertex
+    is undeclared, or whose end has an endpoint other than 0 or 1 is
+    refused by ``square_ends`` as the core loads."""
+    data = ex2_core.complex.to_json_dict()
+    square, *others = data["squares"]
+    unknown_edge = max(eid for eid, _, _, _ in data["edges"]) + 1
+    unknown_vertex = max(data["vertices"]) + 1
+
+    def load(i, corner):
+        forged = square[:i] + [corner] + square[i + 1:]
+        return LabeledCubeComplex.from_json_dict({**data, "squares": others + [forged]})
+
+    for i, (v, a, b) in enumerate(square):
+        with pytest.raises(InputError, match=f"unknown edge {unknown_edge}$"):
+            load(i, [v, [unknown_edge, a[1]], b])
+        with pytest.raises(InputError, match=f"corner at {unknown_vertex} has an edge-end "
+                                             "at another vertex"):
+            load(i, [unknown_vertex, a, b])
+        with pytest.raises(InputError, match="endpoint other than 0 or 1"):
+            load(i, [v, a, [b[0], 5]])
+        for endpoint in (-3, -2, -1, 2, 3):
+            with pytest.raises(InputError, match="^invalid core: "):
+                load(i, [v, [a[0], endpoint], b])
+    assert LabeledCubeComplex.from_json_dict(data) == ex2_core.complex
+
+
 def test_core_dot_round_trip(ex2_core):
     text = ex2_core.complex.to_dot()
     again = oracles.oracle_from_dot(text)
@@ -648,7 +674,7 @@ def test_builder_matches_rebuilding_oracle():
             if core.verified:
                 break
             partial += 1
-            shuffled = build_core(graph, gens, budget=budget, rng=random.Random(budget))
+            shuffled = build_shuffled(graph, gens, budget, random.Random(budget))
             assert shuffled == core and shuffled.diagnostics == core.diagnostics
     assert partial >= 40
 
@@ -666,7 +692,7 @@ def test_verified_freeze_is_canonical():
             frozen[core.status] += 1
             assert core.complex == oracles.oracle_canonical_form(core.complex), (graph, gens)
             for seed in (1, 2):
-                assert build_core(graph, gens, budget=budget, rng=random.Random(seed)).complex \
+                assert build_shuffled(graph, gens, budget, random.Random(seed)).complex \
                     == core.complex, (graph, gens, budget, seed)
             if core.verified:
                 assert core.complex == oracles.oracle_build_core(graph, gens, budget=budget).complex

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -51,7 +52,7 @@ def test_family_validates_parameters():
 
 def test_generator_spelling_n3():
     fam = family(3, 1)
-    assert fam.generator(1).to_text() == "g1 g2 f1 g3 f2 f3"
+    assert fam.generators[0].to_text() == "g1 g2 f1 g3 f2 f3"
 
 
 def test_generator_uses_all_labels_and_fills():
@@ -65,7 +66,7 @@ def test_generator_uses_all_labels_and_fills():
 def test_generator_max_exponent_is_index():
     fam = family(4, 3)
     for i in (1, 2, 3):
-        assert max_exponent(fam.generator(i)) == i
+        assert max_exponent(fam.generators[i - 1]) == i
 
 
 def test_complement_graph_is_alternating_cycle():
@@ -116,7 +117,7 @@ def test_bme_single_generator_and_normality():
         fam = family(n, 2)
         for i in (1, 2):
             w = bme_normal_form(((i, 1),), fam)
-            assert w == fam.generator(i)
+            assert w == fam.generators[i - 1]
             assert is_normal(w, fam.graph)
 
 
@@ -141,6 +142,13 @@ def test_h_word_parsing_round_trip():
         parse_h_word("w3", 2)
     with pytest.raises(InputError):
         parse_h_word("x1", 2)
+    # Every freely reduced h-word of length at most 4 over N = 3 reads back.
+    letters = [(i, sign) for i in (1, 2, 3) for sign in (1, -1)]
+    reduced = [h for length in range(5) for h in itertools.product(letters, repeat=length)
+               if all(y != (x[0], -x[1]) for x, y in zip(h, h[1:]))]
+    assert len(reduced) == 1 + 6 + 6 * 5 + 6 * 25 + 6 * 125
+    for h in reduced:
+        assert parse_h_word(h_word_text(h), 3) == h, h
 
 
 # -- constants -----------------------------------------------------------------------
@@ -315,7 +323,7 @@ def test_ell_window_property_small_words():
 
 def test_single_minimal_block_in_generator():
     fam = family(3, 1)
-    w1 = fam.generator(1)
+    w1 = fam.generators[0]
     blocks = find_filling_blocks(w1, fam.model)
     assert [(b.start, b.end) for b in blocks] == [(0, len(w1.syllables) - 1)]
 

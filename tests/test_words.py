@@ -118,6 +118,19 @@ def test_parse_word_tokens(abc_graph):
     assert w.to_text() == "a b^-2 c"
 
 
+def test_parse_word_reads_back_normal_words():
+    """``parse_word`` reads a normal word's text back to its letters, and
+    both expand each syllable g^e into |e| letters g of the sign of e."""
+    rng = random.Random(43)
+    for graph in GRAPH_ZOO:
+        for _ in range(60):
+            pairs = [(rng.choice(graph.vertices), rng.choice((1, -1, 2, -3)))
+                     for _ in range(rng.randrange(0, 9))]
+            w = normalize(word_from_pairs(pairs), graph)
+            expanded = tuple((g, 1 if e > 0 else -1) for g, e in w.pairs() for _ in range(abs(e)))
+            assert parse_word(w.to_text(), graph).letters == w.letters() == expanded, w
+
+
 def test_parse_word_rejects_unknown_and_zero(abc_graph):
     with pytest.raises(InputError):
         parse_word("a z", abc_graph)
