@@ -106,7 +106,9 @@ class Certificate:
     @cached_property
     def core(self) -> SubgroupCore | None:
         """The stage's core, frozen by ``_freeze`` on first read."""
-        return None if self._freeze is None else self._freeze()
+        core = None if self._freeze is None else self._freeze()
+        object.__setattr__(self, "_freeze", None)  # drop the thunk and the builder it holds
+        return core
 
     def bound_coefficients(self) -> tuple[Fraction, Fraction] | None:
         """(slope, offset) of the certified lower bound d >= slope*|h| + offset."""

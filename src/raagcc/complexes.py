@@ -95,6 +95,9 @@ class LabeledCubeComplex:
             if len(square) != 4:
                 raise InputError("invalid core: a square must have four corners")
             for v, (a, b) in square:
+                if a[1] not in (0, 1) or b[1] not in (0, 1):
+                    raise InputError("invalid core: a square corner has an endpoint other "
+                                     "than 0 or 1")
                 ea, eb = edge_map[a[0]], edge_map[b[0]]
                 if ea[a[1]] != v or eb[b[1]] != v:
                     raise InputError(f"invalid core: a square corner at {v} has an "
@@ -122,9 +125,6 @@ class LabeledCubeComplex:
                         return a, b, gamma, delta
         except KeyError as exc:
             raise InputError(f"invalid core: a square references the unknown edge {exc}") from exc
-        except IndexError as exc:
-            raise InputError("invalid core: a square corner has an endpoint other than 0 or 1") \
-                from exc
         raise InputError(f"invalid core: the square at corner {v} does not close up")
 
     @cached_property

@@ -29,7 +29,12 @@ a word of n letters costs O(n |V|) with no rescans.  A syllable is minimal
 in the order below exactly when it is the bottom entry of its stack, and
 maximal exactly when it is the top one.  The canonical form repeatedly
 reads out the least-index bottom syllable; cyclic reduction moves bottom
-syllables to the top of their own stacks in place.
+syllables to the top of their own stacks in place.  Two facts let each
+loop push and pop by hand, with no call per syllable: a minimal syllable
+has only markers under its markers, so popping it pops the bottom entry of
+each non-commuting stack; and markers are interchangeable, so a cancelling
+top syllable pops the top entry of each.  ``Syllable``s are built by
+``tuple.__new__`` over (label, exponent, position) triples.
 
 The syllable partial order puts p before q when p appears to the left of q
 in every normal representative.  It is the transitive closure of direct
@@ -60,7 +65,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, ContractError, InputError
@@ -76,6 +81,9 @@ class Syllable(NamedTuple):
     generator: str
     exponent: int  # nonzero
     position: int  # index within the carrying word; distinguishes duplicates
+
+
+_new_syllable = partial(tuple.__new__, Syllable)  # Syllable(*triple), entering no Python frame
 
 
 @dataclass(frozen=True)
@@ -161,9 +169,8 @@ def word_from_pairs(pairs: Iterable[tuple[str, int]], graph: DefiningGraph | Non
 
 def normal_word_from_pairs(pairs: Iterable[tuple[str, int]]) -> NormalWord:
     """Build a NormalWord from (generator, exponent) pairs without checking."""
-    return NormalWord(tuple(
-        Syllable(gen, exp, i) for i, (gen, exp) in enumerate(pairs)
-    ))
+    return NormalWord(tuple(map(_new_syllable,
+                                [(gen, exp, i) for i, (gen, exp) in enumerate(pairs)])))
 
 
 def concat(w1: Word, w2: Word) -> Word:
@@ -220,49 +227,34 @@ def _indexed(w: Word | NormalWord, graph: DefiningGraph) -> list[tuple[int, int]
     return [s for s in _syllables(w, graph) if s[1]]
 
 
-def _push(piles: Piling, g: int, e: int, noncomm: Sequence[Sequence[int]]) -> None:
-    """Multiply a piling on the right by the syllable g^e.
-
-    A syllable on top of its own stack has nothing non-commuting after it,
-    so the new one merges into it (and pops the markers when they cancel);
-    otherwise the syllable goes on top with a marker on each non-commuting
-    stack.  Markers are interchangeable, so popping any one from the run of
-    markers above a stack's last syllable is the same as popping its own.
-    """
-    pile = piles[g]
-    if pile and pile[-1]:
-        e += pile[-1]
-        if e:
-            pile[-1] = e
-        else:
-            pile.pop()
-            for h in noncomm[g]:
-                piles[h].pop()
-        return
-    pile.append(e)
-    for h in noncomm[g]:
-        piles[h].append(0)
-
-
 def _pile(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> Piling:
+    """Multiply the empty piling on the right by each syllable g^e in turn:
+    it merges into a syllable on top of its own stack (popping the markers
+    when they cancel), or goes on top with a marker on each non-commuting
+    stack."""
     noncomm = graph.non_commuting
     piles: Piling = [deque() for _ in noncomm]
     for g, e in syllables:
-        _push(piles, g, e, noncomm)
+        pile = piles[g]
+        if pile and pile[-1]:
+            e += pile[-1]
+            if e:
+                pile[-1] = e
+                continue
+            pile.pop()
+            for h in noncomm[g]:
+                piles[h].pop()
+        else:
+            pile.append(e)
+            for h in noncomm[g]:
+                piles[h].append(0)
     return piles
-
-
-def _pop_bottom(piles: Piling, g: int, noncomm: Sequence[Sequence[int]]) -> int:
-    """Remove a minimal syllable of g; under its markers lie only markers."""
-    for h in noncomm[g]:
-        piles[h].popleft()
-    return piles[g].popleft()
 
 
 def _read_out(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:
     """Empty the piling into its canonical normal form, as index syllables:
-    repeatedly emit the least-index generator whose bottom entry is a
-    syllable."""
+    repeatedly pop the least-index generator whose bottom entry is a
+    syllable, with its markers."""
     noncomm = graph.non_commuting
     out: list[tuple[int, int]] = []
     while True:
@@ -271,14 +263,17 @@ def _read_out(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:
                 break
         else:
             return out
-        out.append((g, _pop_bottom(piles, g, noncomm)))
+        for h in noncomm[g]:
+            piles[h].popleft()
+        out.append((g, pile.popleft()))
 
 
 def _spell(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> NormalWord:
     """The NormalWord of (generator index, exponent) syllables, in labels,
     without checking; the one place index syllables become labels."""
     labels = graph.vertices
-    return normal_word_from_pairs((labels[g], e) for g, e in syllables)
+    return NormalWord(tuple(map(_new_syllable,
+                                [(labels[g], e, i) for i, (g, e) in enumerate(syllables)])))
 
 
 def _reduce_cyclically(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:
@@ -297,9 +292,17 @@ def _reduce_cyclically(piles: Piling, graph: DefiningGraph) -> list[tuple[int, i
                 break
         else:
             return conjugator
-        e = _pop_bottom(piles, g, noncomm)
+        for h in noncomm[g]:
+            piles[h].popleft()
+        e = pile.popleft()
         conjugator.append((g, e))
-        _push(piles, g, e, noncomm)
+        e += pile[-1]  # merge into the top syllable, which stays on top
+        if e:
+            pile[-1] = e
+        else:
+            pile.pop()
+            for h in noncomm[g]:
+                piles[h].pop()
 
 
 def cyclic_core_support(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> int:

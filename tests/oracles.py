@@ -34,6 +34,10 @@ spellings with no merging at all, the word both are normalized against.
 ``oracle_canonical_form`` is the breadth-first renumbering that verified
 cores were once put through after freezing; it is the reference that
 ``build_core``'s canonical numbering is tested against.
+``oracle_pile``, ``oracle_read_out``, ``oracle_reduce_cyclically`` and
+``oracle_cyclic_core_support`` are the piling kernel as it ran through one
+``oracle_push`` or ``oracle_pop_bottom`` call per syllable, before each
+loop pushed and popped inline.
 ``oracle_decompose`` is the recursive subword decomposition that the
 work-stack one replaced; it shares only ``_ordered_from_left`` with the
 package.  ``oracle_build_core`` is the fold/fill
@@ -226,6 +230,83 @@ def oracle_cyclic_core(word: Pairs, graph: DefiningGraph) -> Pairs:
                 break
         else:
             return current
+
+
+def oracle_push(piles: list[deque], g: int, e: int, noncomm: Sequence[Sequence[int]]) -> None:
+    """Multiply a piling on the right by the syllable g^e.
+
+    A syllable on top of its own stack has nothing non-commuting after it,
+    so the new one merges into it (and pops the markers when they cancel);
+    otherwise the syllable goes on top with a marker on each non-commuting
+    stack.  Markers are interchangeable, so popping any one from the run of
+    markers above a stack's last syllable is the same as popping its own.
+    """
+    pile = piles[g]
+    if pile and pile[-1]:
+        e += pile[-1]
+        if e:
+            pile[-1] = e
+        else:
+            pile.pop()
+            for h in noncomm[g]:
+                piles[h].pop()
+        return
+    pile.append(e)
+    for h in noncomm[g]:
+        piles[h].append(0)
+
+
+def oracle_pop_bottom(piles: list[deque], g: int, noncomm: Sequence[Sequence[int]]) -> int:
+    """Remove a minimal syllable of g; under its markers lie only markers."""
+    for h in noncomm[g]:
+        piles[h].popleft()
+    return piles[g].popleft()
+
+
+def oracle_pile(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> list[deque]:
+    noncomm = graph.non_commuting
+    piles: list[deque] = [deque() for _ in noncomm]
+    for g, e in syllables:
+        oracle_push(piles, g, e, noncomm)
+    return piles
+
+
+def oracle_read_out(piles: list[deque], graph: DefiningGraph) -> list[tuple[int, int]]:
+    """Empty the piling into its canonical normal form, as index syllables:
+    repeatedly emit the least-index generator whose bottom entry is a
+    syllable."""
+    noncomm = graph.non_commuting
+    out: list[tuple[int, int]] = []
+    while True:
+        for g, pile in enumerate(piles):
+            if pile and pile[0]:
+                break
+        else:
+            return out
+        out.append((g, oracle_pop_bottom(piles, g, noncomm)))
+
+
+def oracle_reduce_cyclically(piles: list[deque], graph: DefiningGraph) -> list[tuple[int, int]]:
+    """Conjugate a piling in place down to a cyclic reduction, moving the
+    least bottom syllable whose stack also ends in a distinct syllable to
+    the top; returns the conjugator's syllables in order."""
+    noncomm = graph.non_commuting
+    conjugator: list[tuple[int, int]] = []
+    while True:
+        for g, pile in enumerate(piles):
+            if len(pile) > 1 and pile[0] and pile[-1]:
+                break
+        else:
+            return conjugator
+        e = oracle_pop_bottom(piles, g, noncomm)
+        conjugator.append((g, e))
+        oracle_push(piles, g, e, noncomm)
+
+
+def oracle_cyclic_core_support(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> int:
+    piles = oracle_pile(syllables, graph)
+    oracle_reduce_cyclically(piles, graph)
+    return sum(1 << g for g, pile in enumerate(piles) if any(pile))
 
 
 def _identity_pos(member: tuple, identity: int) -> int:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import importlib
+import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -44,7 +47,7 @@ from raagcc.surfaces import SurfaceModel, max_exponent
 from raagcc.words import _indexed, _pile, concat, invert, normalize, parse_word, word_from_pairs
 
 import oracles
-from conftest import GRAPH_ZOO, catalog_sample
+from conftest import CATALOG, CATALOG_GRAPHS, GRAPH_ZOO, catalog_sample
 
 
 @pytest.fixture(scope="module")
@@ -779,6 +782,32 @@ def test_partial_stage_core_is_frozen_on_read(monkeypatch):
             (cert.core_vertex_count, cert.core_square_count)
     assert min(ends[REFUTED, BUDGET_EXCEEDED], ends[INCONCLUSIVE, BUDGET_EXCEEDED],
                ends[REFUTED, VERIFIED], ends[CERTIFIED, VERIFIED]) >= 3, ends
+
+
+def test_certificate_drops_its_builder_once_core_is_read(monkeypatch):
+    """An undecided certificate keeps its stage's ``_Builder`` only until
+    ``cert.core`` is read: the read freezes the core, caches it, and drops
+    the thunk that held the builder."""
+    builders = []
+    init = _Builder.__init__
+
+    def tracked_init(self, *args):
+        builders.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(_Builder, "__init__", tracked_init)
+    graph = CATALOG_GRAPHS["cycle4"]
+    texts = json.loads(CATALOG.read_text())["graphs"]["cycle4"]["inconclusive"][0]
+    model = SurfaceModel.build(graph, [graph.vertices])
+    cert = certify(graph, model, [parse_word(t, graph) for t in texts], **CATALOG_BUDGETS)
+    assert cert.verdict == INCONCLUSIVE and len(builders) == 1
+    gc.collect()
+    assert builders[0]() is not None
+    core = cert.core
+    gc.collect()
+    assert builders[0]() is None
+    assert cert.core is core and cert.core is cert.core
+    assert core.diagnostics["vertex_count"] == cert.core_vertex_count
 
 
 def test_certified_core_is_link_checked_before_the_verdict(abc_graph, abc_model, monkeypatch):

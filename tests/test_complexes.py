@@ -536,6 +536,21 @@ def test_stored_square_naming_unknown_cells_is_input_error(ex2_core):
     assert LabeledCubeComplex.from_json_dict(data) == ex2_core.complex
 
 
+def test_stored_square_endpoint_out_of_range_is_named(ex2_core):
+    """An endpoint other than 0 or 1 on either end of any corner is refused
+    as such, never read as an index into the edge's (source, target, label)
+    tuple and refused later for another reason."""
+    data = ex2_core.complex.to_json_dict()
+    square, *others = data["squares"]
+    for i, (v, a, b) in enumerate(square):
+        for endpoint in (-3, -2, -1, 2, 3):
+            for corner in ([v, [a[0], endpoint], b], [v, a, [b[0], endpoint]]):
+                forged = square[:i] + [corner] + square[i + 1:]
+                with pytest.raises(InputError, match="^invalid core: a square corner has an "
+                                                     "endpoint other than 0 or 1$"):
+                    LabeledCubeComplex.from_json_dict({**data, "squares": others + [forged]})
+
+
 def test_core_dot_round_trip(ex2_core):
     text = ex2_core.complex.to_dot()
     again = oracles.oracle_from_dot(text)

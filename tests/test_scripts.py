@@ -72,6 +72,25 @@ def test_src_lines():
                  '    return (x +  # trailing\n            1)\n') == (8, 3)
 
 
+def test_ab_passes_tiny_against_itself():
+    """Two workers on this repository's own tree agree on the first pass's
+    fingerprints and report every round, both sides' pass times and the
+    wins."""
+    done = _run("ab_passes.py", "--parent", str(ROOT), "--change", str(ROOT),
+                "--workload", "words-long", "--tiny", "--rounds", "2")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "workload words-long, seed 1: 4 ops per pass"
+    assert re.fullmatch(r"first-pass fingerprints equal: [0-9a-f]{16}", lines[1])
+    assert lines[2] == "round,parent_s,change_s,ratio"
+    assert [row.split(",")[0] for row in lines[3:5]] == ["1", "2"]
+    assert re.fullmatch(r"parent: min \d+\.\d{6} s, median \d+\.\d{6} s", lines[5])
+    assert re.fullmatch(r"change: min \d+\.\d{6} s, median \d+\.\d{6} s", lines[6])
+    assert re.fullmatch(r"median ratio change/parent \d+\.\d{4}; "
+                        r"change faster in [012] of 2 rounds", lines[7])
+    assert len(lines) == 8
+
+
 def test_perfbench_smoke():
     """Every benchmark workload runs at a tiny size, untraced and traced,
     passes its output checks and emits exactly its declared metrics; a change

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 import sys
 import time
@@ -509,6 +510,72 @@ def test_decompose_contract_on_a_5000_syllable_window():
     assert all(graph.commutes(s.generator, p_gen) for s in left.syllables)
     assert all(graph.commutes(s.generator, q_gen) for s in right.syllables)
     assert left.syllables and right.syllables
+
+
+# -- piling kernel ---------------------------------------------------------------
+
+KERNEL_LENGTHS = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 512, 1024)
+
+
+def random_index_word(rng: random.Random, gens: int, letters: int) -> list[tuple[int, int]]:
+    """Index syllables of at least ``letters`` letters, unmerged, with
+    cancelling runs: a tail of the word followed by its inverse, and a
+    prefix whose inverse closes the word, so that the piling pops markers
+    and cyclic reduction has a conjugator to find."""
+    conj = [(rng.randrange(gens), rng.choice((1, -1, 2))) for _ in range(rng.randrange(4))]
+    syls = list(conj)
+    while sum(abs(e) for _, e in syls) < letters:
+        if len(syls) > 1 and rng.random() < 0.15:
+            syls += [(g, -e) for g, e in reversed(syls[-rng.randint(1, min(len(syls), 12)):])]
+        else:
+            syls.append((rng.randrange(gens), rng.choice((1, -1, 2, -3))))
+    return syls + [(g, -e) for g, e in reversed(conj)]
+
+
+def test_inline_piling_matches_call_per_syllable_kernel():
+    """``_pile``, ``_read_out``, ``_reduce_cyclically`` and
+    ``cyclic_core_support`` leave the same stacks and return the same
+    syllables as the kernel that made one push or pop call per syllable."""
+    rng = random.Random(24)
+    cancelled = conjugated = 0
+    for graph in GRAPH_ZOO + [RING]:
+        for letters in KERNEL_LENGTHS:
+            for _ in range(3):
+                syls = random_index_word(rng, len(graph.vertices), letters)
+                piles, expected = words._pile(syls, graph), oracles.oracle_pile(syls, graph)
+                assert list(map(list, piles)) == list(map(list, expected)), syls
+                assert words.cyclic_core_support(syls, graph) == \
+                    oracles.oracle_cyclic_core_support(syls, graph)
+                conj = words._reduce_cyclically(piles, graph)
+                assert conj == oracles.oracle_reduce_cyclically(expected, graph)
+                assert list(map(list, piles)) == list(map(list, expected))
+                assert words._read_out(piles, graph) == oracles.oracle_read_out(expected, graph)
+                assert not any(piles) and not any(expected)
+                normal = words._read_out(words._pile(syls, graph), graph)
+                assert normal == oracles.oracle_read_out(oracles.oracle_pile(syls, graph), graph)
+                cancelled += len(normal) < len(syls)
+                conjugated += bool(conj)
+    assert cancelled > 200 and conjugated > 100, (cancelled, conjugated)
+
+
+def test_built_syllables_are_plain_syllables(abc_graph):
+    """The syllables ``_spell`` and ``normal_word_from_pairs`` build are
+    ``Syllable``s equal to, hashing, printing, replacing and pickling like
+    ones from the constructor."""
+    pairs = [("b", 2), ("c", -1), ("a", 1), ("b", -3)]
+    index = abc_graph._index
+    for word in (nw(pairs), words._spell([(index[g], e) for g, e in pairs], abc_graph)):
+        assert word.pairs() == tuple(pairs)
+        for i, ((g, e), s) in enumerate(zip(pairs, word.syllables)):
+            plain = words.Syllable(g, e, i)
+            assert type(s) is words.Syllable
+            assert (s == plain, hash(s), repr(s)) == (True, hash(plain), repr(plain))
+            assert s._replace(exponent=7) == plain._replace(exponent=7)
+            assert type(s._replace(position=0)) is words.Syllable
+            again = pickle.loads(pickle.dumps(s))
+            assert again == plain and type(again) is words.Syllable
+            assert (s.generator, s.exponent, s.position) == (g, e, i)
+    assert nw([]).syllables == () and words._spell([], abc_graph) == EPSILON
 
 
 # -- confluence ------------------------------------------------------------------
