@@ -52,7 +52,7 @@ exhaustion anywhere: inconclusive, never a negative claim.
 
 Each enumerated element's filling check needs only the generator support
 of a cyclic reduction: it is piled once by the word kernel in ``words.py``
-and reduced in place, and the verdict is memoized per support bitmask.
+and reduced in place.
 """
 
 from __future__ import annotations
@@ -186,7 +186,6 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
     subgroup members.
     """
     labels = graph.vertices
-    memo: dict[int, bool] = {}
     count = 0
     for length, loops in layers:
         for syls in loops:
@@ -194,10 +193,7 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
             if length == 0:
                 continue  # the identity never fills and is exempt
             support = cyclic_core_support(syls, graph)
-            verdict = memo.get(support)
-            if verdict is None:
-                verdict = memo[support] = model.fills_mask(support)
-            if not verdict:
+            if not model.fills_mask(support):
                 return (_spell(syls, graph),
                         frozenset(v for g, v in enumerate(labels) if support >> g & 1), count)
     return None
@@ -234,36 +230,32 @@ def _spanning_forest(complex_: LabeledCubeComplex, allowed: int
                     if allowed >> index[label] & 1 and eid not in tree]
 
 
-def _chord_word(parent: dict[int, tuple[int, int] | None], src: int, dst: int, g: int
-                ) -> list[tuple[int, int]]:
-    """The loop word path(src)*g*path(dst)^-1 of a chord from src to dst
-    labelled g, as index syllables, read off the forest's parent chains;
-    path(v) is the forest path from its root to v."""
-    climbs = []  # the end keys from src, and from dst, up to the root
-    for v in (src, dst):
-        keys = []
-        step = parent[v]
-        while step is not None:
-            keys.append(step[1])
-            step = parent[step[0]]
-        climbs.append(keys)
-    up, down = climbs
-    return [(key >> 1, -1 if key & 1 else 1) for key in reversed(up)] + [(g, 1)] + \
-        [(key >> 1, 1 if key & 1 else -1) for key in down]  # path(dst)^-1: letters inverted
-
-
 def _chord_words(complex_: LabeledCubeComplex,
                  forest: tuple[dict[int, tuple[int, int] | None], list[int]]
                  ) -> Iterator[list[tuple[int, int]]]:
     """The loop word of every chord of a ``forest`` that ``_spanning_forest``
     grew on ``complex_``, in edge order.  The chord loops at the roots
-    generate the fundamental group of each component."""
+    generate the fundamental group of each component.
+
+    A chord from src to dst labelled g gives path(src)*g*path(dst)^-1 as
+    index syllables, read off the forest's parent chains; path(v) is the
+    forest path from its root to v."""
     parent, chords = forest
     index = complex_.graph._index
     edges = complex_.edges
     for i in chords:
         _, src, dst, label = edges[i]
-        yield _chord_word(parent, src, dst, index[label])
+        climbs = []  # the end keys from src, and from dst, up to the root
+        for v in (src, dst):
+            keys = []
+            step = parent[v]
+            while step is not None:
+                keys.append(step[1])
+                step = parent[step[0]]
+            climbs.append(keys)
+        up, down = climbs
+        yield [(key >> 1, -1 if key & 1 else 1) for key in reversed(up)] + [(index[label], 1)] + \
+            [(key >> 1, 1 if key & 1 else -1) for key in down]  # path(dst)^-1: letters inverted
 
 
 def _squares_by_labels(view: _StageView) -> dict[int, list[tuple[int, int, int, int]]]:
@@ -420,7 +412,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                            core_status=status, _freeze=freeze, diagnostics=stats,
                            verdict=verdict, ell=ell, element_count=element_count, **fields)
 
-    builder = _Builder(graph, forms, None, None)
+    builder = _Builder(graph, forms)
     walk_ran_out = False  # a partial stage's witness walk hit enum_budget
     for stage in stages:
         status = builder.grow(stage)

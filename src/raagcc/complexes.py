@@ -40,7 +40,6 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from random import Random
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, ContractError, InputError, InternalError
@@ -205,21 +204,25 @@ class LabeledCubeComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LabeledCubeComplex":
+        def ints(*values):  # as read: int() would take true for 1, 0.9 for 0 and "2" for 2
+            for v in values:
+                if type(v) is not int:
+                    raise TypeError(f"ids and endpoints must be JSON integers, not {v!r}")
+            return values
+
         try:
             graph = DefiningGraph.from_json_dict(data["graph"])
-            vertices = tuple(int(v) for v in data["vertices"])
-            edges = tuple(
-                (int(eid), int(src), int(dst), str(label))
-                for eid, src, dst, label in data["edges"]
-            )
+            vertices = ints(*data["vertices"])
+            edges = tuple((*ints(eid, src, dst), label) for eid, src, dst, label in data["edges"])
+            for *_, label in edges:
+                if not isinstance(label, str):
+                    raise TypeError(f"edge labels must be JSON strings, not {label!r}")
             squares = frozenset(
-                frozenset(
-                    _corner(int(v), (int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
-                    for v, a, b in sq
-                )
+                frozenset(_corner(*ints(v), ints(ea, pa), ints(eb, pb))
+                          for v, (ea, pa), (eb, pb) in sq)
                 for sq in data["squares"]
             )
-            basepoint = int(data["basepoint"])
+            (basepoint,) = ints(data["basepoint"])
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"invalid core JSON: {exc}") from exc
         complex_ = cls(graph=graph, vertices=vertices, edges=edges,
@@ -340,9 +343,8 @@ class _Builder:
     """
 
     def __init__(self, graph: DefiningGraph, words: Sequence[Sequence[tuple[int, int]]],
-                 rng: Random | None, seed: LabeledCubeComplex | None):
+                 seed: LabeledCubeComplex | None = None):
         self.graph = graph
-        self.rng = rng
         self.vparent: list[int] = []
         self.eparent: list[int] = []
         self.edges: list[tuple[int, int, int]] = []  # raw (source, target, label index)
@@ -436,9 +438,6 @@ class _Builder:
         """Fold queued edge pairs until no end table has a collision."""
         collisions = self.collisions
         while collisions:
-            if self.rng is not None:
-                i = self.rng.randrange(len(collisions))
-                collisions[i], collisions[-1] = collisions[-1], collisions[i]
             keep, drop = collisions.pop()
             keep, drop = self.efind(keep), self.efind(drop)
             if keep == drop:
@@ -458,8 +457,6 @@ class _Builder:
         comm = self.graph.comm_masks
         vertices = sorted({self.vfind(v) for v in self.dirty})
         self.dirty.clear()
-        if self.rng is not None:
-            self.rng.shuffle(vertices)
         targets: list[tuple[int, int, int]] = []
         for v in vertices:
             keys = sorted(self.ends[v])
@@ -631,7 +628,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
         extend._require_cells("invalid complex to extend")
         if not extend.is_connected():
             raise InputError("the complex to extend must be connected")
-    builder = _Builder(graph, words, None, extend)
+    builder = _Builder(graph, words, extend)
     return builder.core(builder.grow(budget), budget)
 
 

@@ -9,11 +9,14 @@ tie-breaking of normal forms, deterministic traversals, reports).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError
+
+_LABEL = r"[A-Za-z_][A-Za-z_0-9]*"  # a vertex label: a name that word text can spell
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,9 @@ class DefiningGraph:
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "DefiningGraph":
         """Validate and construct a graph from raw vertex/edge data."""
         verts = tuple(str(v) for v in vertices)
+        for v in verts:
+            if not re.fullmatch(_LABEL, v):
+                raise InputError(f"vertex label {v!r} is not a name ({_LABEL})")
         if len(set(verts)) != len(verts):
             raise InputError(f"duplicate vertex labels in {verts!r}")
         vert_set = set(verts)

@@ -69,7 +69,7 @@ from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, ContractError, InputError
-from .graphs import DefiningGraph
+from .graphs import _LABEL, DefiningGraph
 
 
 class Letter(NamedTuple):
@@ -137,14 +137,14 @@ class NormalWord:
 
 EPSILON = NormalWord()
 
-_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(rf"({_LABEL})(?:\^(-?\d+))?")
 
 
 def parse_word(text: str, graph: DefiningGraph) -> Word:
     """Parse whitespace-separated tokens ``label`` or ``label^k`` (k nonzero)."""
     pairs: list[tuple[str, int]] = []
     for token in text.split():
-        m = _TOKEN.match(token)
+        m = _TOKEN.fullmatch(token)
         if m is None:
             raise InputError(f"malformed token {token!r}")
         label, exp_text = m.group(1), m.group(2)
@@ -157,11 +157,9 @@ def parse_word(text: str, graph: DefiningGraph) -> Word:
     return word_from_pairs(pairs)
 
 
-def word_from_pairs(pairs: Iterable[tuple[str, int]], graph: DefiningGraph | None = None) -> Word:
+def word_from_pairs(pairs: Iterable[tuple[str, int]]) -> Word:
     letters: list[Letter] = []
     for gen, exp in pairs:
-        if graph is not None:
-            graph.require_vertex(gen)
         sign = 1 if exp > 0 else -1
         letters.extend([Letter(gen, sign)] * abs(exp))
     return Word(tuple(letters))
@@ -471,24 +469,6 @@ def cyclically_reduce(w: Word | NormalWord, graph: DefiningGraph) -> tuple[Norma
     return _spell(_read_out(conjugator, graph), graph), _spell(_read_out(piles, graph), graph)
 
 
-def _ordered_from_left(lead: int, mid: Sequence[int], comm: Sequence[int]) -> list[bool]:
-    """For each syllable of ``mid``, whether the leading syllable precedes it.
-
-    Dependence chains from the leading syllable stay inside the window, so
-    reachability over direct dependence within ``lead . mid`` is exact: a
-    syllable is reached when its generator fails to commute with (or equals)
-    the generator of an already reached syllable.
-    """
-    reached = 1 << lead
-    ordered = []
-    for g in mid:
-        hit = bool(reached & ~comm[g])
-        if hit:
-            reached |= 1 << g
-        ordered.append(hit)
-    return ordered
-
-
 _STEP, _SPLIT_LEFT, _JOIN = range(3)  # frames of _decompose's work stack
 
 
@@ -537,7 +517,8 @@ def _decompose(p_gen: int, mid: list[tuple[int, int]],
 def subword_decompose(w: NormalWord, p: Syllable | int, q: Syllable | int,
                       graph: DefiningGraph) -> tuple[NormalWord, NormalWord]:
     """Split the subword strictly between two unordered syllables p, q of a
-    normal word as L*R with L commuting with p's generator and R with q's."""
+    normal word, given in either order, as L*R with L commuting with the
+    generator of the earlier one and R with that of the later one."""
     syllables = _require_normal(w, graph, "subword_decompose")
     i = _position(p)
     j = _position(q)
@@ -547,10 +528,8 @@ def subword_decompose(w: NormalWord, p: Syllable | int, q: Syllable | int,
         raise ContractError("p and q must be syllables of w")
     if i > j:
         i, j = j, i
-    comm = graph.comm_masks
     window = syllables[i:j + 1]
-    p_gen, mid = window[0][0], window[1:-1]
-    if _ordered_from_left(p_gen, [g for g, _ in window[1:]], comm)[-1]:
+    if _predecessor_masks([g for g, _ in window], graph)[-1] & 1:
         raise ContractError("p and q must be unordered syllables")
-    left, right = _decompose(p_gen, mid, comm)
+    left, right = _decompose(window[0][0], window[1:-1], graph.comm_masks)
     return _spell(left, graph), _spell(right, graph)

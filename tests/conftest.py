@@ -46,11 +46,59 @@ CATALOG_GRAPHS = {"abc": GRAPH_ZOO[1], "path4": GRAPH_ZOO[3], "cycle4": GRAPH_ZO
                   "sparse4": GRAPH_ZOO[5]}
 
 
+class _RandomPopQueue(list):
+    """A fold queue whose ``pop`` takes an entry drawn from ``rng``, and
+    counts the pops that did not take the last entry."""
+
+    def __init__(self, rng: random.Random, entries=()):
+        super().__init__(entries)
+        self.rng = rng
+        self.moved = 0
+
+    def pop(self):
+        i = self.rng.randrange(len(self))
+        if i != len(self) - 1:
+            self.moved += 1
+            self[i], self[-1] = self[-1], self[i]
+        return super().pop()
+
+
+class ShuffledBuilder(_Builder):
+    """A ``_Builder`` that folds its queued pairs and attaches each fill
+    pass's squares in an order drawn from ``rng``.  ``reordered`` counts the
+    passes whose attaches ran in an order other than the builder's own."""
+
+    def __init__(self, graph: DefiningGraph, gens, rng: random.Random):
+        self.rng = rng
+        self.reordered = 0
+        super().__init__(graph, [_indexed(w, graph) for w in gens])
+
+    @property
+    def collisions(self):
+        return self._queue
+
+    @collisions.setter
+    def collisions(self, entries):
+        self._queue = _RandomPopQueue(self.rng, entries)
+
+    def fill_pass(self) -> bool:
+        self.deferred = attaches = []
+        filled = super().fill_pass()
+        shuffled = self.rng.sample(attaches, len(attaches))
+        self.reordered += shuffled != attaches
+        for corner in shuffled:
+            super()._attach_square(*corner)
+        return filled
+
+    def _attach_square(self, *corner) -> None:
+        self.deferred.append(corner)
+
+
 def build_shuffled(graph: DefiningGraph, gens, budget: int, rng: random.Random):
     """``build_core(graph, gens, budget=budget)`` with its fold and fill
     order drawn from ``rng``, for the confluence tests: the core must not
     depend on it."""
-    builder = _Builder(graph, [_indexed(w, graph) for w in gens], rng, None)
+    builder = ShuffledBuilder(graph, gens, rng)
     return builder.core(builder.grow(budget), budget)
 
 
@@ -76,7 +124,7 @@ def catalog_stages():
     out = []
     for graph, gens in catalog_sample(random.Random(29)):
         model = SurfaceModel.build(graph, [graph.vertices])
-        builder = _Builder(graph, [_indexed(w, graph) for w in gens], None, None)
+        builder = _Builder(graph, [_indexed(w, graph) for w in gens])
         stages = []
         for budget in (256, 1_024, 2_000):
             core = builder.core(builder.grow(budget), budget)

@@ -39,8 +39,8 @@ cores were once put through after freezing; it is the reference that
 ``oracle_push`` or ``oracle_pop_bottom`` call per syllable, before each
 loop pushed and popped inline.
 ``oracle_decompose`` is the recursive subword decomposition that the
-work-stack one replaced; it shares only ``_ordered_from_left`` with the
-package.  ``oracle_build_core`` is the fold/fill
+work-stack one replaced, with its own reachability scan,
+``_ordered_from_left``.  ``oracle_build_core`` is the fold/fill
 builder that the end tables replaced: string labels, incidence sets
 rescanned and sorted on every look-up, and a filled-corner set rebuilt
 after every fold round, self-checked by ``oracle_check_local_isometry``.
@@ -81,7 +81,6 @@ from raagcc.surfaces import FillingBlock, SurfaceModel
 from raagcc.words import (
     NormalWord,
     Word,
-    _ordered_from_left,
     cyclic_core_support,
     cyclically_reduce,
     is_normal,
@@ -192,6 +191,24 @@ def oracle_order_pairs(normal_word: Pairs, graph: DefiningGraph) -> set[tuple[in
             if all(_identity_pos(m, orient[0]) < _identity_pos(m, orient[1]) for m in members):
                 pairs.add(orient)
     return pairs
+
+
+def _ordered_from_left(lead: int, mid: Sequence[int], comm: Sequence[int]) -> list[bool]:
+    """For each syllable of ``mid``, whether the leading syllable precedes it.
+
+    Dependence chains from the leading syllable stay inside the window, so
+    reachability over direct dependence within ``lead . mid`` is exact: a
+    syllable is reached when its generator fails to commute with (or equals)
+    the generator of an already reached syllable.
+    """
+    reached = 1 << lead
+    ordered = []
+    for g in mid:
+        hit = bool(reached & ~comm[g])
+        if hit:
+            reached |= 1 << g
+        ordered.append(hit)
+    return ordered
 
 
 def oracle_decompose(p_gen: int, mid: list[tuple[int, int]], q_gen: int,

@@ -588,7 +588,7 @@ def _one_vertex_complex(graph, labels, squares) -> LabeledCubeComplex:
 def _stage_view(seed: LabeledCubeComplex) -> _StageView:
     """A hand-made stage as ``certify`` reads a budget-exceeded stage: the
     view of a builder seeded with it (and folded)."""
-    return _StageView(_Builder(seed.graph, (), None, seed))
+    return _StageView(_Builder(seed.graph, (), seed))
 
 
 def test_homology_cancels_a_repeated_edge(abc_graph):
@@ -698,7 +698,7 @@ def catalog_stage_views(catalog_stages):
     number of raw squares and its view)."""
     out = []
     for graph, model, gens, stages in catalog_stages:
-        builder = _Builder(graph, [_indexed(w, graph) for w in gens], None, None)
+        builder = _Builder(graph, [_indexed(w, graph) for w in gens])
         for core, _ in stages:
             if core.verified:
                 break

@@ -165,7 +165,8 @@ def test_malformed_graph_is_input_error(files, capsys):
     # Well-formed JSON of the wrong types is malformed input too, never a
     # crash that exits 1 (the code for "refuted").
     for graph in ({**GRAPH, "edges": 7}, {**GRAPH, "vertices": 5}, {**GRAPH, "edges": [7]},
-                  {**GRAPH, "edges": [["b", 3]]}, {**GRAPH, "vertices": ["a", ["b"]]}, []):
+                  {**GRAPH, "edges": [["b", 3]]}, {**GRAPH, "vertices": ["a", ["b"]]}, [],
+                  {"vertices": ["a", "a^2"], "edges": []}):
         bad.write_text(json.dumps(graph), encoding="utf-8")
         assert main(["normalize", "--graph", str(bad), "--word", "a"]) == 3, graph
         model = files["tmp"] / "model_bad.json"

@@ -40,7 +40,7 @@ from raagcc.words import (
 )
 
 import oracles
-from conftest import GRAPH_ZOO, build_shuffled, catalog_sample
+from conftest import GRAPH_ZOO, ShuffledBuilder, build_shuffled, catalog_sample
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,13 @@ def test_fold_fill_confluence(abc_graph):
     for seed in range(8):
         other = build_shuffled(abc_graph, gens, 10_000, random.Random(seed)).complex
         assert other == reference
+    # The shuffle does reorder: here a fill pass attaches its squares in a
+    # new order, and on the refuted augmentation a fold pops an entry other
+    # than the last.
+    builder = ShuffledBuilder(abc_graph, gens, random.Random(3))
+    assert builder.grow(10_000) == VERIFIED and builder.reordered >= 1
+    augmented = [parse_word(t, abc_graph) for t in ("a b c", "c a b", "a^2 b c")]
+    assert ShuffledBuilder(abc_graph, augmented, random.Random(3)).collisions.moved >= 1
     permuted = build_core(abc_graph, list(reversed(gens)), budget=10_000).complex
     assert permuted == reference
 
@@ -677,7 +684,7 @@ def test_builder_matches_rebuilding_oracle():
         before_filling = oracles.oracle_build_core(graph, gens, budget=1).complex
         assert build_core(graph, gens, budget=1).complex \
             == oracles.oracle_canonical_form(before_filling)
-        builder = _Builder(graph, [_indexed(w, graph) for w in gens], None, None)
+        builder = _Builder(graph, [_indexed(w, graph) for w in gens])
         for budget in stages:
             core = builder.core(builder.grow(budget), budget)
             fresh = build_core(graph, gens, budget=budget)

@@ -72,6 +72,25 @@ def test_src_lines():
                  '    return (x +  # trailing\n            1)\n') == (8, 3)
 
 
+def test_line_coverage_on_one_test_file():
+    """The coverage script runs one test file under its tracer and lists the
+    package's unrun function-body lines, then their total: the refusals
+    that file tests ran, and ``certify``, which it never calls, did not."""
+    done = _run("line_coverage.py", str(ROOT / "tests" / "test_refusals.py"), "-q")
+    assert done.returncode == 0, done.stdout + done.stderr
+    *_, total = done.stdout.splitlines()
+    unrun, of = map(int, re.fullmatch(r"unrun: (\d+) of (\d+) function-body lines",
+                                      total).groups())
+    listed = re.findall(r"^src/raagcc/\w+\.py:\d+$", done.stdout, re.MULTILINE)
+    assert len(listed) == unrun < of
+    source = (ROOT / "src" / "raagcc" / "graphs.py").read_text().splitlines()
+    refusal = source.index('            raise InputError(f"duplicate vertex labels in {verts!r}")')
+    assert f"src/raagcc/graphs.py:{refusal + 1}" not in listed
+    source = (ROOT / "src" / "raagcc" / "certify.py").read_text().splitlines()
+    define = next(i for i, line in enumerate(source) if line.startswith("def certify("))
+    assert f"src/raagcc/certify.py:{define + 1}" in listed
+
+
 def test_ab_passes_tiny_against_itself():
     """Two workers on this repository's own tree agree on the first pass's
     fingerprints and report every round, both sides' pass times and the
