@@ -29,8 +29,10 @@ class DefiningGraph:
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "DefiningGraph":
         """Validate and construct a graph from raw vertex/edge data."""
-        verts = tuple(str(v) for v in vertices)
+        verts = tuple(vertices)
         for v in verts:
+            if not isinstance(v, str):
+                raise InputError(f"vertex label {v!r} is not a string")
             if not re.fullmatch(_LABEL, v):
                 raise InputError(f"vertex label {v!r} is not a name ({_LABEL})")
         if len(set(verts)) != len(verts):
@@ -41,7 +43,9 @@ class DefiningGraph:
             pair = tuple(e)
             if len(pair) != 2:
                 raise InputError(f"edge {e!r} is not a pair")
-            u, w = str(pair[0]), str(pair[1])
+            u, w = pair
+            if not (isinstance(u, str) and isinstance(w, str)):
+                raise InputError(f"edge {pair!r} has an endpoint that is not a string")
             if u == w:
                 raise InputError(f"self-loop at {u!r} is not simplicial")
             if u not in vert_set or w not in vert_set:

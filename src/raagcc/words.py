@@ -33,8 +33,7 @@ syllables to the top of their own stacks in place.  Two facts let each
 loop push and pop by hand, with no call per syllable: a minimal syllable
 has only markers under its markers, so popping it pops the bottom entry of
 each non-commuting stack; and markers are interchangeable, so a cancelling
-top syllable pops the top entry of each.  ``Syllable``s are built by
-``tuple.__new__`` over (label, exponent, position) triples.
+top syllable pops the top entry of each.
 
 The syllable partial order puts p before q when p appears to the left of q
 in every normal representative.  It is the transitive closure of direct
@@ -56,8 +55,17 @@ word is a ``TypeError``.  The functions defined on normal words only
 (``syllable_order``, ``subword_decompose``, and ``find_filling_blocks``,
 ``check_window_property`` and ``subs`` in ``surfaces.py``) take a
 ``NormalWord`` alone and raise a ``ContractError`` naming themselves for
-any other word or a non-normal one.  Index syllables become labels only
-in ``_spell``.
+any other word or a non-normal one.
+
+Kernel results stay index syllables.  ``_spell`` wraps them in a
+``NormalWord`` that carries them with its graph's label tuple, and
+``_syllables`` reads them back as they are when it is given a graph with
+that label tuple (the normality checks still run on them).  Such a word
+builds its ``Syllable`` tuples, by ``tuple.__new__`` over (label,
+exponent, position) triples, only when ``syllables`` is first read;
+``pairs``, ``to_text``, ``letters``, ``as_word`` and the lengths read the
+carried form.  ``normal_word_from_pairs`` and the constructor build them
+at once.
 """
 
 from __future__ import annotations
@@ -102,22 +110,56 @@ class Word:
         return f"Word({self.to_text()!r})"
 
 
+class _SyllablesField:
+    """``NormalWord.syllables``, a descriptor-typed dataclass field, so the
+    constructor, ``dataclasses.replace``, ``==``, ``hash`` and ``repr`` see
+    one plain field.  A word built through the constructor holds the tuple
+    it was given.  A word ``_spell`` made carries its graph's label tuple
+    and its (generator index, exponent) syllables under ``_carried``
+    instead, and spells its ``Syllable``s from them on the first read,
+    which stores them.  Pickling copies the instance dict, so a carried
+    word stays carried."""
+
+    def __get__(self, w: NormalWord | None, owner: type | None = None) -> tuple[Syllable, ...]:
+        if w is None:
+            return ()  # the field's default
+        state = w.__dict__
+        if "syllables" not in state:
+            labels, carried = state["_carried"]
+            state["syllables"] = tuple(map(
+                _new_syllable, [(labels[g], e, i) for i, (g, e) in enumerate(carried)]))
+        return state["syllables"]
+
+    def __set__(self, w: NormalWord, syllables: tuple[Syllable, ...]) -> None:
+        w.__dict__["syllables"] = syllables
+
+
 @dataclass(frozen=True)
 class NormalWord:
     """A word in normal form, stored as its syllable sequence."""
 
-    syllables: tuple[Syllable, ...] = ()
+    syllables: tuple[Syllable, ...] = _SyllablesField()  # type: ignore[assignment]
+
+    def _rows(self) -> Sequence[tuple]:
+        """The carried index syllables, or else the ``Syllable``s: one row
+        per syllable, each with its exponent second."""
+        carried = self.__dict__.get("_carried")
+        return self.syllables if carried is None else carried[1]
 
     @cached_property
     def letter_length(self) -> int:
-        return sum(abs(s.exponent) for s in self.syllables)
+        return sum(abs(s[1]) for s in self._rows())
 
     @property
     def syllable_length(self) -> int:
-        return len(self.syllables)
+        return len(self._rows())
 
     def pairs(self) -> tuple[tuple[str, int], ...]:
-        return tuple((s.generator, s.exponent) for s in self.syllables)
+        carried = self.__dict__.get("_carried")
+        if carried is None:
+            return tuple((s.generator, s.exponent) for s in self.syllables)
+        labels, syllables = carried
+        return tuple([(labels[g], e) for g, e in syllables])
 
     def letters(self) -> tuple[Letter, ...]:
         return word_from_pairs(self.pairs()).letters
@@ -134,6 +176,8 @@ class NormalWord:
     def __len__(self) -> int:
         return self.letter_length
 
+
+_new_normal_word = partial(object.__new__, NormalWord)  # a NormalWord with no field set yet
 
 EPSILON = NormalWord()
 
@@ -208,17 +252,40 @@ Piling = list[deque]
 def _syllables(w: Word | NormalWord, graph: DefiningGraph) -> list[tuple[int, int]]:
     """The (generator index, exponent) syllables of a word, zero exponents
     kept: a ``Word``'s runs of equal letters, or a ``NormalWord``'s
-    syllables.  The one place a word's labels become indices."""
+    syllables, read from its carried form when that was spelled over this
+    graph's labels.  The one place a word's labels become indices."""
     index = graph._index
     try:
         if isinstance(w, NormalWord):
+            carried = w.__dict__.get("_carried")
+            if carried is not None and carried[0] == graph.vertices:
+                return list(carried[1])
             return [(index[gen], exp) for gen, exp, _ in w.syllables]
         if isinstance(w, Word):
-            return [(index[gen], exp) for gen, exp in _group_letters(w.letters)]
+            return _runs(w.letters, index)
     except KeyError as exc:
-        graph.require_vertex(exc.args[0])  # an InputError naming the first unknown label
-        raise
+        graph.require_vertex(exc.args[0])  # raises an InputError naming the first unknown label
     raise TypeError(f"expected Word or NormalWord, got {type(w).__name__}")
+
+
+def _runs(letters: Sequence[Letter], index: dict[str, int]) -> list[tuple[int, int]]:
+    """``_group_letters`` with each label mapped through ``index``, in one
+    pass: a run is equal labels whose signs are all positive or all not."""
+    runs: list[tuple[int, int]] = []
+    if not letters:
+        return runs
+    append = runs.append
+    rest = iter(letters)
+    gen, exp = next(rest)
+    positive = exp > 0
+    for label, sign in rest:
+        if label == gen and (sign > 0) == positive:
+            exp += sign
+        else:
+            append((index[gen], exp))
+            gen, exp, positive = label, sign, sign > 0
+    append((index[gen], exp))
+    return runs
 
 
 def _indexed(w: Word | NormalWord, graph: DefiningGraph) -> list[tuple[int, int]]:
@@ -267,11 +334,12 @@ def _read_out(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:
 
 
 def _spell(syllables: Iterable[tuple[int, int]], graph: DefiningGraph) -> NormalWord:
-    """The NormalWord of (generator index, exponent) syllables, in labels,
-    without checking; the one place index syllables become labels."""
-    labels = graph.vertices
-    return NormalWord(tuple(map(_new_syllable,
-                                [(labels[g], e, i) for i, (g, e) in enumerate(syllables)])))
+    """The NormalWord of (generator index, exponent) syllables over
+    ``graph``'s labels, without checking.  It carries them with the label
+    tuple, and spells its ``Syllable``s only when they are read."""
+    w = _new_normal_word()
+    w.__dict__["_carried"] = (graph.vertices, tuple(syllables))
+    return w
 
 
 def _reduce_cyclically(piles: Piling, graph: DefiningGraph) -> list[tuple[int, int]]:
@@ -385,7 +453,13 @@ def min_class(w: Word | NormalWord, graph: DefiningGraph,
 
 
 def _position(s: Syllable | int) -> int:
-    return s.position if isinstance(s, Syllable) else int(s)
+    """A syllable's position: a ``Syllable``'s own, or an ``int`` (not a
+    ``bool``) as given; any other value is a ``ContractError``."""
+    if isinstance(s, Syllable):
+        return s.position
+    if isinstance(s, int) and not isinstance(s, bool):
+        return int(s)
+    raise ContractError(f"a syllable position must be a Syllable or an int, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -394,7 +468,8 @@ class SyllableOrder:
 
     Bit i of ``predecessor_masks[j]`` is set when syllable i precedes
     syllable j in every normal representative.  ``precedes`` and
-    ``comparable`` are bit tests; positions outside the word are unordered.
+    ``comparable`` are bit tests; positions outside the word are unordered,
+    and a position that is no ``Syllable`` or ``int`` is a ``ContractError``.
     ``pairs`` spells the order as the frozenset of position pairs (i, j),
     O(k^2) of them on a word of k syllables, built on first use.
     """
@@ -403,12 +478,12 @@ class SyllableOrder:
     predecessor_masks: tuple[int, ...]
 
     def precedes(self, p: Syllable | int, q: Syllable | int) -> bool:
-        i, j = _position(p), _position(q)
+        i, j = (p, q) if type(p) is int and type(q) is int else (_position(p), _position(q))
         masks = self.predecessor_masks
         return i >= 0 and 0 <= j < len(masks) and bool(masks[j] >> i & 1)
 
     def comparable(self, p: Syllable | int, q: Syllable | int) -> bool:
-        i, j = _position(p), _position(q)
+        i, j = (p, q) if type(p) is int and type(q) is int else (_position(p), _position(q))
         if i > j:
             i, j = j, i
         masks = self.predecessor_masks

@@ -55,6 +55,21 @@ def test_graph_build_refuses_a_label_no_word_text_can_name(label):
     assert str(info.value) == f"vertex label {label!r} is not a name ({LABEL_RULE})"
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["a", None], [], "vertex label None is not a string"),
+    (["a", True], [], "vertex label True is not a string"),
+    (["a", 1], [], "vertex label 1 is not a string"),
+    ("ab", [("a", None)], "edge ('a', None) has an endpoint that is not a string"),
+    ("ab", [(b"a", "b")], "edge (b'a', 'b') has an endpoint that is not a string"),
+])
+def test_graph_build_refuses_a_label_that_is_not_a_string(vertices, edges, message):
+    """Labels are not coerced with ``str``: ``None`` would become the vertex
+    ``'None'``, which word text could then name."""
+    with pytest.raises(InputError) as info:
+        DefiningGraph.build(vertices, edges)
+    assert str(info.value) == message
+
+
 def test_every_declared_label_reads_back_from_its_text():
     graph = DefiningGraph.build(["a", "_b", "c_1", "Xy9"], [("a", "_b")])
     for label in graph.vertices:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pickle
 import random
@@ -16,7 +17,8 @@ from raagcc.complexes import build_core, membership
 from raagcc.errors import BudgetExceededError, ContractError, InputError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
-from raagcc.surfaces import check_window_property, fills, find_filling_blocks, subs
+from raagcc.surfaces import (SurfaceModel, check_window_property, fills,
+                             find_filling_blocks, subs)
 from raagcc.words import (
     EPSILON,
     Word,
@@ -116,7 +118,7 @@ def test_parse_word_tokens(abc_graph):
     w = parse_word("a b^-2 c", abc_graph)
     assert [(l.generator, l.sign) for l in w.letters] == [
         ("a", 1), ("b", -1), ("b", -1), ("c", 1)]
-    assert w.to_text() == "a b^-2 c"
+    assert w.to_text() == "a b^-2 c" and repr(w) == "Word('a b^-2 c')"
 
 
 def test_parse_word_reads_back_normal_words():
@@ -294,6 +296,25 @@ def test_out_of_range_positions_are_unordered(abc_graph, path_graph):
                 assert order.precedes(i, j) == ((i, j) in order.pairs), (pairs, i, j)
                 assert order.comparable(i, j) == (
                     (i, j) in order.pairs or (j, i) in order.pairs), (pairs, i, j)
+
+
+@pytest.mark.parametrize("position", [0.9, 1.0, "0", True, False, None, (0,)])
+def test_a_position_that_is_no_syllable_or_int_is_refused(path_graph, position):
+    """A float, a string or a bool is not read as a position: ``int`` would
+    truncate it, reading ``comparable(0.9, 1)`` as ``comparable(0, 1)``."""
+    word = nw([("a", 1), ("c", 1), ("b", 1), ("d", 1)])
+    order = syllable_order(word, path_graph)
+    message = f"a syllable position must be a Syllable or an int, got {position!r}"
+    for call in (lambda: order.comparable(position, 1), lambda: order.comparable(1, position),
+                 lambda: order.precedes(position, 3), lambda: order.precedes(0, position),
+                 lambda: subword_decompose(word, position, 3, path_graph),
+                 lambda: subword_decompose(word, 0, position, path_graph)):
+        with pytest.raises(ContractError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(ContractError):
+        subword_decompose(word, 0.5, 3.9, path_graph)
+    assert order.comparable(word.syllables[0], 1) and order.precedes(0, word.syllables[3])
 
 
 def test_order_of_long_words_stays_within_budget():
@@ -716,3 +737,102 @@ def test_normal_only_functions_map_labels_once(abc_graph, abc_model, monkeypatch
         calls.clear()
         call()
         assert calls == [w]
+
+
+# -- carried words ------------------------------------------------------------
+
+def _outcome(call, w):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return "returned", call(w)
+    except Exception as exc:  # the outcomes compared include every refusal
+        return "raised", type(exc), str(exc)
+
+
+def _word_functions(graph):
+    """Every word function over ``graph``, as (name, call on one word)."""
+    model = SurfaceModel.build(graph, [graph.vertices])
+    a, b = graph.vertices[:2]
+    core = build_core(graph, [word_from_pairs([(a, 1)]), word_from_pairs([(b, 2)])])
+    return [
+        ("normalize", lambda w: normalize(w, graph)),
+        ("is_normal", lambda w: is_normal(w, graph)),
+        ("cyclically_reduce", lambda w: cyclically_reduce(w, graph)),
+        ("min_class", lambda w: min_class(w, graph)),
+        ("membership", lambda w: membership(core, w)),
+        ("fills", lambda w: fills(w, model)),
+        ("build_core", lambda w: build_core(graph, [w], budget=500)),
+        ("certify", lambda w: certify(graph, model, [w], cell_budget=500, enum_budget=20_000)),
+        ("syllable_order", lambda w: syllable_order(w, graph)),
+        ("subword_decompose", lambda w: subword_decompose(w, 0, 2, graph)),
+        ("find_filling_blocks", lambda w: find_filling_blocks(w, model)),
+        ("check_window_property", lambda w: check_window_property(w, 3, model)),
+        ("subs", lambda w: subs(w, graph)),
+    ]
+
+
+def _carried_words(graph, rng):
+    """Words ``_spell`` made over ``graph``: normal forms, cyclic cores and
+    conjugators, and unchecked spellings of raw syllables, which may be
+    unreduced or carry a zero exponent."""
+    out = [words._spell([], graph)]
+    for letters in (1, 3, 6, 9, 12):
+        raw = [(rng.randrange(len(graph.vertices)), rng.choice((1, -1, 2)))
+               for _ in range(letters)]
+        normal = words._spell(words._read_out(words._pile(raw, graph), graph), graph)
+        out += [normal, *cyclically_reduce(normal, graph), words._spell(raw, graph)]
+    out.append(words._spell([(0, 1), (1, 0), (0, 1)], graph))
+    return out
+
+
+@pytest.mark.parametrize("graph", GRAPH_ZOO, ids=lambda g: "".join(g.vertices) + str(len(g.edges)))
+def test_carried_words_match_eager_words_in_every_word_function(graph):
+    """A word ``_spell`` made carries index syllables over its graph's
+    labels.  Every word function gives it the result (or the refusal) it
+    gives the same word built eagerly by ``normal_word_from_pairs``, both
+    over its own graph and over an equal-edged graph whose labels come in
+    another order, where the carried syllables may not be read."""
+    other = DefiningGraph.build(graph.vertices[::-1], [tuple(e) for e in graph.edges])
+    over = [(graph, _word_functions(graph)), (other, _word_functions(other))]
+    for carried in _carried_words(graph, random.Random(len(graph.edges))):
+        eager = nw(carried.pairs())
+        for g, functions in over:
+            for name, call in functions:
+                assert _outcome(call, carried) == _outcome(call, eager), \
+                    (name, g.vertices, carried.pairs())
+        assert "_carried" in vars(carried) and "_carried" not in vars(eager)
+
+
+def test_a_carried_word_over_other_labels_names_the_first_unknown_one(abc_graph):
+    carried = words._spell([(0, 1), (3, 1), (2, 1)], GRAPH_ZOO[3])
+    for call in (lambda: normalize(carried, abc_graph), lambda: is_normal(carried, abc_graph),
+                 lambda: syllable_order(carried, abc_graph)):
+        with pytest.raises(InputError, match="unknown generator 'd'"):
+            call()
+
+
+def test_carried_and_eager_words_are_one_value(abc_graph):
+    """Equality, hashing, ``repr``, every reading, a pickle round trip and
+    ``dataclasses.replace`` do not tell a carried word from an eager one."""
+    for text in ("", "a", "b c a^2 b^-1 c", "a^-3 b c^2 a"):
+        carried = normalize(parse_word(text, abc_graph), abc_graph)
+        eager = nw(carried.pairs())
+        readings = [lambda w: (w.pairs(), w.to_text(), w.letters(), w.as_word()),
+                    lambda w: (w.letter_length, w.syllable_length, len(w), repr(w))]
+        for read in readings:
+            assert read(carried) == read(eager)
+        assert "syllables" not in vars(carried)  # nothing above spelled it
+        unspelled = pickle.loads(pickle.dumps(carried))
+        assert "syllables" not in vars(unspelled) and unspelled.pairs() == eager.pairs()
+        assert carried == eager and eager == carried and hash(carried) == hash(eager)
+        assert unspelled == eager and hash(unspelled) == hash(eager)
+        for w in (carried, eager):
+            for again in (pickle.loads(pickle.dumps(w)), dataclasses.replace(w),
+                          dataclasses.replace(w, syllables=eager.syllables)):
+                assert again == carried and hash(again) == hash(eager)
+                assert again.syllables == eager.syllables and repr(again) == repr(eager)
+        assert carried.syllables == eager.syllables
+        assert all(type(s) is words.Syllable for s in carried.syllables)
+        assert dataclasses.astuple(carried) == dataclasses.astuple(eager)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        carried.syllables = ()
