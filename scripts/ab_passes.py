@@ -12,7 +12,9 @@ pass, the parent first in odd rounds and the change first in even ones.
 A pass's time is the sum of its op times, as ``perfbench/run.py`` counts
 them, unscaled.  Printed: each round's two times and their ratio, each
 side's min and median pass time, the median ratio, and the rounds the
-change won.  Exit status 1 when the fingerprints differ or a check fails.
+change won.  ``--workload all`` runs every workload in turn, each with its
+own pair of workers, and ends with one summary line per workload.  Exit
+status 1 when the fingerprints differ or a check fails.
 """
 
 from __future__ import annotations
@@ -74,10 +76,10 @@ def worker(src: Path, workload: str, seed: int, tiny: bool) -> int:
 
 
 class Worker:
-    def __init__(self, name: str, tree: Path, args):
+    def __init__(self, name: str, tree: Path, workload: str, args):
         src = (tree / "src").resolve()
         cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src),
-               "--workload", args.workload, "--seed", str(args.seed)] + \
+               "--workload", workload, "--seed", str(args.seed)] + \
             (["--tiny"] if args.tiny else [])
         env = {**os.environ, "PYTHONHASHSEED": "0"}
         env.pop("PYTHONPATH", None)
@@ -102,27 +104,15 @@ class Worker:
         self.proc.wait()
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, help="the parent source tree")
-    parser.add_argument("--change", type=Path, help="the changed source tree")
-    parser.add_argument("--workload", default="words-long")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--tiny", action="store_true", help="the smoke-check sizes")
-    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.worker is not None:
-        return worker(args.worker, args.workload, args.seed, args.tiny)
-    if args.parent is None or args.change is None or args.rounds < 1:
-        parser.error("--parent and --change are required, and --rounds must be positive")
-
+def compare(workload: str, args) -> tuple[int, str]:
+    """Time ``args.rounds`` alternating passes of ``workload`` on a new pair
+    of workers, printing as it goes; the exit status and the summary."""
     workers = []
     try:
         for name, tree in (("parent", args.parent), ("change", args.change)):
-            workers.append(Worker(name, tree, args))
+            workers.append(Worker(name, tree, workload, args))
         parent, change = workers
-        print(f"workload {args.workload}, seed {args.seed}: {parent.ops} ops per pass")
+        print(f"workload {workload}, seed {args.seed}: {parent.ops} ops per pass")
         checks = [w.ask("check") for w in workers]
         failed = [f"{w.name} {err}" for w, c in zip(workers, checks) for err in c["errors"]]
         if parent.ops != change.ops or checks[0]["fingerprint"] != checks[1]["fingerprint"]:
@@ -130,7 +120,7 @@ def main() -> int:
         for error in failed:
             print(f"ERROR {error}")
         if failed:
-            return 1
+            return 1, f"{workload}: failed"
         print(f"first-pass fingerprints equal: {checks[0]['fingerprint'][:16]}")
         print("round,parent_s,change_s,ratio")
         times: dict[str, list[float]] = {"parent": [], "change": []}
@@ -146,9 +136,39 @@ def main() -> int:
         print(f"{name}: min {min(ts):.6f} s, median {statistics.median(ts):.6f} s")
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     wins = sum(ratio < 1 for ratio in ratios)
-    print(f"median ratio change/parent {statistics.median(ratios):.4f}; "
-          f"change faster in {wins} of {args.rounds} rounds")
-    return 0
+    summary = (f"median ratio change/parent {statistics.median(ratios):.4f}; "
+               f"change faster in {wins} of {args.rounds} rounds")
+    print(summary)
+    return 0, f"{workload}: {summary}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, help="the parent source tree")
+    parser.add_argument("--change", type=Path, help="the changed source tree")
+    parser.add_argument("--workload", default="words-long", help="a workload's name, or all")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--tiny", action="store_true", help="the smoke-check sizes")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker is not None:
+        return worker(args.worker, args.workload, args.seed, args.tiny)
+    if args.parent is None or args.change is None or args.rounds < 1:
+        parser.error("--parent and --change are required, and --rounds must be positive")
+    if args.workload != "all":
+        return compare(args.workload, args)[0]
+    sys.dont_write_bytecode = True  # importing the workloads must leave perfbench/ untouched
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    results = []
+    for workload in WORKLOADS:
+        results.append(compare(workload, args))
+        print()
+    for _, summary in results:
+        print(summary)
+    return max(status for status, _ in results)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,10 @@ The whole tier-1 suite takes about 9 minutes under the tracer on a 2-CPU
 x86-64 host with CPython 3.11.7, against under 2 minutes untraced.  There
 acceptance tests 02 and 03 overrun their wall-clock budgets (46 s of 30 s
 and 161 s of 60 s) and fail, so the script exits 1; the lines they ran
-still count.  The script exits with pytest's exit code.
+still count.  ``test_decompose_contract_on_a_5000_syllable_window``
+(``tests/test_words.py``) can overrun its 5 s bound under the tracer too,
+depending on the host's speed, so the exit status of a run that takes it
+in depends on the host.  The script exits with pytest's exit code.
 """
 
 from __future__ import annotations

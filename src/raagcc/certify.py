@@ -16,16 +16,20 @@ isometries of nonpositively curved cube complexes are pi_1-injective
 (Haglund & Wise, "Special cube complexes", GAFA 2008).
 
 The same check decides every stage of the construction, partial or
-verified, on a view of the construction's own tables (``_StageView``).
-On a budget-exceeded stage a "yes" is still sound.  The stage
-is connected and link-injective, and every loop at its basepoint reads a
-member of the subgroup: folding identifies paths without changing their
-images, and attached squares are relations that already hold.  So a
-nontrivial chord loop w of the S-labelled edges at a root r gives the
-member p*w*p^-1, where p is any path from the basepoint to r.  The cyclic
-core of that member has its support inside S, so the member does not
-fill.  A "no" on a partial stage proves nothing, since a later stage may
-add loops, and the construction goes on to the next stage.
+verified, on a view of the builder's own arrays (``_StageView``), read in
+one pass: the roots of its ids, its edges by label, its square rows and a
+copy of each vertex's end table, from which letters are read only for the
+vertices that a forest or the witness walk reaches.  A view stays valid as
+the builder grows on.  On a budget-exceeded stage a "yes" is still sound.
+The stage is connected and link-injective, and every loop at its
+basepoint reads a member of the subgroup: folding identifies paths
+without changing their images, and attached squares are relations that
+already hold.  So a nontrivial chord loop w of the S-labelled edges at a
+root r gives the member p*w*p^-1, where p is any path from the basepoint
+to r.  The cyclic core of that member has its support inside S, so the
+member does not fill.  A "no" on a partial stage proves nothing, since a
+later stage may add loops, and the construction goes on to the next
+stage.
 
 Most chord words are decided without spelling them, by homology over
 GF(2).  Each square of a stage is a relation of A(Gamma), so each
@@ -61,13 +65,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import (
     VERIFIED,
-    LabeledCubeComplex,
     SubgroupCore,
     _Builder,
+    _require_count,
     _require_verified,
     count_elements,
     iter_loops_by_length,
@@ -143,34 +147,51 @@ class Certificate:
         }
 
 
-class _StageView:
-    """A stage, verified or not, read off its folded builder, with the parts
-    of ``LabeledCubeComplex`` that the chord check and the spelling
-    automaton read: the canonical vertices, the canonical edges numbered by
-    least raw id (neither answer depends on the numbering), the adjacency
-    and letter table built from them as a frozen complex builds its own,
-    and a square row per raw square: (a, b, gamma, delta, label index of
-    a, of b), its boundary edges as positions in ``edges``.  Raw squares
-    that folding made equal give equal rows, which ``_h1_vanishes`` reduces
-    to zero and has counted in its slack.  The view copies what it reads,
-    so the builder may grow on."""
+class _Letters(dict):
+    """A stage's letter table: per root vertex, the letters leaving it as
+    (generator index, sign, far root) in table-key order, the canonical
+    letter order, each row read off the vertex's end table on first use."""
 
-    adjacency = LabeledCubeComplex.adjacency
-    _letter_options = LabeledCubeComplex._letter_options
+    def __init__(self, ends: dict[int, dict[int, int]], vroot: list[int], raw: list) -> None:
+        super().__init__()
+        self.ends, self.vroot, self.raw = ends, vroot, raw
+
+    def __missing__(self, v: int) -> list[tuple[int, int, int]]:
+        table, vroot, raw = self.ends[v], self.vroot, self.raw
+        row = self[v] = [(key >> 1, -1 if key & 1 else 1, vroot[raw[table[key]][1 - (key & 1)]])
+                         for key in sorted(table)]
+        return row
+
+
+class _StageView:
+    """A stage, verified or not, read off its folded builder in one pass,
+    on the builder's own ids, each raw id mapped to its root once: the root
+    edges by label index as (edge id, source, target) in ``labelled``, and
+    a row per raw square (a, b, gamma, delta, label index of a, of b) of
+    root edge ids.  Raw squares that folding made equal give equal rows,
+    which ``_h1_vanishes`` reduces to zero and has counted in its slack.
+    Each vertex's end table is copied; ``_letter_options``, shaped as a
+    frozen complex's but keyed by root vertex, reads a row off a copy only
+    when a forest or the walk reaches the vertex.  The builder only appends
+    to its raw edges, so a view kept while it grows on still answers for
+    its own stage."""
 
     def __init__(self, builder: _Builder):
-        vroot = list(map(builder.vfind, range(len(builder.vparent))))
-        eroot = list(map(builder.efind, range(len(builder.eparent))))
-        labels, raw = builder.graph.vertices, builder.edges
+        vroot, eroot, raw = builder.vparent[:], builder.eparent[:], builder.edges
+        for roots in (vroot, eroot):  # each raw id's root, by pointer jumping
+            while (jumped := [roots[r] for r in roots]) != roots:
+                roots[:] = jumped
         self.graph, self.basepoint = builder.graph, vroot[builder.basepoint]
-        self.vertices = tuple(builder.ends)
-        roots = [e for e, root in enumerate(eroot) if e == root]
-        self.edges = [(e, vroot[raw[e][0]], vroot[raw[e][1]], labels[raw[e][2]]) for e in roots]
-        slot = {e: i for i, e in enumerate(roots)}
-        position = [slot[root] for root in eroot]
-        self.square_edges = [(position[a], position[b], position[gamma], position[delta],
-                              ka >> 1, kb >> 1)
+        self.ends = {v: table.copy() for v, table in builder.ends.items()}
+        self.vertex_ids, self.edge_ids = len(vroot), len(eroot)
+        self.labelled: list[list[tuple[int, int, int]]] = [[] for _ in builder.graph.vertices]
+        for e, root in enumerate(eroot):
+            if e == root:
+                src, dst, g = raw[e]
+                self.labelled[g].append((e, vroot[src], vroot[dst]))
+        self.square_edges = [(eroot[a], eroot[b], eroot[gamma], eroot[delta], ka >> 1, kb >> 1)
                              for a, b, gamma, delta, ka, kb in builder.squares]
+        self._letter_options = _Letters(self.ends, vroot, raw), self.basepoint
 
 
 def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ...]]]],
@@ -199,68 +220,66 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
     return None
 
 
-def _spanning_forest(complex_: LabeledCubeComplex, allowed: int
-                     ) -> tuple[dict[int, tuple[int, int] | None], list[int]]:
-    """A spanning forest of the edges whose label index is a bit of
-    ``allowed``, as parent pointers (v -> (u, key): u's end at key reaches
-    v; None at a root), and its chords: the positions in ``edges`` of the
-    other edges so labelled, in order.
+def _forest_chords(view: _StageView, allowed: int) -> list[int]:
+    """The chords of a spanning forest of a stage's edges whose label index
+    is a bit of ``allowed``: the edge ids that close a cycle, taken by
+    label, in a list-based union-find over the vertex ids."""
+    up = list(range(view.vertex_ids))
+    chords = []
+    for g, edges in enumerate(view.labelled):
+        if allowed >> g & 1:
+            for e, s, t in edges:
+                while up[s] != s:
+                    up[s] = s = up[up[s]]
+                while up[t] != t:
+                    up[t] = t = up[up[t]]
+                if s == t:
+                    chords.append(e)
+                else:
+                    up[s] = t
+    return chords
 
-    Roots are the basepoint, then the other vertices in order; each tree
-    grows breadth first, taking a vertex's edge-ends in the complex's
-    ``adjacency`` order: by label index, orientation and edge id.
-    """
-    ends = complex_.adjacency
-    index = complex_.graph._index
-    takes = [allowed >> (key >> 1) & 1 for key in range(2 * len(index))]
-    parent: dict[int, tuple[int, int] | None] = {}
-    tree: set[int] = set()
-    for root in (complex_.basepoint, *complex_.vertices):
+
+def _chord_words(options: list | dict, allowed: int, roots: Iterable[int]
+                 ) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """Each chord of a breadth-first spanning forest of the edges whose
+    label index is a bit of ``allowed``, as (source, label index, loop
+    word), yielded as the forest grows.  The chord loops at the roots
+    generate the fundamental group of each component.
+
+    Trees grow from the ``roots`` not yet reached, in order, through a
+    letter table ``options`` (a frozen complex's or a view's
+    ``_letter_options``), as parent pointers v -> (u, g, sign): the letter
+    (g, sign) leaving u reaches v.  An edge met at its source whose target
+    is reached already is a chord, unless it is the source's tree edge.  A
+    chord from src to dst labelled g gives path(src)*g*path(dst)^-1, with
+    path(v) read up the parent chain from v's root."""
+    parent: dict[int, tuple[int, int, int] | None] = {}
+    for root in roots:
         if root in parent:
             continue
         parent[root] = None
         queue = [root]
-        for v in queue:
-            for key, eid, far in ends[v]:
-                if takes[key] and far not in parent:
-                    parent[far] = (v, key)
-                    tree.add(eid)
-                    queue.append(far)
-    return parent, [i for i, (eid, _, _, label) in enumerate(complex_.edges)
-                    if allowed >> index[label] & 1 and eid not in tree]
-
-
-def _chord_words(complex_: LabeledCubeComplex,
-                 forest: tuple[dict[int, tuple[int, int] | None], list[int]]
-                 ) -> Iterator[list[tuple[int, int]]]:
-    """The loop word of every chord of a ``forest`` that ``_spanning_forest``
-    grew on ``complex_``, in edge order.  The chord loops at the roots
-    generate the fundamental group of each component.
-
-    A chord from src to dst labelled g gives path(src)*g*path(dst)^-1 as
-    index syllables, read off the forest's parent chains; path(v) is the
-    forest path from its root to v."""
-    parent, chords = forest
-    index = complex_.graph._index
-    edges = complex_.edges
-    for i in chords:
-        _, src, dst, label = edges[i]
-        climbs = []  # the end keys from src, and from dst, up to the root
-        for v in (src, dst):
-            keys = []
-            step = parent[v]
-            while step is not None:
-                keys.append(step[1])
-                step = parent[step[0]]
-            climbs.append(keys)
-        up, down = climbs
-        yield [(key >> 1, -1 if key & 1 else 1) for key in reversed(up)] + [(index[label], 1)] + \
-            [(key >> 1, 1 if key & 1 else -1) for key in down]  # path(dst)^-1: letters inverted
+        for src in queue:
+            for g, sign, dst in options[src]:
+                if not allowed >> g & 1:
+                    continue
+                if dst not in parent:
+                    parent[dst] = (src, g, sign)
+                    queue.append(dst)
+                elif sign > 0 and parent[src] != (dst, g, -1):
+                    up, down = [], []  # the letters from src, and from dst, up to the root
+                    for v, steps in ((src, up), (dst, down)):
+                        while (step := parent[v]) is not None:
+                            steps.append(step)
+                            v = step[0]
+                    yield src, g, [(h, e) for _, h, e in reversed(up)] + [(g, 1)] + \
+                        [(h, -e) for _, h, e in down]  # path(dst)^-1: letters inverted
 
 
 def _squares_by_labels(view: _StageView) -> dict[int, list[tuple[int, int, int, int]]]:
-    """The stage's ``square_edges`` (four edge positions each), grouped by
-    the bitmask of their two label indices."""
+    """The stage's ``square_edges`` (four edge ids each), grouped by the
+    bitmask of their two label indices."""
     groups: dict[int, list[tuple[int, int, int, int]]] = {}
     for a, b, gamma, delta, la, lb in view.square_edges:
         groups.setdefault(1 << la | 1 << lb, []).append((a, b, gamma, delta))
@@ -268,11 +287,11 @@ def _squares_by_labels(view: _StageView) -> dict[int, list[tuple[int, int, int, 
 
 
 def _h1_vanishes(chords: list[int], squares: dict[int, list[tuple[int, int, int, int]]],
-                 allowed: int, edge_count: int) -> bool:
+                 allowed: int, edge_ids: int) -> bool:
     """Whether H_1(S-subcomplex; GF(2)) = 0, for S the labels of ``allowed``:
     whether the boundaries of the ``squares`` whose two labels lie in S
-    span the cycle space of the S-edges, given the ``chords`` (positions in
-    ``edges``) of a spanning forest of them.
+    span the cycle space of the S-edges, given the ``chords`` (edge ids
+    below ``edge_ids``) of a spanning forest of them.
 
     With the forest contracted, each chord is one bit and a square's row is
     the XOR of its four edges' bits (an edge its boundary repeats cancels).
@@ -285,7 +304,7 @@ def _h1_vanishes(chords: list[int], squares: dict[int, list[tuple[int, int, int,
     slack = sum(map(len, rows)) - len(chords)
     if slack < 0:
         return False
-    bit = [0] * edge_count
+    bit = [0] * edge_ids
     for i, e in enumerate(chords):
         bit[e] = 1 << i
     basis: dict[int, int] = {}  # bit length -> reduced row
@@ -313,11 +332,12 @@ def _nonfilling_chord_set(view: _StageView, model: SurfaceModel, verified: bool)
     None when there is none.  ``verified`` says whether the stage is a
     verified core.
 
-    Each set S is first decided by ``_h1_vanishes`` (see the module
-    docstring).  H_1 = 0: every chord word of S is trivial, on any stage.
-    Otherwise, on a verified core, some chord word is nontrivial and S is
-    returned; on a partial stage, the chord words of the same forest are
-    piled.
+    Each set S is first decided by ``_h1_vanishes`` on the chords of a
+    union-find forest (see the module docstring).  H_1 = 0: every chord
+    word of S is trivial, on any stage.  Otherwise, on a verified core, S
+    is returned; on a partial stage, the chord words of a breadth-first
+    forest are piled as they are met.  No answer depends on the forest:
+    any spanning forest's chord loops generate each component's pi_1.
 
     On a verified core, None means that no nontrivial member fails to
     fill.  On any connected link-injective stage, a set returned here
@@ -326,13 +346,17 @@ def _nonfilling_chord_set(view: _StageView, model: SurfaceModel, verified: bool)
     graph = view.graph
     squares = None
     for allowed in model.maximal_non_filling_sets:
-        forest = _, chords = _spanning_forest(view, allowed)
+        chords = _forest_chords(view, allowed)
         if not chords:
             continue  # a forest has no loops
-        squares = squares or _squares_by_labels(view)
-        if _h1_vanishes(chords, squares, allowed, len(view.edges)):
+        if squares is None:
+            squares = _squares_by_labels(view)
+        if _h1_vanishes(chords, squares, allowed, view.edge_ids):
             continue
-        if verified or any(any(_pile(word, graph)) for word in _chord_words(view, forest)):
+        sources = (s for g, group in enumerate(view.labelled) if allowed >> g & 1
+                   for _, s, _ in group)
+        if verified or any(any(_pile(word, graph)) for *_, word in
+                           _chord_words(view._letter_options[0], allowed, sources)):
             return allowed
     return None
 
@@ -379,10 +403,8 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         raise ContractError("certification requires the model's admissibility flag")
     if not generators:
         raise InputError("certify requires at least one generator")
-    if enum_budget < 1:
-        raise InputError("enum_budget must be positive")
-    if cell_budget < 1:
-        raise InputError("cell_budget must be positive")
+    _require_count("enum_budget", enum_budget, 1)
+    _require_count("cell_budget", cell_budget, 1)
     forms = [_read_out(_pile(_indexed(g, graph), graph), graph) for g in generators]
     normal_gens = tuple(_spell(form, graph) for form in forms)
 
@@ -459,8 +481,11 @@ def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
     """
     _require_verified(core)
     graph, complex_ = core.graph, core.complex
+    options, base = complex_._letter_options
+    position, index = {v: i for i, v in enumerate(complex_.vertices)}, graph._index
+    at = {(position[src], index[label]): i for i, (_, src, _, label) in enumerate(complex_.edges)}
     seen: dict[tuple[tuple[int, int], ...], None] = {}
-    for chord in _chord_words(complex_, _spanning_forest(complex_, -1)):
+    for *_, chord in sorted(_chord_words(options, -1, (base,)), key=lambda c: at[c[:2]]):
         seen.setdefault(tuple(_read_out(_pile(chord, graph), graph)))
     return tuple(_spell(syls, graph) for syls in seen if syls)
 

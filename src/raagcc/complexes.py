@@ -616,8 +616,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
     """
     if not generators:
         raise InputError("build_core requires at least one generator word")
-    if budget <= 0:
-        raise InputError("budget must be positive")
+    _require_count("budget", budget, 1)
     words = [_indexed(word, graph) for word in generators]
     if extend is not None:
         if not isinstance(extend, LabeledCubeComplex):
@@ -630,6 +629,15 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
             raise InputError("the complex to extend must be connected")
     builder = _Builder(graph, words, extend)
     return builder.core(builder.grow(budget), budget)
+
+
+def _require_count(name: str, value: int, least: int) -> None:
+    """Raise ``InputError`` unless ``value`` is an ``int`` (not a ``bool``)
+    of at least ``least``, which is 0 or 1; the message names ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be {'positive' if least else '>= 0'}")
 
 
 def _require_verified(core: SubgroupCore) -> None:
@@ -834,8 +842,7 @@ def count_elements(core: SubgroupCore, max_len: int) -> int:
     number of walks that reach each state.
     """
     _require_verified(core)
-    if max_len < 0:
-        raise InputError("max_len must be >= 0")
+    _require_count("max_len", max_len, 0)
     auto = _SpellingAutomaton(core.complex)
     table, closes = auto.table, auto.closes
     counts = {auto.start: 1}
@@ -859,10 +866,9 @@ def enumerate_elements(core: SubgroupCore, max_len: int,
     canonical normal word, sorted by length then spelling (the walk's own
     order: letter order is generator index, positive sign first).  A
     ``budget`` on the walk's nodes must be positive."""
-    if max_len < 0:
-        raise InputError("max_len must be >= 0")
-    if budget is not None and budget < 1:
-        raise InputError("budget must be positive")
+    _require_count("max_len", max_len, 0)
+    if budget is not None:
+        _require_count("budget", budget, 1)
     return tuple(_spell(syls, core.graph)
                  for _, loops in iter_elements_by_length(core, max_len, node_budget=budget)
                  for syls in loops)

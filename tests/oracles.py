@@ -12,7 +12,10 @@ replaced, and ``oracle_certify_by_enumeration``, the ell-ball sweep that
 ``oracle_partial_stage_witness`` is the bounded loop walk that decided
 budget-exceeded stages before the chord-word check took that over, and
 ``oracle_chord_words`` the chord words as read before the forests kept
-parent pointers.  ``oracle_h1_rank`` is H_1 of a label set's subcomplex
+parent pointers.  ``oracle_forest_chords`` is the breadth-first chord
+listing that the chord check ran on a frozen complex's adjacency before
+its union-find forests, and ``oracle_h1_vanishes`` the elimination it fed
+them to, over the whole stage.  ``oracle_h1_rank`` is H_1 of a label set's subcomplex
 over GF(2), from dense rows over its edges, the reference for the
 homology decision of ``certify``'s chord check.
 ``oracle_square_edges`` reads each square's boundary row through
@@ -875,6 +878,55 @@ def oracle_chord_words(complex_: LabeledCubeComplex, allowed: int = -1
     for eid, src, dst, label in complex_.edges:
         if eid not in tree and allowed >> index[label] & 1:
             yield path[src] + ((index[label], 1),) + tuple((g, -e) for g, e in reversed(path[dst]))
+
+
+def oracle_forest_chords(complex_: LabeledCubeComplex, allowed: int = -1) -> list[int]:
+    """The chords of the breadth-first spanning forest of the edges whose
+    label index is a bit of ``allowed``: their positions in ``edges``, in
+    order.  Roots are the basepoint, then the other vertices in order; each
+    tree grows breadth first, taking a vertex's ends in the complex's
+    ``adjacency`` order: by label index, orientation and edge id."""
+    ends = complex_.adjacency
+    index = complex_.graph._index
+    takes = [allowed >> (key >> 1) & 1 for key in range(2 * len(index))]
+    reached: set[int] = set()
+    tree: set[int] = set()
+    for root in (complex_.basepoint, *complex_.vertices):
+        if root in reached:
+            continue
+        reached.add(root)
+        queue = [root]
+        for v in queue:
+            for key, eid, far in ends[v]:
+                if takes[key] and far not in reached:
+                    reached.add(far)
+                    tree.add(eid)
+                    queue.append(far)
+    return [i for i, (eid, _, _, label) in enumerate(complex_.edges)
+            if allowed >> index[label] & 1 and eid not in tree]
+
+
+def oracle_h1_vanishes(complex_: LabeledCubeComplex, allowed: int = -1) -> bool:
+    """Whether the boundaries of the squares whose two labels lie in S (the
+    labels of ``allowed``), read through ``oracle_square_edges``, span the
+    cycle space of the S-edges, with the forest of ``oracle_forest_chords``
+    contracted: each chord is one bit, each square the XOR of its four
+    edges' bits, and the rows of the whole stage are reduced until they
+    reach the number of chords or run out."""
+    chords = oracle_forest_chords(complex_, allowed)
+    bit = [0] * len(complex_.edges)
+    for i, e in enumerate(chords):
+        bit[e] = 1 << i
+    basis: dict[int, int] = {}  # bit length -> reduced row
+    for a, b, gamma, delta, la, lb in oracle_square_edges(complex_):
+        if not (allowed >> la & 1 and allowed >> lb & 1):
+            continue
+        row = bit[a] ^ bit[b] ^ bit[gamma] ^ bit[delta]
+        while row and row.bit_length() in basis:
+            row ^= basis[row.bit_length()]
+        if row:
+            basis[row.bit_length()] = row
+    return len(basis) == len(chords)
 
 
 def oracle_h1_rank(complex_: LabeledCubeComplex, allowed: int = -1) -> int:

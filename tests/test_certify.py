@@ -17,9 +17,9 @@ from raagcc.certify import (
     REFUTED,
     _StageView,
     _chord_words,
+    _forest_chords,
     _h1_vanishes,
     _nonfilling_chord_set,
-    _spanning_forest,
     _squares_by_labels,
     certify,
     displacement_lower_bound,
@@ -40,7 +40,7 @@ from raagcc.complexes import (
     membership,
     salvetti,
 )
-from raagcc.errors import ContractError, InputError, InternalError
+from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel, max_exponent
@@ -73,6 +73,7 @@ def test_single_non_filling_generator_refutes(abc_graph, abc_model):
     # membership while failing the filling test.
     assert cert.core_status == VERIFIED
     assert membership(cert.core, cert.witness)
+    assert cert.bound_coefficients() is None  # a bound is certified only
 
 
 def test_augmented_subgroup_refutes_with_conjugate_witness(abc_graph, abc_model):
@@ -118,6 +119,14 @@ def test_certify_validates_inputs(abc_graph, abc_model):
     for budget in (0, -5):
         with pytest.raises(InputError, match="cell_budget must be positive"):
             certify(abc_graph, abc_model, gens, cell_budget=budget)
+    # A budget that is no int: cell_budget=True once came back inconclusive,
+    # "core construction exceeded cell budget True" with the stage
+    # [[true, 11]], and a string raised a bare TypeError.
+    for name in ("cell_budget", "enum_budget"):
+        for value in (True, 2.5, "300"):
+            with pytest.raises(InputError) as info:
+                certify(abc_graph, abc_model, gens, **{name: value})
+            assert str(info.value) == f"{name} must be an int, not {value!r}"
     assert certify(abc_graph, abc_model, gens, enum_budget=1).verdict == INCONCLUSIVE
 
 
@@ -375,17 +384,33 @@ def test_partial_stage_budget_stop_names_the_enum_budget(abc_graph, abc_model):
 CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}
 
 
+def _labelled_edges(complex_, allowed: int) -> list[tuple[int, int, int]]:
+    """The edges of a stage's view or of a frozen stage whose label index
+    is a bit of ``allowed``, as (source, target, label index): a view's by
+    label, a frozen stage's in order (its vertex ids are its positions)."""
+    if isinstance(complex_, _StageView):
+        return [(s, t, g) for g, group in enumerate(complex_.labelled) if allowed >> g & 1
+                for _, s, t in group]
+    index = complex_.graph._index
+    return [(src, dst, index[label]) for _, src, dst, label in complex_.edges
+            if allowed >> index[label] & 1]
+
+
 def test_lean_chord_words_match_oracle(catalog_stages):
     """The parent-pointer forests give the chord words of the per-vertex
-    path tuples, in the same order, for every edge set the check and
-    ``extract_generators`` read."""
+    path tuples, for every edge set the check and ``extract_generators``
+    read, grown from the oracle's roots (the basepoint, then every vertex in
+    order): each chord once, in edge order once sorted by the source and
+    label it is named by."""
     counted = {True: 0, False: 0}
     for _, model, _, stages in catalog_stages:
         for core, _ in stages:
             complex_ = core.complex
+            options, base = complex_._letter_options
+            at = {(src, g): i for i, (src, _, g) in enumerate(_labelled_edges(complex_, -1))}
             for allowed in (-1, *model.maximal_non_filling_sets):
-                forest = _spanning_forest(complex_, allowed)
-                assert [tuple(w) for w in _chord_words(complex_, forest)] == \
+                chords = _chord_words(options, allowed, (base, *complex_.vertices))
+                assert [tuple(w) for *_, w in sorted(chords, key=lambda c: at[c[:2]])] == \
                     list(oracles.oracle_chord_words(complex_, allowed))
             counted[core.verified] += 1
     assert counted[True] >= 20 and counted[False] >= 20, counted
@@ -490,27 +515,37 @@ def test_chord_check_decides_every_stage(catalog_stages):
 # -- the chord check decided by GF(2) homology -------------------------------------
 
 
-def _h1_vanishes_at(view, allowed: int) -> bool:
-    """The check's H_1 = 0 verdict for one label set, on its own forest."""
-    _, chords = _spanning_forest(view, allowed)
-    return _h1_vanishes(chords, _squares_by_labels(view), allowed, len(view.edges))
+def _h1_vanishes_at(complex_, allowed: int) -> bool:
+    """The check's H_1 = 0 verdict for one label set: on a stage's view, on
+    the chords of its union-find forest; on a hand-made complex, whose edge
+    ids are its positions, on the breadth-first chords of the oracle."""
+    if isinstance(complex_, _StageView):
+        chords, edge_ids = _forest_chords(complex_, allowed), complex_.edge_ids
+    else:
+        chords = oracles.oracle_forest_chords(complex_, allowed)
+        edge_ids = len(complex_.edges)
+    return _h1_vanishes(chords, _squares_by_labels(complex_), allowed, edge_ids)
 
 
-def _frozen_positions(view: _StageView, frozen: LabeledCubeComplex) -> list[int]:
-    """Each edge position of a stage's view, as the position of the same
+def _frozen_positions(view: _StageView, frozen: LabeledCubeComplex) -> dict[int, int]:
+    """Each root edge id of a stage's view, as the position of the same
     edge in the complex the stage freezes into: the two are walked from
-    their basepoints together, pairing the ends in each vertex's slots."""
-    position = {e[0]: i for i, e in enumerate(view.edges)}
-    to = [-1] * len(view.edges)
+    their basepoints together, pairing each vertex's letters with the
+    frozen vertex's ends in the same slots."""
+    out_edge = {(s, 2 * g): e for g, group in enumerate(view.labelled) for e, s, _ in group}
+    to: dict[int, int] = {}
     pairs = {view.basepoint: frozen.basepoint}
     queue = [view.basepoint]
+    options, _ = view._letter_options
     for v in queue:
         slots = {key: (eid, far) for key, eid, far in frozen.adjacency[pairs[v]]}
-        for key, eid, far in view.adjacency[v]:
-            to[position[eid]], frozen_far = slots[key]  # a frozen edge id is its position
+        for g, sign, far in options[v]:
+            eid, frozen_far = slots[2 * g + (sign < 0)]  # a frozen edge id is its position
+            to[out_edge[(v, 2 * g) if sign > 0 else (far, 2 * g)]] = eid
             if far not in pairs:
                 pairs[far] = frozen_far
                 queue.append(far)
+    assert len(to) == sum(map(len, view.labelled))
     return to
 
 
@@ -709,36 +744,119 @@ def catalog_stage_views(catalog_stages):
     return out
 
 
+def _walk(complex_, max_len: int) -> tuple[list, int | None]:
+    """The levels of the basepoint-loop walk up to ``max_len`` within the
+    catalog's enumeration budget, and the partial count where the budget
+    stopped it (None when it did not)."""
+    levels = []
+    try:
+        for level in iter_loops_by_length(complex_, max_len,
+                                          node_budget=CATALOG_BUDGETS["enum_budget"]):
+            levels.append(level)
+    except BudgetExceededError as exc:
+        return levels, exc.partial_count
+    return levels, None
+
+
 def test_stage_view_matches_frozen_stage(catalog_stage_views):
     """On every budget-exceeded stage, the view ``certify`` decides it on
     and the complex it freezes into agree: the vertex, edge and
     square counts; per maximal non-filling set, the H_1 verdict (the
     frozen stage's from the dense oracle) and whether some chord word is
     nontrivial; the check's answer, which is the first set with a
-    nontrivial chord word of the frozen stage; and the first levels of the
-    basepoint-loop walk on the two letter tables.  Some stage has raw
-    squares that folding made equal."""
+    nontrivial chord word of the frozen stage; and the basepoint-loop walk
+    on the two letter tables up to the stage's ell, within the catalog's
+    enumeration budget.  Some stage has raw squares that folding made
+    equal."""
     merged = 0
     for model, core, counts, raw_squares, view in catalog_stage_views:
         frozen = core.complex
         graph = frozen.graph
         assert counts == core.diagnostics
-        assert (len(view.vertices), len(view.edges), counts["square_count"]) == \
+        assert (len(view.ends), sum(map(len, view.labelled)), counts["square_count"]) == \
             (len(frozen.vertices), len(frozen.edges), len(frozen.squares))
         piled = None
         for allowed in model.maximal_non_filling_sets:
             assert _h1_vanishes_at(view, allowed) == \
                 (oracles.oracle_h1_rank(frozen, allowed) == 0)
-            nontrivial = [any(any(_pile(w, graph))
-                              for w in _chord_words(c, _spanning_forest(c, allowed)))
+            nontrivial = [any(any(_pile(w, graph)) for *_, w in _chord_words(
+                c._letter_options[0], allowed, (s for s, _, _ in _labelled_edges(c, allowed))))
                           for c in (view, frozen)]
             assert nontrivial[0] == nontrivial[1]
             if nontrivial[1] and piled is None:
                 piled = allowed
         assert _nonfilling_chord_set(view, model, False) == piled
-        assert list(iter_loops_by_length(view, 4)) == list(iter_loops_by_length(frozen, 4))
+        ell = 3 * (counts["vertex_count"] + 1)
+        assert _walk(view, ell) == _walk(frozen, ell)
         merged += raw_squares > len(frozen.squares)
     assert len(catalog_stage_views) >= 20 and merged >= 1, (len(catalog_stage_views), merged)
+
+
+def test_union_find_chords_match_breadth_first_oracle(catalog_stages, catalog_stage_views):
+    """On every budget-exceeded stage and every verified core of the
+    catalog sample, per maximal non-filling set S: the union-find forest
+    has as many chords as the breadth-first forest of the frozen stage,
+    each an S-labelled edge named once; and H_1 = 0 on its chords exactly
+    when the elimination over the breadth-first chords of the whole stage
+    and the dense oracle say so."""
+    cases = [(model, core.complex, view) for _, model, _, stages in catalog_stages
+             for core, view in stages if core.verified]
+    cases += [(model, core.complex, view) for model, core, _, _, view in catalog_stage_views]
+    seen: Counter = Counter()
+    for model, frozen, view in cases:
+        label = {e: g for g, group in enumerate(view.labelled) for e, _, _ in group}
+        for allowed in model.maximal_non_filling_sets:
+            chords = _forest_chords(view, allowed)
+            assert len(set(chords)) == len(chords) == \
+                len(oracles.oracle_forest_chords(frozen, allowed))
+            assert all(allowed >> label[e] & 1 for e in chords)
+            vanishes = _h1_vanishes_at(view, allowed)
+            assert vanishes == oracles.oracle_h1_vanishes(frozen, allowed) == \
+                (oracles.oracle_h1_rank(frozen, allowed) == 0)
+            seen[vanishes] += 1
+    assert len(cases) >= 40 and min(seen[True], seen[False]) >= 10, (len(cases), seen)
+
+
+def test_walk_on_view_matches_frozen_stage(catalog_stages):
+    """On every catalog stage, verified or not, the basepoint-loop walk on
+    the view's letter table, read lazily, equals the walk on the frozen
+    stage's, up to the stage's ell within the catalog's enumeration
+    budget, the budget stop and its partial count included."""
+    stops = Counter()
+    for _, _, _, stages in catalog_stages:
+        for core, view in stages:
+            ell = 3 * (core.diagnostics["vertex_count"] + 1)
+            walked = _walk(view, ell)
+            assert walked == _walk(core.complex, ell)
+            stops[core.verified, walked[1] is None] += 1
+    assert min(stops[True, True], stops[False, False]) >= 5, stops
+
+
+def test_stage_view_outlives_its_builders_growth(catalog_stages):
+    """A view kept while its builder grows on answers for its own stage: it
+    reads its letter table, runs the chord check and walks its loops only
+    after the builder has grown to the next stages, and agrees with the
+    view of a fresh builder grown to its stage alone."""
+    kept = 0
+    for graph, model, gens, stages in catalog_stages:
+        for core, view in stages[:-1]:  # the builder grew past each of these
+            budget = core.diagnostics["budget"]
+            builder = _Builder(graph, [_indexed(w, graph) for w in gens])
+            assert builder.grow(budget) == BUDGET_EXCEEDED
+            fresh = _StageView(builder)
+            rows = [{v: c._letter_options[0][v] for v in c.ends} for c in (view, fresh)]
+            assert rows[0] == rows[1]
+            assert (view.basepoint, view.labelled, view.square_edges) == \
+                (fresh.basepoint, fresh.labelled, fresh.square_edges)
+            assert [_h1_vanishes_at(view, allowed) for allowed in model.maximal_non_filling_sets] \
+                == [_h1_vanishes_at(fresh, allowed)
+                    for allowed in model.maximal_non_filling_sets]
+            assert _nonfilling_chord_set(view, model, False) == \
+                _nonfilling_chord_set(fresh, model, False)
+            ell = 3 * (core.diagnostics["vertex_count"] + 1)
+            assert _walk(view, ell) == _walk(fresh, ell)
+            kept += 1
+    assert kept >= 10, kept
 
 
 def test_partial_stage_core_is_frozen_on_read(monkeypatch):

@@ -176,6 +176,26 @@ def test_negative_length_caps_are_input_errors(worked_core):
     assert str(info.value) == "k_max must be >= 0"
 
 
+@pytest.mark.parametrize("value", [True, 2.5, "300"])
+def test_budgets_and_length_caps_must_be_ints(worked_core, abc_graph, value):
+    """A budget or a length cap of the core functions that is a bool, a
+    float or a string is an ``InputError`` naming the parameter and the
+    value (``certify``'s two budgets are tested with its other inputs).
+    Before, over abc with <b c a, b a b c>: ``build_core`` reported a
+    budget of 2.5, ``enumerate_elements`` raised ``ValueError`` from
+    ``islice``, ``count_elements(core, True)`` returned 1, and a string
+    raised a bare ``TypeError``."""
+    gens = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
+    calls = [("budget", lambda: build_core(abc_graph, gens, budget=value)),
+             ("max_len", lambda: enumerate_elements(worked_core, value)),
+             ("budget", lambda: enumerate_elements(worked_core, 4, budget=value)),
+             ("max_len", lambda: count_elements(worked_core, value))]
+    for name, call in calls:
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == f"{name} must be an int, not {value!r}"
+
+
 def test_subword_decompose_positions(path_graph):
     """p and q must be two distinct syllables of the word, given in either
     order: L commutes with the earlier one and R with the later one."""

@@ -110,6 +110,23 @@ def test_ab_passes_tiny_against_itself():
     assert len(lines) == 8
 
 
+def test_ab_passes_all_workloads_tiny():
+    """``--workload all`` times every workload in turn, each block as a
+    single workload prints it, and ends with one summary line per
+    workload, in the benchmark's order."""
+    done = _run("ab_passes.py", "--parent", str(ROOT), "--change", str(ROOT),
+                "--workload", "all", "--tiny", "--rounds", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    names = ["certify-zoo", "words-long", "words-short", "ring-sweep"]
+    assert [line.split(",")[0] for line in lines if line.startswith("workload ")] == \
+        [f"workload {name}" for name in names]
+    assert len(lines) == 4 * (7 + 1) + 4  # a block and a blank line each, then the summary
+    for name, line in zip(names, lines[-4:]):
+        assert re.fullmatch(rf"{name}: median ratio change/parent \d+\.\d{{4}}; "
+                            r"change faster in [01] of 1 rounds", line), line
+
+
 def test_perfbench_smoke():
     """Every benchmark workload runs at a tiny size, untraced and traced,
     passes its output checks and emits exactly its declared metrics; a change
