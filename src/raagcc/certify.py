@@ -17,10 +17,11 @@ isometries of nonpositively curved cube complexes are pi_1-injective
 
 The same check decides every stage of the construction, partial or
 verified, on a view of the builder's own arrays (``_StageView``), read in
-one pass: the roots of its ids, its edges by label, its square rows and a
-copy of each vertex's end table, from which letters are read only for the
-vertices that a forest or the witness walk reaches.  A view stays valid as
-the builder grows on.  On a budget-exceeded stage a "yes" is still sound.
+place in one pass: its ids compressed to their roots, its edges by label
+and its square rows grouped by their two labels; letters are read off the
+builder's end tables only for the vertices that a forest or the witness
+walk reaches.  A view answers for its stage until the builder grows on.
+On a budget-exceeded stage a "yes" is still sound.
 The stage is connected and link-injective, and every loop at its
 basepoint reads a member of the subgroup: folding identifies paths
 without changing their images, and attached squares are relations that
@@ -150,7 +151,7 @@ class Certificate:
 class _Letters(dict):
     """A stage's letter table: per root vertex, the letters leaving it as
     (generator index, sign, far root) in table-key order, the canonical
-    letter order, each row read off the vertex's end table on first use."""
+    letter order, each row read off the builder's end table on first use."""
 
     def __init__(self, ends: dict[int, dict[int, int]], vroot: list[int], raw: list) -> None:
         super().__init__()
@@ -164,34 +165,35 @@ class _Letters(dict):
 
 
 class _StageView:
-    """A stage, verified or not, read off its folded builder in one pass,
-    on the builder's own ids, each raw id mapped to its root once: the root
-    edges by label index as (edge id, source, target) in ``labelled``, and
-    a row per raw square (a, b, gamma, delta, label index of a, of b) of
-    root edge ids.  Raw squares that folding made equal give equal rows,
-    which ``_h1_vanishes`` reduces to zero and has counted in its slack.
-    Each vertex's end table is copied; ``_letter_options``, shaped as a
-    frozen complex's but keyed by root vertex, reads a row off a copy only
-    when a forest or the walk reaches the vertex.  The builder only appends
-    to its raw edges, so a view kept while it grows on still answers for
-    its own stage."""
+    """A stage, verified or not, read in place off its folded builder in
+    one pass, on the builder's own ids: its parent lists compressed so
+    each raw id points at its root, the root edges by label index as (edge
+    id, source, target) in ``labelled``, and each raw square's row (a, b,
+    gamma, delta) of root edge ids in ``square_groups``, keyed by the
+    bitmask of its two label indices.  Raw squares that folding made equal
+    give equal rows, which ``_h1_vanishes`` reduces to zero and has counted
+    in its slack.  ``_letter_options``, shaped as a frozen complex's and
+    keyed by root vertex, reads a row off the builder's end table only when
+    a forest or the walk reaches the vertex.  The view answers for the
+    stage until the builder grows on."""
 
     def __init__(self, builder: _Builder):
-        vroot, eroot, raw = builder.vparent[:], builder.eparent[:], builder.edges
-        for roots in (vroot, eroot):  # each raw id's root, by pointer jumping
+        vroot, eroot, raw = builder.vparent, builder.eparent, builder.edges
+        for roots in (vroot, eroot):  # path compression, by pointer jumping
             while (jumped := [roots[r] for r in roots]) != roots:
                 roots[:] = jumped
         self.graph, self.basepoint = builder.graph, vroot[builder.basepoint]
-        self.ends = {v: table.copy() for v, table in builder.ends.items()}
         self.vertex_ids, self.edge_ids = len(vroot), len(eroot)
         self.labelled: list[list[tuple[int, int, int]]] = [[] for _ in builder.graph.vertices]
         for e, root in enumerate(eroot):
             if e == root:
                 src, dst, g = raw[e]
                 self.labelled[g].append((e, vroot[src], vroot[dst]))
-        self.square_edges = [(eroot[a], eroot[b], eroot[gamma], eroot[delta], ka >> 1, kb >> 1)
-                             for a, b, gamma, delta, ka, kb in builder.squares]
-        self._letter_options = _Letters(self.ends, vroot, raw), self.basepoint
+        self.square_groups: dict[int, list[tuple[int, int, int, int]]] = {}
+        for a, b, gamma, delta, ka, kb in builder.squares:
+            self.square_groups.setdefault(1 << (ka >> 1) | 1 << (kb >> 1), []).append(
+                (eroot[a], eroot[b], eroot[gamma], eroot[delta]))
+        self._letter_options = _Letters(builder.ends, vroot, raw), self.basepoint
 
 
 def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ...]]]],
@@ -240,7 +242,7 @@ def _forest_chords(view: _StageView, allowed: int) -> list[int]:
     return chords
 
 
-def _chord_words(options: list | dict, allowed: int, roots: Iterable[int]
+def _chord_words(options: dict, allowed: int, roots: Iterable[int]
                  ) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
     """Each chord of a breadth-first spanning forest of the edges whose
     label index is a bit of ``allowed``, as (source, label index, loop
@@ -277,21 +279,13 @@ def _chord_words(options: list | dict, allowed: int, roots: Iterable[int]
                         [(h, -e) for _, h, e in down]  # path(dst)^-1: letters inverted
 
 
-def _squares_by_labels(view: _StageView) -> dict[int, list[tuple[int, int, int, int]]]:
-    """The stage's ``square_edges`` (four edge ids each), grouped by the
-    bitmask of their two label indices."""
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for a, b, gamma, delta, la, lb in view.square_edges:
-        groups.setdefault(1 << la | 1 << lb, []).append((a, b, gamma, delta))
-    return groups
-
-
-def _h1_vanishes(chords: list[int], squares: dict[int, list[tuple[int, int, int, int]]],
+def _h1_vanishes(chords: list[int], square_groups: dict[int, list[tuple[int, int, int, int]]],
                  allowed: int, edge_ids: int) -> bool:
     """Whether H_1(S-subcomplex; GF(2)) = 0, for S the labels of ``allowed``:
-    whether the boundaries of the ``squares`` whose two labels lie in S
-    span the cycle space of the S-edges, given the ``chords`` (edge ids
-    below ``edge_ids``) of a spanning forest of them.
+    whether the boundaries of the squares whose two labels lie in S (a
+    view's ``square_groups``) span the cycle space of the S-edges, given
+    the ``chords`` (edge ids below ``edge_ids``) of a spanning forest of
+    them.
 
     With the forest contracted, each chord is one bit and a square's row is
     the XOR of its four edges' bits (an edge its boundary repeats cancels).
@@ -300,7 +294,7 @@ def _h1_vanishes(chords: list[int], squares: dict[int, list[tuple[int, int, int,
     and each row that reduces to zero lowers that bound by one, so the
     check also stops as soon as the bound falls short.
     """
-    rows = [group for labels, group in squares.items() if labels & allowed == labels]
+    rows = [group for labels, group in square_groups.items() if labels & allowed == labels]
     slack = sum(map(len, rows)) - len(chords)
     if slack < 0:
         return False
@@ -344,14 +338,11 @@ def _nonfilling_chord_set(view: _StageView, model: SurfaceModel, verified: bool)
     bounds the support of a non-filling member.
     """
     graph = view.graph
-    squares = None
     for allowed in model.maximal_non_filling_sets:
         chords = _forest_chords(view, allowed)
         if not chords:
             continue  # a forest has no loops
-        if squares is None:
-            squares = _squares_by_labels(view)
-        if _h1_vanishes(chords, squares, allowed, view.edge_ids):
+        if _h1_vanishes(chords, view.square_groups, allowed, view.edge_ids):
             continue
         sources = (s for g, group in enumerate(view.labelled) if allowed >> g & 1
                    for _, s, _ in group)
@@ -482,8 +473,8 @@ def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
     _require_verified(core)
     graph, complex_ = core.graph, core.complex
     options, base = complex_._letter_options
-    position, index = {v: i for i, v in enumerate(complex_.vertices)}, graph._index
-    at = {(position[src], index[label]): i for i, (_, src, _, label) in enumerate(complex_.edges)}
+    index = graph._index
+    at = {(src, index[label]): i for i, (_, src, _, label) in enumerate(complex_.edges)}
     seen: dict[tuple[tuple[int, int], ...], None] = {}
     for *_, chord in sorted(_chord_words(options, -1, (base,)), key=lambda c: at[c[:2]]):
         seen.setdefault(tuple(_read_out(_pile(chord, graph), graph)))

@@ -169,13 +169,13 @@ def _cmd_order(args: argparse.Namespace) -> int:
     given = normal_word_from_pairs(_group_letters(word.letters))
     order = syllable_order(given, graph)
     pairs = sorted(order.pairs)
-    syls = given.syllables
-    lines = [f"{syls[i].generator}[{i}] < {syls[j].generator}[{j}]" for i, j in pairs]
+    syls = given.pairs()
+    lines = [f"{syls[i][0]}[{i}] < {syls[j][0]}[{j}]" for i, j in pairs]
     report = {
         "schema": "raagcc-order-v1",
         "word": given.to_text(),
         "pairs": [[i, j] for i, j in pairs],
-        "generator_pairs": sorted(f"{syls[i].generator}<{syls[j].generator}" for i, j in pairs),
+        "generator_pairs": sorted(f"{syls[i][0]}<{syls[j][0]}" for i, j in pairs),
     }
     _write_out(_emit(report, args, lines or ["(no ordered pairs)"]), args.out)
     return EXIT_OK

@@ -42,7 +42,7 @@ from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, ContractError, InputError, InternalError
+from .errors import BudgetExceededError, ContractError, InputError, InternalError, _require_int
 from .graphs import DefiningGraph
 from .words import NormalWord, Word, _indexed, _pile, _read_out, _spell
 
@@ -145,20 +145,16 @@ class LabeledCubeComplex:
         return frozenset(c for sq in self.squares for c in sq)
 
     @cached_property
-    def _letter_options(self) -> tuple[list[list[tuple[int, int, int]]], int]:
-        """Per vertex position, the letters leaving it as (generator index,
-        sign, far vertex position), in the adjacency's key order: the
-        canonical letter order (declaration index, positive sign first);
-        and the basepoint's position."""
-        position = {v: i for i, v in enumerate(self.vertices)}
-        options = []
-        for v in self.vertices:
-            ends = self.adjacency[v]
+    def _letter_options(self) -> tuple[dict[int, list[tuple[int, int, int]]], int]:
+        """Per vertex, the letters leaving it as (generator index, sign, far
+        vertex), in the adjacency's key order: the canonical letter order
+        (declaration index, positive sign first); and the basepoint."""
+        options = {}
+        for v, ends in self.adjacency.items():
             if len({key for key, _, _ in ends}) < len(ends):
                 raise ContractError("complex is not link-injective; tracing is ambiguous")
-            options.append([(key >> 1, -1 if key & 1 else 1, position[far])
-                            for key, _, far in ends])
-        return options, position[self.basepoint]
+            options[v] = [(key >> 1, -1 if key & 1 else 1, far) for key, _, far in ends]
+        return options, self.basepoint
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -634,8 +630,7 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
 def _require_count(name: str, value: int, least: int) -> None:
     """Raise ``InputError`` unless ``value`` is an ``int`` (not a ``bool``)
     of at least ``least``, which is 0 or 1; the message names ``name``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be an int, not {value!r}")
+    _require_int(name, value)
     if value < least:
         raise InputError(f"{name} must be {'positive' if least else '>= 0'}")
 

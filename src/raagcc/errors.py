@@ -25,3 +25,10 @@ class BudgetExceededError(RuntimeError):
 
 class InternalError(RuntimeError):
     """An invariant believed impossible to violate was violated."""
+
+
+def _require_int(name: str, value: object) -> None:
+    """Raise ``InputError`` naming ``name`` unless ``value`` is an ``int``
+    (not a ``bool``): a count, a length or an h-word entry."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an int, not {value!r}")

@@ -53,9 +53,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ContractError, InputError, InternalError
+from .errors import ContractError, InputError, InternalError, _require_int
 from .graphs import DefiningGraph
-from .surfaces import SurfaceModel, _window_holds
+from .surfaces import SurfaceModel, _require_window, _window_holds
 from .words import (Letter, NormalWord, _group_letters, _is_normal_indexed, _pairs_to_text,
                     _predecessor_masks, _spell, is_normal)
 
@@ -116,6 +116,8 @@ class FamilyConstants:
 
 def family(n: int, N: int) -> Section8Family:
     """Construct the ring family for a genus n+1 surface and N generators."""
+    _require_int("n", n)
+    _require_int("N", N)
     if n < 2:
         raise InputError(f"ring size n must be >= 2, got {n}")
     if N < 1:
@@ -191,6 +193,9 @@ def _h_word(h: HWord | str, fam: Section8Family) -> HWord:
         return parse_h_word(h, fam.N)
     h = tuple(h)
     for idx, sign in h:
+        if type(idx) is not int or type(sign) is not int:  # exact ints need no call
+            _require_int("generator index", idx)
+            _require_int("generator sign", sign)
         if not 1 <= idx <= fam.N:
             raise InputError(f"generator index {idx} out of range 1..{fam.N}")
         if sign not in (1, -1):
@@ -381,9 +386,9 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
     pattern that no word has is never checked, and words are spelled only
     when a pattern fails: then the words of its length are walked in the
     order of ``_h_words_upto``."""
+    _require_int("k_max", k_max)
     if k_max > fam.n / 2:
-        raise ContractError(
-            f"k_max={k_max} exceeds n/2={fam.n / 2}; containers stop being proper")
+        raise ContractError(f"k_max={k_max} exceeds n/2={fam.n / 2}; containers stop being proper")
     if k_max < 0:
         raise InputError("k_max must be >= 0")
     n, N = fam.n, fam.N
@@ -456,8 +461,7 @@ def displacement_upper(h: HWord | str, fam: Section8Family) -> tuple[int, Fracti
                     raise ContractError(
                         f"block {h_word_text(block)!r} of {len(block)} generators is longer "
                         f"than n//2 = {n // 2} for n = {n} and leaves the span improper")
-                raise InternalError(
-                    f"block {h_word_text(block)!r} produced an improper span")
+                raise InternalError(f"block {h_word_text(block)!r} produced an improper span")
     bound = Fraction(2 * m)
     formula_cap = Fraction(4 * length, n) + 2
     if bound > formula_cap:
@@ -500,15 +504,12 @@ def verify_order_window(fam: Section8Family, hs: Iterable[HWord | str]) -> Order
         if len(pairs) <= L + 1:
             continue  # no two syllables are more than L apart
         below = _predecessor_masks([z for z, _ in pairs], fam.graph)
-        k = len(below)
         # Syllable i precedes j exactly when bit i of below[j] is set; the
         # window holds when below[j] covers every position up to j - L - 1.
-        if all(not ~below[j] & ((1 << (j - L)) - 1) for j in range(L + 1, k)):
-            continue
-        for i in range(k):
-            for j in range(i + L + 1, k):
-                if not below[j] >> i & 1:
-                    violations.append((h_word_text(h), i, j))
+        missing = sorted((i, j) for j in range(L + 1, len(below))
+                         if (lack := ~below[j] & ((1 << (j - L)) - 1))
+                         for i in range(lack.bit_length()) if lack >> i & 1)
+        violations += [(h_word_text(h), i, j) for i, j in missing]
     return OrderWindowReport(tested=tested, violations=tuple(violations))
 
 
@@ -521,8 +522,7 @@ def window_constant_check(fam: Section8Family, hs: Iterable[HWord | str],
         window = constants(fam).b
     for h in hs:
         pairs = _bme_pairs(_h_word(h, fam), fam)
-        if window < 1:
-            raise InputError(f"window length must be >= 1, got {window}")
+        _require_window(window)
         # A form shorter than the window holds before its normality is checked.
         if not _is_normal_indexed(pairs, fam.graph) and sum(abs(e) for _, e in pairs) >= window:
             raise ContractError("window_constant_check requires a normal word, "

@@ -110,24 +110,21 @@ class DefiningGraph:
         return self.neighbors(label) | {label}
 
     def complement_diameter(self) -> int:
-        """Diameter of the complement graph (BFS); raises if disconnected."""
-        comp_adj = {v: [w for w in self.vertices if not self.commutes(v, w)]
-                    for v in self.vertices}
+        """Diameter of the complement graph (BFS over ``non_commuting``);
+        raises if disconnected."""
+        noncomm = self.non_commuting
         diameter = 0
-        for source in self.vertices:
+        for source in range(len(noncomm)):
             dist = {source: 0}
-            frontier = [source]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for w in comp_adj[v]:
-                        if w not in dist:
-                            dist[w] = dist[v] + 1
-                            nxt.append(w)
-                frontier = nxt
-            if len(dist) != len(self.vertices):
+            queue = [source]
+            for v in queue:
+                for w in noncomm[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+            if len(dist) != len(noncomm):
                 raise InputError("complement graph is disconnected; diameter undefined")
-            diameter = max(diameter, max(dist.values()))
+            diameter = max(diameter, dist[queue[-1]])  # breadth first: the last is the farthest
         return diameter
 
     def to_json_dict(self) -> dict:

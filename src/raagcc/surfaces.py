@@ -26,21 +26,10 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, _require_int
 from .graphs import DefiningGraph, is_string_list
-from .words import (
-    NormalWord,
-    Word,
-    _indexed,
-    _pile,
-    _read_out,
-    _require_normal,
-    _spell,
-    concat,
-    cyclic_core_support,
-    invert,
-    normalize,
-)
+from .words import (NormalWord, Word, _indexed, _pile, _read_out, _require_normal, _spell,
+                    cyclic_core_support)
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ class SurfaceModel:
 
 def supports(w: NormalWord) -> frozenset[str]:
     """The set of generator labels appearing among the syllables."""
-    return frozenset(s.generator for s in w.syllables)
+    return frozenset(label for label, _ in w.pairs())
 
 
 def fills(w: Word | NormalWord, model: SurfaceModel) -> bool:
@@ -158,12 +147,15 @@ def subs(w: NormalWord, graph: DefiningGraph) -> tuple[SymbolicSubsurface, ...]:
 def subsurfaces_equal(a: SymbolicSubsurface, b: SymbolicSubsurface,
                       graph: DefiningGraph) -> bool:
     """Prefix-translates of one base support coincide exactly when the prefixes
-    differ by an element of the base's star subgroup."""
+    differ by an element of the base's star subgroup: when the piling of
+    b.prefix^-1 * a.prefix holds a syllable only on the stacks of the star."""
     if a.base != b.base:
         return False
-    diff = normalize(concat(invert(b.prefix.as_word()), a.prefix.as_word()), graph)
-    star = graph.star(a.base)
-    return all(s.generator in star for s in diff.syllables)
+    inverse = [(g, -e) for g, e in reversed(_indexed(b.prefix, graph))]
+    piles = _pile(inverse + _indexed(a.prefix, graph), graph)
+    v = graph.index(a.base)
+    star = graph.comm_masks[v] | 1 << v
+    return not any(any(pile) for g, pile in enumerate(piles) if not star >> g & 1)
 
 
 def subs_family_equal(f1: Sequence[SymbolicSubsurface], f2: Sequence[SymbolicSubsurface],
@@ -184,7 +176,7 @@ class FillingBlock:
 
     @property
     def support(self) -> frozenset[str]:
-        return frozenset(s.generator for s in self.word.syllables[self.start:self.end + 1])
+        return frozenset(label for label, _ in self.word.pairs()[self.start:self.end + 1])
 
 
 def _minimal_blocks(gens: Sequence[int], model: SurfaceModel) -> list[tuple[int, int]]:
@@ -241,11 +233,16 @@ def check_window_property(w: NormalWord, window: int, model: SurfaceModel) -> bo
     """Every contiguous letter window of the given length contains a complete
     filling block.  Vacuously true when the word is shorter than the window,
     before the word is checked."""
-    if window < 1:
-        raise InputError(f"window length must be >= 1, got {window}")
+    _require_window(window)
     if len(w) < window:
         return True
     return _window_holds(_require_normal(w, model.graph, "check_window_property"), window, model)
+
+
+def _require_window(window: int) -> None:
+    _require_int("window", window)
+    if window < 1:
+        raise InputError(f"window length must be >= 1, got {window}")
 
 
 def _window_holds(syllables: Sequence[tuple[int, int]], window: int,
@@ -273,4 +270,4 @@ def _window_holds(syllables: Sequence[tuple[int, int]], window: int,
 
 def max_exponent(w: NormalWord) -> int:
     """Largest absolute syllable exponent; 0 for the empty word."""
-    return max((abs(s.exponent) for s in w.syllables), default=0)
+    return max((abs(e) for _, e in w.pairs()), default=0)

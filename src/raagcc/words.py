@@ -57,15 +57,15 @@ word is a ``TypeError``.  The functions defined on normal words only
 ``NormalWord`` alone and raise a ``ContractError`` naming themselves for
 any other word or a non-normal one.
 
-Kernel results stay index syllables.  ``_spell`` wraps them in a
-``NormalWord`` that carries them with its graph's label tuple, and
-``_syllables`` reads them back as they are when it is given a graph with
-that label tuple (the normality checks still run on them).  Such a word
-builds its ``Syllable`` tuples, by ``tuple.__new__`` over (label,
-exponent, position) triples, only when ``syllables`` is first read;
-``pairs``, ``to_text``, ``letters``, ``as_word`` and the lengths read the
-carried form.  ``normal_word_from_pairs`` and the constructor build them
-at once.
+Every ``NormalWord`` carries index syllables with the label tuple they
+index: ``_spell``'s over its graph's labels, the constructor's and
+``normal_word_from_pairs``'s over their labels in first-use order.
+``_syllables`` reads them back as they are when given a graph with that
+label tuple (the normality checks still run on them), and through the
+word's own labels otherwise.  ``Syllable`` tuples are built, by
+``tuple.__new__`` over (label, exponent, position) triples, only when
+``syllables`` is first read; ``pairs``, ``to_text``, ``letters``,
+``as_word`` and the lengths read the carried form.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, ContractError, InputError
+from .errors import BudgetExceededError, ContractError, InputError, _require_int
 from .graphs import _LABEL, DefiningGraph
 
 
@@ -113,12 +113,10 @@ class Word:
 class _SyllablesField:
     """``NormalWord.syllables``, a descriptor-typed dataclass field, so the
     constructor, ``dataclasses.replace``, ``==``, ``hash`` and ``repr`` see
-    one plain field.  A word built through the constructor holds the tuple
-    it was given.  A word ``_spell`` made carries its graph's label tuple
-    and its (generator index, exponent) syllables under ``_carried``
-    instead, and spells its ``Syllable``s from them on the first read,
-    which stores them.  Pickling copies the instance dict, so a carried
-    word stays carried."""
+    one plain field.  The constructor keeps the tuple it was given, and
+    every word carries its index syllables under ``_carried`` (see the
+    module docstring), from which the first read of any other word spells
+    and stores its ``Syllable``s.  Pickling copies the instance dict."""
 
     def __get__(self, w: NormalWord | None, owner: type | None = None) -> tuple[Syllable, ...]:
         if w is None:
@@ -131,7 +129,14 @@ class _SyllablesField:
         return state["syllables"]
 
     def __set__(self, w: NormalWord, syllables: tuple[Syllable, ...]) -> None:
-        w.__dict__["syllables"] = syllables
+        w.__dict__.update(syllables=syllables, _carried=_first_use(syllables))
+
+
+def _first_use(rows: Iterable[Sequence]) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
+    """Labels in first-use order, and (label, exponent, ...) rows as syllables over them."""
+    ids: dict[str, int] = {}
+    syllables = tuple([(ids.setdefault(row[0], len(ids)), row[1]) for row in rows])
+    return tuple(ids), syllables
 
 
 @dataclass(frozen=True)
@@ -140,25 +145,16 @@ class NormalWord:
 
     syllables: tuple[Syllable, ...] = _SyllablesField()  # type: ignore[assignment]
 
-    def _rows(self) -> Sequence[tuple]:
-        """The carried index syllables, or else the ``Syllable``s: one row
-        per syllable, each with its exponent second."""
-        carried = self.__dict__.get("_carried")
-        return self.syllables if carried is None else carried[1]
-
     @cached_property
     def letter_length(self) -> int:
-        return sum(abs(s[1]) for s in self._rows())
+        return sum(abs(e) for _, e in self._carried[1])
 
     @property
     def syllable_length(self) -> int:
-        return len(self._rows())
+        return len(self._carried[1])
 
     def pairs(self) -> tuple[tuple[str, int], ...]:
-        carried = self.__dict__.get("_carried")
-        if carried is None:
-            return tuple((s.generator, s.exponent) for s in self.syllables)
-        labels, syllables = carried
+        labels, syllables = self._carried
         return tuple([(labels[g], e) for g, e in syllables])
 
     def letters(self) -> tuple[Letter, ...]:
@@ -211,8 +207,9 @@ def word_from_pairs(pairs: Iterable[tuple[str, int]]) -> Word:
 
 def normal_word_from_pairs(pairs: Iterable[tuple[str, int]]) -> NormalWord:
     """Build a NormalWord from (generator, exponent) pairs without checking."""
-    return NormalWord(tuple(map(_new_syllable,
-                                [(gen, exp, i) for i, (gen, exp) in enumerate(pairs)])))
+    w = _new_normal_word()
+    w.__dict__["_carried"] = _first_use(pairs)
+    return w
 
 
 def concat(w1: Word, w2: Word) -> Word:
@@ -251,16 +248,15 @@ Piling = list[deque]
 
 def _syllables(w: Word | NormalWord, graph: DefiningGraph) -> list[tuple[int, int]]:
     """The (generator index, exponent) syllables of a word, zero exponents
-    kept: a ``Word``'s runs of equal letters, or a ``NormalWord``'s
-    syllables, read from its carried form when that was spelled over this
-    graph's labels.  The one place a word's labels become indices."""
+    kept: a ``Word``'s runs, or a ``NormalWord``'s carried syllables over
+    this graph's labels.  The one place a word's labels become indices."""
     index = graph._index
     try:
         if isinstance(w, NormalWord):
-            carried = w.__dict__.get("_carried")
-            if carried is not None and carried[0] == graph.vertices:
-                return list(carried[1])
-            return [(index[gen], exp) for gen, exp, _ in w.syllables]
+            labels, syllables = w._carried
+            if labels == graph.vertices:
+                return list(syllables)
+            return [(index[labels[g]], e) for g, e in syllables]
         if isinstance(w, Word):
             return _runs(w.letters, index)
     except KeyError as exc:
@@ -430,6 +426,7 @@ def min_class(w: Word | NormalWord, graph: DefiningGraph,
     Breadth-first over adjacent commuting swaps.  Classes can be factorially
     large, so the search carries a size budget, which must be positive.
     """
+    _require_int("max_size", max_size)
     if max_size < 1:
         raise InputError("max_size must be positive")
     start = tuple(_read_out(_pile(_indexed(w, graph), graph), graph))
@@ -495,8 +492,8 @@ class SyllableOrder:
                          for i, bit in enumerate(bin(below)[:1:-1]) if bit == "1")
 
     def generator_pairs(self) -> frozenset[tuple[str, str]]:
-        syls = self.word.syllables
-        return frozenset((syls[i].generator, syls[j].generator) for i, j in self.pairs)
+        syls = self.word.pairs()
+        return frozenset((syls[i][0], syls[j][0]) for i, j in self.pairs)
 
 
 def _predecessor_masks(gens: Iterable[int], graph: DefiningGraph) -> list[int]:

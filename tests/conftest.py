@@ -118,17 +118,24 @@ def catalog_sample(rng: random.Random):
 def catalog_stages():
     """A seeded catalog sample, three problems per graph and stored verdict,
     with every stage ``certify`` builds for it at the catalog's cell budget:
-    256, 1024 and 2000 cells, grown on one builder as ``certify`` grows
-    them, up to the first verified one.  Each stage is a pair: the stage
-    frozen as a core, and the ``_StageView`` that ``certify`` decides it on."""
+    256, 1024 and 2000 cells, up to the first verified one.  Each stage is a
+    pair: the stage frozen as a core, and the ``_StageView`` that ``certify``
+    decides it on.  A view answers for its stage only until its builder
+    grows on, so each view reads a fresh builder grown to its stage alone;
+    the builder that resumes each stage from the one before, as ``certify``
+    grows it, freezes into the same core with the same counters."""
     out = []
     for graph, gens in catalog_sample(random.Random(29)):
         model = SurfaceModel.build(graph, [graph.vertices])
-        builder = _Builder(graph, [_indexed(w, graph) for w in gens])
+        words = [_indexed(w, graph) for w in gens]
+        resumed = _Builder(graph, words)
         stages = []
         for budget in (256, 1_024, 2_000):
-            core = builder.core(builder.grow(budget), budget)
-            stages.append((core, _StageView(builder)))
+            fresh = _Builder(graph, words)
+            core = fresh.core(fresh.grow(budget), budget)
+            again = resumed.core(resumed.grow(budget), budget)
+            assert (again, again.diagnostics) == (core, core.diagnostics)
+            stages.append((core, _StageView(fresh)))
             if core.verified:
                 break
         out.append((graph, model, gens, stages))

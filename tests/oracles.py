@@ -19,7 +19,8 @@ them to, over the whole stage.  ``oracle_h1_rank`` is H_1 of a label set's subco
 over GF(2), from dense rows over its edges, the reference for the
 homology decision of ``certify``'s chord check.
 ``oracle_square_edges`` reads each square's boundary row through
-``square_ends``, the reference for the rows that ``build_core`` sets.
+``square_ends``, the reference for the square rows that a stage's view
+groups by their labels.
 ``oracle_from_dot`` parses ``to_dot``'s output back into a complex, so
 that the tests can check that DOT export loses nothing; the package
 itself reads stored cores only from JSON.
@@ -28,6 +29,10 @@ leaving each vertex as read from ``oracle_trace_maps``, the (vertex,
 label) maps the package once kept, before it read the table off the
 complex's integer adjacency; the oracle walks use it, so they share
 nothing with the package's enumeration.
+``oracle_complement_diameter`` and ``oracle_subsurfaces_equal`` are
+``DefiningGraph.complement_diameter`` and ``subsurfaces_equal`` on
+labels, as they ran before they read ``non_commuting`` and piled index
+syllables.
 ``oracle_bme_normal_form`` is the ring family's B/M/E normal form
 spelled in string labels, symbol by symbol, before the package spelled
 index syllables; ``naive_expansion`` concatenates the generators'
@@ -84,10 +89,13 @@ from raagcc.surfaces import FillingBlock, SurfaceModel
 from raagcc.words import (
     NormalWord,
     Word,
+    concat,
     cyclic_core_support,
     cyclically_reduce,
+    invert,
     is_normal,
     normal_word_from_pairs,
+    normalize,
     syllable_order,
 )
 
@@ -674,24 +682,22 @@ def oracle_from_dot(text: str) -> LabeledCubeComplex:
 
 
 def oracle_letter_options(complex_: LabeledCubeComplex
-                          ) -> tuple[list[list[tuple[int, int, int]]], int]:
+                          ) -> tuple[dict[int, list[tuple[int, int, int]]], int]:
     """Per-vertex extension letters as (generator index, sign, next vertex),
-    by vertex position, and the basepoint's position, read from
-    ``oracle_trace_maps`` (which raises ``ContractError`` unless the
-    complex is link-injective)."""
+    keyed by vertex id, and the basepoint, read from ``oracle_trace_maps``
+    (which raises ``ContractError`` unless the complex is link-injective)."""
     graph = complex_.graph
     out, into = oracle_trace_maps(complex_)
-    index = {v: i for i, v in enumerate(complex_.vertices)}
-    options: list[list[tuple[int, int, int]]] = [[] for _ in complex_.vertices]
+    options: dict[int, list[tuple[int, int, int]]] = {v: [] for v in complex_.vertices}
     for (v, label), far in out.items():
-        options[index[v]].append((graph.index(label), 1, index[far]))
+        options[v].append((graph.index(label), 1, far))
     for (v, label), far in into.items():
-        options[index[v]].append((graph.index(label), -1, index[far]))
+        options[v].append((graph.index(label), -1, far))
     # Letter order: declaration index, positive sign first (the canonical
     # letter order used for lexicographic comparisons).
-    for opts in options:
+    for opts in options.values():
         opts.sort(key=lambda t: (t[0], -t[1]))
-    return options, index[complex_.basepoint]
+    return options, complex_.basepoint
 
 
 def oracle_check_local_isometry(complex_: LabeledCubeComplex) -> LinkReport:
@@ -970,6 +976,43 @@ def oracle_h1_rank(complex_: LabeledCubeComplex, allowed: int = -1) -> int:
                 break
             row ^= pivots[low]
     return len(column) - len(complex_.vertices) + components - len(pivots)
+
+
+# -- label-level graph and subsurface checks ---------------------------------
+
+
+def oracle_complement_diameter(graph: DefiningGraph) -> int:
+    """Diameter of the complement graph, by BFS over the labels each label
+    fails to ``commute`` with; raises if disconnected."""
+    comp_adj = {v: [w for w in graph.vertices if not graph.commutes(v, w)]
+                for v in graph.vertices}
+    diameter = 0
+    for source in graph.vertices:
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in comp_adj[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        if len(dist) != len(graph.vertices):
+            raise InputError("complement graph is disconnected; diameter undefined")
+        diameter = max(diameter, max(dist.values()))
+    return diameter
+
+
+def oracle_subsurfaces_equal(a, b, graph: DefiningGraph) -> bool:
+    """Two symbolic subsurfaces coincide when their bases agree and the
+    normal form of b.prefix^-1 * a.prefix spells only labels of the base's
+    star."""
+    if a.base != b.base:
+        return False
+    diff = normalize(concat(invert(b.prefix.as_word()), a.prefix.as_word()), graph)
+    star = graph.star(a.base)
+    return all(s.generator in star for s in diff.syllables)
 
 
 # -- filling on label sets --------------------------------------------------

@@ -20,7 +20,6 @@ from raagcc.certify import (
     _forest_chords,
     _h1_vanishes,
     _nonfilling_chord_set,
-    _squares_by_labels,
     certify,
     displacement_lower_bound,
     extract_generators,
@@ -387,7 +386,7 @@ CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}
 def _labelled_edges(complex_, allowed: int) -> list[tuple[int, int, int]]:
     """The edges of a stage's view or of a frozen stage whose label index
     is a bit of ``allowed``, as (source, target, label index): a view's by
-    label, a frozen stage's in order (its vertex ids are its positions)."""
+    label, a frozen stage's in order."""
     if isinstance(complex_, _StageView):
         return [(s, t, g) for g, group in enumerate(complex_.labelled) if allowed >> g & 1
                 for _, s, t in group]
@@ -524,7 +523,7 @@ def _h1_vanishes_at(complex_, allowed: int) -> bool:
     else:
         chords = oracles.oracle_forest_chords(complex_, allowed)
         edge_ids = len(complex_.edges)
-    return _h1_vanishes(chords, _squares_by_labels(complex_), allowed, edge_ids)
+    return _h1_vanishes(chords, complex_.square_groups, allowed, edge_ids)
 
 
 def _frozen_positions(view: _StageView, frozen: LabeledCubeComplex) -> dict[int, int]:
@@ -549,33 +548,34 @@ def _frozen_positions(view: _StageView, frozen: LabeledCubeComplex) -> dict[int,
     return to
 
 
+def _grouped_square_edges(complex_: LabeledCubeComplex) -> dict[int, list[tuple[int, ...]]]:
+    """The boundary rows ``oracle_square_edges`` reads from a complex's
+    squares, grouped as a ``_StageView`` groups its rows: four edges each,
+    keyed by the bitmask of the two label indices."""
+    grouped: dict[int, list[tuple[int, ...]]] = {}
+    for *edges, la, lb in oracles.oracle_square_edges(complex_):
+        grouped.setdefault(1 << la | 1 << lb, []).append(tuple(edges))
+    return grouped
+
+
 def test_builder_square_rows_match_square_ends(catalog_stages):
     """The square rows of every stage's view, carried to the frozen
     stage's edge positions, are the boundaries read from the frozen
-    squares by ``square_ends``: with the same edges (a repeated edge twice)
-    and the same two labels, one boundary per square (raw squares that
-    folding made equal give equal rows); the check groups them by their
-    labels; and a frozen complex carries no rows."""
-    def boundary(row):  # a row names its square from one of four corners
-        return tuple(sorted(row[:4])), frozenset(row[4:])
-
+    squares by ``square_ends``: with the same edges (a repeated edge twice),
+    grouped under the same two labels, one boundary per square (raw
+    squares that folding made equal give equal rows); and a frozen complex
+    carries no rows."""
     repeated = 0
     for _, _, _, stages in catalog_stages:
         for core, view in stages:
             built = core.complex
             to = _frozen_positions(view, built)
-            rows = {(*map(to.__getitem__, row[:4]), *row[4:]) for row in view.square_edges}
-            read = oracles.oracle_square_edges(built)
-            assert sorted(map(boundary, read), key=repr) == \
-                sorted(set(map(boundary, rows)), key=repr)
-            grouped = {}
-            for row in read:
-                grouped.setdefault(1 << row[4] | 1 << row[5], []).append(sorted(row[:4]))
             assert {labels: sorted({tuple(sorted(map(to.__getitem__, row))) for row in group})
-                    for labels, group in _squares_by_labels(view).items()} == \
-                {labels: sorted(map(tuple, group)) for labels, group in grouped.items()}
-            assert not hasattr(built, "square_edges")
-            repeated += sum(len(set(row[:4])) < 4 for row in read)
+                    for labels, group in view.square_groups.items()} == \
+                {labels: sorted(tuple(sorted(row)) for row in group)
+                 for labels, group in _grouped_square_edges(built).items()}
+            assert not hasattr(built, "square_groups")
+            repeated += sum(len(set(row[:4])) < 4 for row in oracles.oracle_square_edges(built))
     assert repeated >= 10, repeated
 
 
@@ -610,13 +610,14 @@ def test_homology_decision_matches_oracle(catalog_stages):
 def _one_vertex_complex(graph, labels, squares) -> LabeledCubeComplex:
     """Loops at vertex 0 with the given labels (edge ids in order), and
     squares given by their corners as (end, end) pairs at vertex 0; given
-    the square rows a ``_StageView`` holds, read from its squares."""
+    the square rows, grouped as a ``_StageView`` groups them, read from its
+    squares."""
     complex_ = LabeledCubeComplex(
         graph=graph, vertices=(0,),
         edges=tuple((eid, 0, 0, label) for eid, label in enumerate(labels)),
         squares=frozenset(frozenset((0, tuple(sorted(pair))) for pair in sq) for sq in squares),
         basepoint=0)
-    complex_.__dict__["square_edges"] = tuple(oracles.oracle_square_edges(complex_))
+    complex_.__dict__["square_groups"] = _grouped_square_edges(complex_)
     return complex_
 
 
@@ -728,16 +729,17 @@ def test_certify_reads_no_square(abc_graph, abc_model, monkeypatch):
 @pytest.fixture(scope="module")
 def catalog_stage_views(catalog_stages):
     """Each budget-exceeded stage of ``catalog_stages``, as (model, the stage
-    frozen as a core, and, from a builder grown stage by stage to
-    the same budgets as ``certify`` grows it, the stage's counters, its
-    number of raw squares and its view)."""
+    frozen as a core, and, from a fresh builder grown to the stage's
+    budget, the stage's counters, its number of raw squares and its view).
+    A view answers for its stage only until its builder grows on, so each
+    stage has a builder of its own."""
     out = []
     for graph, model, gens, stages in catalog_stages:
-        builder = _Builder(graph, [_indexed(w, graph) for w in gens])
         for core, _ in stages:
             if core.verified:
                 break
             budget = core.diagnostics["budget"]
+            builder = _Builder(graph, [_indexed(w, graph) for w in gens])
             assert builder.grow(budget) == BUDGET_EXCEEDED
             out.append((model, core, builder.diagnostics(budget), len(builder.squares),
                         _StageView(builder)))
@@ -773,7 +775,8 @@ def test_stage_view_matches_frozen_stage(catalog_stage_views):
         frozen = core.complex
         graph = frozen.graph
         assert counts == core.diagnostics
-        assert (len(view.ends), sum(map(len, view.labelled)), counts["square_count"]) == \
+        assert (len(view._letter_options[0].ends), sum(map(len, view.labelled)),
+                counts["square_count"]) == \
             (len(frozen.vertices), len(frozen.edges), len(frozen.squares))
         piled = None
         for allowed in model.maximal_non_filling_sets:
@@ -830,33 +833,6 @@ def test_walk_on_view_matches_frozen_stage(catalog_stages):
             assert walked == _walk(core.complex, ell)
             stops[core.verified, walked[1] is None] += 1
     assert min(stops[True, True], stops[False, False]) >= 5, stops
-
-
-def test_stage_view_outlives_its_builders_growth(catalog_stages):
-    """A view kept while its builder grows on answers for its own stage: it
-    reads its letter table, runs the chord check and walks its loops only
-    after the builder has grown to the next stages, and agrees with the
-    view of a fresh builder grown to its stage alone."""
-    kept = 0
-    for graph, model, gens, stages in catalog_stages:
-        for core, view in stages[:-1]:  # the builder grew past each of these
-            budget = core.diagnostics["budget"]
-            builder = _Builder(graph, [_indexed(w, graph) for w in gens])
-            assert builder.grow(budget) == BUDGET_EXCEEDED
-            fresh = _StageView(builder)
-            rows = [{v: c._letter_options[0][v] for v in c.ends} for c in (view, fresh)]
-            assert rows[0] == rows[1]
-            assert (view.basepoint, view.labelled, view.square_edges) == \
-                (fresh.basepoint, fresh.labelled, fresh.square_edges)
-            assert [_h1_vanishes_at(view, allowed) for allowed in model.maximal_non_filling_sets] \
-                == [_h1_vanishes_at(fresh, allowed)
-                    for allowed in model.maximal_non_filling_sets]
-            assert _nonfilling_chord_set(view, model, False) == \
-                _nonfilling_chord_set(fresh, model, False)
-            ell = 3 * (core.diagnostics["vertex_count"] + 1)
-            assert _walk(view, ell) == _walk(fresh, ell)
-            kept += 1
-    assert kept >= 10, kept
 
 
 def test_partial_stage_core_is_frozen_on_read(monkeypatch):

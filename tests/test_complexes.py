@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raagcc.certify import extract_generators
 from raagcc.errors import BudgetExceededError, ContractError, InputError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
@@ -22,6 +23,7 @@ from raagcc.complexes import (
     _link_violations,
     build_core,
     check_local_isometry,
+    count_elements,
     enumerate_elements,
     iter_loops_by_length,
     membership,
@@ -333,7 +335,9 @@ def test_tracing_on_unordered_labels_and_sparse_vertex_ids():
     """``membership``, ``enumerate_elements`` and ``min_class`` on a graph
     declared out of alphabetical order, and on the same core stored with
     vertex ids 10v + 7, pinned to the answers of the (vertex, label) trace
-    maps they replaced: the letter table walks vertex positions, not ids."""
+    maps they replaced; ``count_elements`` and ``extract_generators`` give
+    the two numberings the same answers.  The letter table is keyed by
+    vertex id, whatever the ids are."""
     graph = DefiningGraph.build("dbca", [("d", "b"), ("b", "c"), ("c", "a")])
     core = build_core(graph, [parse_word("a d^-1 c", graph), parse_word("b a b", graph)])
     assert (core.status, len(core.complex.vertices)) == (VERIFIED, 12)
@@ -358,6 +362,8 @@ def test_tracing_on_unordered_labels_and_sparse_vertex_ids():
     for c in (core, sparse):
         assert [membership(c, parse_word(w, graph)) for w in words] == members
         assert [w.to_text() for w in enumerate_elements(c, 6)] == elements
+    assert count_elements(sparse, 9) == count_elements(core, 9) == len(enumerate_elements(core, 9))
+    assert extract_generators(sparse) == extract_generators(core) != ()
     classes = {
         "a d b c a b": ["a d b c a b", "a d b a b c", "a d b a c b", "a d c b a b",
                         "a b d c a b", "a b d a b c", "a b d a c b"],
@@ -784,6 +790,14 @@ def test_extend_requires_a_connected_seed(abc_graph):
             build_core(abc_graph, [parse_word("b c a", abc_graph)], budget=budget, extend=seed)
     joined = dataclasses.replace(seed, edges=seed.edges + ((1, 0, 1, "a"),))
     assert build_core(abc_graph, [parse_word("b c a", abc_graph)], extend=joined).verified
+
+
+def test_a_complex_with_no_vertices_is_not_connected(abc_graph):
+    """A complex with no vertices, so no basepoint among them, is not
+    connected: ``is_connected`` answers without reading the basepoint."""
+    empty = LabeledCubeComplex(graph=abc_graph, vertices=(), edges=(), squares=frozenset(),
+                               basepoint=0)
+    assert not empty.is_connected()
 
 
 def test_extend_rejects_undeclared_cells(abc_graph):

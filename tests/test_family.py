@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from raagcc.errors import ContractError, InputError
+from raagcc.graphs import DefiningGraph
 from raagcc.family import (
     FamilyConstants,
     alpha_state,
@@ -30,6 +31,8 @@ from raagcc.family import (
 from raagcc.surfaces import fills, find_filling_blocks, max_exponent
 from raagcc.words import is_normal, normalize, word_from_pairs
 
+import oracles
+from conftest import GRAPH_ZOO
 from oracles import (
     TupleSpanState,
     mask_state,
@@ -42,6 +45,28 @@ from oracles import (
 
 
 # -- family construction -----------------------------------------------------------
+
+def test_complement_diameter_matches_label_oracle():
+    """``complement_diameter``, a BFS over ``non_commuting``, gives the
+    label-level oracle's diameter, or its refusal of a disconnected
+    complement, on the graph zoo and the ring families' graphs (2n-cycle
+    complements, of diameter n)."""
+    graphs = GRAPH_ZOO + [DefiningGraph.build("", [])] + \
+        [family(n, 1).graph for n in range(2, 9)]
+    refused = 0
+    for graph in graphs:
+        try:
+            expected = oracles.oracle_complement_diameter(graph)
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
+                graph.complement_diameter()
+            assert str(info.value) == str(exc)
+            refused += 1
+        else:
+            assert graph.complement_diameter() == expected, graph.vertices
+    assert refused >= 2 and [family(n, 1).graph.complement_diameter()
+                             for n in (2, 3, 8)] == [2, 3, 8]
+
 
 def test_family_validates_parameters():
     with pytest.raises(InputError):

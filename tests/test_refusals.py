@@ -17,10 +17,12 @@ from raagcc.complexes import (
     membership,
 )
 from raagcc.errors import ContractError, InputError
-from raagcc.family import family, verify_star
+from raagcc.family import (bme_normal_form, family, translation_length_bound, verify_star,
+                           window_constant_check)
 from raagcc.graphs import DefiningGraph
-from raagcc.surfaces import SurfaceModel
-from raagcc.words import normal_word_from_pairs, normalize, parse_word, subword_decompose
+from raagcc.surfaces import SurfaceModel, check_window_property
+from raagcc.words import (min_class, normal_word_from_pairs, normalize, parse_word,
+                          subword_decompose)
 
 LABEL_RULE = "[A-Za-z_][A-Za-z_0-9]*"
 
@@ -194,6 +196,61 @@ def test_budgets_and_length_caps_must_be_ints(worked_core, abc_graph, value):
         with pytest.raises(InputError) as info:
             call()
         assert str(info.value) == f"{name} must be an int, not {value!r}"
+
+
+def _refused_as(call, name: str, value) -> None:
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == f"{name} must be an int, not {value!r}"
+
+
+@pytest.mark.parametrize("value", [True, 2.5])
+def test_min_class_size_budget_must_be_an_int(abc_graph, value):
+    """Before, ``max_size=True`` raised "move-(3) class exceeds budget
+    True" and ``max_size=2.5`` ran."""
+    _refused_as(lambda: min_class(parse_word("b c", abc_graph), abc_graph, max_size=value),
+                "max_size", value)
+
+
+@pytest.mark.parametrize("value", [True, 1.5])
+def test_verify_star_length_must_be_an_int(value):
+    """Before, ``k_max=True`` ran as 1 and ``k_max=1.5`` raised a bare
+    ``TypeError``."""
+    _refused_as(lambda: verify_star(family(4, 1), value), "k_max", value)
+
+
+@pytest.mark.parametrize("n, N, name, value", [(2.5, 1, "n", 2.5), (3, True, "N", True)])
+def test_family_sizes_must_be_ints(n, N, name, value):
+    """Before, ``family(2.5, 1)`` raised a bare ``TypeError`` and
+    ``family(3, True)`` built a family whose ``N`` was ``True``."""
+    _refused_as(lambda: family(n, N), name, value)
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_check_window_property_window_must_be_an_int(abc_graph, abc_model, value):
+    """Before, a fractional window got an answer."""
+    word = normalize(parse_word("a b c a b c", abc_graph), abc_graph)
+    _refused_as(lambda: check_window_property(word, value, abc_model), "window", value)
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+def test_window_constant_check_window_must_be_an_int(value):
+    """Before, a fractional window got an answer."""
+    _refused_as(lambda: window_constant_check(family(3, 2), ["w1 w2"], value), "window", value)
+
+
+def test_translation_length_bound_index_must_be_an_int():
+    """Before, ``translation_length_bound(fam, 2.0)`` ran."""
+    _refused_as(lambda: translation_length_bound(family(4, 2), 2.0), "generator index", 2.0)
+
+
+@pytest.mark.parametrize("h, name, value", [(((2.0, 1),), "generator index", 2.0),
+                                            (((True, 1),), "generator index", True),
+                                            (((1, 1.0),), "generator sign", 1.0)])
+def test_h_word_entries_must_be_ints(h, name, value):
+    """Before, ``((2.0, 1),)`` spelled "g1^2.0 g2^2.0 ...", and
+    ``((True, 1),)`` and ``((1, 1.0),)`` passed as ``((1, 1),)``."""
+    _refused_as(lambda: bme_normal_form(h, family(3, 2)), name, value)
 
 
 def test_subword_decompose_positions(path_graph):

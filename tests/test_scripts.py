@@ -83,12 +83,26 @@ def test_line_coverage_on_one_test_file():
                                       total).groups())
     listed = re.findall(r"^src/raagcc/\w+\.py:\d+$", done.stdout, re.MULTILINE)
     assert len(listed) == unrun < of
+    guards = re.findall(r"^src/raagcc/family\.py:\d+ listed: ", done.stdout, re.MULTILINE)
+    assert len(guards) == 5  # the family's guards, which test_refusals.py never reaches
     source = (ROOT / "src" / "raagcc" / "graphs.py").read_text().splitlines()
     refusal = source.index('            raise InputError(f"duplicate vertex labels in {verts!r}")')
     assert f"src/raagcc/graphs.py:{refusal + 1}" not in listed
     source = (ROOT / "src" / "raagcc" / "certify.py").read_text().splitlines()
     define = next(i for i, line in enumerate(source) if line.startswith("def certify("))
     assert f"src/raagcc/certify.py:{define + 1}" in listed
+
+
+def test_line_coverage_unreachable_guards_are_in_the_source():
+    """Each guard the coverage script lists as unreachable is the stripped
+    text of exactly one line of its module."""
+    listed = runpy.run_path(str(ROOT / "scripts" / "line_coverage.py"))["UNREACHABLE"]
+    assert sum(map(len, listed.values())) == 6
+    for module, guards in listed.items():
+        lines = [line.strip() for line in
+                 (ROOT / "src" / "raagcc" / module).read_text(encoding="utf-8").splitlines()]
+        for text in guards:
+            assert lines.count(text) == 1, (module, text)
 
 
 def test_ab_passes_tiny_against_itself():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from raagcc.errors import InputError
+from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import (
     SurfaceModel,
@@ -31,6 +33,7 @@ from raagcc.words import (
 )
 
 import oracles
+from conftest import GRAPH_ZOO
 
 
 def nw(pairs):
@@ -183,6 +186,28 @@ def test_subsurface_equality_uses_star(abc_graph):
     a = subs(nw([("a", 1), ("b", 1)]), abc_graph)[1]      # prefix a, base b
     b_entry = subs(nw([("a", 1), ("c", 1), ("b", 1)]), abc_graph)[2]  # prefix a c, base b
     assert subsurfaces_equal(a, b_entry, abc_graph)  # c lies in star(b)
+
+
+def test_subsurfaces_equal_matches_label_oracle():
+    """On every pair of entries of the ``subs`` families of seeded random
+    normal words, over the graph zoo and three ring-family graphs,
+    ``subsurfaces_equal`` answers as the label-level oracle that
+    normalizes b.prefix^-1 * a.prefix and tests its labels against the
+    base's star; both answers occur among entries with one base."""
+    seen = Counter()
+    for graph in GRAPH_ZOO + [family(n, 1).graph for n in (2, 3, 4)]:
+        rng = random.Random(len(graph.vertices) * 31 + len(graph.edges))
+        entries = []
+        for _ in range(25):
+            pairs = [(rng.choice(graph.vertices), rng.choice((1, -1, 2)))
+                     for _ in range(rng.randrange(1, 6))]
+            entries += subs(normalize(word_from_pairs(pairs), graph), graph)
+        for a in entries:
+            for b in entries:
+                equal = subsurfaces_equal(a, b, graph)
+                assert equal == oracles.oracle_subsurfaces_equal(a, b, graph), (a, b)
+                seen[a.base == b.base, equal] += 1
+    assert seen[True, True] >= 1_000 and seen[True, False] >= 1_000, seen
 
 
 # -- filling blocks ---------------------------------------------------------------

@@ -17,8 +17,9 @@ from raagcc.complexes import build_core, membership
 from raagcc.errors import BudgetExceededError, ContractError, InputError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
-from raagcc.surfaces import (SurfaceModel, check_window_property, fills,
-                             find_filling_blocks, subs)
+from raagcc.surfaces import (FillingBlock, SurfaceModel, SymbolicSubsurface,
+                             check_window_property, fills, find_filling_blocks, max_exponent,
+                             subs, subs_family_equal, subsurfaces_equal, supports)
 from raagcc.words import (
     EPSILON,
     Word,
@@ -788,19 +789,47 @@ def _carried_words(graph, rng):
 @pytest.mark.parametrize("graph", GRAPH_ZOO, ids=lambda g: "".join(g.vertices) + str(len(g.edges)))
 def test_carried_words_match_eager_words_in_every_word_function(graph):
     """A word ``_spell`` made carries index syllables over its graph's
-    labels.  Every word function gives it the result (or the refusal) it
-    gives the same word built eagerly by ``normal_word_from_pairs``, both
-    over its own graph and over an equal-edged graph whose labels come in
-    another order, where the carried syllables may not be read."""
+    labels, and the same word built by ``normal_word_from_pairs`` carries
+    them over its labels in first-use order.  Every word function gives
+    the two the same result (or refusal), both over the word's own graph
+    and over an equal-edged graph whose labels come in another order, so
+    that a word's syllables are read through its own labels."""
     other = DefiningGraph.build(graph.vertices[::-1], [tuple(e) for e in graph.edges])
     over = [(graph, _word_functions(graph)), (other, _word_functions(other))]
     for carried in _carried_words(graph, random.Random(len(graph.edges))):
-        eager = nw(carried.pairs())
+        first_use = nw(carried.pairs())
         for g, functions in over:
             for name, call in functions:
-                assert _outcome(call, carried) == _outcome(call, eager), \
+                assert _outcome(call, carried) == _outcome(call, first_use), \
                     (name, g.vertices, carried.pairs())
-        assert "_carried" in vars(carried) and "_carried" not in vars(eager)
+        labels = tuple(dict.fromkeys(label for label, _ in carried.pairs()))
+        assert vars(carried)["_carried"][0] == graph.vertices
+        assert vars(first_use)["_carried"] == \
+            (labels, tuple((labels.index(label), e) for label, e in carried.pairs()))
+
+
+def test_word_readers_spell_no_syllables(abc_graph):
+    """No package function given a word, normalized or built from pairs,
+    spells its ``Syllable``s: each reads the carried index syllables."""
+    model = SurfaceModel.build(abc_graph, [abc_graph.vertices])
+    calls = [
+        ("supports", supports),
+        ("FillingBlock.support", lambda w: FillingBlock(w, 1, 3).support),
+        ("max_exponent", max_exponent),
+        ("generator_pairs", lambda w: syllable_order(w, abc_graph).generator_pairs()),
+        ("subsurfaces_equal", lambda w: subsurfaces_equal(
+            SymbolicSubsurface(w, "b"), SymbolicSubsurface(nw(w.pairs()[::-1]), "b"), abc_graph)),
+        ("subs_family_equal", lambda w: subs_family_equal(
+            subs(w, abc_graph), subs(nw(w.pairs()), abc_graph), abc_graph)),
+        ("subword_decompose", lambda w: subword_decompose(w, 1, 2, abc_graph)),
+        ("fills", lambda w: fills(w, model)),
+    ]
+    for text in ("a b c a^-2 c", "a b^3 c^-1 a c^2"):
+        normal = normalize(parse_word(text, abc_graph), abc_graph)
+        for name, call in calls:
+            for w in (normalize(normal, abc_graph), nw(normal.pairs())):
+                call(w)
+                assert "syllables" not in vars(w), (name, text)
 
 
 def test_a_carried_word_over_other_labels_names_the_first_unknown_one(abc_graph):
