@@ -13,11 +13,11 @@ The subgroup generators are ring words
 ``w_i = (g_1^i .. g_{n-1}^i)(f_1^i g_n^i)(f_2^i .. f_n^i) = B_i M_i E_i``.
 Products of the ``w_i`` rewrite into a B/M/E normal form by merging the
 all-commuting B- and E-blocks across generator boundaries; the result is in
-normal form with respect to the standard generators.  Each symbol kind (B,
-E, M, Minv) is spelled from one block of (vertex index, sign) syllables
-cached per family, so the checks read the form as (vertex index, exponent)
-syllables; labels are spelled only for the generators and by
-``bme_normal_form``.
+normal form with respect to the standard generators.  A per-family table
+spells each symbol a form can hold (B and E with subscripts +-1..+-N, M and
+Minv with 1..N) as (vertex index, exponent) syllables, so the checks read a
+form as the concatenation of its symbols' entries; labels are spelled only
+for the generators and by ``bme_normal_form``.
 
 Displacement tracking: a curve state records, as two bitmasks over the
 graph's vertex indices, the supports whose span contains the curve and the
@@ -51,6 +51,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, InputError, InternalError, _require_int
@@ -83,9 +84,18 @@ class Section8Family:
 
     @cached_property
     def _blocks(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        """Per B/M/E symbol kind, its syllables as (vertex index, sign); a
-        symbol with subscript k spells them with exponent sign * k."""
+        """Per B/M/E symbol kind, its syllables as (vertex index, sign)."""
         return _symbol_blocks(self.n)
+
+    @cached_property
+    def _symbol_syllables(self) -> dict[tuple[str, int], tuple[tuple[int, int], ...]]:
+        """Each symbol a freely reduced h-word's form can hold (B and E with
+        subscripts +-1..+-N, M and Minv with 1..N) as (vertex index,
+        exponent) syllables."""
+        subscripts = [k for k in range(-self.N, self.N + 1) if k]
+        return {(kind, k): tuple((z, sign * k) for z, sign in block)
+                for kind, block in self._blocks.items() for k in subscripts
+                if k > 0 or kind in ("B", "E")}
 
     @cached_property
     def _letter_supports(self) -> dict[int, tuple[int, ...]]:
@@ -180,10 +190,8 @@ def h_word_symbols(h: HWord) -> list[tuple[str, int]]:
 
 
 def _bme_pairs(h: HWord, fam: Section8Family) -> list[tuple[int, int]]:
-    """The B/M/E normal form of a freely reduced h-word, as (vertex index,
-    exponent) syllables."""
-    blocks = fam._blocks
-    return [(z, sign * k) for kind, k in h_word_symbols(h) for z, sign in blocks[kind]]
+    """A freely reduced h-word's B/M/E normal form as (vertex index, exponent) syllables."""
+    return list(chain.from_iterable(map(fam._symbol_syllables.__getitem__, h_word_symbols(h))))
 
 
 def _h_word(h: HWord | str, fam: Section8Family) -> HWord:

@@ -11,9 +11,9 @@ Inside the package every support is an ``int`` bitmask over the graph's
 vertex indices (bit i for the i-th declared vertex); label sets appear only
 at the boundary: JSON, ``fills_subset``, ``supports``, ``FillingBlock.support``.
 
-Filling blocks come from one sweep over generator indices that counts, per
-minimal filling set, the generators the window lacks; the letter-window
-property then tests each minimal block once, against its tightest window.
+Filling blocks come from one sweep over the syllables that yields each
+minimal block as its end is read; the letter-window property tests each
+block once, against its tightest window, as the sweep yields it.
 
 Admissibility of the underlying embedding is a declared flag, never
 computed; certification downstream is conditional on it.
@@ -21,10 +21,12 @@ computed; certification downstream is conditional on it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, _require_int
 from .graphs import DefiningGraph, is_string_list
@@ -179,54 +181,42 @@ class FillingBlock:
         return frozenset(label for label, _ in self.word.pairs()[self.start:self.end + 1])
 
 
-def _minimal_blocks(gens: Sequence[int], model: SurfaceModel) -> list[tuple[int, int]]:
+def _minimal_blocks(syllables: Iterable[tuple[int, int]],
+                    model: SurfaceModel) -> Iterator[tuple[int, int]]:
     """The inclusion-minimal filling ranges (start, end), both inclusive, of
-    a syllable sequence given by its generator indices.
+    (generator index, exponent) syllables, each yielded as its end is read.
 
-    Filling is monotone, so the end of the shortest filling range starting
-    at i never decreases as i grows: one sweep with two pointers finds every
-    such end, and a range is minimal exactly when the next start's shortest
-    range ends later.  The window keeps a count per generator and, per
-    minimal filling set, how many of its generators it lacks; it fills
-    while some set lacks none, so a pointer move only updates the counts of
-    the sets that hold a generator entering or leaving the window.
+    Per minimal filling set, its generators are kept in order of latest
+    occurrence, oldest first, with that position (-1 until read).  The
+    shortest filling range ending at j starts at the largest, over the sets,
+    latest position of a set's oldest member; only the sets holding
+    syllable j's generator change.  That start never decreases, so [s, j]
+    holds a filling range ending before j exactly when the one ending at
+    j - 1 starts at s too: a range is minimal exactly when the start grows.
     """
     holders = model._holders
-    lacking = [f.bit_count() for f in model.filling_masks]
-    counts = [0] * len(holders)  # generator multiplicities in gens[i:j]
-    full = 0  # the minimal filling sets the window lacks nothing of
-    k = len(gens)
-    j = 0
-    blocks: list[tuple[int, int]] = []
-    for i in range(k):
-        while not full and j < k:
-            g = gens[j]
-            if not counts[g]:
-                for f in holders[g]:
-                    lacking[f] -= 1
-                    full += not lacking[f]
-            counts[g] += 1
-            j += 1
-        if not full:
-            break
-        if blocks and blocks[-1][1] == j - 1:
-            blocks[-1] = (i, j - 1)  # the longer range with the same end is not minimal
-        else:
-            blocks.append((i, j - 1))
-        g = gens[i]
-        counts[g] -= 1
-        if not counts[g]:
-            for f in holders[g]:
-                full -= not lacking[f]
-                lacking[f] += 1
-    return blocks
+    latest = [OrderedDict.fromkeys((i for i in range(f.bit_length()) if f >> i & 1), -1)
+              for f in model.filling_masks]
+    start = -1  # the start of the shortest filling range read so far
+    for j, (g, _) in enumerate(syllables):
+        shortest = start
+        for t in holders[g]:
+            order = latest[t]
+            order[g] = j
+            order.move_to_end(g)
+            oldest = next(iter(order.values()))
+            if oldest > shortest:
+                shortest = oldest
+        if shortest > start:
+            start = shortest
+            yield start, j
 
 
 def find_filling_blocks(w: NormalWord, model: SurfaceModel) -> tuple[FillingBlock, ...]:
     """All inclusion-minimal consecutive syllable ranges whose supports fill."""
     syllables = _require_normal(w, model.graph, "find_filling_blocks")
     return tuple(FillingBlock(word=w, start=i, end=e) for i, e in
-                 _minimal_blocks([g for g, _ in syllables], model))
+                 _minimal_blocks(syllables, model))
 
 
 def check_window_property(w: NormalWord, window: int, model: SurfaceModel) -> bool:
@@ -254,17 +244,18 @@ def _window_holds(syllables: Sequence[tuple[int, int]], window: int,
     the block to test for the window at letter p is the first one starting
     at or after p.  Block t is thus tested for the windows from one past
     block t-1's start to its own start, and the first of them is the
-    tightest: one test per block decides the property.
+    tightest: one test per block decides the property.  The sweep stops at
+    the first block that misses its window or once every start is covered.
     """
-    offsets = [0, *accumulate(abs(e) for _, e in syllables)]
+    offsets = list(accumulate(map(abs, map(itemgetter(1), syllables)), initial=0))
     last = offsets[-1] - window  # the start of the last window
     p = 0  # the first window start no block has been tested for
-    for start, end in _minimal_blocks([g for g, _ in syllables], model):
-        if p > last:
-            return True
+    for start, end in _minimal_blocks(syllables, model):
         if offsets[end + 1] > p + window:
             return False
         p = offsets[start] + 1
+        if p > last:
+            return True
     return p > last
 
 

@@ -37,6 +37,8 @@ syllables.
 spelled in string labels, symbol by symbol, before the package spelled
 index syllables; ``naive_expansion`` concatenates the generators'
 spellings with no merging at all, the word both are normalized against.
+``oracle_bme_pairs`` is the form's index syllables spelled symbol by
+symbol from each kind's block, before the per-family symbol table.
 ``oracle_check_local_isometry`` is the link check on string labels and
 ``oracle_ends_at`` that the integer check replaced.
 ``oracle_canonical_form`` is the breadth-first renumbering that verified
@@ -1059,6 +1061,15 @@ def oracle_bme_normal_form(h, fam) -> NormalWord:
     symbols = ring.h_word_symbols(tuple(h))
     return normal_word_from_pairs(
         [pair for sym in symbols for pair in _oracle_symbol_pairs(sym, fam.n)])
+
+
+def oracle_bme_pairs(h, fam) -> list[tuple[int, int]]:
+    """The B/M/E normal form of a freely reduced h-word as (vertex index,
+    exponent) syllables, each symbol spelled from its kind's block of
+    (vertex index, sign) syllables as it is read, as the package did before
+    its per-family symbol table."""
+    blocks = fam._blocks
+    return [(z, sign * k) for kind, k in ring.h_word_symbols(h) for z, sign in blocks[kind]]
 
 
 def naive_expansion(h, fam) -> list[tuple[str, int]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_left
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +23,7 @@ from raagcc.family import (
     verify_star,
     window_constant_check,
 )
+from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel, check_window_property, fills, find_filling_blocks
 from raagcc.words import normal_word_from_pairs, normalize, word_from_pairs
 
@@ -30,6 +32,7 @@ from oracles import (
     TupleSpanState,
     mask_state,
     oracle_bme_normal_form,
+    oracle_bme_pairs,
     oracle_check_window_property,
     oracle_displacement_upper,
     oracle_find_filling_blocks,
@@ -93,6 +96,57 @@ def test_blocks_and_windows_match_quadratic_sweep():
                 if w.letter_length >= window:
                     outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def _free_vertex_model(graph, rng: random.Random) -> SurfaceModel:
+    """An antichain of 3 to 5 minimal filling sets over all but one vertex,
+    so that the last vertex is in no set."""
+    vertices = list(graph.vertices[:-1])
+    sets: set[frozenset[str]] = set()
+    size = rng.randint(3, 5)
+    while len(sets) < size:
+        s = frozenset(rng.sample(vertices, rng.randint(2, len(vertices) - 1)))
+        if not any(t <= s for t in sets):
+            sets = {t for t in sets if not s <= t} | {s}
+    return SurfaceModel.build(graph, sets)
+
+
+def test_blocks_and_windows_match_quadratic_sweep_on_long_words():
+    """The sweep reorders a set's generators by latest occurrence, which
+    only long words exercise: B/M/E forms of 8-24 generators, at windows
+    around b, and words of up to 80 syllables over random antichains of at
+    least 3 sets that leave one vertex out."""
+    rng = random.Random(31)
+    outcomes = set()
+    for n, N in ((4, 1), (6, 2), (10, 3)):
+        fam = family(n, N)
+        b = ring.constants(fam).b
+        for length in (8, 16, 24):
+            w = ring.bme_normal_form(_random_h(rng, N, length), fam)
+            assert find_filling_blocks(w, fam.model) == oracle_find_filling_blocks(w, fam.model)
+            for window in (2 * n, 3 * n, b - 1, b, b + 1):
+                got = check_window_property(w, window, fam.model)
+                assert got == oracle_check_window_property(w, window, fam.model), (
+                    n, N, length, window)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+    lengths, holding = [], set()
+    for _ in range(40):
+        graph = DefiningGraph.build("abcdef", [e for e in combinations("abcdef", 2)
+                                               if rng.random() < 0.3])
+        model = _free_vertex_model(graph, rng)
+        pairs = [(rng.choice(graph.vertices), rng.choice((-2, -1, 1, 2)))
+                 for _ in range(rng.randint(50, 80))]
+        w = normalize(word_from_pairs(pairs), graph)
+        lengths.append(len(w.syllables))
+        blocks = find_filling_blocks(w, model)
+        assert blocks == oracle_find_filling_blocks(w, model), (w, model.minimal_filling_sets)
+        for window in range(1, 41):
+            got = check_window_property(w, window, model)
+            assert got == oracle_check_window_property(w, window, model), (
+                w, model.minimal_filling_sets, window)
+            holding.add(got)
+    assert max(lengths) >= 60 and holding == {True, False}
 
 
 def test_fills_and_filling_sets_match_label_sets():
@@ -209,6 +263,24 @@ def test_bme_normal_form_matches_label_spelling():
                 assert ring.bme_normal_form(h, fam) == expected, (n, N, h)
                 text = ring.h_word_text(h)
                 assert ring.bme_normal_form(text, fam) == oracle_bme_normal_form(text, fam)
+
+
+def test_symbol_table_matches_blockwise_spelling():
+    """The per-family symbol table against each symbol spelled from its
+    kind's block, on every freely reduced h-word of at most 4 generators.
+    Those words hold every symbol the table spells, unmerged subscripts +-N
+    and merged ones +-(N - 1) among them, so a missing key fails here."""
+    for n, N in ((3, 1), (4, 2), (5, 3)):
+        fam = family(n, N)
+        held = set()
+        for h in ring._h_words_upto(N, 4):
+            assert ring._bme_pairs(h, fam) == oracle_bme_pairs(h, fam), (n, N, h)
+            held.update(ring.h_word_symbols(h))
+        assert held == set(fam._symbol_syllables), (n, N)
+        for kind in "BE":
+            assert {(kind, N), (kind, -N)} <= held
+            if N > 1:
+                assert {(kind, N - 1), (kind, 1 - N)} <= held
 
 
 # -- pinned ring-sweep outputs ------------------------------------------------------
