@@ -13,6 +13,7 @@ from raagcc import (
     build_core,
     certify,
     check_local_isometry,
+    count_elements,
     displacement_lower_bound,
     enumerate_elements,
     extract_generators,
@@ -39,7 +40,8 @@ def main() -> None:
     probe = parse_word("b^2 c^2 a^2", graph)
     print(f"membership('b^2 c^2 a^2') = {membership(core, probe)}")
     cert = certify(graph, model, gens, cell_budget=args.cell_budget)
-    print(f"certify: {cert.verdict} (ell={cert.ell}, elements counted={cert.element_count})")
+    counted = count_elements(cert.core, cert.ell) if cert.verdict == "certified" else None
+    print(f"certify: {cert.verdict} (ell={cert.ell}, elements counted={counted})")
     if cert.verdict == "certified":
         h = parse_word("b c a b a b c", graph)
         print(f"displacement bound for a length-7 member: >= {displacement_lower_bound(cert, h)}")

@@ -47,17 +47,12 @@ H_1 != 0 forces a nontrivial chord word.  Only on a partial stage with
 H_1 != 0 are the chord words piled.
 
 No chord word survives on a verified core: certified, with the core
-frozen and link-checked, the displacement lower bound
-d >= |h|/(6*ell) - 2 attached and the number of members up to length ell
-counted by ``count_elements``.  Some chord word survives: refuted, with
-the first non-filling loop in increasing length order as witness (its
-image fixes a curve, so the subgroup is not purely pseudo-Anosov); the
-walk that finds it is bounded by the enumeration budget.  Budget
-exhaustion anywhere: inconclusive, never a negative claim.
-
-Each enumerated element's filling check needs only the generator support
-of a cyclic reduction: it is piled once by the word kernel in ``words.py``
-and reduced in place.
+frozen and link-checked and the displacement lower bound
+d >= |h|/(6*ell) - 2 attached; nothing is enumerated.  Some chord word
+survives: refuted, with the first non-filling loop in increasing length
+order as witness (its image fixes a curve, so the subgroup is not purely
+pseudo-Anosov); the walk that finds it is bounded by the enumeration
+budget.  Budget exhaustion anywhere: inconclusive, never a negative claim.
 """
 
 from __future__ import annotations
@@ -74,7 +69,6 @@ from .complexes import (
     _Builder,
     _require_count,
     _require_verified,
-    count_elements,
     iter_loops_by_length,
     membership,
 )
@@ -91,7 +85,13 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the finite convex-cocompactness check."""
+    """Outcome of the finite convex-cocompactness check.
+
+    ``element_count`` counts the loops, identity included, that the witness
+    walk read on a verified stage: up to and including the witness for a
+    refutation, its partial count for an inconclusive one, else None.  A
+    certified verdict's members up to ell are ``count_elements(core, ell)``.
+    """
 
     graph: DefiningGraph
     model: SurfaceModel
@@ -369,7 +369,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     loop is the refutation's witness.  Only what the outcome means depends
     on whether the core is verified:
 
-    - no nontrivial chord word: certified, with ``count_elements``;
+    - no nontrivial chord word: certified, with no walk and no count;
     - a walk that runs out of budget: inconclusive, with its partial count;
     - a walk that ends without a witness: an ``InternalError``.
 
@@ -439,7 +439,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
             if verified:
                 core = builder.core(status, stage)  # so link-checked before the verdict
                 freeze = lambda: core  # noqa: E731
-                return certificate(CERTIFIED, ell=ell, element_count=count_elements(core, ell))
+                return certificate(CERTIFIED, ell=ell)
             continue
         # The witness is the first non-filling member in increasing length
         # order; on a verified core one of length at most 2V - 1 < ell exists.

@@ -18,6 +18,8 @@ its union-find forests, and ``oracle_h1_vanishes`` the elimination it fed
 them to, over the whole stage.  ``oracle_h1_rank`` is H_1 of a label set's subcomplex
 over GF(2), from dense rows over its edges, the reference for the
 homology decision of ``certify``'s chord check.
+``oracle_short_product_witness`` refutes from products of a few
+generators alone, sharing no code with the core builder.
 ``oracle_square_edges`` reads each square's boundary row through
 ``square_ends``, the reference for the square rows that a stage's view
 groups by their labels.
@@ -70,7 +72,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product as product_of
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -1030,6 +1032,37 @@ def oracle_fills(w: Word | NormalWord, model: SurfaceModel) -> bool:
     """Filling of an element, on the label support of its cyclic reduction."""
     _, core = cyclically_reduce(w, model.graph)
     return oracle_fills_subset((s.generator for s in core.syllables), model)
+
+
+def oracle_short_product_witness(graph: DefiningGraph, model: SurfaceModel, gens: Sequence[Word],
+                                 max_len: int) -> tuple[tuple[int, int], ...] | None:
+    """The first product of at most ``max_len`` generators and inverses,
+    freely reduced as a word in them, that is nontrivial and whose
+    ``cyclic_core_support`` does not fill, as (generator position, sign)
+    letters; None when there is none.  Products come by length, and each
+    length in letter order: the first generator, its inverse, the second...
+
+    Each product is spelled by concatenating its letters' index syllables.
+    Such a product is a subgroup member that fails to fill, so it refutes
+    the subgroup without a core: nothing here touches the fold/fill
+    builder, its stages or its chord words.
+    """
+    index = {v: g for g, v in enumerate(graph.vertices)}
+    spelled: dict[tuple[int, int], list[tuple[int, int]]] = {}  # in letter order
+    for i, w in enumerate(gens):
+        syls = [(index[letter.generator], letter.sign) for letter in w.letters]
+        spelled[i, 1] = syls
+        spelled[i, -1] = [(g, -e) for g, e in reversed(syls)]
+    for length in range(1, max_len + 1):
+        for product in product_of(spelled, repeat=length):
+            if any(a == (b[0], -b[1]) for a, b in zip(product, product[1:])):
+                continue  # not freely reduced
+            support = cyclic_core_support(
+                [syl for letter in product for syl in spelled[letter]], graph)
+            if support and not oracle_fills_subset(
+                    {v for v, g in index.items() if support >> g & 1}, model):
+                return product
+    return None
 
 
 # -- ring-family checks: the slow paths the package replaced -----------------

@@ -7,6 +7,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +32,7 @@ from raagcc.complexes import (
     LinkReport,
     SubgroupCore,
     _Builder,
+    _SpellingAutomaton,
     build_core,
     check_local_isometry,
     count_elements,
@@ -48,6 +50,8 @@ from raagcc.words import _indexed, _pile, concat, invert, normalize, parse_word,
 import oracles
 from conftest import CATALOG, CATALOG_GRAPHS, GRAPH_ZOO, catalog_sample
 
+CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}
+
 
 @pytest.fixture(scope="module")
 def ex2_cert(abc_graph, abc_model):
@@ -60,7 +64,8 @@ def test_two_generator_subgroup_certifies(ex2_cert):
     assert ex2_cert.core_status == VERIFIED
     assert ex2_cert.ell == 3 * (ex2_cert.core_vertex_count + 1)
     assert ex2_cert.witness is None
-    assert ex2_cert.element_count and ex2_cert.element_count > 1
+    assert ex2_cert.element_count is None  # a certified verdict walks nothing
+    assert count_elements(ex2_cert.core, ex2_cert.ell) > 1
 
 
 def test_single_non_filling_generator_refutes(abc_graph, abc_model):
@@ -147,7 +152,7 @@ def test_certified_members_have_small_exponents(abc_graph, ex2_cert):
     for w in enumerate_elements(core, ex2_cert.ell):
         assert max_exponent(w) < bound
         count += 1
-    assert count == ex2_cert.element_count
+    assert count == count_elements(core, ex2_cert.ell)
 
 
 def test_verdict_stable_under_redundant_generator(abc_graph, abc_model):
@@ -316,9 +321,10 @@ def differential_certificates():
 
 
 def test_exact_check_matches_enumeration_oracle(differential_certificates):
-    """Wherever the ell-ball sweep decides, ``certify`` gives its verdict,
-    witness and element count; where it runs out of budget, ``certify``
-    never refutes."""
+    """Wherever the ell-ball sweep decides, ``certify`` gives its verdict
+    and witness, and its element count: the walk's for a refutation, the
+    public ``count_elements`` for a certified verdict.  Where the sweep runs
+    out of budget, ``certify`` never refutes."""
     decided = {CERTIFIED: 0, REFUTED: 0}
     for model, cert in differential_certificates:
         if cert.core_status != VERIFIED:
@@ -328,15 +334,18 @@ def test_exact_check_matches_enumeration_oracle(differential_certificates):
             assert cert.verdict in (CERTIFIED, INCONCLUSIVE), cert.generators
             continue
         verdict, witness, count = oracle
-        got = (cert.verdict, cert.witness and cert.witness.pairs(), cert.element_count)
+        count_got = (count_elements(cert.core, cert.ell) if cert.verdict == CERTIFIED
+                     else cert.element_count)
+        got = (cert.verdict, cert.witness and cert.witness.pairs(), count_got)
         assert got == (verdict, witness, count), cert.generators
         decided[verdict] += 1
     assert decided[CERTIFIED] >= 10 and decided[REFUTED] >= 10, decided
 
 
-def test_count_elements_matches_enumeration(differential_certificates):
+def test_count_elements_matches_enumeration(abc_graph, differential_certificates):
     """The counting DP agrees with listing the elements, up to ell where the
-    listing is small and up to a shorter length elsewhere."""
+    listing is small and up to a shorter length elsewhere, and on the
+    trivial subgroup, whose walks all end at length 1."""
     cores = {cert.generators: cert.core for _, cert in differential_certificates
              if cert.core_status == VERIFIED}
     assert len(cores) >= 20
@@ -345,6 +354,8 @@ def test_count_elements_matches_enumeration(differential_certificates):
         while length > 0 and count_elements(core, length) > 2_000:
             length -= 1
         assert count_elements(core, length) == len(enumerate_elements(core, length))
+    trivial = build_core(abc_graph, [parse_word("a a^-1", abc_graph)])
+    assert count_elements(trivial, 30) == len(enumerate_elements(trivial, 30)) == 1
 
 
 def test_certified_verdict_does_not_depend_on_enum_budget(abc_graph, abc_model, ex2_cert):
@@ -352,7 +363,41 @@ def test_certified_verdict_does_not_depend_on_enum_budget(abc_graph, abc_model, 
                    [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)],
                    enum_budget=1)
     assert cert.to_json_dict() == ex2_cert.to_json_dict()
-    assert cert.element_count == 53_745
+    assert count_elements(cert.core, cert.ell) == 53_745
+
+
+def test_a_certified_verdict_enumerates_nothing(abc_graph, abc_model, monkeypatch):
+    """A certified verdict is the chord check's alone: with the spelling
+    automaton that every walk and count starts from made to raise, the
+    worked example and the certified problems of a catalog sample still
+    certify, with no element count."""
+    problems = [(abc_graph, abc_model, [parse_word("b c a", abc_graph),
+                                        parse_word("b a b c", abc_graph)])]
+    for graph, gens in catalog_sample(random.Random(29)):
+        model = SurfaceModel.build(graph, [graph.vertices])
+        if certify(graph, model, gens, **CATALOG_BUDGETS).verdict == CERTIFIED:
+            problems.append((graph, model, gens))
+    assert len(problems) == 17, len(problems)
+
+    def refuse(self, complex_):
+        raise RuntimeError("a spelling automaton was built")
+
+    monkeypatch.setattr(_SpellingAutomaton, "__init__", refuse)
+    for graph, model, gens in problems:
+        cert = certify(graph, model, gens, **CATALOG_BUDGETS)
+        assert (cert.verdict, cert.element_count) == (CERTIFIED, None), cert.generators
+    with pytest.raises(RuntimeError, match="spelling automaton"):
+        count_elements(cert.core, cert.ell)  # the patch is live
+
+
+def test_ring_family_5_2_certifies():
+    """The paper's ring family (5, 2) certifies at a cell budget of 80,000,
+    with the window and the displacement bound its core gives."""
+    fam = family(5, 2)
+    cert = certify(fam.graph, fam.model, [w.as_word() for w in fam.generators],
+                   cell_budget=80_000)
+    assert (cert.verdict, cert.ell, cert.element_count) == (CERTIFIED, 8_514, None)
+    assert cert.bound_coefficients() == (Fraction(1, 51_084), Fraction(-2))
 
 
 def test_refutation_witness_search_respects_enum_budget(abc_graph, abc_model):
@@ -378,9 +423,47 @@ def test_partial_stage_budget_stop_names_the_enum_budget(abc_graph, abc_model):
         "core construction exceeded cell budget 10")
 
 
-# -- every stage decided by the chord-word check ------------------------------------
+# -- refutations from generator products alone --------------------------------------
 
-CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}
+
+@pytest.fixture(scope="module")
+def catalog_verdicts():
+    """Every catalog problem with ``certify``'s verdict at the catalog's
+    budgets, as (graph, model, generator words, verdict)."""
+    out = []
+    for name, strata in json.loads(CATALOG.read_text())["graphs"].items():
+        graph = CATALOG_GRAPHS[name]
+        model = SurfaceModel.build(graph, [graph.vertices])
+        for texts in chain.from_iterable(strata.values()):
+            gens = [parse_word(t, graph) for t in texts]
+            out.append((graph, model, gens,
+                        certify(graph, model, gens, **CATALOG_BUDGETS).verdict))
+    return out
+
+
+def test_refuted_catalog_problems_have_short_nonfilling_products(catalog_verdicts):
+    """Every refutation of the catalog is matched, independently of the
+    core, by a nontrivial non-filling product of at most 3 generators."""
+    lengths = Counter()
+    for graph, model, gens, verdict in catalog_verdicts:
+        if verdict == REFUTED:
+            product = oracles.oracle_short_product_witness(graph, model, gens, 3)
+            assert product is not None, gens
+            lengths[len(product)] += 1
+    assert lengths == {1: 196, 2: 122, 3: 2}, lengths
+
+
+def test_certified_catalog_problems_have_no_short_nonfilling_product(catalog_verdicts):
+    """No product of at most 4 generators of a certified catalog problem
+    is nontrivial and fails to fill."""
+    certified = [(graph, model, gens) for graph, model, gens, verdict in catalog_verdicts
+                 if verdict == CERTIFIED]
+    assert len(certified) == 235
+    for graph, model, gens in certified:
+        assert oracles.oracle_short_product_witness(graph, model, gens, 4) is None, gens
+
+
+# -- every stage decided by the chord-word check ------------------------------------
 
 
 def _labelled_edges(complex_, allowed: int) -> list[tuple[int, int, int]]:
