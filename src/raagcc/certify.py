@@ -46,9 +46,10 @@ complex of Gamma_S, so pi_1(K) injects (Haglund & Wise, above): there
 H_1 != 0 forces a nontrivial chord word.  Only on a partial stage with
 H_1 != 0 are the chord words piled.
 
-No chord word survives on a verified core: certified, with the core
-frozen and link-checked and the displacement lower bound
-d >= |h|/(6*ell) - 2 attached; nothing is enumerated.  Some chord word
+No chord word survives on a verified core: certified, with the stage
+link-checked on the builder and the displacement lower bound
+d >= |h|/(6*ell) - 2 attached; nothing is enumerated, and the core is
+frozen only when it is read.  Some chord word
 survives: refuted, with the first non-filling loop in increasing length
 order as witness (its image fixes a curve, so the subgroup is not purely
 pseudo-Anosov); the walk that finds it is bounded by the enumeration
@@ -377,9 +378,10 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     refutation carries neither ell nor an element count.
 
     The stages grow on one ``_Builder``, and each is decided on its
-    ``_StageView``.  A certified stage is frozen into its core, and so
-    link-checked, before the verdict is returned; any other certificate
-    freezes its stage only when its ``core`` is first read.
+    ``_StageView``.  A certified stage is link-checked on the builder's
+    own tables (``_Builder.check_link``) before the verdict is returned.
+    Every certificate freezes its stage only when its ``core`` is first
+    read, and a verified stage's core is then link-checked again, frozen.
 
     A construction that never stabilizes within the cell budget and never
     exposes a witness is inconclusive.  Its reason names the enumeration
@@ -437,8 +439,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         chord_set = _nonfilling_chord_set(view, model, verified)
         if chord_set is None:
             if verified:
-                core = builder.core(status, stage)  # so link-checked before the verdict
-                freeze = lambda: core  # noqa: E731
+                builder.check_link()
                 return certificate(CERTIFIED, ell=ell)
             continue
         # The witness is the first non-filling member in increasing length

@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, ContractError, InputError, InternalError, _require_int
 from .graphs import DefiningGraph
@@ -336,6 +336,13 @@ class _Builder:
     pairs of table keys per vertex, which folding never changes.  A square
     is its raw edges (a, b, gamma, delta) and the keys of a and b at one
     corner; gamma lies across a parallel to b, delta across b parallel to a.
+
+    A fill pass reads a vertex's commuting corners from the graph's corner
+    table (``DefiningGraph._corners``), by the bitmask of its table's keys.
+    Only vertices whose tables gained a key since the last pass are
+    scanned.  A fresh opposite vertex is not: its table holds exactly the
+    two keys of the corner its own square fills, and any later insertion
+    or union marks its root again.
     """
 
     def __init__(self, graph: DefiningGraph, words: Sequence[Sequence[tuple[int, int]]],
@@ -449,25 +456,32 @@ class _Builder:
     # -- square filling -----------------------------------------------------
 
     def fill_pass(self) -> bool:
-        """Attach a square at every unfilled commuting corner of a dirty vertex."""
-        comm = self.graph.comm_masks
+        """Attach a square at every unfilled commuting corner of a dirty
+        vertex, each marked filled as its square is attached, in the order
+        ``_unfilled_corners`` lists them."""
         vertices = sorted({self.vfind(v) for v in self.dirty})
         self.dirty.clear()
-        targets: list[tuple[int, int, int]] = []
-        for v in vertices:
-            keys = sorted(self.ends[v])
-            filled = self.filled[v]
-            for i, ka in enumerate(keys):
-                commuting = comm[ka >> 1]
-                if not commuting:
-                    continue
-                for kb in keys[i + 1:]:
-                    if commuting >> (kb >> 1) & 1 and (ka, kb) not in filled:
-                        filled.add((ka, kb))
-                        targets.append((v, ka, kb))
+        # Listed in full first: attaching marks corners at other vertices.
+        targets = list(self._unfilled_corners(vertices))
+        filled = self.filled
         for v, ka, kb in targets:
+            filled[v].add((ka, kb))
             self._attach_square(v, ka, kb)
         return bool(targets)
+
+    def _unfilled_corners(self, vertices: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+        """The unfilled commuting corners of the given root vertices, as
+        (vertex, ka, kb), vertex by vertex and each one's in key order, read
+        from the graph's corner table by the bitmask of the vertex's keys."""
+        corners, ends, filled = self.graph._corners, self.ends, self.filled
+        for v in vertices:
+            mask = 0
+            for key in ends[v]:
+                mask |= 1 << key
+            done = filled[v]
+            for ka, kb in corners[mask]:
+                if (ka, kb) not in done:
+                    yield v, ka, kb
 
     def _attach_square(self, v: int, ka: int, kb: int) -> None:
         """Close the corner of v's ends at keys ka < kb with a square.
@@ -490,6 +504,7 @@ class _Builder:
                                   opposite if pb == 0 else far_a, kb >> 1)
             delta = self.new_edge(far_b if pa == 0 else opposite,
                                   opposite if pa == 0 else far_b, ka >> 1)
+            self.dirty.discard(opposite)  # its one corner is this square's
         self.squares.append((a, b, gamma, delta, ka, kb))
         self.squares_added += 1
         # fill_pass marked the corner at v; the other three, in key order.
@@ -531,6 +546,20 @@ class _Builder:
         return {"folds": self.folds, "squares_added": self.squares_added,
                 "cells": vertices + edges + squares, "vertex_count": vertices,
                 "edge_count": edges, "square_count": squares, "budget": budget}
+
+    def check_link(self) -> None:
+        """The link check of a stabilized stage on the builder's own tables,
+        with nothing frozen; ``InternalError`` on a violation.  No fold may
+        be queued, and every commuting corner of every vertex's end table
+        must be filled.  With the queue empty each slot holds one edge, and
+        a frozen square's four corners are the four its raw square marked
+        filled, so this says clean exactly when ``_link_violations`` does on
+        the frozen stage."""
+        if self.collisions:
+            raise InternalError(f"stabilized stage has {len(self.collisions)} queued folds")
+        for v, ka, kb in self._unfilled_corners(self.ends):
+            raise InternalError(f"stabilized stage failed the link check: "
+                                f"corner {(ka, kb)} of vertex {v} is unfilled")
 
     def core(self, status: str, budget: int) -> SubgroupCore:
         """The stage frozen as a core; a verified one is link-checked."""

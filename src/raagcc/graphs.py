@@ -73,6 +73,12 @@ class DefiningGraph:
         return tuple(sum(1 << index[w] for w in self._adjacency[v]) for v in self.vertices)
 
     @cached_property
+    def _corners(self) -> _CornerTable:
+        """Per bitmask of end-table keys (bit ``2 * vertex index + endpoint``),
+        its commuting corners: a lazily filled memo, see ``_CornerTable``."""
+        return _CornerTable(self.comm_masks)
+
+    @cached_property
     def non_commuting(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex index, the indices of the other vertices it fails to commute with."""
         return tuple(
@@ -143,6 +149,25 @@ class DefiningGraph:
             raise InputError("graph JSON 'vertices' must be a list of strings and "
                              "'edges' a list of string lists")
         return cls.build(vertices, [tuple(e) for e in edges])
+
+
+class _CornerTable(dict):
+    """From a bitmask of end-table keys to the pairs (ka, kb) of its keys,
+    ka < kb, whose labels commute, in increasing (ka, kb) order; each
+    entry is made on the first read of its mask.  An entry depends only on
+    the graph's commutation masks, so the table serves every builder over
+    the graph."""
+
+    def __init__(self, comm: tuple[int, ...]) -> None:
+        super().__init__()
+        self.comm = comm
+
+    def __missing__(self, mask: int) -> tuple[tuple[int, int], ...]:
+        comm = self.comm
+        keys = [k for k in range(mask.bit_length()) if mask >> k & 1]
+        corners = self[mask] = tuple((ka, kb) for i, ka in enumerate(keys) for kb in keys[i + 1:]
+                                     if comm[ka >> 1] >> (kb >> 1) & 1)
+        return corners
 
 
 def is_string_list(data: object) -> bool:

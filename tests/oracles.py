@@ -57,6 +57,10 @@ builder that the end tables replaced: string labels, incidence sets
 rescanned and sorted on every look-up, and a filled-corner set rebuilt
 after every fold round, self-checked by ``oracle_check_local_isometry``.
 It shares only ``LabeledCubeComplex`` with the package's builder.
+``PairScanBuilder`` is the package's builder with the fill scan it ran
+before the graph's corner table: every pair of a dirty vertex's sorted
+table keys tested for commuting, and every fresh opposite vertex scanned
+again on the next pass.
 
 Filling is decided here on label sets against the model's minimal filling
 sets, never on the package's bitmasks, and the ring family's span tracking
@@ -85,6 +89,7 @@ from raagcc.complexes import (
     LinkReport,
     Square,
     SubgroupCore,
+    _Builder,
     _corner,
 )
 from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
@@ -1672,3 +1677,35 @@ def oracle_build_core(graph: DefiningGraph, generators: Sequence[Word], budget: 
         if not report.ok:
             raise InternalError(f"stabilized complex failed the link check: {report}")
     return SubgroupCore(complex=complex_, status=status, diagnostics=diagnostics)
+
+
+class PairScanBuilder(_Builder):
+    """``_Builder`` with its fill scan as it ran before the graph's corner
+    table: each dirty vertex's table keys sorted and every later key tested
+    against each commuting key, and each fresh opposite vertex left dirty
+    for the next pass to scan again."""
+
+    def fill_pass(self) -> bool:
+        comm = self.graph.comm_masks
+        vertices = sorted({self.vfind(v) for v in self.dirty})
+        self.dirty.clear()
+        targets: list[tuple[int, int, int]] = []
+        for v in vertices:
+            keys = sorted(self.ends[v])
+            filled = self.filled[v]
+            for i, ka in enumerate(keys):
+                commuting = comm[ka >> 1]
+                if not commuting:
+                    continue
+                for kb in keys[i + 1:]:
+                    if commuting >> (kb >> 1) & 1 and (ka, kb) not in filled:
+                        filled.add((ka, kb))
+                        targets.append((v, ka, kb))
+        for v, ka, kb in targets:
+            self._attach_square(v, ka, kb)
+        return bool(targets)
+
+    def _attach_square(self, v: int, ka: int, kb: int) -> None:
+        fresh = len(self.vparent)
+        super()._attach_square(v, ka, kb)
+        self.dirty.update(range(fresh, len(self.vparent)))

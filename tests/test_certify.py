@@ -919,11 +919,10 @@ def test_walk_on_view_matches_frozen_stage(catalog_stages):
 
 
 def test_partial_stage_core_is_frozen_on_read(monkeypatch):
-    """A run that is not certified, refuted or inconclusive, on a
-    budget-exceeded stage or a verified one, freezes no stage until
-    ``cert.core`` is read, and then once; that core is the one a fresh
-    ``build_core`` at the last stage's budget makes.  A certified run
-    freezes its stage once, before it returns."""
+    """A run, certified, refuted or inconclusive, on a budget-exceeded
+    stage or a verified one, freezes no stage until ``cert.core`` is read,
+    and then once; that core is the one a fresh ``build_core`` at the last
+    stage's budget makes."""
     freezes = []
     freeze = _Builder.freeze
 
@@ -943,10 +942,6 @@ def test_partial_stage_core_is_frozen_on_read(monkeypatch):
         freezes.clear()
         cert = certify(graph, model, gens, **budgets)
         ends[cert.verdict, cert.core_status] += 1
-        if cert.verdict == CERTIFIED:
-            assert len(freezes) == 1, gens
-            assert cert.core.verified and len(freezes) == 1, gens
-            continue
         assert not freezes, (gens, freezes)
         core = cert.core
         assert cert.core is core and len(freezes) == 1 and core.status == cert.core_status
@@ -988,15 +983,33 @@ def test_certificate_drops_its_builder_once_core_is_read(monkeypatch):
 
 
 def test_certified_core_is_link_checked_before_the_verdict(abc_graph, abc_model, monkeypatch):
-    """A certified verdict is returned only after its core has been frozen
-    and has passed the link check: with the check made to report a
-    violation, ``certify`` raises ``InternalError`` instead of returning."""
+    """A certified verdict is returned only after its stage has passed the
+    link check on the builder: with a filled corner taken off the
+    stabilized builder, ``certify`` raises ``InternalError`` instead of
+    returning.  The core, frozen when ``cert.core`` is first read, is
+    link-checked again: with ``_link_violations`` made to report a
+    violation, the verdict is returned and reading its core raises."""
     gens = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
     assert certify(abc_graph, abc_model, gens).verdict == CERTIFIED
+    grow = _Builder.grow
+
+    def grow_and_unfill(self, budget):
+        status = grow(self, budget)
+        if status == VERIFIED:
+            corners = next(corners for corners in self.filled.values() if corners)
+            corners.discard(min(corners))
+        return status
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Builder, "grow", grow_and_unfill)
+        with pytest.raises(InternalError, match="failed the link check: corner"):
+            certify(abc_graph, abc_model, gens)
     violation = LinkReport(foldable=((0, "b", 0, (0, 1)),), unfilled=())
     monkeypatch.setattr("raagcc.complexes._link_violations", lambda complex_: violation)
-    with pytest.raises(InternalError, match="failed the link check"):
-        certify(abc_graph, abc_model, gens)
+    cert = certify(abc_graph, abc_model, gens)
+    assert cert.verdict == CERTIFIED
+    with pytest.raises(InternalError, match="stabilized complex failed the link check"):
+        cert.core
 
 
 # -- verdicts under changes of generating set --------------------------------------

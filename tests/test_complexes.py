@@ -4,12 +4,13 @@ import dataclasses
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagcc.certify import extract_generators
-from raagcc.errors import BudgetExceededError, ContractError, InputError
+from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.complexes import (
@@ -726,6 +727,122 @@ def test_verified_freeze_is_canonical():
                 assert core.complex == oracles.oracle_build_core(graph, gens, budget=budget).complex
                 break
     assert frozen[VERIFIED] >= 30 and frozen[BUDGET_EXCEEDED] >= 40, frozen
+
+
+# -- the corner table and the builder-side link check -------------------------------
+
+def _corner_pairs(graph: DefiningGraph, mask: int) -> list[tuple[int, int]]:
+    """The commuting corners of a key bitmask, by brute force over every
+    pair of its keys, compared on labels."""
+    keys = [k for k in range(2 * len(graph.vertices)) if mask >> k & 1]
+    labels = graph.vertices
+    return [(ka, kb) for ka, kb in itertools.combinations(keys, 2)
+            if labels[ka >> 1] != labels[kb >> 1]
+            and graph.commutes(labels[ka >> 1], labels[kb >> 1])]
+
+
+def test_corner_table_matches_the_pair_list():
+    """``graph._corners[mask]`` lists the commuting key pairs of ``mask`` in
+    increasing order, on random masks over the zoo and family (6, 2)'s
+    graph, and each entry is made once and kept."""
+    rng = random.Random(41)
+    for graph in GRAPH_ZOO + [family(6, 2).graph]:
+        width = 2 * len(graph.vertices)
+        for mask in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(200)]:
+            corners = graph._corners[mask]
+            assert list(corners) == _corner_pairs(graph, mask), (graph, mask)
+            assert graph._corners[mask] is corners
+
+
+def _scan_problems(catalog_stages):
+    """Each catalog-stage problem at ``certify``'s stage budgets, and the
+    ring family (3, 1), (4, 1) and (5, 2) at its stage budgets up to a
+    cell budget of 80,000, as (graph, index words, budgets)."""
+    for graph, _, gens, stages in catalog_stages:
+        budgets = [core.diagnostics["budget"] for core, _ in stages]
+        yield graph, [_indexed(w, graph) for w in gens], budgets
+    for n, N in ((3, 1), (4, 1), (5, 2)):
+        fam = family(n, N)
+        yield fam.graph, [_indexed(w, fam.graph) for w in fam.generators], \
+            [256, 1_024, 4_096, 16_384, 80_000]
+
+
+def test_fill_scan_matches_the_pair_scan_oracle(catalog_stages):
+    """The corner-table scan, which skips fresh opposite vertices, makes the
+    same rounds as the pair scan it replaced, grown in lockstep through
+    ``certify``'s stages: the same raw squares, raw edges, folds and
+    squares added after every round, and the same status at every stage."""
+    verified = 0
+    for graph, words, budgets in _scan_problems(catalog_stages):
+        new, old = _Builder(graph, words), oracles.PairScanBuilder(graph, words)
+        for budget in budgets:
+            while len(new.ends) + len(new.edges) - new.folds + len(new.squares) <= budget:
+                grew = new.fill_pass()
+                assert old.fill_pass() == grew
+                if not grew:
+                    break
+                new.fold_all()
+                old.fold_all()
+                assert (new.squares, new.edges, new.folds, new.squares_added) == \
+                    (old.squares, old.edges, old.folds, old.squares_added), (graph, budget)
+            status = new.grow(budget)
+            assert old.grow(budget) == status
+            if status == VERIFIED:
+                verified += 1
+                break
+    assert verified >= 10, verified
+
+
+def _link_check_stages(catalog_stages):
+    """Builders grown to every catalog stage, verified or budget-exceeded,
+    and to the ring family's stages for (3, 1), (4, 1) and (5, 2), each
+    with its status."""
+    for graph, words, budgets in _scan_problems(catalog_stages):
+        for budget in budgets:
+            builder = _Builder(graph, words)
+            status = builder.grow(budget)
+            yield builder, status
+            if status == VERIFIED:
+                break
+
+
+def _builder_says_clean(builder: _Builder) -> bool:
+    try:
+        builder.check_link()
+    except InternalError:
+        return False
+    return True
+
+
+def test_builder_link_check_matches_the_frozen_check(catalog_stages):
+    """``_Builder.check_link`` says clean exactly when ``_link_violations``
+    does on the stage frozen, on every catalog stage and ring-family stage:
+    every verified one is clean, and the budget-exceeded ones that leave a
+    corner unfilled are caught on both sides."""
+    seen = Counter()
+    for builder, status in _link_check_stages(catalog_stages):
+        clean = _link_violations(builder.freeze()).ok
+        assert _builder_says_clean(builder) == clean, status
+        assert clean or status == BUDGET_EXCEEDED
+        seen[status, clean] += 1
+    assert min(seen[VERIFIED, True], seen[BUDGET_EXCEEDED, False]) >= 10, seen
+
+
+def test_builder_link_check_raises_on_a_queued_fold_or_an_unfilled_corner(abc_graph):
+    """A stabilized builder with a fold still queued, or with a filled
+    corner taken away, fails the builder-side link check."""
+    words = [_indexed(parse_word(t, abc_graph), abc_graph) for t in ("b c a", "b a b c")]
+    builder = _Builder(abc_graph, words)
+    assert builder.grow(10_000) == VERIFIED
+    builder.check_link()
+    builder.collisions.append((0, 1))
+    with pytest.raises(InternalError, match="1 queued folds"):
+        builder.check_link()
+    builder.collisions.clear()
+    v, corners = next((v, corners) for v, corners in builder.filled.items() if corners)
+    corners.discard(min(corners))
+    with pytest.raises(InternalError, match=f"failed the link check: corner .* of vertex {v} "):
+        builder.check_link()
 
 
 def test_link_check_rejects_malformed_squares(abc_graph):
