@@ -46,14 +46,14 @@ complex of Gamma_S, so pi_1(K) injects (Haglund & Wise, above): there
 H_1 != 0 forces a nontrivial chord word.  Only on a partial stage with
 H_1 != 0 are the chord words piled.
 
-No chord word survives on a verified core: certified, with the stage
-link-checked on the builder and the displacement lower bound
-d >= |h|/(6*ell) - 2 attached; nothing is enumerated, and the core is
-frozen only when it is read.  Some chord word
-survives: refuted, with the first non-filling loop in increasing length
-order as witness (its image fixes a curve, so the subgroup is not purely
-pseudo-Anosov); the walk that finds it is bounded by the enumeration
-budget.  Budget exhaustion anywhere: inconclusive, never a negative claim.
+No chord word survives on a verified core (one that passed the link
+check on the builder as it stabilized): certified, with the displacement
+lower bound d >= |h|/(6*ell) - 2 attached; nothing is enumerated, and the
+core is frozen only when it is read.  Some chord word survives: refuted,
+with the first non-filling loop in increasing length order as witness
+(its image fixes a curve, so the subgroup is not purely pseudo-Anosov);
+the walk that finds it is bounded by the enumeration budget.  Budget
+exhaustion anywhere: inconclusive, never a negative claim.
 """
 
 from __future__ import annotations
@@ -68,12 +68,11 @@ from .complexes import (
     VERIFIED,
     SubgroupCore,
     _Builder,
-    _require_count,
     _require_verified,
     iter_loops_by_length,
     membership,
 )
-from .errors import BudgetExceededError, ContractError, InputError, InternalError
+from .errors import BudgetExceededError, ContractError, InputError, InternalError, _require_count
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel
 from .words import (NormalWord, Word, _indexed, _pile, _read_out, _spell, cyclic_core_support,
@@ -378,10 +377,11 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     refutation carries neither ell nor an element count.
 
     The stages grow on one ``_Builder``, and each is decided on its
-    ``_StageView``.  A certified stage is link-checked on the builder's
-    own tables (``_Builder.check_link``) before the verdict is returned.
-    Every certificate freezes its stage only when its ``core`` is first
-    read, and a verified stage's core is then link-checked again, frozen.
+    ``_StageView``.  A stage is verified only once it has passed the link
+    check on the builder's own tables (``_Builder.check_link``), run once
+    by ``grow`` as the stage stabilizes, so every verdict on a verified
+    stage has been link-checked before it is returned.  Every certificate
+    freezes its stage only when its ``core`` is first read.
 
     A construction that never stabilizes within the cell budget and never
     exposes a witness is inconclusive.  Its reason names the enumeration
@@ -439,7 +439,6 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         chord_set = _nonfilling_chord_set(view, model, verified)
         if chord_set is None:
             if verified:
-                builder.check_link()
                 return certificate(CERTIFIED, ell=ell)
             continue
         # The witness is the first non-filling member in increasing length

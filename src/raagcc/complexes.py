@@ -42,7 +42,7 @@ from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, ContractError, InputError, InternalError, _require_int
+from .errors import BudgetExceededError, ContractError, InputError, InternalError, _require_count
 from .graphs import DefiningGraph
 from .words import NormalWord, Word, _indexed, _pile, _read_out, _spell
 
@@ -526,11 +526,14 @@ class _Builder:
 
     def grow(self, budget: int) -> str:
         """Fill every unfilled commuting corner, then fold, in rounds until
-        nothing is left to fill (VERIFIED) or, checked between rounds, the
-        cells exceed ``budget`` (BUDGET_EXCEEDED): the vertices, the edges
-        less the folds, and the raw squares."""
+        nothing is left to fill or, checked between rounds, the cells exceed
+        ``budget`` (BUDGET_EXCEEDED): the vertices, the edges less the
+        folds, and the raw squares.  A stage that stabilizes is VERIFIED
+        only once it passes ``check_link``, the one link check a built
+        stage gets."""
         while len(self.ends) + len(self.edges) - self.folds + len(self.squares) <= budget:
             if not self.fill_pass():
+                self.check_link()
                 return VERIFIED
             self.fold_all()
         return BUDGET_EXCEEDED
@@ -562,13 +565,9 @@ class _Builder:
                                 f"corner {(ka, kb)} of vertex {v} is unfilled")
 
     def core(self, status: str, budget: int) -> SubgroupCore:
-        """The stage frozen as a core; a verified one is link-checked."""
-        complex_ = self.freeze()
-        if status == VERIFIED:
-            report = _link_violations(complex_)
-            if not report.ok:
-                raise InternalError(f"stabilized complex failed the link check: {report}")
-        return SubgroupCore(complex=complex_, status=status, diagnostics=self.diagnostics(budget))
+        """The stage frozen as a core, with its diagnostics."""
+        return SubgroupCore(complex=self.freeze(), status=status,
+                            diagnostics=self.diagnostics(budget))
 
     def freeze(self) -> LabeledCubeComplex:
         """The complex, with string labels, in one pass over the builder.
@@ -628,12 +627,12 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
     can overshoot it by one round (over the certify catalog, ``certify``'s
     stages reach 663, 1659 and 3091 cells at budgets 256, 1024 and 2000,
     and a direct build at budget 2000 reaches 4027).  Stabilization within
-    budget yields a verified local isometry; exhausting the budget yields
-    an inconclusive core carrying partial diagnostics.  Either way the
-    cells are numbered canonically by ``_Builder.freeze``.  A stabilized
-    core is checked for foldable slots and unfilled corners; only a seed
-    complex's squares are read, by ``square_ends`` as the builder takes
-    them in.
+    budget yields a verified local isometry, link-checked once on the
+    builder as it stabilizes (``_Builder.check_link``: no foldable slot,
+    no unfilled corner); exhausting the budget yields an inconclusive core
+    carrying partial diagnostics.  Either way the cells are numbered
+    canonically by ``_Builder.freeze``.  Only a seed complex's squares are
+    read, by ``square_ends`` as the builder takes them in.
 
     ``extend`` is a connected complex over the same graph (for a core, its
     ``complex``), which seeds the construction instead of a bare
@@ -654,14 +653,6 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
             raise InputError("the complex to extend must be connected")
     builder = _Builder(graph, words, extend)
     return builder.core(builder.grow(budget), budget)
-
-
-def _require_count(name: str, value: int, least: int) -> None:
-    """Raise ``InputError`` unless ``value`` is an ``int`` (not a ``bool``)
-    of at least ``least``, which is 0 or 1; the message names ``name``."""
-    _require_int(name, value)
-    if value < least:
-        raise InputError(f"{name} must be {'positive' if least else '>= 0'}")
 
 
 def _require_verified(core: SubgroupCore) -> None:

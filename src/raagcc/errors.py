@@ -32,3 +32,11 @@ def _require_int(name: str, value: object) -> None:
     (not a ``bool``): a count, a length or an h-word entry."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{name} must be an int, not {value!r}")
+
+
+def _require_count(name: str, value: object, least: int) -> None:
+    """Raise ``InputError`` unless ``value`` is an ``int`` (not a ``bool``)
+    of at least ``least``, which is 0 or 1; the message names ``name``."""
+    _require_int(name, value)
+    if value < least:
+        raise InputError(f"{name} must be {'positive' if least else '>= 0'}")

@@ -54,7 +54,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ContractError, InputError, InternalError, _require_int
+from .errors import ContractError, InputError, InternalError, _require_count, _require_int
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel, _require_window, _window_holds
 from .words import (Letter, NormalWord, _group_letters, _is_normal_indexed, _pairs_to_text,
@@ -394,11 +394,9 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
     pattern that no word has is never checked, and words are spelled only
     when a pattern fails: then the words of its length are walked in the
     order of ``_h_words_upto``."""
-    _require_int("k_max", k_max)
+    _require_count("k_max", k_max, 0)
     if k_max > fam.n / 2:
         raise ContractError(f"k_max={k_max} exceeds n/2={fam.n / 2}; containers stop being proper")
-    if k_max < 0:
-        raise InputError("k_max must be >= 0")
     n, N = fam.n, fam.N
     memo = _Transitions(fam)
     # (sign pattern, its state, the number of freely reduced words with it)

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, ContractError, InputError, _require_int
+from .errors import BudgetExceededError, ContractError, InputError, _require_count
 from .graphs import _LABEL, DefiningGraph
 
 
@@ -426,9 +426,7 @@ def min_class(w: Word | NormalWord, graph: DefiningGraph,
     Breadth-first over adjacent commuting swaps.  Classes can be factorially
     large, so the search carries a size budget, which must be positive.
     """
-    _require_int("max_size", max_size)
-    if max_size < 1:
-        raise InputError("max_size must be positive")
+    _require_count("max_size", max_size, 1)
     start = tuple(_read_out(_pile(_indexed(w, graph), graph), graph))
     seen = {start}
     queue = deque([start])

@@ -29,7 +29,6 @@ from raagcc.complexes import (
     BUDGET_EXCEEDED,
     VERIFIED,
     LabeledCubeComplex,
-    LinkReport,
     SubgroupCore,
     _Builder,
     _SpellingAutomaton,
@@ -983,33 +982,26 @@ def test_certificate_drops_its_builder_once_core_is_read(monkeypatch):
 
 
 def test_certified_core_is_link_checked_before_the_verdict(abc_graph, abc_model, monkeypatch):
-    """A certified verdict is returned only after its stage has passed the
-    link check on the builder: with a filled corner taken off the
-    stabilized builder, ``certify`` raises ``InternalError`` instead of
-    returning.  The core, frozen when ``cert.core`` is first read, is
-    link-checked again: with ``_link_violations`` made to report a
-    violation, the verdict is returned and reading its core raises."""
+    """A stage is verified only once it has passed the link check on the
+    builder, as it stabilizes: with a filled corner taken off the builder
+    after the fill pass that finds nothing left to fill, ``certify`` and
+    ``build_core`` both raise ``InternalError`` instead of returning."""
     gens = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
     assert certify(abc_graph, abc_model, gens).verdict == CERTIFIED
-    grow = _Builder.grow
+    fill_pass = _Builder.fill_pass
 
-    def grow_and_unfill(self, budget):
-        status = grow(self, budget)
-        if status == VERIFIED:
+    def fill_pass_and_unfill(self):
+        grew = fill_pass(self)
+        if not grew:
             corners = next(corners for corners in self.filled.values() if corners)
             corners.discard(min(corners))
-        return status
+        return grew
 
-    with monkeypatch.context() as patched:
-        patched.setattr(_Builder, "grow", grow_and_unfill)
-        with pytest.raises(InternalError, match="failed the link check: corner"):
-            certify(abc_graph, abc_model, gens)
-    violation = LinkReport(foldable=((0, "b", 0, (0, 1)),), unfilled=())
-    monkeypatch.setattr("raagcc.complexes._link_violations", lambda complex_: violation)
-    cert = certify(abc_graph, abc_model, gens)
-    assert cert.verdict == CERTIFIED
-    with pytest.raises(InternalError, match="stabilized complex failed the link check"):
-        cert.core
+    monkeypatch.setattr(_Builder, "fill_pass", fill_pass_and_unfill)
+    with pytest.raises(InternalError, match="failed the link check: corner"):
+        certify(abc_graph, abc_model, gens)
+    with pytest.raises(InternalError, match="failed the link check: corner"):
+        build_core(abc_graph, gens)
 
 
 # -- verdicts under changes of generating set --------------------------------------

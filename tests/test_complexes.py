@@ -9,7 +9,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raagcc.certify import extract_generators
+from raagcc import cli, complexes
+from raagcc.certify import certify, extract_generators
 from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
@@ -843,6 +844,68 @@ def test_builder_link_check_raises_on_a_queued_fold_or_an_unfilled_corner(abc_gr
     corners.discard(min(corners))
     with pytest.raises(InternalError, match=f"failed the link check: corner .* of vertex {v} "):
         builder.check_link()
+
+
+def test_grow_link_checks_a_stage_once_as_it_stabilizes(catalog_stages, monkeypatch):
+    """``grow`` runs ``check_link`` exactly once for each stage it returns
+    VERIFIED, and never for one it returns BUDGET_EXCEEDED, on one builder
+    resumed through the stage budgets of every catalog-stage problem and of
+    the ring family (3, 1), (4, 1) and (5, 2)."""
+    checked = []
+    check_link = _Builder.check_link
+
+    def counted(self):
+        checked.append(self)
+        check_link(self)
+    monkeypatch.setattr(_Builder, "check_link", counted)
+    seen = Counter()
+    for graph, words, budgets in _scan_problems(catalog_stages):
+        builder = _Builder(graph, words)
+        for budget in budgets:
+            checked.clear()
+            status = builder.grow(budget)
+            assert checked == ([builder] if status == VERIFIED else []), (graph, budget, status)
+            seen[status] += 1
+            if status == VERIFIED:
+                break
+    assert min(seen[VERIFIED], seen[BUDGET_EXCEEDED]) >= 10, seen
+
+
+def test_no_built_core_is_link_checked_again(catalog_stages, monkeypatch, tmp_path, capsys):
+    """Builder output is link-checked only on the builder.  With
+    ``_link_violations`` made to raise, ``certify``, reading ``cert.core``,
+    ``build_core`` and ``count_elements`` all still work on the
+    catalog-stage problems and the ring family (3, 1), (4, 1) and (5, 2),
+    while ``raagcc core check``, which reads a complex from outside the
+    builder, still calls it."""
+    calls = []
+
+    class Checked(Exception):
+        pass
+
+    def refuse(complex_):
+        calls.append(complex_)
+        raise Checked
+    monkeypatch.setattr(complexes, "_link_violations", refuse)
+    monkeypatch.setattr(cli, "_link_violations", refuse)
+    problems = [(graph, model, gens, 2_000) for graph, model, gens, _ in catalog_stages]
+    for n, N in ((3, 1), (4, 1), (5, 2)):
+        fam = family(n, N)
+        problems.append((fam.graph, fam.model, [w.as_word() for w in fam.generators], 80_000))
+    verified = []
+    for graph, model, gens, budget in problems:
+        cert = certify(graph, model, gens, cell_budget=budget, enum_budget=50_000)
+        assert cert.core.status == cert.core_status, (graph, gens)
+        core = build_core(graph, gens, budget=budget)
+        if core.verified:
+            verified.append(core)
+            assert count_elements(core, 4) >= 1
+    assert calls == [] and len(verified) >= 10, len(verified)
+    path = tmp_path / "core.json"
+    path.write_text(cli._core_json(verified[0]))
+    assert cli.main(["core", "check", "--core", str(path)]) == cli.EXIT_INTERNAL
+    assert "internal error: Checked" in capsys.readouterr().err
+    assert calls == [verified[0].complex]
 
 
 def test_link_check_rejects_malformed_squares(abc_graph):
