@@ -63,10 +63,10 @@ UNREACHABLE = {
 }
 
 
-def function_lines(path: Path) -> set[int]:
-    """The lines that the functions of one module's source execute."""
+def function_lines(path: Path, source: str) -> set[int]:
+    """The lines that the functions of one module's ``source`` execute."""
     lines: set[int] = set()
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    stack = [compile(source, str(path), "exec")]
     while stack:
         code = stack.pop()
         if code.co_flags & inspect.CO_OPTIMIZED:  # a function, not a module or class body
@@ -114,14 +114,16 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 def main(argv: list[str]) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "src"))
+    modules = []  # read before the run, so that an edit made during it shifts no line
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        modules.append((path, text.splitlines(), function_lines(path, text)))
     with tempfile.TemporaryDirectory() as scratch:  # for hypothesis's own files
         os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = scratch
         code, hits = run_traced(argv or [str(ROOT / "tests")])
     unrun = total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        lines = function_lines(path)
+    for path, source, lines in modules:
         missed = sorted(lines - hits.get(str(path.resolve()), set()))
-        source = path.read_text(encoding="utf-8").splitlines()
         listed = UNREACHABLE.get(path.name, {})
         total += len(lines)
         for line in missed:

@@ -1,13 +1,14 @@
 """The convex-cocompactness certifier.
 
-``certify`` grows a core for the subgroup in stages and sets the window
-length from a stage's vertex count (three times one more than it, the
-concrete stand-in for the abstract ball-counting constant).  The subgroup
-is convex cocompact exactly when no nontrivial member has a cyclic reduction
-whose support fails to fill, and on a verified core that is a finite
-check: for each maximal non-filling label set S, every chord of a spanning
-forest of the core's S-labelled edges closes a loop, and some member fails
-to fill exactly when one of those chord words is nontrivial.  (A member
+``certify`` grows a core for the subgroup in stages of 64, 256, 1024, ...
+cells and sets the window length from a stage's vertex count (three
+times one more than it, the concrete stand-in for the abstract
+ball-counting constant).  The subgroup is convex cocompact exactly when
+no nontrivial member has a cyclic reduction whose support fails to fill,
+and on a verified core that is a finite check: for each maximal
+non-filling label set S, every chord of a spanning forest of the core's
+S-labelled edges closes a loop, and some member fails to fill exactly
+when one of those chord words is nontrivial.  (A member
 p*u*p^-1 with u cyclically reduced traces u as a closed S-path at the
 vertex p reaches, and that path is a product of chord loops; conversely a
 nontrivial chord loop c gives the member p*c*p^-1, of letter length at
@@ -352,17 +353,30 @@ def _nonfilling_chord_set(view: _StageView, model: SurfaceModel, verified: bool)
     return None
 
 
-_STAGE_START = 256
+_STAGE_START = 64
+
+
+def _stage_budgets(cell_budget: int) -> list[int]:
+    """``certify``'s stage cell budgets: 64, 256, 1024, ..., each four times
+    the one before while below ``cell_budget``, then ``cell_budget``."""
+    stages = []
+    b = _STAGE_START
+    while b < cell_budget:
+        stages.append(b)
+        b *= 4
+    return stages + [cell_budget]
 
 
 def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word],
             cell_budget: int = 20_000, enum_budget: int = 5_000_000) -> Certificate:
     """Run the full certification pipeline for the subgroup the generators span.
 
-    The core is built under a geometrically escalating cell budget, each
-    stage resuming the construction where the one before stopped.  Every
-    stage, partial or verified, goes through the same two steps (see the
-    module docstring): the chord-word check, then, when it finds a
+    The core is built in stages of 64, 256, 1024, ... cells, four times
+    larger each time, then ``cell_budget`` (``_stage_budgets``), each stage
+    resuming the construction where the one before stopped, so that a
+    refutation that shows on a small partial stage pays for no large one.
+    Every stage, partial or verified, goes through the same two steps (see
+    the module docstring): the chord-word check, then, when it finds a
     nontrivial chord word, the length-ordered walk of the stage's basepoint
     loops (the core's members, when it is verified), bounded by
     ``enum_budget`` and by the window ell = 3(V+1), whose first non-filling
@@ -401,12 +415,6 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     forms = [_read_out(_pile(_indexed(g, graph), graph), graph) for g in generators]
     normal_gens = tuple(_spell(form, graph) for form in forms)
 
-    stages = []
-    b = _STAGE_START
-    while b < cell_budget:
-        stages.append(b)
-        b *= 4
-    stages.append(cell_budget)
     tried: list[list[int]] = []
 
     def certificate(verdict: str, chord_set: int = 0, ell: int | None = None,
@@ -429,7 +437,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
 
     builder = _Builder(graph, forms)
     walk_ran_out = False  # a partial stage's witness walk hit enum_budget
-    for stage in stages:
+    for stage in _stage_budgets(cell_budget):
         status = builder.grow(stage)
         verified = status == VERIFIED
         view, counts = _StageView(builder), builder.diagnostics(stage)

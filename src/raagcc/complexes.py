@@ -625,11 +625,12 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
     A round fills every unfilled commuting corner, then folds until no end
     table collides.  The cell budget is checked between rounds, so a stage
     can overshoot it by one round (over the certify catalog, ``certify``'s
-    stages reach 663, 1659 and 3091 cells at budgets 256, 1024 and 2000,
-    and a direct build at budget 2000 reaches 4027).  Stabilization within
-    budget yields a verified local isometry, link-checked once on the
-    builder as it stabilizes (``_Builder.check_link``: no foldable slot,
-    no unfilled corner); exhausting the budget yields an inconclusive core
+    stages reach 135, 447, 1659 and 3091 cells at budgets 64, 256, 1024
+    and 2000, and a direct build at budget 2000 reaches 4027).
+    Stabilization within budget yields a verified local isometry,
+    link-checked once on the builder as it stabilizes
+    (``_Builder.check_link``: no foldable slot, no unfilled corner);
+    exhausting the budget yields an inconclusive core
     carrying partial diagnostics.  Either way the cells are numbered
     canonically by ``_Builder.freeze``.  Only a seed complex's squares are
     read, by ``square_ends`` as the builder takes them in.

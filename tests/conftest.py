@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from raagcc.certify import _StageView
+from raagcc.certify import _StageView, _stage_budgets
 from raagcc.complexes import _Builder
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel
@@ -44,6 +44,7 @@ GRAPH_ZOO = [
 CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "zoo_catalog.json"
 CATALOG_GRAPHS = {"abc": GRAPH_ZOO[1], "path4": GRAPH_ZOO[3], "cycle4": GRAPH_ZOO[4],
                   "sparse4": GRAPH_ZOO[5]}
+CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}
 
 
 class _RandomPopQueue(list):
@@ -117,8 +118,8 @@ def catalog_sample(rng: random.Random):
 @pytest.fixture(scope="session")
 def catalog_stages():
     """A seeded catalog sample, three problems per graph and stored verdict,
-    with every stage ``certify`` builds for it at the catalog's cell budget:
-    256, 1024 and 2000 cells, up to the first verified one.  Each stage is a
+    with every stage ``certify`` builds for it at the catalog's cell budget
+    (``_stage_budgets``), up to the first verified one.  Each stage is a
     pair: the stage frozen as a core, and the ``_StageView`` that ``certify``
     decides it on.  A view answers for its stage only until its builder
     grows on, so each view reads a fresh builder grown to its stage alone;
@@ -130,7 +131,7 @@ def catalog_stages():
         words = [_indexed(w, graph) for w in gens]
         resumed = _Builder(graph, words)
         stages = []
-        for budget in (256, 1_024, 2_000):
+        for budget in _stage_budgets(CATALOG_BUDGETS["cell_budget"]):
             fresh = _Builder(graph, words)
             core = fresh.core(fresh.grow(budget), budget)
             again = resumed.core(resumed.grow(budget), budget)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import importlib
 import json
@@ -21,6 +22,7 @@ from raagcc.certify import (
     _forest_chords,
     _h1_vanishes,
     _nonfilling_chord_set,
+    _stage_budgets,
     certify,
     displacement_lower_bound,
     extract_generators,
@@ -43,13 +45,11 @@ from raagcc.complexes import (
 from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
-from raagcc.surfaces import SurfaceModel, max_exponent
+from raagcc.surfaces import SurfaceModel, fills, max_exponent
 from raagcc.words import _indexed, _pile, concat, invert, normalize, parse_word, word_from_pairs
 
 import oracles
-from conftest import CATALOG, CATALOG_GRAPHS, GRAPH_ZOO, catalog_sample
-
-CATALOG_BUDGETS = {"cell_budget": 2_000, "enum_budget": 50_000}
+from conftest import CATALOG, CATALOG_BUDGETS, CATALOG_GRAPHS, GRAPH_ZOO, catalog_sample
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +414,7 @@ def test_partial_stage_budget_stop_names_the_enum_budget(abc_graph, abc_model):
     cert = certify(abc_graph, abc_model, gens, enum_budget=1)
     assert cert.verdict == INCONCLUSIVE
     assert cert.reason == "enumeration exceeded budget 1"
-    assert len(cert.diagnostics["stages"]) == 5
+    assert len(cert.diagnostics["stages"]) == len(_stage_budgets(20_000)) == 6
     assert certify(abc_graph, abc_model, gens, enum_budget=10).verdict == REFUTED
     # A run the cell budget alone stops still names the cell budget.
     small = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
@@ -422,41 +422,71 @@ def test_partial_stage_budget_stop_names_the_enum_budget(abc_graph, abc_model):
         "core construction exceeded cell budget 10")
 
 
+def test_schedule_starts_at_64_cells(abc_graph, abc_model):
+    """Stages grow fourfold from 64 cells while below the cell budget, then
+    end at it; a refutation that shows on the first partial stage stops
+    there: <a b c, c a b, a^2 b c> refutes with witness a on 66 cells."""
+    assert _stage_budgets(2_000) == [64, 256, 1_024, 2_000]
+    assert _stage_budgets(80_000) == [64, 256, 1_024, 4_096, 16_384, 65_536, 80_000]
+    assert [_stage_budgets(b) for b in (1, 64, 65)] == [[1], [64], [64, 65]]
+    gens = [parse_word(t, abc_graph) for t in ("a b c", "c a b", "a^2 b c")]
+    cert = certify(abc_graph, abc_model, gens, **CATALOG_BUDGETS)
+    assert (cert.verdict, cert.core_status) == (REFUTED, BUDGET_EXCEEDED)
+    assert cert.diagnostics["stages"] == [[64, 66]]
+    assert cert.witness.to_text() == "a"
+    assert (cert.ell, cert.element_count) == (None, None)
+
+
 # -- refutations from generator products alone --------------------------------------
 
 
 @pytest.fixture(scope="module")
-def catalog_verdicts():
-    """Every catalog problem with ``certify``'s verdict at the catalog's
-    budgets, as (graph, model, generator words, verdict)."""
+def catalog_certificates():
+    """Every catalog problem with ``certify``'s certificate at the catalog's
+    budgets, as (graph, model, generator words, certificate), each
+    certificate without the builder its ``core`` would freeze."""
     out = []
     for name, strata in json.loads(CATALOG.read_text())["graphs"].items():
         graph = CATALOG_GRAPHS[name]
         model = SurfaceModel.build(graph, [graph.vertices])
         for texts in chain.from_iterable(strata.values()):
             gens = [parse_word(t, graph) for t in texts]
-            out.append((graph, model, gens,
-                        certify(graph, model, gens, **CATALOG_BUDGETS).verdict))
+            cert = certify(graph, model, gens, **CATALOG_BUDGETS)
+            out.append((graph, model, gens, dataclasses.replace(cert, _freeze=None)))
     return out
 
 
-def test_refuted_catalog_problems_have_short_nonfilling_products(catalog_verdicts):
+def test_partial_stage_refutations_hold_on_the_verified_core(catalog_certificates):
+    """Each catalog refutation decided on a partial stage, whose subgroup's
+    core verifies at the catalog's cell budget, has a witness that the
+    verified core accepts as a member and that fails to fill."""
+    checked = 0
+    for graph, model, gens, cert in catalog_certificates:
+        if cert.verdict == REFUTED and cert.core_status != VERIFIED:
+            core = build_core(graph, gens, budget=CATALOG_BUDGETS["cell_budget"])
+            if core.verified:
+                assert membership(core, cert.witness) and not fills(cert.witness, model), gens
+                checked += 1
+    assert checked >= 20, checked
+
+
+def test_refuted_catalog_problems_have_short_nonfilling_products(catalog_certificates):
     """Every refutation of the catalog is matched, independently of the
     core, by a nontrivial non-filling product of at most 3 generators."""
     lengths = Counter()
-    for graph, model, gens, verdict in catalog_verdicts:
-        if verdict == REFUTED:
+    for graph, model, gens, cert in catalog_certificates:
+        if cert.verdict == REFUTED:
             product = oracles.oracle_short_product_witness(graph, model, gens, 3)
             assert product is not None, gens
             lengths[len(product)] += 1
     assert lengths == {1: 196, 2: 122, 3: 2}, lengths
 
 
-def test_certified_catalog_problems_have_no_short_nonfilling_product(catalog_verdicts):
+def test_certified_catalog_problems_have_no_short_nonfilling_product(catalog_certificates):
     """No product of at most 4 generators of a certified catalog problem
     is nontrivial and fails to fill."""
-    certified = [(graph, model, gens) for graph, model, gens, verdict in catalog_verdicts
-                 if verdict == CERTIFIED]
+    certified = [(graph, model, gens) for graph, model, gens, cert in catalog_certificates
+                 if cert.verdict == CERTIFIED]
     assert len(certified) == 235
     for graph, model, gens in certified:
         assert oracles.oracle_short_product_witness(graph, model, gens, 4) is None, gens

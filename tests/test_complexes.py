@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagcc import cli, complexes
-from raagcc.certify import certify, extract_generators
+from raagcc.certify import _stage_budgets, certify, extract_generators
 from raagcc.errors import BudgetExceededError, ContractError, InputError, InternalError
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
@@ -44,7 +44,7 @@ from raagcc.words import (
 )
 
 import oracles
-from conftest import GRAPH_ZOO, ShuffledBuilder, build_shuffled, catalog_sample
+from conftest import CATALOG_BUDGETS, GRAPH_ZOO, ShuffledBuilder, build_shuffled, catalog_sample
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +452,7 @@ def _walk_cores():
     cycle4 = GRAPH_ZOO[4]
     problems.append((cycle4, [parse_word(t, cycle4) for t in NON_STABILISING]))
     for graph, gens in problems:
-        for budget in (256, 1_024, 2_000):
+        for budget in _stage_budgets(CATALOG_BUDGETS["cell_budget"]):
             core = build_core(graph, gens, budget=budget)
             yield core
             if core.verified:
@@ -675,7 +675,7 @@ def _differential_problems() -> list[tuple[DefiningGraph, list, tuple[int, ...]]
         fam = family(n, N)
         problems.append((fam.graph, [w.as_word() for w in fam.generators], (32, 256, 2_000)))
     for graph, gens in catalog_sample(rng):
-        problems.append((graph, gens, (256, 1_024, 2_000)))
+        problems.append((graph, gens, tuple(_stage_budgets(CATALOG_BUDGETS["cell_budget"]))))
     return problems
 
 
@@ -764,8 +764,7 @@ def _scan_problems(catalog_stages):
         yield graph, [_indexed(w, graph) for w in gens], budgets
     for n, N in ((3, 1), (4, 1), (5, 2)):
         fam = family(n, N)
-        yield fam.graph, [_indexed(w, fam.graph) for w in fam.generators], \
-            [256, 1_024, 4_096, 16_384, 80_000]
+        yield fam.graph, [_indexed(w, fam.graph) for w in fam.generators], _stage_budgets(80_000)
 
 
 def test_fill_scan_matches_the_pair_scan_oracle(catalog_stages):
