@@ -1,14 +1,14 @@
 """The convex-cocompactness certifier.
 
-``certify`` grows a core for the subgroup in stages of 64, 256, 1024, ...
-cells and sets the window length from a stage's vertex count (three
-times one more than it, the concrete stand-in for the abstract
-ball-counting constant).  The subgroup is convex cocompact exactly when
-no nontrivial member has a cyclic reduction whose support fails to fill,
-and on a verified core that is a finite check: for each maximal
-non-filling label set S, every chord of a spanning forest of the core's
-S-labelled edges closes a loop, and some member fails to fill exactly
-when one of those chord words is nontrivial.  (A member
+``certify`` grows a core for the subgroup in stages of growing cell
+budgets (``_stage_budgets``) and sets the window length from a stage's
+vertex count (three times one more than it, the concrete stand-in for the
+abstract ball-counting constant).  The subgroup is convex cocompact
+exactly when no nontrivial member has a cyclic reduction whose support
+fails to fill, and on a verified core that is a finite check: for each
+maximal non-filling label set S, every chord of a spanning forest of the
+core's S-labelled edges closes a loop, and some member fails to fill
+exactly when one of those chord words is nontrivial.  (A member
 p*u*p^-1 with u cyclically reduced traces u as a closed S-path at the
 vertex p reaches, and that path is a product of chord loops; conversely a
 nontrivial chord loop c gives the member p*c*p^-1, of letter length at
@@ -132,9 +132,7 @@ class Certificate:
                 "vertex_count": self.core_vertex_count,
                 "square_count": self.core_square_count,
                 "status": self.core_status,
-                **{k: v for k, v in self.diagnostics.items()
-                   if k in ("folds", "squares_added", "refuted_from_partial_core",
-                            "stages", "chord_set")},
+                **self.diagnostics,
             },
             "ell": self.ell,
             "element_count": self.element_count,
@@ -172,11 +170,11 @@ class _StageView:
     id, source, target) in ``labelled``, and each raw square's row (a, b,
     gamma, delta) of root edge ids in ``square_groups``, keyed by the
     bitmask of its two label indices.  Raw squares that folding made equal
-    give equal rows, which ``_h1_vanishes`` reduces to zero and has counted
-    in its slack.  ``_letter_options``, shaped as a frozen complex's and
-    keyed by root vertex, reads a row off the builder's end table only when
-    a forest or the walk reaches the vertex.  The view answers for the
-    stage until the builder grows on."""
+    give equal rows, which ``_h1_vanishes`` reduces to zero.
+    ``_letter_options``, shaped as a frozen complex's and keyed by root
+    vertex, reads a row off the builder's end table only when a forest or
+    the walk reaches the vertex.  The view answers for the stage until the
+    builder grows on."""
 
     def __init__(self, builder: _Builder):
         vroot, eroot, raw = builder.vparent, builder.eparent, builder.edges
@@ -291,13 +289,10 @@ def _h1_vanishes(chords: list[int], square_groups: dict[int, list[tuple[int, int
     With the forest contracted, each chord is one bit and a square's row is
     the XOR of its four edges' bits (an edge its boundary repeats cancels).
     Rows are reduced with the pivot on their highest set bit until the rank
-    reaches the number of chords.  The rank is at most the number of rows,
-    and each row that reduces to zero lowers that bound by one, so the
-    check also stops as soon as the bound falls short.
+    reaches the number of chords; with fewer rows than chords it cannot.
     """
     rows = [group for labels, group in square_groups.items() if labels & allowed == labels]
-    slack = sum(map(len, rows)) - len(chords)
-    if slack < 0:
+    if sum(map(len, rows)) < len(chords):
         return False
     bit = [0] * edge_ids
     for i, e in enumerate(chords):
@@ -314,10 +309,6 @@ def _h1_vanishes(chords: list[int], square_groups: dict[int, list[tuple[int, int
                     return True
                 break
             row ^= pivot
-        else:
-            slack -= 1
-            if slack < 0:
-                return False
     return len(basis) == len(chords)
 
 
@@ -371,9 +362,8 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
             cell_budget: int = 20_000, enum_budget: int = 5_000_000) -> Certificate:
     """Run the full certification pipeline for the subgroup the generators span.
 
-    The core is built in stages of 64, 256, 1024, ... cells, four times
-    larger each time, then ``cell_budget`` (``_stage_budgets``), each stage
-    resuming the construction where the one before stopped, so that a
+    The core is built in the stages of ``_stage_budgets(cell_budget)``,
+    each resuming the construction where the one before stopped, so that a
     refutation that shows on a small partial stage pays for no large one.
     Every stage, partial or verified, goes through the same two steps (see
     the module docstring): the chord-word check, then, when it finds a
@@ -400,9 +390,11 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     A construction that never stabilizes within the cell budget and never
     exposes a witness is inconclusive.  Its reason names the enumeration
     budget when some stage's walk ran out of it, and the cell budget
-    otherwise.  ``diagnostics`` records the stages tried as [budget, cells]
-    pairs and, for a refutation, the labels of the first non-filling set
-    with a nontrivial chord word.  Both budgets must be positive.
+    otherwise.  ``diagnostics`` holds what the report prints beside the
+    core's counts: the builder's folds and squares added, the stages tried
+    as [budget, cells] pairs and, for a refutation, the labels of the first
+    non-filling set with a nontrivial chord word and whether the stage was
+    partial.  Both budgets must be positive.
     """
     if model.graph != graph:
         raise InputError("the model's coincidence graph must equal the defining graph")
@@ -421,7 +413,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                     element_count: int | None = None, **fields) -> Certificate:
         """The certificate of the stage at hand (``status``, ``verified``,
         ``counts``, ``freeze``)."""
-        stats = dict(counts)
+        stats = {"folds": counts["folds"], "squares_added": counts["squares_added"]}
         if not verified:
             ell = element_count = None
             if verdict == REFUTED:
@@ -436,7 +428,7 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                            verdict=verdict, ell=ell, element_count=element_count, **fields)
 
     builder = _Builder(graph, forms)
-    walk_ran_out = False  # a partial stage's witness walk hit enum_budget
+    reason = f"core construction exceeded cell budget {cell_budget}"
     for stage in _stage_budgets(cell_budget):
         status = builder.grow(stage)
         verified = status == VERIFIED
@@ -455,10 +447,10 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
             found = _first_nonfilling(iter_loops_by_length(view, ell, node_budget=enum_budget),
                                       graph, model)
         except BudgetExceededError as exc:
+            reason = f"enumeration exceeded budget {enum_budget}"
             if verified:
                 return certificate(INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
-                                   reason=f"enumeration exceeded budget {enum_budget}")
-            walk_ran_out = True
+                                   reason=reason)
             continue
         if found is not None:
             witness, support, count = found
@@ -467,8 +459,6 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         if verified:
             raise InternalError(f"no non-filling member up to length {ell}, "
                                 "though a chord word of a non-filling set is nontrivial")
-    reason = (f"enumeration exceeded budget {enum_budget}" if walk_ran_out
-              else f"core construction exceeded cell budget {cell_budget}")
     return certificate(INCONCLUSIVE, reason=reason)
 
 

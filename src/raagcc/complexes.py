@@ -526,12 +526,15 @@ class _Builder:
 
     def grow(self, budget: int) -> str:
         """Fill every unfilled commuting corner, then fold, in rounds until
-        nothing is left to fill or, checked between rounds, the cells exceed
-        ``budget`` (BUDGET_EXCEEDED): the vertices, the edges less the
-        folds, and the raw squares.  A stage that stabilizes is VERIFIED
-        only once it passes ``check_link``, the one link check a built
-        stage gets."""
-        while len(self.ends) + len(self.edges) - self.folds + len(self.squares) <= budget:
+        nothing is left to fill or, checked between rounds, the cells that
+        ``diagnostics`` counts exceed ``budget`` (BUDGET_EXCEEDED).  The raw
+        count, with every raw square, is read first: a raw square marks at
+        most four corners, so it is never below that count, which is
+        recounted only once the raw count is over.  A stage that stabilizes
+        is VERIFIED only once it passes ``check_link``, the one link check
+        a built stage gets."""
+        while (len(self.ends) + len(self.edges) - self.folds + len(self.squares) <= budget
+               or self.diagnostics(budget)["cells"] <= budget):
             if not self.fill_pass():
                 self.check_link()
                 return VERIFIED
@@ -623,16 +626,14 @@ def build_core(graph: DefiningGraph, generators: Sequence[Word | NormalWord],
     """Fold-and-fill construction of a core for the subgroup the generators span.
 
     A round fills every unfilled commuting corner, then folds until no end
-    table collides.  The cell budget is checked between rounds, so a stage
-    can overshoot it by one round (over the certify catalog, ``certify``'s
-    stages reach 135, 447, 1659 and 3091 cells at budgets 64, 256, 1024
-    and 2000, and a direct build at budget 2000 reaches 4027).
-    Stabilization within budget yields a verified local isometry,
-    link-checked once on the builder as it stabilizes
+    table collides.  The cell budget is checked between rounds against the
+    cells the core counts (``_Builder.grow``), so a stage can overshoot it
+    by one round.  Stabilization within budget yields a verified local
+    isometry, link-checked once on the builder as it stabilizes
     (``_Builder.check_link``: no foldable slot, no unfilled corner);
-    exhausting the budget yields an inconclusive core
-    carrying partial diagnostics.  Either way the cells are numbered
-    canonically by ``_Builder.freeze``.  Only a seed complex's squares are
+    exhausting the budget yields an inconclusive core carrying partial
+    diagnostics.  Either way the cells are numbered canonically by
+    ``_Builder.freeze``.  Only a seed complex's squares are
     read, by ``square_ends`` as the builder takes them in.
 
     ``extend`` is a connected complex over the same graph (for a core, its

@@ -1567,7 +1567,10 @@ class _OracleBuilder:
 
     @property
     def cell_count(self) -> int:
-        return self.n_vertices + self.n_edges + len(self.squares)
+        """The cells as the frozen complex counts them: raw squares that
+        folding made equal are one square, so the squares are the filled
+        corners over four."""
+        return self.n_vertices + self.n_edges + len(self.filled) // 4
 
     def freeze(self, basepoint: int, status: str) -> LabeledCubeComplex:
         vmap = {}

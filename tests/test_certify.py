@@ -390,13 +390,28 @@ def test_a_certified_verdict_enumerates_nothing(abc_graph, abc_model, monkeypatc
 
 
 def test_ring_family_5_2_certifies():
-    """The paper's ring family (5, 2) certifies at a cell budget of 80,000,
-    with the window and the displacement bound its core gives."""
+    """The paper's ring family (5, 2) certifies at ``certify``'s default
+    cell budget of 20,000, on 19,907 cells (the budget counts distinct
+    squares, as the report does), with the window and the displacement
+    bound its core gives."""
     fam = family(5, 2)
-    cert = certify(fam.graph, fam.model, [w.as_word() for w in fam.generators],
-                   cell_budget=80_000)
+    cert = certify(fam.graph, fam.model, [w.as_word() for w in fam.generators])
     assert (cert.verdict, cert.ell, cert.element_count) == (CERTIFIED, 8_514, None)
+    assert cert.diagnostics["stages"][-1] == [20_000, 19_907]
     assert cert.bound_coefficients() == (Fraction(1, 51_084), Fraction(-2))
+
+
+def test_budget_exceeded_stages_report_more_cells_than_their_budget(catalog_stages):
+    """A stage is budget-exceeded only when the cells its core counts, the
+    cells a report shows, exceed its budget: raw squares that folding made
+    equal count once."""
+    exceeded = 0
+    for *_, stages in catalog_stages:
+        for core, _ in stages:
+            if not core.verified:
+                exceeded += 1
+                assert core.diagnostics["cells"] > core.diagnostics["budget"], core.diagnostics
+    assert exceeded >= 30, exceeded
 
 
 def test_refutation_witness_search_respects_enum_budget(abc_graph, abc_model):

@@ -776,7 +776,7 @@ def test_fill_scan_matches_the_pair_scan_oracle(catalog_stages):
     for graph, words, budgets in _scan_problems(catalog_stages):
         new, old = _Builder(graph, words), oracles.PairScanBuilder(graph, words)
         for budget in budgets:
-            while len(new.ends) + len(new.edges) - new.folds + len(new.squares) <= budget:
+            while new.diagnostics(budget)["cells"] <= budget:
                 grew = new.fill_pass()
                 assert old.fill_pass() == grew
                 if not grew:

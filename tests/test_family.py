@@ -147,9 +147,12 @@ def test_bme_single_generator_and_normality():
 
 
 def test_bme_matches_normalize_of_naive_expansion():
-    for n in (3, 4):
-        fam = family(n, 2)
-        for h in _h_words_upto(2, 3):
+    """Every B/M/E form of an h-word of length at most 3 is normal and
+    equals the normalized naive expansion, over n = 2..10 and N = 1..4:
+    ``verify_order_window`` reads B/M/E forms without checking them."""
+    for n, N in itertools.product(range(2, 11), range(1, 5)):
+        fam = family(n, N)
+        for h in _h_words_upto(N, 3):
             if not h:
                 continue
             bme = bme_normal_form(h, fam)
