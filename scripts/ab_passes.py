@@ -6,15 +6,17 @@
 Each tree is a checkout of this repository.  One worker process per tree
 imports ``raagcc`` from that tree's ``src`` and builds the same workload
 from this repository's ``perfbench/workloads.py`` at ``--seed``.  Each
-worker first runs one checked pass, whose output fingerprints must agree
-between the two trees; then every round asks each worker for one more
-pass, the parent first in odd rounds and the change first in even ones.
-A pass's time is the sum of its op times, as ``perfbench/run.py`` counts
-them, unscaled.  Printed: each round's two times and their ratio, each
-side's min and median pass time, the median ratio, and the rounds the
-change won.  ``--workload all`` runs every workload in turn, each with its
-own pair of workers, and ends with one summary line per workload.  Exit
-status 1 when the fingerprints differ or a check fails.
+worker first runs one checked pass, whose output fingerprints are compared
+op by op between the two trees: the ops whose outputs moved are printed by
+index and label, and the timing goes on, since a change may move outputs
+on purpose.  Then every round asks each worker for one more pass, the
+parent first in odd rounds and the change first in even ones.  A pass's
+time is the sum of its op times, as ``perfbench/run.py`` counts them,
+unscaled.  Printed: each round's two times and their ratio, each side's
+min and median pass time, the median ratio, the rounds the change won and
+the number of moved ops, if any.  ``--workload all`` runs every workload in
+turn, each with its own pair of workers, and ends with one summary line per
+workload.  Exit status 1 when a check fails or the op counts differ.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import gc
 import hashlib
 import json
 import os
+import reprlib
 import statistics
 import subprocess
 import sys
@@ -41,6 +44,12 @@ def _canonical(value):
     if isinstance(value, (tuple, list)):
         return [_canonical(v) for v in value]
     return repr(value)
+
+
+def _label(op) -> str:
+    """An op's name: its label when it starts with one (as certify-zoo's
+    ops do), else its repr, cut short."""
+    return op[0] if isinstance(op[0], str) else reprlib.repr(op)[:120]
 
 
 def worker(src: Path, workload: str, seed: int, tiny: bool) -> int:
@@ -67,8 +76,10 @@ def worker(src: Path, workload: str, seed: int, tiny: bool) -> int:
                 outs.append(out)
         reply = {"s": busy}
         if checked:
-            prints = json.dumps([_canonical(wl.fingerprint(out)) for out in outs])
-            reply["fingerprint"] = hashlib.sha256(prints.encode()).hexdigest()
+            reply["prints"] = [
+                hashlib.sha256(json.dumps(_canonical(wl.fingerprint(out))).encode()).hexdigest()
+                for out in outs]
+            reply["labels"] = [_label(op) for op in wl.ops]
             reply["errors"] = [f"op {i}: {err}" for i, (op, out) in enumerate(zip(wl.ops, outs))
                                if (err := wl.check(op, out))]
         print(json.dumps(reply), flush=True)
@@ -115,13 +126,21 @@ def compare(workload: str, args) -> tuple[int, str]:
         print(f"workload {workload}, seed {args.seed}: {parent.ops} ops per pass")
         checks = [w.ask("check") for w in workers]
         failed = [f"{w.name} {err}" for w, c in zip(workers, checks) for err in c["errors"]]
-        if parent.ops != change.ops or checks[0]["fingerprint"] != checks[1]["fingerprint"]:
-            failed.append("the first-pass fingerprints differ")
+        if parent.ops != change.ops:
+            failed.append(f"the op counts differ: {parent.ops} and {change.ops}")
         for error in failed:
             print(f"ERROR {error}")
         if failed:
             return 1, f"{workload}: failed"
-        print(f"first-pass fingerprints equal: {checks[0]['fingerprint'][:16]}")
+        prints = [c["prints"] for c in checks]
+        moved = [i for i, (p, c) in enumerate(zip(*prints)) if p != c]
+        if moved:
+            print(f"first-pass fingerprints differ in {len(moved)} of {parent.ops} ops:")
+            for i in moved:
+                print(f"moved op {i}: {checks[1]['labels'][i]}")
+        else:
+            digest = hashlib.sha256("".join(prints[0]).encode()).hexdigest()
+            print(f"first-pass fingerprints equal: {digest[:16]}")
         print("round,parent_s,change_s,ratio")
         times: dict[str, list[float]] = {"parent": [], "change": []}
         for r in range(1, args.rounds + 1):
@@ -138,6 +157,8 @@ def compare(workload: str, args) -> tuple[int, str]:
     wins = sum(ratio < 1 for ratio in ratios)
     summary = (f"median ratio change/parent {statistics.median(ratios):.4f}; "
                f"change faster in {wins} of {args.rounds} rounds")
+    if moved:
+        summary += f"; {len(moved)} of {parent.ops} ops moved"
     print(summary)
     return 0, f"{workload}: {summary}"
 

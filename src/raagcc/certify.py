@@ -51,10 +51,12 @@ No chord word survives on a verified core (one that passed the link
 check on the builder as it stabilized): certified, with the displacement
 lower bound d >= |h|/(6*ell) - 2 attached; nothing is enumerated, and the
 core is frozen only when it is read.  Some chord word survives: refuted,
-with the first non-filling loop in increasing length order as witness
-(its image fixes a curve, so the subgroup is not purely pseudo-Anosov);
-the walk that finds it is bounded by the enumeration budget.  Budget
-exhaustion anywhere: inconclusive, never a negative claim.
+since its member p*w*p^-1 fixes a curve, so the subgroup is not purely
+pseudo-Anosov.  The witness is the first non-filling loop in increasing
+length order, found by a walk bounded by the enumeration budget; when the
+walk ends empty or runs out of budget, it is p*w*p^-1 itself, so no
+verdict depends on that budget.  Cell budget exhaustion with no stage
+decided: inconclusive, never a negative claim.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from .complexes import (
     iter_loops_by_length,
     membership,
 )
-from .errors import BudgetExceededError, ContractError, InputError, InternalError, _require_count
+from .errors import BudgetExceededError, ContractError, InputError, _require_count
 from .graphs import DefiningGraph
 from .surfaces import SurfaceModel
 from .words import (NormalWord, Word, _indexed, _pile, _read_out, _spell, cyclic_core_support,
@@ -89,9 +91,10 @@ class Certificate:
     """Outcome of the finite convex-cocompactness check.
 
     ``element_count`` counts the loops, identity included, that the witness
-    walk read on a verified stage: up to and including the witness for a
-    refutation, its partial count for an inconclusive one, else None.  A
-    certified verdict's members up to ell are ``count_elements(core, ell)``.
+    walk read on a verified stage up to and including the witness; it is
+    None for any other verdict, on a partial stage, and when the witness is
+    the chord witness.  A certified verdict's members up to ell are
+    ``count_elements(core, ell)``.
     """
 
     graph: DefiningGraph
@@ -197,17 +200,11 @@ class _StageView:
 
 def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ...]]]],
                       graph: DefiningGraph, model: SurfaceModel
-                      ) -> tuple[NormalWord, frozenset[str], int] | None:
+                      ) -> tuple[Sequence[tuple[int, int]], int, int] | None:
     """The first nontrivial loop of a per-length loop stream whose cyclic
-    reduction fails to fill, as (witness, its support, loops read including
-    the identity and the witness); None when the stream ends first.
-
-    Sound on any link-injective stage of the construction: folding
-    identifies paths without changing their images, and attached squares
-    are relations that already hold, so basepoint loops always represent
-    subgroup members.
-    """
-    labels = graph.vertices
+    reduction fails to fill, as (its syllables, the support bitmask of its
+    cyclic reduction, loops read including the identity and the witness);
+    None when the stream ends first."""
     count = 0
     for length, loops in layers:
         for syls in loops:
@@ -216,8 +213,7 @@ def _first_nonfilling(layers: Iterator[tuple[int, list[tuple[tuple[int, int], ..
                 continue  # the identity never fills and is exempt
             support = cyclic_core_support(syls, graph)
             if not model.fills_mask(support):
-                return (_spell(syls, graph),
-                        frozenset(v for g, v in enumerate(labels) if support >> g & 1), count)
+                return syls, support, count
     return None
 
 
@@ -242,11 +238,11 @@ def _forest_chords(view: _StageView, allowed: int) -> list[int]:
 
 
 def _chord_words(options: dict, allowed: int, roots: Iterable[int]
-                 ) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+                 ) -> Iterator[tuple[int, int, int, list[tuple[int, int]]]]:
     """Each chord of a breadth-first spanning forest of the edges whose
-    label index is a bit of ``allowed``, as (source, label index, loop
-    word), yielded as the forest grows.  The chord loops at the roots
-    generate the fundamental group of each component.
+    label index is a bit of ``allowed``, as (tree root, source, label
+    index, loop word at the root), yielded as the forest grows.  The chord
+    loops at the roots generate the fundamental group of each component.
 
     Trees grow from the ``roots`` not yet reached, in order, through a
     letter table ``options`` (a frozen complex's or a view's
@@ -274,7 +270,7 @@ def _chord_words(options: dict, allowed: int, roots: Iterable[int]
                         while (step := parent[v]) is not None:
                             steps.append(step)
                             v = step[0]
-                    yield src, g, [(h, e) for _, h, e in reversed(up)] + [(g, 1)] + \
+                    yield root, src, g, [(h, e) for _, h, e in reversed(up)] + [(g, 1)] + \
                         [(h, -e) for _, h, e in down]  # path(dst)^-1: letters inverted
 
 
@@ -312,6 +308,46 @@ def _h1_vanishes(chords: list[int], square_groups: dict[int, list[tuple[int, int
     return len(basis) == len(chords)
 
 
+def _nontrivial_chord(view: _StageView, allowed: int) -> tuple[int, list[tuple[int, int]]] | None:
+    """The first nontrivial chord word of a breadth-first forest of a
+    stage's edges whose label index is a bit of ``allowed``, each word
+    piled as the forest meets it, as (tree root, loop word at the root);
+    None when every chord word is trivial."""
+    graph = view.graph
+    sources = (s for g, group in enumerate(view.labelled) if allowed >> g & 1 for _, s, _ in group)
+    for root, _, _, word in _chord_words(view._letter_options[0], allowed, sources):
+        if any(_pile(word, graph)):
+            return root, word
+    return None
+
+
+def _chord_witness(view: _StageView, allowed: int) -> tuple[list[tuple[int, int]], int]:
+    """The member p*w*p^-1 that refutes on a stage's ``view`` (see the
+    module docstring), as its normal form's syllables and the support
+    bitmask of its cyclic reduction: w is ``_nontrivial_chord``'s word for
+    the labels of ``allowed``, at the root r, and p a breadth-first path
+    from the basepoint to r."""
+    graph = view.graph
+    root, word = _nontrivial_chord(view, allowed)
+    options, base = view._letter_options
+    parent: dict[int, tuple[int, int, int] | None] = {base: None}
+    queue = [base]
+    for v in queue:
+        if root in parent:
+            break
+        for g, sign, far in options[v]:
+            if far not in parent:
+                parent[far] = (v, g, sign)
+                queue.append(far)
+    back = []  # the letters of p, last first
+    while (step := parent[root]) is not None:
+        root, g, sign = step
+        back.append((g, sign))
+    member = _read_out(_pile(chain(reversed(back), word, ((g, -sign) for g, sign in back)),
+                             graph), graph)
+    return member, cyclic_core_support(member, graph)
+
+
 def _nonfilling_chord_set(view: _StageView, model: SurfaceModel, verified: bool) -> int | None:
     """The first maximal non-filling set, as a vertex-index bitmask, whose
     labelled edges have a nontrivial chord word on a stage's ``view``;
@@ -322,24 +358,21 @@ def _nonfilling_chord_set(view: _StageView, model: SurfaceModel, verified: bool)
     union-find forest (see the module docstring).  H_1 = 0: every chord
     word of S is trivial, on any stage.  Otherwise, on a verified core, S
     is returned; on a partial stage, the chord words of a breadth-first
-    forest are piled as they are met.  No answer depends on the forest:
-    any spanning forest's chord loops generate each component's pi_1.
+    forest are piled as they are met (``_nontrivial_chord``).  No answer
+    depends on the forest: any spanning forest's chord loops generate each
+    component's pi_1.
 
     On a verified core, None means that no nontrivial member fails to
     fill.  On any connected link-injective stage, a set returned here
     bounds the support of a non-filling member.
     """
-    graph = view.graph
     for allowed in model.maximal_non_filling_sets:
         chords = _forest_chords(view, allowed)
         if not chords:
             continue  # a forest has no loops
         if _h1_vanishes(chords, view.square_groups, allowed, view.edge_ids):
             continue
-        sources = (s for g, group in enumerate(view.labelled) if allowed >> g & 1
-                   for _, s, _ in group)
-        if verified or any(any(_pile(word, graph)) for *_, word in
-                           _chord_words(view._letter_options[0], allowed, sources)):
+        if verified or _nontrivial_chord(view, allowed) is not None:
             return allowed
     return None
 
@@ -370,15 +403,18 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     nontrivial chord word, the length-ordered walk of the stage's basepoint
     loops (the core's members, when it is verified), bounded by
     ``enum_budget`` and by the window ell = 3(V+1), whose first non-filling
-    loop is the refutation's witness.  Only what the outcome means depends
-    on whether the core is verified:
+    loop is the refutation's witness.  The outcomes:
 
-    - no nontrivial chord word: certified, with no walk and no count;
-    - a walk that runs out of budget: inconclusive, with its partial count;
-    - a walk that ends without a witness: an ``InternalError``.
+    - no nontrivial chord word: certified on a verified core, with no walk
+      and no count; the next stage on a partial one;
+    - a walk that finds a witness: refuted;
+    - a walk that ends empty or runs out of ``enum_budget``: refuted, with
+      the chord witness p*w*p^-1 (``_chord_witness``) and no count;
+    - no stage left: inconclusive on the cell budget.
 
-    On a partial stage each of these moves on to the next stage, and a
-    refutation carries neither ell nor an element count.
+    So ``enum_budget`` bounds only the search for the shortest witness, and
+    no verdict depends on it.  A refutation on a partial stage carries
+    neither ell nor an element count.
 
     The stages grow on one ``_Builder``, and each is decided on its
     ``_StageView``.  A stage is verified only once it has passed the link
@@ -387,14 +423,11 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     stage has been link-checked before it is returned.  Every certificate
     freezes its stage only when its ``core`` is first read.
 
-    A construction that never stabilizes within the cell budget and never
-    exposes a witness is inconclusive.  Its reason names the enumeration
-    budget when some stage's walk ran out of it, and the cell budget
-    otherwise.  ``diagnostics`` holds what the report prints beside the
-    core's counts: the builder's folds and squares added, the stages tried
-    as [budget, cells] pairs and, for a refutation, the labels of the first
-    non-filling set with a nontrivial chord word and whether the stage was
-    partial.  Both budgets must be positive.
+    ``diagnostics`` holds what the report prints beside the core's counts:
+    the builder's folds and squares added, the stages tried as [budget,
+    cells] pairs and, for a refutation, the labels of the first non-filling
+    set with a nontrivial chord word and whether the stage was partial.
+    Both budgets must be positive.
     """
     if model.graph != graph:
         raise InputError("the model's coincidence graph must equal the defining graph")
@@ -428,7 +461,6 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                            verdict=verdict, ell=ell, element_count=element_count, **fields)
 
     builder = _Builder(graph, forms)
-    reason = f"core construction exceeded cell budget {cell_budget}"
     for stage in _stage_budgets(cell_budget):
         status = builder.grow(stage)
         verified = status == VERIFIED
@@ -442,24 +474,20 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                 return certificate(CERTIFIED, ell=ell)
             continue
         # The witness is the first non-filling member in increasing length
-        # order; on a verified core one of length at most 2V - 1 < ell exists.
+        # order (on a verified core one of length at most 2V - 1 < ell
+        # exists), else the chord witness.
         try:
             found = _first_nonfilling(iter_loops_by_length(view, ell, node_budget=enum_budget),
                                       graph, model)
-        except BudgetExceededError as exc:
-            reason = f"enumeration exceeded budget {enum_budget}"
-            if verified:
-                return certificate(INCONCLUSIVE, ell=ell, element_count=exc.partial_count,
-                                   reason=reason)
-            continue
-        if found is not None:
-            witness, support, count = found
-            return certificate(REFUTED, chord_set, ell=ell, witness=witness,
-                               witness_support=support, element_count=count)
-        if verified:
-            raise InternalError(f"no non-filling member up to length {ell}, "
-                                "though a chord word of a non-filling set is nontrivial")
-    return certificate(INCONCLUSIVE, reason=reason)
+        except BudgetExceededError:
+            found = None
+        syls, support, count = found or (*_chord_witness(view, chord_set), None)
+        return certificate(REFUTED, chord_set, ell=ell, witness=_spell(syls, graph),
+                           witness_support=frozenset(
+                               v for g, v in enumerate(graph.vertices) if support >> g & 1),
+                           element_count=count)
+    return certificate(INCONCLUSIVE,
+                       reason=f"core construction exceeded cell budget {cell_budget}")
 
 
 def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
@@ -474,7 +502,7 @@ def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
     index = graph._index
     at = {(src, index[label]): i for i, (_, src, _, label) in enumerate(complex_.edges)}
     seen: dict[tuple[tuple[int, int], ...], None] = {}
-    for *_, chord in sorted(_chord_words(options, -1, (base,)), key=lambda c: at[c[:2]]):
+    for *_, chord in sorted(_chord_words(options, -1, (base,)), key=lambda c: at[c[1:3]]):
         seen.setdefault(tuple(_read_out(_pile(chord, graph), graph)))
     return tuple(_spell(syls, graph) for syls in seen if syls)
 

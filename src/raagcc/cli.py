@@ -385,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="convex-cocompactness certificate")
     p.add_argument("--cell-budget", type=int, default=20_000)
     p.add_argument("--enum-budget", type=int, default=5_000_000,
-                   help="enumeration nodes allowed when searching for a refutation's "
-                        "witness; a certified verdict does not depend on it")
+                   help="enumeration nodes allowed when searching for the shortest "
+                        "refutation witness; no verdict depends on it")
 
     s8 = sub.add_parser("section8", help="the explicit ring family").add_subparsers(
         dest="s8_command", required=True)

@@ -19,6 +19,7 @@ from raagcc.certify import (
     REFUTED,
     _StageView,
     _chord_words,
+    _first_nonfilling,
     _forest_chords,
     _h1_vanishes,
     _nonfilling_chord_set,
@@ -46,7 +47,8 @@ from raagcc.errors import BudgetExceededError, ContractError, InputError, Intern
 from raagcc.family import family
 from raagcc.graphs import DefiningGraph
 from raagcc.surfaces import SurfaceModel, fills, max_exponent
-from raagcc.words import _indexed, _pile, concat, invert, normalize, parse_word, word_from_pairs
+from raagcc.words import (_indexed, _pile, concat, cyclically_reduce, invert, normalize,
+                          parse_word, word_from_pairs)
 
 import oracles
 from conftest import CATALOG, CATALOG_BUDGETS, CATALOG_GRAPHS, GRAPH_ZOO, catalog_sample
@@ -130,7 +132,7 @@ def test_certify_validates_inputs(abc_graph, abc_model):
             with pytest.raises(InputError) as info:
                 certify(abc_graph, abc_model, gens, **{name: value})
             assert str(info.value) == f"{name} must be an int, not {value!r}"
-    assert certify(abc_graph, abc_model, gens, enum_budget=1).verdict == INCONCLUSIVE
+    assert certify(abc_graph, abc_model, gens, enum_budget=1).verdict == REFUTED
 
 
 def test_certify_inconclusive_on_tiny_budget(abc_graph, abc_model):
@@ -415,23 +417,35 @@ def test_budget_exceeded_stages_report_more_cells_than_their_budget(catalog_stag
 
 
 def test_refutation_witness_search_respects_enum_budget(abc_graph, abc_model):
-    """A refutation still needs its witness; without one it is inconclusive."""
+    """A witness walk that runs out of ``enum_budget`` on a verified core
+    stops there, and the chord witness refutes instead: <a> at budget 1
+    reads no element count, and has the window, witness and support that
+    the full walk gives (it read 2 loops, the identity and a)."""
     gens = [parse_word("a", abc_graph)]
     cert = certify(abc_graph, abc_model, gens, enum_budget=1)
-    assert cert.verdict == INCONCLUSIVE
-    assert cert.reason == "enumeration exceeded budget 1"
+    walked = certify(abc_graph, abc_model, gens)
+    assert (cert.verdict, cert.core_status, cert.element_count, cert.reason) == \
+        (REFUTED, VERIFIED, None, None)
+    assert (cert.ell, cert.witness, cert.witness_support) == \
+        (walked.ell, walked.witness, walked.witness_support)
+    assert (walked.ell, walked.witness.to_text(), walked.witness_support) == (6, "a", {"a"})
+    assert walked.element_count == 2
 
 
-def test_partial_stage_budget_stop_names_the_enum_budget(abc_graph, abc_model):
-    """When partial stages' witness walks run out of ``enum_budget`` and no
-    stage decides, the reason names the enumeration budget, not the cells."""
+def test_partial_stage_budget_stop_refutes_with_the_chord_witness(abc_graph, abc_model):
+    """A partial stage's witness walk that runs out of ``enum_budget`` no
+    longer moves on to the next stage: the chord witness refutes on the
+    first stage, with the report that budgets 10 and 50,000 give."""
     gens = [parse_word(t, abc_graph) for t in ("a b c", "c a b", "a^2 b c")]
     cert = certify(abc_graph, abc_model, gens, enum_budget=1)
-    assert cert.verdict == INCONCLUSIVE
-    assert cert.reason == "enumeration exceeded budget 1"
-    assert len(cert.diagnostics["stages"]) == len(_stage_budgets(20_000)) == 6
-    assert certify(abc_graph, abc_model, gens, enum_budget=10).verdict == REFUTED
-    # A run the cell budget alone stops still names the cell budget.
+    assert (cert.verdict, cert.core_status, cert.reason) == (REFUTED, BUDGET_EXCEEDED, None)
+    assert cert.diagnostics["stages"] == [[64, 66]]
+    assert cert.diagnostics["chord_set"] == ["a", "b"]
+    assert cert.witness.to_text() == "a"
+    for budget in (10, CATALOG_BUDGETS["enum_budget"]):
+        assert certify(abc_graph, abc_model, gens, enum_budget=budget).to_json_dict() == \
+            cert.to_json_dict()
+    # A run the cell budget alone stops names the cell budget.
     small = [parse_word("b c a", abc_graph), parse_word("b a b c", abc_graph)]
     assert certify(abc_graph, abc_model, small, cell_budget=10).reason == (
         "core construction exceeded cell budget 10")
@@ -507,6 +521,55 @@ def test_certified_catalog_problems_have_no_short_nonfilling_product(catalog_cer
         assert oracles.oracle_short_product_witness(graph, model, gens, 4) is None, gens
 
 
+def test_every_catalog_refutation_carries_a_chord_witness(catalog_certificates):
+    """At ``enum_budget=1`` every witness walk runs out, so every catalog
+    refutation is the chord witness, and every verdict is the one at the
+    catalog's budgets.  Each chord witness is checked without a builder:
+    it is nontrivial and in normal form, its reported support is that of
+    its cyclic reduction and lies in the chord set, and it fails to fill.
+    On a verified core, the core accepts it as a member."""
+    stages = Counter()
+    for graph, model, gens, walked in catalog_certificates:
+        cert = certify(graph, model, gens, cell_budget=CATALOG_BUDGETS["cell_budget"],
+                       enum_budget=1)
+        assert cert.verdict == walked.verdict, gens
+        if cert.verdict != REFUTED:
+            continue
+        witness = cert.witness
+        assert witness.syllables and normalize(witness, graph).pairs() == witness.pairs(), gens
+        core = cyclically_reduce(witness, graph)[1]
+        assert cert.witness_support == {label for label, _ in core.pairs()}, gens
+        assert cert.witness_support <= set(cert.diagnostics["chord_set"]), gens
+        assert not fills(witness, model) and cert.element_count is None, gens
+        if cert.core_status == VERIFIED:
+            assert membership(cert.core, witness), gens
+        stages[cert.core_status] += 1
+    assert stages == {VERIFIED: 159, BUDGET_EXCEEDED: 161}, stages
+
+
+def test_partial_stage_walk_that_ends_empty_refutes_with_the_chord_witness():
+    """<c^-1 a d b^-1, b^-1 a^-1 b^-1 c d d> over the 4-cycle: on the
+    64-cell stage the chord check finds a nontrivial chord word, yet the
+    walk of the stage's basepoint loops up to ell finds no non-filling one.
+    The chord witness refutes on that stage; the subgroup no longer grows a
+    256-cell stage (its stages were [[64, 79], [256, 273]]), and the
+    witness is no longer the walk's b d^-3 b^2."""
+    graph = CATALOG_GRAPHS["cycle4"]
+    model = SurfaceModel.build(graph, [graph.vertices])
+    gens = [parse_word(t, graph) for t in ("c^-1 a d b^-1", "b^-1 a^-1 b^-1 c d d")]
+    builder = _Builder(graph, [_indexed(normalize(w, graph), graph) for w in gens])
+    assert builder.grow(64) == BUDGET_EXCEEDED
+    view, ell = _StageView(builder), 3 * (builder.diagnostics(64)["vertex_count"] + 1)
+    assert _nonfilling_chord_set(view, model, False) is not None
+    loops = iter_loops_by_length(view, ell, node_budget=CATALOG_BUDGETS["enum_budget"])
+    assert _first_nonfilling(loops, graph, model) is None
+    cert = certify(graph, model, gens, **CATALOG_BUDGETS)
+    assert (cert.verdict, cert.core_status) == (REFUTED, BUDGET_EXCEEDED)
+    assert cert.diagnostics["stages"] == [[64, 79]]
+    assert cert.witness.to_text() == "d^-2 b^3 d^-1" and cert.witness_support == {"b", "d"}
+    assert not fills(cert.witness, model)
+
+
 # -- every stage decided by the chord-word check ------------------------------------
 
 
@@ -527,17 +590,20 @@ def test_lean_chord_words_match_oracle(catalog_stages):
     path tuples, for every edge set the check and ``extract_generators``
     read, grown from the oracle's roots (the basepoint, then every vertex in
     order): each chord once, in edge order once sorted by the source and
-    label it is named by."""
+    label it is named by, and each a loop at the tree root it names."""
     counted = {True: 0, False: 0}
     for _, model, _, stages in catalog_stages:
         for core, _ in stages:
             complex_ = core.complex
             options, base = complex_._letter_options
             at = {(src, g): i for i, (src, _, g) in enumerate(_labelled_edges(complex_, -1))}
+            labels, trace_maps = complex_.graph.vertices, oracles.oracle_trace_maps(complex_)
             for allowed in (-1, *model.maximal_non_filling_sets):
-                chords = _chord_words(options, allowed, (base, *complex_.vertices))
-                assert [tuple(w) for *_, w in sorted(chords, key=lambda c: at[c[:2]])] == \
+                chords = list(_chord_words(options, allowed, (base, *complex_.vertices)))
+                assert [tuple(w) for *_, w in sorted(chords, key=lambda c: at[c[1:3]])] == \
                     list(oracles.oracle_chord_words(complex_, allowed))
+                assert all(_closes_at(trace_maps, root, [(labels[g], e) for g, e in w])
+                           for root, *_, w in chords)
             counted[core.verified] += 1
     assert counted[True] >= 20 and counted[False] >= 20, counted
 
@@ -578,8 +644,10 @@ def _forest_roots(complex_, allowed: int) -> list[int]:
     return roots
 
 
-def _closes_at(complex_, v: int, word: list[tuple[str, int]]) -> bool:
-    out, into = oracles.oracle_trace_maps(complex_)
+def _closes_at(trace_maps, v: int, word: list[tuple[str, int]]) -> bool:
+    """Whether ``word`` reads a loop at ``v``, by a complex's
+    ``oracle_trace_maps``."""
+    out, into = trace_maps
     start = v
     for label, sign in word:
         v = (out if sign > 0 else into).get((v, label))
@@ -597,15 +665,17 @@ def test_chord_check_decides_every_stage(catalog_stages):
       the member p*w*p^-1 (p a path from the basepoint to r), which does
       not fill and, when the last stage verifies, belongs to its core;
     - wherever the old bounded loop walk found a witness on a partial
-      stage, the check says yes, and ``certify`` refutes at that stage with
-      the same witness."""
+      stage, the check says yes;
+    - ``certify`` refutes at the first stage whose check says yes, with
+      the old walk's witness where that walk found one on that stage."""
     found = members = in_core = 0
     for graph, model, gens, stages in catalog_stages:
         labels = graph.vertices
         last = stages[-1][0]
-        witness_stage = None
+        witness_stage = decided = None
         for k, (core, view) in enumerate(stages):
             complex_ = core.complex
+            trace_maps = oracles.oracle_trace_maps(complex_)
             first = None
             for allowed in model.maximal_non_filling_sets:
                 roots = _forest_roots(complex_, allowed)
@@ -615,7 +685,7 @@ def test_chord_check_decides_every_stage(catalog_stages):
                         continue
                     if first is None:
                         first = allowed
-                    root = next(r for r in roots if _closes_at(complex_, r, word))
+                    root = next(r for r in roots if _closes_at(trace_maps, r, word))
                     p = _path_to(complex_, root)
                     member = word_from_pairs(p + word + [(g, -e) for g, e in reversed(p)])
                     assert not oracles.oracle_fills(member, model), (gens, chord)
@@ -624,17 +694,19 @@ def test_chord_check_decides_every_stage(catalog_stages):
                         assert membership(last, member), (gens, chord)
                         in_core += 1
             assert _nonfilling_chord_set(view, model, core.verified) == first, gens
+            if first is not None and decided is None:
+                decided = k
             if not core.verified and witness_stage is None:
                 witness = oracles.oracle_partial_stage_witness(complex_, model)
                 if witness is not None:
                     assert first is not None, gens
                     witness_stage = (k, witness)
-        if witness_stage is not None:
-            k, witness = witness_stage
+        if decided is not None:
             cert = certify(graph, model, gens, **CATALOG_BUDGETS)
-            assert (cert.verdict, cert.witness.pairs()) == (REFUTED, witness), gens
-            assert len(cert.diagnostics["stages"]) == k + 1
-            found += 1
+            assert (cert.verdict, len(cert.diagnostics["stages"])) == (REFUTED, decided + 1), gens
+            if witness_stage is not None and witness_stage[0] == decided:
+                assert cert.witness.pairs() == witness_stage[1], gens
+                found += 1
     assert found >= 5 and members >= 1_000 and in_core >= 30, (found, members, in_core)
 
 

@@ -23,7 +23,7 @@ import oracles
 # The sha256 of every pinned invocation's argv, exit code, stdout, stderr
 # and ``--out`` bytes (see ``test_cli_outputs_are_pinned``).  A change that
 # alters CLI bytes on purpose updates this value and says why.
-CLI_SHA256 = "3e776b9429109f5a0293ab08daf28daf916d2358f06b6b2c0395d4d20f971c74"
+CLI_SHA256 = "453bc4da39661648985c64326bb00607ecc0945d0517aa6c14f17dfdc5059c5e"
 
 GRAPH = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
 MODEL = {"graph": GRAPH, "minimal_filling_sets": [["a", "b", "c"]], "admissible": True}
@@ -128,13 +128,17 @@ def test_certify_inconclusive_exit_code(files, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
-def test_certify_names_the_enum_budget_that_stopped_it(files, capsys):
+def test_certify_refutes_with_the_chord_witness_at_enum_budget_1(files, capsys):
+    """A witness walk stopped by ``--enum-budget`` still refutes, with the
+    chord witness: no verdict depends on that budget."""
     assert main(["certify", "--graph", files["graph"], "--model", files["model"],
-                 "--gens", files["gens_bad"], "--enum-budget", "1"]) == 2
-    assert "reason: enumeration exceeded budget 1" in capsys.readouterr().out.splitlines()
+                 "--gens", files["gens_bad"], "--enum-budget", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: refuted", "witness: a", "witness support: {a}"]
     assert main(["certify", "--graph", files["graph"], "--model", files["model"],
-                 "--gens", files["gens_bad"], "--enum-budget", "1", "--format", "json"]) == 2
-    assert json.loads(capsys.readouterr().out)["reason"] == "enumeration exceeded budget 1"
+                 "--gens", files["gens_bad"], "--enum-budget", "1", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["witness"], report["reason"]) == ("refuted", "a", None)
 
 
 def test_certify_rejects_a_nonpositive_enum_budget(files, capsys):

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # The sha256 of ``scripts/catalog_reports.py``'s output over the whole
 # catalog.  A change that alters report bytes on purpose updates this value
 # and says why.
-CATALOG_SHA256 = "f8cb21361e45c6b5888678124414f1a2332684a43d8319519ab80abbff5f5500"
+CATALOG_SHA256 = "f35884ad0ac423a287226019220e9d45e461f306f885fbb1941cc2497eca760a"
 
 
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -143,6 +144,37 @@ def test_ab_passes_tiny_against_itself():
     assert re.fullmatch(r"change: min \d+\.\d{6} s, median \d+\.\d{6} s", lines[6])
     assert re.fullmatch(r"median ratio change/parent \d+\.\d{4}; "
                         r"change faster in [012] of 2 rounds", lines[7])
+    assert len(lines) == 8
+
+
+def test_ab_passes_times_a_change_that_moves_an_op(tmp_path):
+    """A change that moves an op's output is still timed: the moved op is
+    printed by index and label, and the summary counts it.  The change is
+    a copy of this tree whose ``certify`` reports another element count
+    for the worked augmented example only."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "raagcc" / "__init__.py", "a", encoding="utf-8") as init:
+        init.write("""
+import dataclasses as _dataclasses
+_certify = certify
+
+
+def certify(graph, model, generators, **budgets):
+    cert = _certify(graph, model, generators, **budgets)
+    if [g.to_text() for g in cert.generators] == ["a b c", "c a b", "a^2 b c"]:
+        cert = _dataclasses.replace(cert, element_count=-1)
+    return cert
+""")
+    done = _run("ab_passes.py", "--parent", str(ROOT), "--change", str(tmp_path),
+                "--workload", "certify-zoo", "--tiny", "--rounds", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "workload certify-zoo, seed 1: 14 ops per pass"
+    assert lines[1] == "first-pass fingerprints differ in 1 of 14 ops:"
+    assert re.fullmatch(r"moved op \d+: worked augmented", lines[2])
+    assert lines[3] == "round,parent_s,change_s,ratio"
+    assert re.fullmatch(r"median ratio change/parent \d+\.\d{4}; "
+                        r"change faster in [01] of 1 rounds; 1 of 14 ops moved", lines[-1])
     assert len(lines) == 8
 
 
