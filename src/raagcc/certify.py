@@ -440,39 +440,23 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     forms = [_read_out(_pile(_indexed(g, graph), graph), graph) for g in generators]
     normal_gens = tuple(_spell(form, graph) for form in forms)
 
-    tried: list[list[int]] = []
-
-    def certificate(verdict: str, chord_set: int = 0, ell: int | None = None,
-                    element_count: int | None = None, **fields) -> Certificate:
-        """The certificate of the stage at hand (``status``, ``verified``,
-        ``counts``, ``freeze``)."""
-        stats = {"folds": counts["folds"], "squares_added": counts["squares_added"]}
-        if not verified:
-            ell = element_count = None
-            if verdict == REFUTED:
-                stats["refuted_from_partial_core"] = True
-        stats["stages"] = tried
-        if verdict == REFUTED:
-            stats["chord_set"] = [v for g, v in enumerate(graph.vertices) if chord_set >> g & 1]
-        return Certificate(graph=graph, model=model, generators=normal_gens,
-                           core_vertex_count=counts["vertex_count"],
-                           core_square_count=counts["square_count"],
-                           core_status=status, _freeze=freeze, diagnostics=stats,
-                           verdict=verdict, ell=ell, element_count=element_count, **fields)
-
     builder = _Builder(graph, forms)
+    tried: list[list[int]] = []
     for stage in _stage_budgets(cell_budget):
         status = builder.grow(stage)
         verified = status == VERIFIED
         view, counts = _StageView(builder), builder.diagnostics(stage)
-        freeze = partial(builder.core, status, stage)  # called when a certificate's core is read
         tried.append([stage, counts["cells"]])
-        ell = 3 * (counts["vertex_count"] + 1)
         chord_set = _nonfilling_chord_set(view, model, verified)
-        if chord_set is None:
-            if verified:
-                return certificate(CERTIFIED, ell=ell)
-            continue
+        if verified or chord_set is not None:
+            break
+    ell = 3 * (counts["vertex_count"] + 1)
+    stats = {"folds": counts["folds"], "squares_added": counts["squares_added"]}
+    verdict = REFUTED if chord_set is not None else CERTIFIED if verified else INCONCLUSIVE
+    witness = support = reason = count = None
+    if verdict == REFUTED:
+        if not verified:
+            stats["refuted_from_partial_core"] = True
         # The witness is the first non-filling member in increasing length
         # order (on a verified core one of length at most 2V - 1 < ell
         # exists), else the chord witness.
@@ -481,13 +465,21 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
                                       graph, model)
         except BudgetExceededError:
             found = None
-        syls, support, count = found or (*_chord_witness(view, chord_set), None)
-        return certificate(REFUTED, chord_set, ell=ell, witness=_spell(syls, graph),
-                           witness_support=frozenset(
-                               v for g, v in enumerate(graph.vertices) if support >> g & 1),
-                           element_count=count)
-    return certificate(INCONCLUSIVE,
-                       reason=f"core construction exceeded cell budget {cell_budget}")
+        syls, mask, count = found or (*_chord_witness(view, chord_set), None)
+        witness = _spell(syls, graph)
+        support = frozenset(v for g, v in enumerate(graph.vertices) if mask >> g & 1)
+    elif verdict == INCONCLUSIVE:
+        reason = f"core construction exceeded cell budget {cell_budget}"
+    stats["stages"] = tried
+    if verdict == REFUTED:
+        stats["chord_set"] = [v for g, v in enumerate(graph.vertices) if chord_set >> g & 1]
+    return Certificate(graph=graph, model=model, generators=normal_gens,
+                       core_vertex_count=counts["vertex_count"],
+                       core_square_count=counts["square_count"], core_status=status,
+                       verdict=verdict, ell=ell if verified else None, witness=witness,
+                       witness_support=support, reason=reason,
+                       element_count=count if verified else None,
+                       _freeze=partial(builder.core, status, stage), diagnostics=stats)
 
 
 def extract_generators(core: SubgroupCore) -> tuple[NormalWord, ...]:
