@@ -47,16 +47,15 @@ complex of Gamma_S, so pi_1(K) injects (Haglund & Wise, above): there
 H_1 != 0 forces a nontrivial chord word.  Only on a partial stage with
 H_1 != 0 are the chord words piled.
 
-No chord word survives on a verified core (one that passed the link
-check on the builder as it stabilized): certified, with the displacement
-lower bound d >= |h|/(6*ell) - 2 attached; nothing is enumerated, and the
-core is frozen only when it is read.  Some chord word survives: refuted,
-since its member p*w*p^-1 fixes a curve, so the subgroup is not purely
-pseudo-Anosov.  The witness is the first non-filling loop in increasing
-length order, found by a walk bounded by the enumeration budget; when the
-walk ends empty or runs out of budget, it is p*w*p^-1 itself, so no
-verdict depends on that budget.  Cell budget exhaustion with no stage
-decided: inconclusive, never a negative claim.
+Why each outcome of ``certify`` is sound.  A certificate needs a verified
+core (one that passed the link check on the builder as it stabilized),
+where the chord check is exact; the displacement lower bound d >=
+|h|/(6*ell) - 2 comes with it.  A refutation needs one member that fails
+to fill, since it fixes a curve, so the subgroup is not purely
+pseudo-Anosov.  The walk's witness is a basepoint loop of its stage, and
+p*w*p^-1 is a member on any stage (above), so no verdict depends on the
+enumeration budget that bounds the walk.  An inconclusive result makes no
+claim, since a larger cell budget may still decide.
 """
 
 from __future__ import annotations
@@ -398,23 +397,24 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     The core is built in the stages of ``_stage_budgets(cell_budget)``,
     each resuming the construction where the one before stopped, so that a
     refutation that shows on a small partial stage pays for no large one.
-    Every stage, partial or verified, goes through the same two steps (see
-    the module docstring): the chord-word check, then, when it finds a
-    nontrivial chord word, the length-ordered walk of the stage's basepoint
-    loops (the core's members, when it is verified), bounded by
-    ``enum_budget`` and by the window ell = 3(V+1), whose first non-filling
-    loop is the refutation's witness.  The outcomes:
+    Stages are checked for a nontrivial chord word (see the module
+    docstring) until one is verified or has one, and the certificate is
+    built once, from the last stage checked.  A nontrivial chord word
+    starts the length-ordered walk of the stage's basepoint loops (the
+    core's members, when it is verified), bounded by ``enum_budget`` and by
+    the window ell = 3(V+1), whose first non-filling loop is the
+    refutation's witness.  The five outcomes:
 
-    - no nontrivial chord word: certified on a verified core, with no walk
-      and no count; the next stage on a partial one;
+    - no nontrivial chord word on a verified core: certified, with no walk
+      and no count;
+    - no nontrivial chord word on a partial stage: the next stage;
     - a walk that finds a witness: refuted;
     - a walk that ends empty or runs out of ``enum_budget``: refuted, with
       the chord witness p*w*p^-1 (``_chord_witness``) and no count;
     - no stage left: inconclusive on the cell budget.
 
     So ``enum_budget`` bounds only the search for the shortest witness, and
-    no verdict depends on it.  A refutation on a partial stage carries
-    neither ell nor an element count.
+    no verdict depends on it.
 
     The stages grow on one ``_Builder``, and each is decided on its
     ``_StageView``.  A stage is verified only once it has passed the link
@@ -426,8 +426,9 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
     ``diagnostics`` holds what the report prints beside the core's counts:
     the builder's folds and squares added, the stages tried as [budget,
     cells] pairs and, for a refutation, the labels of the first non-filling
-    set with a nontrivial chord word and whether the stage was partial.
-    Both budgets must be positive.
+    set with a nontrivial chord word.  A refutation on a partial stage has
+    the core status budget-exceeded, and carries neither ell nor an element
+    count.  Both budgets must be positive.
     """
     if model.graph != graph:
         raise InputError("the model's coincidence graph must equal the defining graph")
@@ -451,12 +452,11 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         if verified or chord_set is not None:
             break
     ell = 3 * (counts["vertex_count"] + 1)
-    stats = {"folds": counts["folds"], "squares_added": counts["squares_added"]}
+    stats = {"folds": counts["folds"], "squares_added": counts["squares_added"], "stages": tried}
     verdict = REFUTED if chord_set is not None else CERTIFIED if verified else INCONCLUSIVE
     witness = support = reason = count = None
     if verdict == REFUTED:
-        if not verified:
-            stats["refuted_from_partial_core"] = True
+        stats["chord_set"] = [v for g, v in enumerate(graph.vertices) if chord_set >> g & 1]
         # The witness is the first non-filling member in increasing length
         # order (on a verified core one of length at most 2V - 1 < ell
         # exists), else the chord witness.
@@ -470,9 +470,6 @@ def certify(graph: DefiningGraph, model: SurfaceModel, generators: Sequence[Word
         support = frozenset(v for g, v in enumerate(graph.vertices) if mask >> g & 1)
     elif verdict == INCONCLUSIVE:
         reason = f"core construction exceeded cell budget {cell_budget}"
-    stats["stages"] = tried
-    if verdict == REFUTED:
-        stats["chord_set"] = [v for g, v in enumerate(graph.vertices) if chord_set >> g & 1]
     return Certificate(graph=graph, model=model, generators=normal_gens,
                        core_vertex_count=counts["vertex_count"],
                        core_square_count=counts["square_count"], core_status=status,

@@ -547,6 +547,43 @@ def test_every_catalog_refutation_carries_a_chord_witness(catalog_certificates):
     assert stages == {VERIFIED: 159, BUDGET_EXCEEDED: 161}, stages
 
 
+def test_catalog_reports_state_each_fact_once(catalog_certificates):
+    """The JSON report of each catalog outcome has that outcome's shape,
+    and whether a refutation was decided on a partial stage is said only by
+    the core's status:
+    - certified: a verified core, ell = 3(V+1) and the bound, with no
+      element count, witness or reason;
+    - refuted on a verified core: ell = 3(V+1), a witness and a chord set;
+    - refuted on a partial stage: a witness and a chord set, with neither
+      ell nor an element count;
+    - inconclusive: the cell budget named, with no ell, witness or chord
+      set.
+    The core object holds the counts, the status, the builder's counters,
+    the stages and, on a refutation only, the chord set."""
+    keys = {"vertex_count", "square_count", "status", "folds", "squares_added", "stages"}
+    reason = f"core construction exceeded cell budget {CATALOG_BUDGETS['cell_budget']}"
+    outcomes = Counter()
+    for _, _, gens, cert in catalog_certificates:
+        report = cert.to_json_dict()
+        core, verdict, verified = report["core"], report["verdict"], cert.core_status == VERIFIED
+        refuted = verdict == REFUTED
+        assert set(core) == keys | ({"chord_set"} if refuted else set()), (gens, core)
+        assert core["status"] == cert.core_status in (VERIFIED, BUDGET_EXCEEDED), gens
+        assert report["ell"] == (3 * (core["vertex_count"] + 1) if verified else None), gens
+        assert (report["witness"] is not None) == (report["witness_support"] is not None) \
+            == refuted, gens
+        assert (report["bound"] is not None) == (verdict == CERTIFIED) == (verified and not refuted)
+        assert report["reason"] == (reason if verdict == INCONCLUSIVE else None), gens
+        if refuted:
+            assert core["chord_set"], gens
+        if not (refuted and verified):
+            assert report["element_count"] is None, gens
+        outcomes[verdict, core["status"]] += 1
+    assert outcomes == {(CERTIFIED, VERIFIED): 235, (REFUTED, VERIFIED): 159,
+                        (REFUTED, BUDGET_EXCEEDED): 161, (INCONCLUSIVE, BUDGET_EXCEEDED): 39}, \
+        outcomes
+
+
 def test_partial_stage_walk_that_ends_empty_refutes_with_the_chord_witness():
     """<c^-1 a d b^-1, b^-1 a^-1 b^-1 c d d> over the 4-cycle: on the
     64-cell stage the chord check finds a nontrivial chord word, yet the
@@ -914,7 +951,7 @@ def test_certify_reads_no_square(abc_graph, abc_model, monkeypatch):
     for graph, model, gens in problems:
         words = [parse_word(g, graph) if isinstance(g, str) else g for g in gens]
         cert = certify(graph, model, words, **CATALOG_BUDGETS)
-        verdicts[cert.verdict, cert.diagnostics.get("refuted_from_partial_core", False)] += 1
+        verdicts[cert.verdict, cert.verdict == REFUTED and cert.core_status == BUDGET_EXCEEDED] += 1
     assert calls["square_ends"] == 0
     assert {(CERTIFIED, False), (REFUTED, False), (REFUTED, True), (INCONCLUSIVE, False)} \
         <= set(verdicts), verdicts

@@ -23,7 +23,7 @@ import oracles
 # The sha256 of every pinned invocation's argv, exit code, stdout, stderr
 # and ``--out`` bytes (see ``test_cli_outputs_are_pinned``).  A change that
 # alters CLI bytes on purpose updates this value and says why.
-CLI_SHA256 = "453bc4da39661648985c64326bb00607ecc0945d0517aa6c14f17dfdc5059c5e"
+CLI_SHA256 = "fcd47248e74c76dcf6bce4f32f58e217ed44ad4e6910f8e0bb60978d8f922118"
 
 GRAPH = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
 MODEL = {"graph": GRAPH, "minimal_filling_sets": [["a", "b", "c"]], "admissible": True}
@@ -547,10 +547,12 @@ def _pinned_invocations(files) -> list[list[str]]:
 def test_cli_outputs_are_pinned(files, capsys):
     """Exit code, stdout, stderr and ``--out`` bytes of every pinned
     invocation, hashed with the temporary directory replaced by a
-    placeholder.  On a mismatch, ``pinned_invocations.txt`` in the test's
-    temporary directory has one line per invocation (argv, exit code, and
-    the sha256 of stdout, stderr and the ``--out`` file), so that diffing
-    the files of two commits lists the invocations that moved."""
+    placeholder.  Every run first writes ``pinned_invocations.txt`` to the
+    test's temporary directory, one line per invocation (argv, exit code,
+    and the sha256 of stdout, stderr and the ``--out`` file), so that
+    diffing the files of two commits lists the invocations that moved: run
+    this test with ``--basetemp DIR`` on each and diff
+    ``DIR/test_cli_outputs_are_pinned0/pinned_invocations.txt``."""
     tmp = str(files["tmp"])
     records = []
     for argv in _pinned_invocations(files):
@@ -560,13 +562,13 @@ def test_cli_outputs_are_pinned(files, capsys):
         written = open(out, encoding="utf-8").read() if out and Path(out).exists() else None
         records.append([argv, code, captured.out, captured.err, written])
     text = json.dumps(records).replace(tmp, "<tmp>")
+
+    def sha(data):
+        return "-" if data is None else hashlib.sha256(data.encode()).hexdigest()
+    listing = files["tmp"] / "pinned_invocations.txt"
+    listing.write_text("".join(
+        f"{json.dumps(argv)}\t{code}\t{sha(out)}\t{sha(err)}\t{sha(written)}\n"
+        for argv, code, out, err, written in json.loads(text)), encoding="utf-8")
     digest = hashlib.sha256(text.encode()).hexdigest()
-    if digest != CLI_SHA256:
-        def sha(data):
-            return "-" if data is None else hashlib.sha256(data.encode()).hexdigest()
-        listing = files["tmp"] / "pinned_invocations.txt"
-        listing.write_text("".join(
-            f"{json.dumps(argv)}\t{code}\t{sha(out)}\t{sha(err)}\t{sha(written)}\n"
-            for argv, code, out, err, written in json.loads(text)), encoding="utf-8")
-        pytest.fail(f"pinned CLI outputs hash to {digest}, not {CLI_SHA256}; "
-                    f"per-invocation digests in {listing}")
+    assert digest == CLI_SHA256, (f"pinned CLI outputs hash to {digest}, not {CLI_SHA256}; "
+                                  f"per-invocation digests in {listing}")
