@@ -332,13 +332,13 @@ class _Builder:
     (endpoint 0 where the vertex is the edge's source) to an edge id.  An
     insertion into an occupied slot queues the two edges as a fold, which
     keeps the lower edge id and unions both pairs of endpoints; a vertex
-    union merges the smaller table into the larger.  Filled corners are
-    pairs of table keys per vertex, which folding never changes.  A square
-    is its raw edges (a, b, gamma, delta) and the keys of a and b at one
-    corner; gamma lies across a parallel to b, delta across b parallel to a.
+    union merges the smaller table into the larger.  A vertex's filled
+    corners, which folding never changes, are one int.  A square is its
+    raw edges (a, b, gamma, delta) and the keys of a and b at one corner;
+    gamma lies across a parallel to b, delta across b parallel to a.
 
-    A fill pass reads a vertex's commuting corners from the graph's corner
-    table (``DefiningGraph._corners``), by the bitmask of its table's keys.
+    A fill pass reads a vertex's commuting corners, in the same layout,
+    from the corner table (``DefiningGraph._corners``) by its keys' bitmask.
     Only vertices whose tables gained a key since the last pass are
     scanned.  A fresh opposite vertex is not: its table holds exactly the
     two keys of the corner its own square fills, and any later insertion
@@ -352,7 +352,7 @@ class _Builder:
         self.eparent: list[int] = []
         self.edges: list[tuple[int, int, int]] = []  # raw (source, target, label index)
         self.ends: dict[int, dict[int, int]] = {}
-        self.filled: dict[int, set[tuple[int, int]]] = {}
+        self.filled: dict[int, int] = {}
         self.squares: list[tuple[int, int, int, int, int, int]] = []
         self.collisions: list[tuple[int, int]] = []
         self.dirty: set[int] = set()
@@ -401,7 +401,7 @@ class _Builder:
         v = len(self.vparent)
         self.vparent.append(v)
         self.ends[v] = {}
-        self.filled[v] = set()
+        self.filled[v] = 0
         return v
 
     def new_edge(self, src: int, dst: int, label: int) -> int:
@@ -430,10 +430,7 @@ class _Builder:
         self.vparent[b] = a
         for key, e in self.ends.pop(b).items():
             self._insert(a, key, e)
-        filled = self.filled
-        if len(filled[a]) < len(filled[b]):
-            filled[a], filled[b] = filled[b], filled[a]
-        filled[a] |= filled.pop(b)
+        self.filled[a] |= self.filled.pop(b)
 
     # -- folding ------------------------------------------------------------
 
@@ -463,25 +460,26 @@ class _Builder:
         self.dirty.clear()
         # Listed in full first: attaching marks corners at other vertices.
         targets = list(self._unfilled_corners(vertices))
-        filled = self.filled
+        filled, width = self.filled, self.graph._corners.width
         for v, ka, kb in targets:
-            filled[v].add((ka, kb))
+            filled[v] |= 1 << (ka * width + kb)
             self._attach_square(v, ka, kb)
         return bool(targets)
 
     def _unfilled_corners(self, vertices: Iterable[int]) -> Iterator[tuple[int, int, int]]:
         """The unfilled commuting corners of the given root vertices, as
-        (vertex, ka, kb), vertex by vertex and each one's in key order, read
-        from the graph's corner table by the bitmask of the vertex's keys."""
+        (vertex, ka, kb), vertex by vertex and each one's in key order: its
+        corner table entry's bits, less its filled ones, lowest first."""
         corners, ends, filled = self.graph._corners, self.ends, self.filled
         for v in vertices:
             mask = 0
             for key in ends[v]:
                 mask |= 1 << key
-            done = filled[v]
-            for ka, kb in corners[mask]:
-                if (ka, kb) not in done:
-                    yield v, ka, kb
+            todo = corners[mask] & ~filled[v]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                yield v, *divmod(low.bit_length() - 1, corners.width)
 
     def _attach_square(self, v: int, ka: int, kb: int) -> None:
         """Close the corner of v's ends at keys ka < kb with a square.
@@ -508,10 +506,10 @@ class _Builder:
         self.squares.append((a, b, gamma, delta, ka, kb))
         self.squares_added += 1
         # fill_pass marked the corner at v; the other three, in key order.
-        filled = self.filled
-        filled[far_a].add((ka ^ 1, kb))
-        filled[far_b].add((ka, kb ^ 1))
-        filled[opposite].add((ka ^ 1, kb ^ 1))
+        filled, width = self.filled, self.graph._corners.width
+        filled[far_a] |= 1 << ((ka ^ 1) * width + kb)
+        filled[far_b] |= 1 << (ka * width + (kb ^ 1))
+        filled[opposite] |= 1 << ((ka ^ 1) * width + (kb ^ 1))
 
     def add_square(self, *square: int) -> None:
         """Record a seed square (a, b, gamma, delta, ka, kb) and mark its
@@ -519,8 +517,9 @@ class _Builder:
         opposite, each as an edge and its key and the other key there."""
         self.squares.append(square)
         a, b, gamma, _, ka, kb = square
+        width = self.graph._corners.width
         for e, k1, k2 in ((a, ka, kb), (a, ka ^ 1, kb), (b, kb ^ 1, ka), (gamma, kb ^ 1, ka ^ 1)):
-            self.filled[self.end_vertex(e, k1 & 1)].add((k1, k2) if k1 < k2 else (k2, k1))
+            self.filled[self.end_vertex(e, k1 & 1)] |= 1 << (min(k1, k2) * width + max(k1, k2))
 
     # -- assembly -----------------------------------------------------------
 
@@ -548,7 +547,7 @@ class _Builder:
         each square has four distinct corners, so the squares are the
         filled corners over four."""
         vertices, edges = len(self.ends), len(self.edges) - self.folds
-        squares = sum(map(len, self.filled.values())) // 4
+        squares = sum(map(int.bit_count, self.filled.values())) // 4
         return {"folds": self.folds, "squares_added": self.squares_added,
                 "cells": vertices + edges + squares, "vertex_count": vertices,
                 "edge_count": edges, "square_count": squares, "budget": budget}

@@ -152,21 +152,22 @@ class DefiningGraph:
 
 
 class _CornerTable(dict):
-    """From a bitmask of end-table keys to the pairs (ka, kb) of its keys,
-    ka < kb, whose labels commute, in increasing (ka, kb) order; each
-    entry is made on the first read of its mask.  An entry depends only on
-    the graph's commutation masks, so the table serves every builder over
-    the graph."""
+    """From a bitmask of end-table keys to the bitmask of its corners: bit
+    ``ka * width + kb`` for keys ka < kb whose labels commute, ``width``
+    being the key count; each entry is made on the first read of its mask.
+    An entry depends only on the graph's commutation masks, so the table
+    serves every builder over the graph."""
 
     def __init__(self, comm: tuple[int, ...]) -> None:
         super().__init__()
         self.comm = comm
+        self.width = 2 * len(comm)
 
-    def __missing__(self, mask: int) -> tuple[tuple[int, int], ...]:
-        comm = self.comm
+    def __missing__(self, mask: int) -> int:
+        comm, width = self.comm, self.width
         keys = [k for k in range(mask.bit_length()) if mask >> k & 1]
-        corners = self[mask] = tuple((ka, kb) for i, ka in enumerate(keys) for kb in keys[i + 1:]
-                                     if comm[ka >> 1] >> (kb >> 1) & 1)
+        corners = self[mask] = sum(1 << (ka * width + kb) for i, ka in enumerate(keys)
+                                   for kb in keys[i + 1:] if comm[ka >> 1] >> (kb >> 1) & 1)
         return corners
 
 

@@ -1689,20 +1689,20 @@ class PairScanBuilder(_Builder):
     for the next pass to scan again."""
 
     def fill_pass(self) -> bool:
-        comm = self.graph.comm_masks
+        comm, width = self.graph.comm_masks, self.graph._corners.width
         vertices = sorted({self.vfind(v) for v in self.dirty})
         self.dirty.clear()
         targets: list[tuple[int, int, int]] = []
         for v in vertices:
             keys = sorted(self.ends[v])
-            filled = self.filled[v]
             for i, ka in enumerate(keys):
                 commuting = comm[ka >> 1]
                 if not commuting:
                     continue
                 for kb in keys[i + 1:]:
-                    if commuting >> (kb >> 1) & 1 and (ka, kb) not in filled:
-                        filled.add((ka, kb))
+                    bit = 1 << (ka * width + kb)
+                    if commuting >> (kb >> 1) & 1 and not self.filled[v] & bit:
+                        self.filled[v] |= bit
                         targets.append((v, ka, kb))
         for v, ka, kb in targets:
             self._attach_square(v, ka, kb)

@@ -1147,8 +1147,8 @@ def test_certified_core_is_link_checked_before_the_verdict(abc_graph, abc_model,
     def fill_pass_and_unfill(self):
         grew = fill_pass(self)
         if not grew:
-            corners = next(corners for corners in self.filled.values() if corners)
-            corners.discard(min(corners))
+            v, corners = next((v, corners) for v, corners in self.filled.items() if corners)
+            self.filled[v] = corners & (corners - 1)  # its lowest corner unfilled
         return grew
 
     monkeypatch.setattr(_Builder, "fill_pass", fill_pass_and_unfill)

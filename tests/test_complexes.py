@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -743,15 +744,19 @@ def _corner_pairs(graph: DefiningGraph, mask: int) -> list[tuple[int, int]]:
 
 
 def test_corner_table_matches_the_pair_list():
-    """``graph._corners[mask]`` lists the commuting key pairs of ``mask`` in
+    """``graph._corners[mask]`` sets bit ``ka * width + kb`` for exactly the
+    commuting key pairs (ka, kb) of ``mask``, so its set bits read them in
     increasing order, on random masks over the zoo and family (6, 2)'s
     graph, and each entry is made once and kept."""
     rng = random.Random(41)
     for graph in GRAPH_ZOO + [family(6, 2).graph]:
         width = 2 * len(graph.vertices)
+        assert graph._corners.width == width
         for mask in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(200)]:
             corners = graph._corners[mask]
-            assert list(corners) == _corner_pairs(graph, mask), (graph, mask)
+            pairs = [divmod(bit, width) for bit in range(corners.bit_length())
+                     if corners >> bit & 1]
+            assert pairs == _corner_pairs(graph, mask), (graph, mask)
             assert graph._corners[mask] is corners
 
 
@@ -840,9 +845,28 @@ def test_builder_link_check_raises_on_a_queued_fold_or_an_unfilled_corner(abc_gr
         builder.check_link()
     builder.collisions.clear()
     v, corners = next((v, corners) for v, corners in builder.filled.items() if corners)
-    corners.discard(min(corners))
+    builder.filled[v] = corners & (corners - 1)  # its lowest corner unfilled
     with pytest.raises(InternalError, match=f"failed the link check: corner .* of vertex {v} "):
         builder.check_link()
+
+
+def test_builder_holds_at_most_400_bytes_per_cell():
+    """Family (5, 2) grown on one builder to the default cell budget of
+    20,000 verifies on 19,907 cells, with a ``tracemalloc`` peak of at most
+    400 bytes per cell.  It read 621 while each vertex kept its filled
+    corners as a set of key pairs, and 251 with them as one int."""
+    fam = family(5, 2)
+    words = [_indexed(w, fam.graph) for w in fam.generators]
+    tracemalloc.start()
+    try:
+        builder = _Builder(fam.graph, words)
+        status = builder.grow(20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = builder.diagnostics(20_000)["cells"]
+    assert (status, cells) == (VERIFIED, 19_907)
+    assert peak <= 400 * cells, f"{peak / cells:.0f} bytes per cell"
 
 
 def test_grow_link_checks_a_stage_once_as_it_stabilizes(catalog_stages, monkeypatch):
@@ -923,10 +947,15 @@ def test_link_check_rejects_malformed_squares(abc_graph):
     assert check_local_isometry(build_core(abc_graph, gens).complex).malformed == ()
 
 
-def test_resuming_rules(abc_graph):
+def test_resuming_rules(abc_graph, catalog_stages):
     """``build_core`` resumes no core: ``extend`` takes a complex, and a
     ``SubgroupCore``, partial or verified, is an input error that says to
-    pass its complex.  Unchecked, it raises a bare ``AttributeError``."""
+    pass its complex.  Unchecked, it raises a bare ``AttributeError``.
+
+    Extending a verified core by its own generators gives the same core
+    and attaches no square, over the verified catalog-stage cores and the
+    ring family (3, 1) and (4, 1): each seed square marks its four corners
+    filled, in the same layout as the fill pass reads them."""
     gens = [parse_word(t, abc_graph) for t in ("a b c", "c a b", "a^2 b c")]
     partial = build_core(abc_graph, gens, budget=60)
     verified = build_core(abc_graph, gens[:1], budget=1_000)
@@ -934,7 +963,15 @@ def test_resuming_rules(abc_graph):
     for core in (partial, verified):
         with pytest.raises(InputError, match=r"pass core\.complex"):
             build_core(abc_graph, gens, budget=1_000, extend=core)
-    assert build_core(abc_graph, gens[:1], extend=verified.complex) == verified
+    problems = [(graph, gens, stages[-1][0]) for graph, _, gens, stages in catalog_stages
+                if stages[-1][0].verified]
+    problems += [(fam.graph, fam.generators, build_core(fam.graph, fam.generators))
+                 for fam in (family(3, 1), family(4, 1))]
+    problems.append((abc_graph, gens[:1], verified))
+    assert len(problems) >= 12 and all(core.verified for _, _, core in problems)
+    for graph, gens, core in problems:
+        again = build_core(graph, gens, extend=core.complex)
+        assert again == core and again.diagnostics["squares_added"] == 0, (graph, gens)
 
 
 def test_extend_requires_the_same_graph_and_sound_squares(abc_graph):
