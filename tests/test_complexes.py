@@ -853,8 +853,8 @@ def test_builder_link_check_raises_on_a_queued_fold_or_an_unfilled_corner(abc_gr
 def test_builder_holds_at_most_400_bytes_per_cell():
     """Family (5, 2) grown on one builder to the default cell budget of
     20,000 verifies on 19,907 cells, with a ``tracemalloc`` peak of at most
-    400 bytes per cell.  It read 621 while each vertex kept its filled
-    corners as a set of key pairs, and 251 with them as one int."""
+    400 bytes per cell.  It read about 620 while each vertex kept its
+    filled corners as a set of key pairs, and 251 with them as one int."""
     fam = family(5, 2)
     words = [_indexed(w, fam.graph) for w in fam.generators]
     tracemalloc.start()
@@ -963,15 +963,15 @@ def test_resuming_rules(abc_graph, catalog_stages):
     for core in (partial, verified):
         with pytest.raises(InputError, match=r"pass core\.complex"):
             build_core(abc_graph, gens, budget=1_000, extend=core)
-    problems = [(graph, gens, stages[-1][0]) for graph, _, gens, stages in catalog_stages
+    problems = [(graph, words, stages[-1][0]) for graph, _, words, stages in catalog_stages
                 if stages[-1][0].verified]
     problems += [(fam.graph, fam.generators, build_core(fam.graph, fam.generators))
                  for fam in (family(3, 1), family(4, 1))]
     problems.append((abc_graph, gens[:1], verified))
     assert len(problems) >= 12 and all(core.verified for _, _, core in problems)
-    for graph, gens, core in problems:
-        again = build_core(graph, gens, extend=core.complex)
-        assert again == core and again.diagnostics["squares_added"] == 0, (graph, gens)
+    for graph, words, core in problems:
+        again = build_core(graph, words, extend=core.complex)
+        assert again == core and again.diagnostics["squares_added"] == 0, (graph, words)
 
 
 def test_extend_requires_the_same_graph_and_sound_squares(abc_graph):
