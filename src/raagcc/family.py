@@ -33,11 +33,11 @@ generator.
 Every w_i spells the same B M E syllables, so a generator's letter
 supports, in the order they act, depend only on its sign; they are
 computed once per family.  An h-word is applied generator by generator
-through a transition memo from (state, generator sign) to state; one
-memo serves one call (a whole star sweep, or every block of one
-displacement bound), so each distinct transition is folded only once per
-call, on the state's two masks, building one state.  Nothing is cached
-across calls.  An h-word's state therefore depends only on its sign
+through a transition memo from (state, generator sign) to state, which
+folds each transition once, on the state's two masks.  The per-family
+tables, which ``n`` and ``N`` fix, include alpha's transition table and
+the step containers; ``span_apply_h`` from a caller's state folds
+through a per-call memo.  An h-word's state therefore depends only on its sign
 pattern, so the star sweep visits the 2^k sign patterns of each length k
 rather than the (2N)(2N-1)^(k-1) h-words: a pattern's state comes from its
 suffix pattern one length shorter, it stands for the count of freely
@@ -111,6 +111,16 @@ class Section8Family:
         generator it fails to commute with, i.e. the complement of its
         commutation mask (a negative int, so only its low bits are read)."""
         return tuple(~m for m in self.graph.comm_masks)
+
+    @cached_property
+    def _transitions(self) -> _Transitions:
+        """Alpha's transition table: the sweeps start only at alpha (3n - 2 states)."""
+        return _Transitions(self)
+
+    @cached_property
+    def _step_containers(self) -> dict[int, tuple[int, int]]:
+        """The step-k containers of every k that ``verify_star`` reads."""
+        return {k: _containers(k, self) for k in range(2, max(2, self.n // 2) + 1)}
 
 
 @dataclass(frozen=True)
@@ -312,8 +322,7 @@ def _fold_supports(state: SpanState, supports: Iterable[int],
 
 class _Transitions(dict):
     """A memo from (state, generator sign) to the state a generator of that
-    sign takes it to.  A miss folds the sign's letter supports on the two
-    masks and builds one state; one memo serves one call."""
+    sign takes it to; a miss folds the sign's letter supports on the masks."""
 
     def __init__(self, fam: Section8Family):
         super().__init__()
@@ -398,7 +407,7 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
     if k_max > fam.n / 2:
         raise ContractError(f"k_max={k_max} exceeds n/2={fam.n / 2}; containers stop being proper")
     n, N = fam.n, fam.N
-    memo = _Transitions(fam)
+    memo = fam._transitions
     # (sign pattern, its state, the number of freely reduced words with it)
     level = [((), alpha_state(fam), 1)]
     tested = 0
@@ -413,7 +422,7 @@ def verify_star(fam: Section8Family, k_max: int) -> StarReport:
                      for signs, state, count in level for sign in (1, -1)
                      if (factor := N if not signs or signs[0] == sign else N - 1)]
         k = max(2, length)
-        xbar, ybar = _containers(k, fam)
+        xbar, ybar = fam._step_containers[k]
         failing: dict[tuple[int, ...], list[str]] = {}
         for signs, state, count in level:
             tested += count
@@ -459,9 +468,8 @@ def displacement_upper(h: HWord | str, fam: Section8Family) -> tuple[int, Fracti
             blocks.append(h[pos:pos + size])
             pos += size
         alpha = alpha_state(fam)
-        memo = _Transitions(fam)
         for block in blocks:
-            state = _fold_h(alpha, block, memo)
+            state = _fold_h(alpha, block, fam._transitions)
             if not state.is_proper(n):
                 if len(block) > n // 2:
                     raise ContractError(

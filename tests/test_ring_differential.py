@@ -424,6 +424,43 @@ def test_displacement_upper_matches_letter_fold():
     assert all(outcomes.values())
 
 
+def test_warm_family_tables_match_letter_fold():
+    """One family object serves every call: star sweeps and displacement
+    bounds read its transition table and step containers warm, and match the
+    letter fold on the first call and the repeat alike.  The table holds
+    only alpha's orbit (3n - 2 states, two signs each), and a fold from a
+    caller's own state leaves it as it is."""
+    rng = random.Random(29)
+    for n in range(2, 11):
+        for N in (1, 2, 3):
+            fam = family(n, N)
+            for k in range(0, n // 2 + 1):
+                expected = oracle_verify_star(fam, k)
+                assert verify_star(fam, k) == expected, (n, N, k)
+                assert verify_star(fam, k) == expected, (n, N, k)
+            for length in range(0, 2 * n + 3):
+                h = _random_h(rng, N, length)
+                expected = _outcome(oracle_displacement_upper, h, fam)
+                for _ in range(2):
+                    got = _outcome(displacement_upper, h, fam)
+                    if expected[0] is InternalError:
+                        assert n % 2 == 1 and got[0] is ContractError, (n, N, h)
+                    else:
+                        assert got == expected, (n, N, h)
+            assert len(fam._transitions) <= 2 * (3 * n - 2), (n, N)
+            read = range(2, max(2, n // 2) + 1)
+            assert sorted(fam._step_containers) == list(read)
+            for k in read:
+                assert fam._step_containers[k] == ring._containers(k, fam), (n, N, k)
+            # Alpha's orbit misses only alpha's X-supports, or nothing.
+            start = mask_state(TupleSpanState(contained_in=frozenset({("X", 0)}),
+                                              misses=frozenset({("Y", 1)})), fam)
+            assert start not in {state for state, _ in fam._transitions}
+            size = len(fam._transitions)
+            span_apply_h(start, _random_h(rng, N, n), fam)
+            assert len(fam._transitions) == size, (n, N)
+
+
 def test_bad_generator_index_in_tuple_h_words():
     """Every entry point that takes a tuple h-word refuses a generator index
     outside 1..N with the error that parsing its text gives, and a sign other
